@@ -36,7 +36,6 @@ d1-as-d2            distance 1 rewritten as distance 2 (distinct
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -84,10 +83,6 @@ def _not_applicable(*tags: str) -> BoundResult:
     return BoundResult(None, KIND_UPPER, tags, applicable=False)
 
 
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
 def dv_ratio(n: int, d: int) -> Fraction:
     """The quotient bound n!/(d-1)! as an exact rational (always integral)."""
     if not 1 <= d <= n:
@@ -98,7 +93,7 @@ def dv_ratio(n: int, d: int) -> Fraction:
 def dv_bound(n: int, d: int) -> BoundResult:
     """Upper bound P(n, d) <= n!/(d-1)!, from the quotient by a stabilizer
     chain; the division is always exact."""
-    return _upper(_floor(dv_ratio(n, d)), "DV")
+    return _upper(math.floor(dv_ratio(n, d)), "DV")
 
 
 def sp_ratio(n: int, d: int) -> Fraction:
@@ -111,7 +106,7 @@ def sp_ratio(n: int, d: int) -> Fraction:
 def sp_bound(n: int, d: int) -> BoundResult:
     """Sphere-packing upper bound: balls of radius floor((d-1)/2) around
     members are disjoint, so P(n, d) <= floor(n! / V(n, r))."""
-    return _upper(_floor(sp_ratio(n, d)), "SP")
+    return _upper(math.floor(sp_ratio(n, d)), "SP")
 
 
 def me_ratio(n: int, k: int) -> Fraction:
@@ -132,7 +127,7 @@ def me_bound(n: int, k: int) -> BoundResult:
     reports not-applicable so callers fall back to DV/SP."""
     if not 2 <= k <= n // 2:
         return _not_applicable("ME")
-    return _upper(_floor(me_ratio(n, k)), "ME")
+    return _upper(math.floor(me_ratio(n, k)), "ME")
 
 
 def johnson_ceiling(m: int, k: int) -> int:
@@ -141,7 +136,7 @@ def johnson_ceiling(m: int, k: int) -> int:
     meeting in at most one point)."""
     if m < 0 or k < 1:
         raise ValueError(f"invalid Johnson ceiling arguments m={m}, k={k}")
-    return _floor(Fraction(m, k + 1) * ((m - 1) // k))
+    return math.floor(Fraction(m, k + 1) * ((m - 1) // k))
 
 
 def _cw_size_estimate(m: int, k: int, table: "CwTable | None") -> tuple[int, bool]:
@@ -164,14 +159,20 @@ def mo_ratio(n: int, k: int, table: "CwTable | None" = None) -> Fraction:
     """
     if k < 2 or 2 * k > n - k - 1:
         raise ValueError(f"odd-distance bound needs k >= 2 and n >= 3k+1; got n={n}, k={k}")
-    a_full, _ = _cw_size_estimate(n, k, table)
-    a_reduced, _ = _cw_size_estimate(n - k, k, table)
+    return _mo(n, k, table)[0]
+
+
+def _mo(n: int, k: int, table: "CwTable | None") -> tuple[Fraction, bool]:
+    """(mo_ratio, whether either constant-weight size came from the table)."""
+    a_full, full_from_table = _cw_size_estimate(n, k, table)
+    a_reduced, reduced_from_table = _cw_size_estimate(n - k, k, table)
     numerator = (
         binomial(n, k + 1) * derangement_count(k + 1)
         - a_reduced * binomial(n, k) * derangement_count(k)
     )
     share = max(Fraction(0), Fraction(numerator, a_full))
-    return Fraction(factorial(n)) / (ball_volume(n, k) + share)
+    ratio = Fraction(factorial(n)) / (ball_volume(n, k) + share)
+    return ratio, full_from_table or reduced_from_table
 
 
 def mo_bound(n: int, k: int, table: "CwTable | None" = None) -> BoundResult:
@@ -183,10 +184,8 @@ def mo_bound(n: int, k: int, table: "CwTable | None" = None) -> BoundResult:
     """
     if k < 2 or 2 * k > n - k - 1:
         return _not_applicable("MO-corollary")
-    _, full_from_table = _cw_size_estimate(n, k, table)
-    _, reduced_from_table = _cw_size_estimate(n - k, k, table)
-    tag = "MO-exact-A" if (full_from_table or reduced_from_table) else "MO-corollary"
-    return _upper(_floor(mo_ratio(n, k, table)), tag)
+    ratio, from_table = _mo(n, k, table)
+    return _upper(math.floor(ratio), "MO-exact-A" if from_table else "MO-corollary")
 
 
 def subset_bound(n: int, d: int, omega_size: int, p_omega: int) -> BoundResult:
@@ -291,24 +290,34 @@ def cw_pa_bound(n: int, d: int, w: int) -> BoundResult:
     return _not_applicable("cw-pa")
 
 
+def candidate_bounds(
+    n: int, d: int, table: "CwTable | None" = None
+) -> list[tuple[str, BoundResult]]:
+    """The rules ``best_upper_bound`` chooses from, as (name, result) rows:
+    DV, SP, then ME for even d or MO for odd d. Rows that do not apply at
+    (n, d) are kept and report not-applicable."""
+    rows = [("DV", dv_bound(n, d)), ("SP", sp_bound(n, d))]
+    if d % 2 == 0:
+        rows.append(("ME", me_bound(n, d // 2)))
+    else:
+        rows.append(("MO", mo_bound(n, (d - 1) // 2, table)))
+    return rows
+
+
 def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundResult:
     """The smallest applicable upper bound on P(n, d) among DV, SP, ME (even
     d) and MO (odd d). Ties go to the shorter derivation, then to the rule
-    order just given. Distance 1 is rewritten as distance 2, since distinct
-    permutations always differ in at least two positions."""
+    order just given. Distance 1 is rewritten as distance 2 when n >= 2,
+    since distinct permutations always differ in at least two positions; on
+    one point P(1, 1) = 1 is bounded directly."""
     tags: tuple[str, ...] = ()
     if d == 1 and n >= 2:
         tags = ("d1-as-d2",)
         d = 2
-    if not 2 <= d <= n:
-        raise ValueError(f"distance {d} outside valid range 2..{n}")
-    candidates = [dv_bound(n, d), sp_bound(n, d)]
-    if d % 2 == 0:
-        candidates.append(me_bound(n, d // 2))
-    else:
-        candidates.append(mo_bound(n, (d - 1) // 2, table))
+    if not 1 <= d <= n:
+        raise ValueError(f"distance {d} outside valid range 1..{n}")
     best = min(
-        (c for c in candidates if c.applicable),
+        (c for _, c in candidate_bounds(n, d, table) if c.applicable),
         key=lambda c: (c.value, len(c.derivation)),
     )
     if tags:
@@ -323,13 +332,11 @@ class CwTable:
     Entries are validated against the structural identities on insert, so a
     stored value can never contradict them: when d > 2w the only code is a
     single word, when d = 2w the maximum is exactly floor(n/w), and when
-    d = 2k, w = k+1 nothing exceeds the Johnson ceiling. Reads are lock-free;
-    writes take a lock, matching the read-mostly usage.
+    d = 2k, w = k+1 nothing exceeds the Johnson ceiling.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[int, int, int], BoundResult] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -352,8 +359,7 @@ class CwTable:
         if kind in (KIND_EXACT, KIND_LOWER) and value > binomial(n, w):
             raise ValueError(f"value {value} exceeds the C({n},{w}) words available")
         self._check_identities(n, d, w, value, kind)
-        with self._lock:
-            self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
+        self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
 
     @staticmethod
     def _check_identities(n: int, d: int, w: int, value: int, kind: str) -> None:

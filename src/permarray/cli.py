@@ -20,15 +20,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import pafile
-from .bounds import (
-    BoundResult,
-    CwTable,
-    best_upper_bound,
-    dv_bound,
-    me_bound,
-    mo_bound,
-    sp_bound,
-)
+from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds
 from .constructions import (
     BinaryCwCode,
     PermutationArray,
@@ -105,11 +97,7 @@ def _bound_row(name: str, result: BoundResult) -> dict:
 def _cmd_bound(args: argparse.Namespace) -> int:
     table = _load_table(args.cw_table)
     n, d = args.n, args.d
-    rows = [("DV", dv_bound(n, d)), ("SP", sp_bound(n, d))]
-    if d % 2 == 0:
-        rows.append(("ME", me_bound(n, d // 2)))
-    else:
-        rows.append(("MO", mo_bound(n, (d - 1) // 2, table)))
+    rows = candidate_bounds(n, d, table)
     best = best_upper_bound(n, d, table)
     tight = known_perfect(n, d)
     if args.json:

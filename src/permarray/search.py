@@ -1,17 +1,21 @@
 """Exhaustive search oracles for small permutation arrays and constant-weight
 codes, via branch-and-bound maximum-clique search.
 
-Vertices are the eligible objects in their fixed enumeration order (see
-``perm``); two vertices are adjacent when their distance clears the target.
-At every node the candidates are greedily colored in that order (classes with
-no internal edge; a clique takes at most one vertex per class), and branching
-walks the candidates in descending color order so the color number doubles as
-a per-branch bound. Everything is a deterministic function of the input, so
-identical inputs and limits always reproduce the same witness. For full-array
-searches the identity can be assumed to be a member (composing every member
-with one member's inverse preserves all distances), so the search runs over
-permutations at distance >= d from the identity and adds the identity back to
-the witness.
+Each oracle lists its vertices, the eligible objects in their fixed
+enumeration order (see ``perm``), and runs one pipeline, ``_solve``: two
+vertices are adjacent when their distance clears the target. If the budget
+rules out a real search, the "lower-bound-only" witness is the lowest-index
+greedy clique, built one distance row per chosen vertex. Otherwise the same
+greedy clique seeds a search that keeps each open node's candidates and color
+order on an explicit stack instead of recursing. At every node the candidates
+are greedily colored in index order (classes with no internal edge; a clique
+takes at most one vertex per class), and branching walks them in descending
+color order so the color number doubles as a per-branch bound. Everything is
+a deterministic function of the input, so identical inputs and limits always
+reproduce the same witness. For full-array searches the identity can be
+assumed to be a member (composing every member with one member's inverse
+preserves all distances), so the search runs over permutations at distance
+>= d from the identity and adds the identity back to the witness.
 
 Node limits are deterministic; wall-clock limits are checked periodically and
 are therefore best-effort.
@@ -19,8 +23,8 @@ are therefore best-effort.
 
 from __future__ import annotations
 
-import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -82,14 +86,16 @@ class _Budget:
                 raise _LimitHit
 
 
-def _greedy_clique(adjacency: list[int]) -> list[int]:
-    """Clique built by repeatedly taking the lowest-index compatible vertex."""
+def _greedy_clique(m: int, row: Callable[[int], int]) -> list[int]:
+    """Clique on vertices 0..m-1 built by repeatedly taking the lowest-index
+    vertex adjacent to every vertex taken so far; ``row(v)`` is v's neighbor
+    bitmask."""
     chosen: list[int] = []
-    allowed = (1 << len(adjacency)) - 1
+    allowed = (1 << m) - 1
     while allowed:
         v = (allowed & -allowed).bit_length() - 1
         chosen.append(v)
-        allowed &= adjacency[v]
+        allowed &= row(v)
     return chosen
 
 
@@ -120,44 +126,49 @@ def _color_order(cand: int, adjacency: list[int]) -> list[tuple[int, int]]:
 def _max_clique(adjacency: list[int], limits: SearchLimits) -> tuple[list[int], bool, int]:
     """Largest clique among vertices 0..m-1 with the given neighbor bitmasks.
 
-    Returns (vertex indices ascending, exhausted, nodes). When the budget
-    runs out the best clique found so far is returned with exhausted False.
+    Returns (vertex indices in the order they were added, exhausted, nodes).
+    When the budget runs out the best clique found so far is returned with
+    exhausted False.
     """
     m = len(adjacency)
     if m == 0:
         return [], True, 0
-    best = _greedy_clique(adjacency)
+    best = _greedy_clique(m, adjacency.__getitem__)
     budget = _Budget(limits)
     current: list[int] = []
-
-    def expand(cand: int) -> None:
-        nonlocal best
-        budget.spend()
-        if len(current) + cand.bit_count() <= len(best):
-            return
-        for color, v in reversed(_color_order(cand, adjacency)):
-            # every unprocessed candidate has color <= this one, so the node
-            # cannot beat the incumbent once the check fails
-            if len(current) + color <= len(best):
-                return
-            cand ^= 1 << v
-            current.append(v)
-            sub = cand & adjacency[v]
-            if sub:
-                expand(sub)
-            elif len(current) > len(best):
-                best = current.copy()
-            current.pop()
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, m + 1000))
+    # the open node's candidates and color order are held in cand/order; each
+    # open ancestor's pair waits on the stack, so len(stack) == len(current)
+    stack: list[tuple[int, list[tuple[int, int]]]] = []
+    cand, order = (1 << m) - 1, []
     try:
-        expand((1 << m) - 1)
+        budget.spend()
+        if m > len(best):
+            order = _color_order(cand, adjacency)
+        while True:
+            # every unprocessed candidate has color <= the last one, so the
+            # node cannot beat the incumbent once the check fails
+            if order and len(current) + order[-1][0] > len(best):
+                v = order.pop()[1]
+                cand ^= 1 << v
+                current.append(v)
+                sub = cand & adjacency[v]
+                if sub:
+                    budget.spend()
+                    if len(current) + sub.bit_count() > len(best):
+                        stack.append((cand, order))
+                        cand, order = sub, _color_order(sub, adjacency)
+                        continue
+                elif len(current) > len(best):
+                    best = current.copy()
+                current.pop()
+            elif stack:
+                cand, order = stack.pop()
+                current.pop()
+            else:
+                break
         exhausted = True
     except _LimitHit:
         exhausted = False
-    finally:
-        sys.setrecursionlimit(old_limit)
     return best, exhausted, budget.nodes
 
 
@@ -177,16 +188,23 @@ def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     return limits.max_seconds is not None and limits.max_seconds <= 0
 
 
-def _greedy_at_distance(vectors: list, d: int) -> list[int]:
-    """Greedy clique indices without building the full graph (used when the
-    budget rules out a real search)."""
-    chosen: list[int] = []
-    for i, vec in enumerate(vectors):
-        if all(
-            sum(x != y for x, y in zip(vec, vectors[j])) >= d for j in chosen
-        ):
-            chosen.append(i)
-    return chosen
+def _solve(vectors: list, d: int, limits: SearchLimits) -> tuple[str, list[int], int]:
+    """Largest set of vectors with pairwise coordinate-wise distance >= d.
+
+    Returns (status, chosen vector indices, nodes). When the budget rules out
+    a real search, the greedy clique is built one distance row per chosen
+    vector, so the full graph is never materialised.
+    """
+    if _over_budget_upfront(len(vectors), limits):
+        arr = np.asarray(vectors, dtype=np.int16)
+
+        def row(v: int) -> int:
+            far = np.count_nonzero(arr != arr[v], axis=1) >= d
+            return int.from_bytes(np.packbits(far, bitorder="little").tobytes(), "little")
+
+        return STATUS_LOWER_BOUND_ONLY, _greedy_clique(len(vectors), row), 0
+    clique, exhausted, nodes = _max_clique(_adjacency_at_distance(vectors, d), limits)
+    return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), clique, nodes
 
 
 def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -197,16 +215,9 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
         raise ValueError(f"need n >= 1: {n}")
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
-    ident = identity(n)
     vertices = [p for p in iterate_all(n) if weight(p) >= d]
-    if _over_budget_upfront(len(vertices), limits):
-        chosen = _greedy_at_distance(vertices, d)
-        witness = PermutationArray(n, [ident] + [vertices[i] for i in chosen])
-        return SearchOutcome(STATUS_LOWER_BOUND_ONLY, len(witness), witness)
-    adjacency = _adjacency_at_distance(vertices, d)
-    clique, exhausted, nodes = _max_clique(adjacency, limits)
-    witness = PermutationArray(n, [ident] + [vertices[i] for i in clique])
-    status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
+    status, chosen, nodes = _solve(vertices, d, limits)
+    witness = PermutationArray(n, [identity(n)] + [vertices[i] for i in chosen])
     return SearchOutcome(status, len(witness), witness, nodes)
 
 
@@ -220,14 +231,8 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if d < 1:
         raise ValueError(f"distance must be positive: {d}")
     vertices = list(iterate_weight(n, w))
-    if _over_budget_upfront(len(vertices), limits):
-        chosen = _greedy_at_distance(vertices, d)
-        witness = PermutationArray(n, [vertices[i] for i in chosen])
-        return SearchOutcome(STATUS_LOWER_BOUND_ONLY, len(witness), witness)
-    adjacency = _adjacency_at_distance(vertices, d)
-    clique, exhausted, nodes = _max_clique(adjacency, limits)
-    witness = PermutationArray(n, [vertices[i] for i in clique])
-    status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
+    status, chosen, nodes = _solve(vertices, d, limits)
+    witness = PermutationArray(n, [vertices[i] for i in chosen])
     return SearchOutcome(status, len(witness), witness, nodes)
 
 
@@ -242,21 +247,10 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     words = list(combinations(range(n), w))
-    indicators = [[1 if i in set(word) else 0 for i in range(n)] for word in words]
-    if _over_budget_upfront(len(words), limits):
-        chosen = _greedy_at_distance(indicators, d)
-        witness = BinaryCwCode(n, w, tuple(words[i] for i in chosen), d)
-        return SearchOutcome(STATUS_LOWER_BOUND_ONLY, len(witness), witness)
-    adjacency = _adjacency_at_distance(indicators, d)
-    clique, exhausted, nodes = _max_clique(adjacency, limits)
-    witness = BinaryCwCode(n, w, tuple(words[i] for i in clique), d)
-    status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
+    indicators = [[int(i in members) for i in range(n)] for members in map(set, words)]
+    status, chosen, nodes = _solve(indicators, d, limits)
+    witness = BinaryCwCode(n, w, tuple(words[i] for i in chosen), d)
     return SearchOutcome(status, len(witness), witness, nodes)
-
-
-def min_distance(array: PermutationArray) -> int:
-    """Exact pairwise minimum distance of the array; needs >= 2 members."""
-    return array.min_distance()
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:

@@ -9,6 +9,7 @@ import pytest
 from permarray.bounds import (
     CwTable,
     best_upper_bound,
+    candidate_bounds,
     cw_binary_bound,
     cw_pa_bound,
     dv_bound,
@@ -299,6 +300,10 @@ class TestBestUpperBound:
         best = best_upper_bound(6, 1)
         assert best.value == 720
         assert best.derivation == ("d1-as-d2", "DV")
+        # one point has no second position to differ in, so d = 1 stays
+        best = best_upper_bound(1, 1)
+        assert best.value == 1
+        assert best.derivation == ("DV",)
 
     def test_never_above_component_bounds(self):
         for n in range(4, 26):
@@ -306,6 +311,8 @@ class TestBestUpperBound:
                 best = best_upper_bound(n, d)
                 assert best.value <= dv_bound(n, d).value
                 assert best.value <= sp_bound(n, d).value
+                rows = candidate_bounds(n, d)
+                assert best.value == min(r.value for _, r in rows if r.applicable)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,12 @@ class TestTable:
         assert "24(D)" in out  # (4, 2)
         assert "720(D)" in out  # (6, 2)
         assert "-" in out  # d > n cells are blank
+        code, out, _ = run_cli(capsys, "table", "1:3", "1:3")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split() == ["1", "1(D)", "-", "-"]
+        code, out, _ = run_cli(capsys, "bound", "1", "1")
+        assert code == EXIT_OK
+        assert "best: 1  [DV]" in out
 
     def test_scientific_rendering(self, capsys):
         _, plain, _ = run_cli(capsys, "table", "20", "8")

@@ -1,21 +1,24 @@
 """Clique search: exact values on small instances, witness integrity,
 determinism, and behaviour at the node and time limits."""
 
+import sys
+
 import pytest
 
 from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
 from permarray.exactmath import factorial
-from permarray.perm import Permutation, identity, weight
+from permarray.perm import Permutation, identity, iterate_all, weight
 from permarray.search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
     STATUS_INCOMPLETE,
     STATUS_LOWER_BOUND_ONLY,
     SearchLimits,
+    _adjacency_at_distance,
+    _greedy_clique,
     exact_a_cw,
     exact_p,
     exact_p_cw,
-    min_distance,
     verify_pa,
 )
 
@@ -57,6 +60,14 @@ class TestExactP:
         assert first.witness == second.witness
         assert first.nodes == second.nodes
 
+    def test_leaves_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the search changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert exact_p(5, 3).value == 60
+        assert exact_a_cw(6, 4, 3).value == 4
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             exact_p(4, 5)
@@ -68,7 +79,6 @@ class TestExactP:
 
 class TestLimitBehaviour:
     def test_lower_bound_only_when_graph_exceeds_node_budget(self):
-        limits = SearchLimits(max_nodes=10, max_seconds=None)
         outcome = exact_p(5, 3)  # 76 vertices under default limits is fine
         assert outcome.status == STATUS_EXACT
         gated = exact_p(5, 3, SearchLimits(max_nodes=10, max_seconds=None))
@@ -76,7 +86,11 @@ class TestLimitBehaviour:
         assert gated.value <= outcome.value
         assert_verified(gated, 3)
         assert gated.nodes == 0
-        del limits
+        # the gated witness is the greedy clique of the full graph
+        vertices = [p for p in iterate_all(5) if weight(p) >= 3]
+        adjacency = _adjacency_at_distance(vertices, 3)
+        greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
+        assert gated.witness == PermutationArray(5, [identity(5)] + [vertices[i] for i in greedy])
 
     def test_zero_seconds_is_lower_bound_only(self):
         outcome = exact_p(5, 4, SearchLimits(max_nodes=None, max_seconds=0.0))
@@ -158,7 +172,7 @@ class TestExactACw:
 class TestVerification:
     def test_min_distance(self):
         array = PermutationArray(4, [identity(4), Permutation((1, 0, 3, 2))])
-        assert min_distance(array) == 4
+        assert array.min_distance() == 4
 
     def test_verify_pa_passes(self):
         array = block_cycle_cwpa(8, 2)
