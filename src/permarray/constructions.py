@@ -12,9 +12,12 @@ arrays matching the exact values the bounds module reports.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .exactmath import factorial
 from .perm import Permutation, distance_matrix
@@ -42,7 +45,10 @@ class PermutationArray:
         return iter(self.members)
 
     def __contains__(self, p: object) -> bool:
-        return p in set(self.members)
+        if not isinstance(p, Permutation) or len(p) != self.n:
+            return False
+        i = bisect_left(self.members, p)
+        return i < len(self.members) and self.members[i] == p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermutationArray):
@@ -58,10 +64,8 @@ class PermutationArray:
             raise ValueError("minimum distance needs at least two members")
         if self._min_distance is None:
             dist = distance_matrix(self.members)
-            m = len(self.members)
-            self._min_distance = int(
-                min(dist[i, j] for i in range(m) for j in range(i + 1, m))
-            )
+            np.fill_diagonal(dist, self.n + 1)
+            self._min_distance = int(dist.min())
         return self._min_distance
 
 

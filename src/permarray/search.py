@@ -8,9 +8,12 @@ rules out a real search, the "lower-bound-only" witness is the lowest-index
 greedy clique, built one distance row per chosen vertex. Otherwise the same
 greedy clique seeds a search that keeps each open node's candidates and color
 order on an explicit stack instead of recursing. At every node the candidates
-are greedily colored in index order (classes with no internal edge; a clique
-takes at most one vertex per class), and branching walks them in descending
-color order so the color number doubles as a per-branch bound. Everything is
+get the first-fit coloring in index order (classes with no internal edge; a
+clique takes at most one vertex per class), built one class at a time on
+bitsets as in BBMC (San Segundo et al. 2011), and branching walks them in
+descending color order so the color number doubles as a per-branch bound.
+Vertices whose color cannot lift the node past the incumbent are colored but
+never listed, since the branch loop would stop before them. Everything is
 a deterministic function of the input, so identical inputs and limits always
 reproduce the same witness. For full-array searches the identity can be
 assumed to be a member (composing every member with one member's inverse
@@ -99,27 +102,28 @@ def _greedy_clique(m: int, row: Callable[[int], int]) -> list[int]:
     return chosen
 
 
-def _color_order(cand: int, adjacency: list[int]) -> list[tuple[int, int]]:
-    """Greedy coloring of the candidate set, scanned in index order.
+def _color_order(cand: int, adjacency: list[int], kmin: int) -> list[tuple[int, int]]:
+    """Greedy first-fit coloring of the candidate set in index order, built
+    one class at a time: each class takes the lowest remaining vertex, drops
+    its neighbors, and repeats until nothing is left to add.
 
-    Returns (color, vertex) pairs sorted ascending; the color of a vertex
-    bounds any clique drawn from it and the vertices colored before it."""
-    classes: list[int] = []
+    Returns (color, vertex) pairs sorted ascending, leaving out vertices whose
+    color is below ``kmin`` (their classes are still built, so later colors
+    are unchanged); the color of a vertex bounds any clique drawn from it and
+    the vertices colored before it."""
     order: list[tuple[int, int]] = []
+    k = 0
     while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        neighbors = adjacency[v]
-        for i, cls in enumerate(classes):
-            if not neighbors & cls:
-                classes[i] = cls | low
-                order.append((i + 1, v))
-                break
-        else:
-            classes.append(low)
-            order.append((len(classes), v))
-    order.sort()
+        k += 1
+        keep = k >= kmin
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q &= ~(adjacency[v] | low)
+            if keep:
+                order.append((k, v))
     return order
 
 
@@ -143,7 +147,7 @@ def _max_clique(adjacency: list[int], limits: SearchLimits) -> tuple[list[int], 
     try:
         budget.spend()
         if m > len(best):
-            order = _color_order(cand, adjacency)
+            order = _color_order(cand, adjacency, len(best) + 1)
         while True:
             # every unprocessed candidate has color <= the last one, so the
             # node cannot beat the incumbent once the check fails
@@ -156,7 +160,8 @@ def _max_clique(adjacency: list[int], limits: SearchLimits) -> tuple[list[int], 
                     budget.spend()
                     if len(current) + sub.bit_count() > len(best):
                         stack.append((cand, order))
-                        cand, order = sub, _color_order(sub, adjacency)
+                        kmin = len(best) - len(current) + 1
+                        cand, order = sub, _color_order(sub, adjacency, kmin)
                         continue
                 elif len(current) > len(best):
                     best = current.copy()

@@ -1,6 +1,8 @@
 """Constructions: explicit arrays, binary codes, the support-lifting map,
 and the group families that meet the quotient bound."""
 
+from itertools import combinations
+
 import pytest
 
 from permarray.bounds import dv_bound
@@ -19,7 +21,13 @@ from permarray.constructions import (
     perfect_size,
 )
 from permarray.exactmath import factorial
-from permarray.perm import Permutation, identity, weight
+from permarray.perm import Permutation, compose, hamming_distance, identity, inverse, weight
+
+
+def _relabelled(array, sigma):
+    """Conjugate every member by sigma; distances are unchanged."""
+    sigma = Permutation(sigma)
+    return PermutationArray(array.n, [compose(compose(sigma, p), inverse(sigma)) for p in array])
 
 
 class TestPermutationArray:
@@ -34,6 +42,39 @@ class TestPermutationArray:
     def test_min_distance(self):
         array = PermutationArray(4, [identity(4), Permutation((1, 0, 3, 2))])
         assert array.min_distance() == 4
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            perfect_pa("pgl2", 5),
+            _relabelled(perfect_pa("alternating", 5), (3, 0, 4, 1, 2)),
+            PermutationArray(5, list(perfect_pa("alternating", 5)) + [Permutation((0, 1, 2, 4, 3))]),
+            perfect_pa("cyclic", 6),
+        ],
+        ids=["pgl2-5", "alternating-5-relabelled", "alternating-5-plus-odd", "cyclic-6"],
+    )
+    def test_min_distance_matches_brute_force(self, array):
+        expected = min(hamming_distance(a, b) for a, b in combinations(array, 2))
+        assert array.min_distance() == expected
+
+    def test_contains(self):
+        array = perfect_pa("alternating", 5)
+        assert identity(5) in array
+        assert Permutation((1, 2, 0, 3, 4)) in array
+        assert Permutation((1, 0, 2, 3, 4)) not in array  # odd
+        assert Permutation((4, 3, 2, 1, 0)) in array  # even: two transpositions
+        assert Permutation((0, 1, 2, 4, 3)) not in array  # odd, sorts near the end
+        assert Permutation((4, 3, 2, 0, 1)) not in array  # odd, sorts last
+
+    def test_contains_rejects_other_objects(self):
+        array = perfect_pa("alternating", 5)
+        assert identity(4) not in array
+        assert identity(6) not in array
+        assert (0, 1, 2, 3, 4) not in array
+        assert [0, 1, 2, 3, 4] not in array
+        assert "01234" not in array
+        assert None not in array
+        assert PermutationArray(3, []).__contains__(identity(3)) is False
 
     def test_min_distance_needs_two_members(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """Clique search: exact values on small instances, witness integrity,
 determinism, and behaviour at the node and time limits."""
 
+import hashlib
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
 from permarray.exactmath import factorial
@@ -15,6 +19,7 @@ from permarray.search import (
     STATUS_LOWER_BOUND_ONLY,
     SearchLimits,
     _adjacency_at_distance,
+    _color_order,
     _greedy_clique,
     exact_a_cw,
     exact_p,
@@ -112,6 +117,71 @@ class TestLimitBehaviour:
         large = exact_p(6, 5, SearchLimits(max_nodes=50000, max_seconds=None))
         assert small.status == large.status == STATUS_INCOMPLETE
         assert small.value <= large.value
+
+
+class TestSearchTree:
+    """Capped runs pin the traversal: the colouring and the branch order
+    decide which nodes a budget covers and which witness it returns."""
+
+    @pytest.mark.parametrize(
+        "n, d, cap, value, digest",
+        [(6, 4, 700, 64, "c0d9a6636555d1c9"), (6, 5, 3000, 16, "761185b37aece395")],
+    )
+    def test_capped_run_is_pinned(self, n, d, cap, value, digest):
+        outcome = exact_p(n, d, SearchLimits(max_nodes=cap, max_seconds=None))
+        assert outcome.status == STATUS_INCOMPLETE
+        assert outcome.nodes == cap + 1
+        assert outcome.value == value
+        members = repr(outcome.witness.members).encode()
+        assert hashlib.sha256(members).hexdigest()[:16] == digest
+
+
+def _reference_color_order(cand, adjacency):
+    """First-fit coloring one vertex at a time: each vertex, in index order,
+    joins the first class holding none of its neighbors."""
+    classes = []
+    order = []
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        neighbors = adjacency[v]
+        for i, cls in enumerate(classes):
+            if not neighbors & cls:
+                classes[i] = cls | low
+                order.append((i + 1, v))
+                break
+        else:
+            classes.append(low)
+            order.append((len(classes), v))
+    order.sort()
+    return order
+
+
+@st.composite
+def coloring_cases(draw):
+    m = draw(st.integers(0, 64))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adjacency = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    cand = draw(st.integers(0, (1 << m) - 1))
+    kmin = draw(st.integers(1, m + 2))
+    return adjacency, cand, kmin
+
+
+class TestColorOrder:
+    @settings(deadline=None)
+    @given(coloring_cases())
+    def test_matches_first_fit_reference(self, case):
+        adjacency, cand, kmin = case
+        reference = _reference_color_order(cand, adjacency)
+        assert _color_order(cand, adjacency, 1) == reference
+        assert _color_order(cand, adjacency, kmin) == [(k, v) for k, v in reference if k >= kmin]
 
 
 class TestExactPCw:
