@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, distance_matrix
+from .perm import Permutation, distance_blocks, pairs_below
 
 
 class PermutationArray:
@@ -63,9 +63,15 @@ class PermutationArray:
         if len(self.members) < 2:
             raise ValueError("minimum distance needs at least two members")
         if self._min_distance is None:
-            dist = distance_matrix(self.members)
-            np.fill_diagonal(dist, self.n + 1)
-            self._min_distance = int(dist.min())
+            best = self.n
+            for start, _, block in distance_blocks(self.members, upper=True):
+                # the block's own square holds each pair twice and the diagonal
+                # once; mask all but its strict upper triangle with a value no
+                # distance exceeds
+                b = len(block)
+                block[:, :b][np.tri(b, dtype=bool)] = np.iinfo(block.dtype).max
+                best = min(best, int(block.min()))
+            self._min_distance = best
         return self._min_distance
 
 
@@ -100,13 +106,12 @@ class BinaryCwCode:
         return iter(self.words)
 
     def violations(self, d: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """All word pairs at indicator distance below d."""
-        out = []
-        for a, b in combinations(self.words, 2):
-            dist = 2 * (self.weight - len(set(a) & set(b)))
-            if dist < d:
-                out.append((a, b, dist))
-        return out
+        """All word pairs at indicator distance below d, in the order of
+        ``itertools.combinations``. The indicator vectors' Hamming distance is
+        2 * (weight - overlap)."""
+        words = self.words
+        indicators = [[int(i in word) for i in range(self.n)] for word in map(set, words)]
+        return [(words[i], words[j], dist) for i, j, dist in pairs_below(indicators, d)]
 
 
 def block_cycle_cwpa(n: int, k: int) -> PermutationArray:

@@ -3,9 +3,10 @@ codes, via branch-and-bound maximum-clique search.
 
 Each oracle lists its vertices, the eligible objects in their fixed
 enumeration order (see ``perm``), and runs one pipeline, ``_solve``: two
-vertices are adjacent when their distance clears the target. If the budget
-rules out a real search, the "lower-bound-only" witness is the lowest-index
-greedy clique, built one distance row per chosen vertex. Otherwise the same
+vertices are adjacent when their distance clears the target. If the budget,
+or the memory the adjacency bitsets would take, rules out a real search, the
+"lower-bound-only" witness is the lowest-index greedy clique, built one
+distance row per chosen vertex. Otherwise the same
 greedy clique seeds a search that keeps each open node's candidates and color
 order on an explicit stack instead of recursing. At every node the candidates
 get the first-fit coloring in index order (classes with no internal edge; a
@@ -34,11 +35,23 @@ from itertools import combinations
 import numpy as np
 
 from .constructions import BinaryCwCode, PermutationArray
-from .perm import Permutation, distance_matrix, identity, iterate_all, iterate_weight, weight
+from .perm import (
+    Permutation,
+    distance_blocks,
+    identity,
+    iterate_all,
+    iterate_weight,
+    pairs_below,
+    weight,
+)
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower-bound-only"
 STATUS_INCOMPLETE = "incomplete"
+
+# Largest adjacency list, in bytes of neighbor bits, that a search may build:
+# S_8 (40,320 vertices, about 203 MB) fits, S_9 (about 16.5 GB) does not.
+_ADJACENCY_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -56,8 +69,9 @@ DEFAULT_LIMITS = SearchLimits()
 class SearchOutcome:
     """Result of a search: ``value`` is exact when ``status`` is "exact",
     otherwise a witnessed lower bound ("incomplete" means the search was
-    interrupted mid-run; "lower-bound-only" means the limits were exhausted
-    before any search node ran, so only a greedy witness was built).
+    interrupted mid-run; "lower-bound-only" means the limits, or the memory
+    the adjacency would take, ruled out any search node, so only a greedy
+    witness was built).
     ``witness`` always verifies at the target distance."""
 
     status: str
@@ -180,15 +194,21 @@ def _max_clique(adjacency: list[int], limits: SearchLimits) -> tuple[list[int], 
 def _adjacency_at_distance(vectors: list, d: int) -> list[int]:
     """Neighbor bitmasks for "coordinate-wise distance >= d" on equal-length
     integer vectors."""
-    dist = distance_matrix(vectors)
-    ok = dist >= d
-    np.fill_diagonal(ok, False)
-    packed = np.packbits(ok, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    adjacency: list[int] = []
+    for start, _, block in distance_blocks(vectors):
+        ok = block >= d
+        np.fill_diagonal(ok[:, start:], False)
+        packed = np.packbits(ok, axis=1, bitorder="little")
+        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return adjacency
 
 
 def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
+    """Whether the search must not start: more vertices than nodes allowed,
+    no time at all, or an adjacency list (m rows of m bits) too big to hold."""
     if limits.max_nodes is not None and m > limits.max_nodes:
+        return True
+    if m * ((m + 7) // 8) > _ADJACENCY_BYTES:
         return True
     return limits.max_seconds is not None and limits.max_seconds <= 0
 
@@ -259,11 +279,7 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:
-    """All member pairs at distance below d; an empty list means the array
-    verifies at distance d."""
+    """All member pairs at distance below d, in row-major pair order; an empty
+    list means the array verifies at distance d."""
     members = array.members
-    if len(members) < 2:
-        return []
-    dist = distance_matrix(members)
-    bad = np.argwhere(np.triu(dist < d, k=1))
-    return [(members[i], members[j], int(dist[i, j])) for i, j in bad]
+    return [(members[i], members[j], dist) for i, j, dist in pairs_below(members, d)]

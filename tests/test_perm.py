@@ -4,21 +4,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permarray import perm
+from permarray.constructions import BinaryCwCode, PermutationArray
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
     compose,
-    distance_matrix,
+    distance_blocks,
     hamming_distance,
     identity,
     inverse,
     iterate_all,
     iterate_derangements_on,
     iterate_weight,
+    pairs_below,
     support,
     weight,
 )
+from permarray.search import _adjacency_at_distance, verify_pa
 
 
 def test_constructor_accepts_bijections():
@@ -134,10 +140,103 @@ def test_iterate_derangements_on():
         list(iterate_derangements_on((4,), 4))
 
 
-def test_distance_matrix_matches_pairwise():
+def test_distance_blocks_match_pairwise():
     perms = list(iterate_weight(5, 3))
-    dist = distance_matrix(perms)
+    dist = {}
+    for start, first, block in distance_blocks(perms):
+        assert first == 0 and block.shape[1] == len(perms)
+        for r, row in enumerate(block):
+            for c, value in enumerate(row):
+                dist[start + r, c] = value
     for i, x in enumerate(perms):
         for j, y in enumerate(perms):
             assert dist[i, j] == hamming_distance(x, y)
-    assert distance_matrix([]).shape == (0, 0)
+    assert list(distance_blocks([])) == []
+
+
+def _assert_blocks_match(vectors, upper):
+    """The kernel's blocks tile the full matrix (or its upper part, diagonal
+    included) in row order, and every entry is the pairwise distance."""
+    next_row = 0
+    for start, first, block in distance_blocks(vectors, upper):
+        assert start == next_row
+        assert first == (start if upper else 0)
+        assert block.shape[1] == len(vectors) - first
+        for r, row in enumerate(block.tolist()):
+            for c, value in enumerate(row):
+                assert value == hamming_distance(vectors[start + r], vectors[first + c])
+        next_row += len(block)
+    assert next_row == len(vectors)
+
+
+@st.composite
+def permutation_sets(draw):
+    n = draw(st.integers(1, 7))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=30, unique_by=tuple))
+    return n, [Permutation(p) for p in perms], draw(st.integers(1, n + 1))
+
+
+@st.composite
+def cw_codes(draw):
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(0, n))
+    words = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), w))),
+                          unique=True, max_size=20))
+    return BinaryCwCode(n, w, tuple(words), 2), draw(st.integers(1, 2 * w + 2))
+
+
+class TestDistanceBlocks:
+    """The blocked kernel and its callers against pairwise references, with
+    blocks shrunk to a few rows so that every input spans many of them and
+    usually ends in a ragged block."""
+
+    @settings(deadline=None)
+    @given(permutation_sets(), st.integers(1, 64))
+    def test_permutation_callers_match_references(self, case, block_bytes):
+        n, perms, d = case
+        array = PermutationArray(n, perms)
+        members = array.members
+        pairs = [(a, b, hamming_distance(a, b)) for a, b in itertools.combinations(members, 2)]
+        adjacency = [0] * len(members)
+        for i, j in itertools.permutations(range(len(members)), 2):
+            if hamming_distance(members[i], members[j]) >= d:
+                adjacency[i] |= 1 << j
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
+            _assert_blocks_match(members, upper=False)
+            _assert_blocks_match(members, upper=True)
+            assert _adjacency_at_distance(list(members), d) == adjacency
+            assert verify_pa(array, d) == [pair for pair in pairs if pair[2] < d]
+            if len(members) >= 2:
+                assert array.min_distance() == min(dist for _, _, dist in pairs)
+
+    @settings(deadline=None)
+    @given(cw_codes(), st.integers(1, 64))
+    def test_violations_match_reference(self, case, block_bytes):
+        code, d = case
+        expected = []
+        for a, b in itertools.combinations(code.words, 2):
+            dist = 2 * (code.weight - len(set(a) & set(b)))
+            if dist < d:
+                expected.append((a, b, dist))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
+            assert code.violations(d) == expected
+
+    def test_long_vectors_do_not_wrap(self, monkeypatch):
+        # 300 agreements overflow an 8-bit count
+        rng = random.Random(300)
+        a = list(range(300))
+        rng.shuffle(a)
+        b = list(range(300))
+        rng.shuffle(b)
+        near = a.copy()
+        near[0], near[1] = near[1], near[0]
+        vectors = [Permutation(p) for p in (a, b, near)]
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 4)
+        _assert_blocks_match(vectors, upper=False)
+        _assert_blocks_match(vectors, upper=True)
+        array = PermutationArray(300, vectors)
+        assert array.min_distance() == 2
+        assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
+        assert pairs_below(vectors, 3) == [(0, 2, 2)]

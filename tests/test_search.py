@@ -21,6 +21,7 @@ from permarray.search import (
     _adjacency_at_distance,
     _color_order,
     _greedy_clique,
+    _over_budget_upfront,
     exact_a_cw,
     exact_p,
     exact_p_cw,
@@ -96,6 +97,12 @@ class TestLimitBehaviour:
         adjacency = _adjacency_at_distance(vertices, 3)
         greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
         assert gated.witness == PermutationArray(5, [identity(5)] + [vertices[i] for i in greedy])
+
+    def test_adjacency_memory_gate(self):
+        # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
+        # S_8's 40,320 rows of 5,040 B (203 MB) still search
+        assert _over_budget_upfront(362_880, DEFAULT_LIMITS)
+        assert not _over_budget_upfront(40_320, DEFAULT_LIMITS)
 
     def test_zero_seconds_is_lower_bound_only(self):
         outcome = exact_p(5, 4, SearchLimits(max_nodes=None, max_seconds=0.0))
