@@ -52,7 +52,7 @@ _KINDS = (KIND_EXACT, KIND_UPPER, KIND_LOWER)
 class BoundResult:
     """A bound value plus how it was obtained.
 
-    ``value`` is None exactly when ``applicable`` is False, which is how
+    A ``value`` of None marks the result not applicable, which is how
     out-of-range requests are reported (callers fall back to other rules
     instead of receiving a silently weakened number).
     """
@@ -60,15 +60,16 @@ class BoundResult:
     value: int | None
     kind: str
     derivation: tuple[str, ...]
-    applicable: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown bound kind: {self.kind!r}")
         if not self.derivation:
             raise ValueError("derivation trace must be non-empty")
-        if self.applicable != (self.value is not None):
-            raise ValueError("value must be present exactly when applicable")
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
 
 def _exact(value: int, *tags: str) -> BoundResult:
@@ -80,7 +81,7 @@ def _upper(value: int, *tags: str) -> BoundResult:
 
 
 def _not_applicable(*tags: str) -> BoundResult:
-    return BoundResult(None, KIND_UPPER, tags, applicable=False)
+    return BoundResult(None, KIND_UPPER, tags)
 
 
 def dv_ratio(n: int, d: int) -> Fraction:
@@ -329,10 +330,11 @@ class CwTable:
     """Known sizes and bounds for binary constant-weight codes, keyed by
     (n, d, w).
 
-    Entries are validated against the structural identities on insert, so a
-    stored value can never contradict them: when d > 2w the only code is a
-    single word, when d = 2w the maximum is exactly floor(n/w), and when
-    d = 2k, w = k+1 nothing exceeds the Johnson ceiling.
+    Entries are validated on insert against the structural identities, as
+    ``cw_binary_bound`` answers them without a table, so a stored value can
+    never contradict them: when d > 2w the only code is a single word, when
+    d = 2w the maximum is exactly floor(n/w), and when d = 2k, w = k+1
+    nothing exceeds the Johnson ceiling.
     """
 
     def __init__(self) -> None:
@@ -350,44 +352,31 @@ class CwTable:
     def insert(self, n: int, d: int, w: int, value: int, kind: str) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown bound kind: {kind!r}")
-        if d <= 0 or d % 2 != 0:
-            raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
-        if not 0 <= w <= n:
-            raise ValueError(f"weight {w} outside valid range 0..{n}")
+        # what the identities alone say about A(n, d, w); this also rejects
+        # odd distances and out-of-range weights
+        known = cw_binary_bound(n, d, w)
         if value < 1:
             raise ValueError(f"a constant-weight code always has at least one word: {value}")
         if kind in (KIND_EXACT, KIND_LOWER) and value > binomial(n, w):
             raise ValueError(f"value {value} exceeds the C({n},{w}) words available")
-        self._check_identities(n, d, w, value, kind)
-        self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
-
-    @staticmethod
-    def _check_identities(n: int, d: int, w: int, value: int, kind: str) -> None:
-        known_exact: int | None = None
-        known_upper: int | None = None
-        if d > 2 * w:
-            known_exact = 1
-        elif d == 2 * w:
-            known_exact = n // w
-        elif w == d // 2 + 1:
-            known_upper = johnson_ceiling(n, d // 2)
-        if known_exact is not None:
-            if kind == KIND_EXACT and value != known_exact:
+        if known.kind == KIND_EXACT:
+            if kind == KIND_EXACT and value != known.value:
                 raise ValueError(
-                    f"entry ({n},{d},{w})={value} contradicts the exact value {known_exact}"
+                    f"entry ({n},{d},{w})={value} contradicts the exact value {known.value}"
                 )
-            if kind == KIND_UPPER and value < known_exact:
+            if kind == KIND_UPPER and value < known.value:
                 raise ValueError(
-                    f"upper entry ({n},{d},{w})={value} is below the exact value {known_exact}"
+                    f"upper entry ({n},{d},{w})={value} is below the exact value {known.value}"
                 )
-            if kind == KIND_LOWER and value > known_exact:
+            if kind == KIND_LOWER and value > known.value:
                 raise ValueError(
-                    f"lower entry ({n},{d},{w})={value} is above the exact value {known_exact}"
+                    f"lower entry ({n},{d},{w})={value} is above the exact value {known.value}"
                 )
-        if known_upper is not None and kind in (KIND_EXACT, KIND_LOWER) and value > known_upper:
+        elif known.applicable and kind != KIND_UPPER and value > known.value:
             raise ValueError(
-                f"entry ({n},{d},{w})={value} exceeds the Johnson ceiling {known_upper}"
+                f"entry ({n},{d},{w})={value} exceeds the Johnson ceiling {known.value}"
             )
+        self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
 
     @classmethod
     def loads(cls, text: str) -> "CwTable":

@@ -213,12 +213,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    limits = SearchLimits(
-        max_nodes=args.limit_nodes if args.limit_nodes is not None else DEFAULT_LIMITS.max_nodes,
-        max_seconds=(
-            args.limit_seconds if args.limit_seconds is not None else DEFAULT_LIMITS.max_seconds
-        ),
-    )
+    limits = SearchLimits(args.limit_nodes, args.limit_seconds)
     if args.kind == "p":
         if args.w is not None:
             raise ValueError("search kind 'p' takes no weight")
@@ -323,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("n", type=int)
     p_search.add_argument("d", type=int)
     p_search.add_argument("w", type=int, nargs="?")
-    p_search.add_argument("--limit-nodes", type=int, metavar="N")
-    p_search.add_argument("--limit-seconds", type=float, metavar="S")
+    p_search.add_argument("--limit-nodes", type=int, metavar="N",
+                          default=DEFAULT_LIMITS.max_nodes)
+    p_search.add_argument("--limit-seconds", type=float, metavar="S",
+                          default=DEFAULT_LIMITS.max_seconds)
     p_search.add_argument("--out", metavar="PATH")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=_cmd_search)

@@ -110,8 +110,13 @@ class BinaryCwCode:
         ``itertools.combinations``. The indicator vectors' Hamming distance is
         2 * (weight - overlap)."""
         words = self.words
-        indicators = [[int(i in word) for i in range(self.n)] for word in map(set, words)]
-        return [(words[i], words[j], dist) for i, j, dist in pairs_below(indicators, d)]
+        pairs = pairs_below(indicator_vectors(self.n, words), d)
+        return [(words[i], words[j], dist) for i, j, dist in pairs]
+
+
+def indicator_vectors(n: int, words: Iterable[Iterable[int]]) -> list[list[int]]:
+    """The 0/1 vector of length n marking each word's points."""
+    return [[int(i in word) for i in range(n)] for word in map(set, words)]
 
 
 def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
@@ -174,12 +179,14 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         raise ValueError(f"need k >= 1: {k}")
     if code.weight != k + 1:
         raise ValueError(f"lift needs weight {k + 1} words, code has weight {code.weight}")
-    for a, b in combinations(code.words, 2):
-        overlap = set(a) & set(b)
-        if len(overlap) > 1:
-            raise ValueError(
-                f"supports {a!r} and {b!r} share {len(overlap)} points; at most 1 allowed"
-            )
+    # weight-(k+1) supports sharing s points are at indicator distance
+    # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k
+    bad = code.violations(2 * k)
+    if bad:
+        a, b, dist = bad[0]
+        raise ValueError(
+            f"supports {a!r} and {b!r} share {k + 1 - dist // 2} points; at most 1 allowed"
+        )
     members = []
     for word in code.words:
         images = list(range(code.n))

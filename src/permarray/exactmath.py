@@ -1,24 +1,17 @@
 """Exact counting primitives: factorials, binomials, derangements, ball volumes.
 
 Everything in this module is arbitrary-precision integer arithmetic; no value
-is ever computed through floats. Small inputs are served from tables built
-once at import time, so lookups are pure and safe under concurrent readers.
+is ever computed through floats. Small derangement counts are served from a
+table built once at import time.
 """
 
 from __future__ import annotations
 
 import math
 
-# Inputs up to this size are answered from precomputed tables; larger inputs
-# are computed on the fly without being cached.
+# Derangement counts up to this size are answered from a precomputed table;
+# larger ones are computed on the fly without being cached.
 MEMO_CAP = 64
-
-
-def _factorial_table(cap: int) -> tuple[int, ...]:
-    values = [1]
-    for i in range(1, cap + 1):
-        values.append(values[-1] * i)
-    return tuple(values)
 
 
 def _derangement_table(cap: int) -> tuple[int, ...]:
@@ -28,7 +21,6 @@ def _derangement_table(cap: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-_FACTORIALS = _factorial_table(MEMO_CAP)
 _DERANGEMENTS = _derangement_table(MEMO_CAP)
 
 
@@ -36,8 +28,6 @@ def factorial(n: int) -> int:
     """Return n! for n >= 0."""
     if n < 0:
         raise ValueError(f"factorial undefined for negative n: {n}")
-    if n <= MEMO_CAP:
-        return _FACTORIALS[n]
     return math.factorial(n)
 
 

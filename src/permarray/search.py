@@ -15,18 +15,22 @@ bitsets as in BBMC (San Segundo et al. 2011), and branching walks them in
 descending color order so the color number doubles as a per-branch bound.
 Vertices whose color cannot lift the node past the incumbent are colored but
 never listed, since the branch loop would stop before them. Everything is
-a deterministic function of the input, so identical inputs and limits always
-reproduce the same witness. For full-array searches the identity can be
+a deterministic function of the input, so identical inputs and node limits
+always reproduce the same witness. For full-array searches the identity can be
 assumed to be a member (composing every member with one member's inverse
 preserves all distances), so the search runs over permutations at distance
 >= d from the identity and adds the identity back to the witness.
 
-Node limits are deterministic; wall-clock limits are checked periodically and
-are therefore best-effort.
+The limits are one budget, taken when the search starts: a node cap, which is
+deterministic, and a deadline, which covers building the adjacency, the
+search and the greedy witness alike. The clock is read every 256 nodes, or
+every 256 greedy members, so the deadline is best-effort; past it the best
+clique found so far is the witness.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .constructions import BinaryCwCode, PermutationArray
+from .constructions import BinaryCwCode, PermutationArray, indicator_vectors
 from .perm import (
     Permutation,
     distance_blocks,
@@ -67,49 +71,32 @@ DEFAULT_LIMITS = SearchLimits()
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a search: ``value`` is exact when ``status`` is "exact",
-    otherwise a witnessed lower bound ("incomplete" means the search was
-    interrupted mid-run; "lower-bound-only" means the limits, or the memory
-    the adjacency would take, ruled out any search node, so only a greedy
-    witness was built).
+    """Result of a search: ``value``, the witness size, is exact when
+    ``status`` is "exact", otherwise a witnessed lower bound ("incomplete"
+    means the search was interrupted mid-run; "lower-bound-only" means the
+    limits, or the memory the adjacency would take, ruled out any search
+    node, so only a greedy witness was built).
     ``witness`` always verifies at the target distance."""
 
     status: str
-    value: int
     witness: PermutationArray | BinaryCwCode
     nodes: int = 0
 
-
-class _LimitHit(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("max_nodes", "deadline", "nodes")
-
-    def __init__(self, limits: SearchLimits) -> None:
-        self.max_nodes = limits.max_nodes
-        self.deadline = (
-            None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
-        )
-        self.nodes = 0
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _LimitHit
-        if self.deadline is not None and (self.nodes & 255) == 1:
-            if time.monotonic() > self.deadline:
-                raise _LimitHit
+    @property
+    def value(self) -> int:
+        return len(self.witness)
 
 
-def _greedy_clique(m: int, row: Callable[[int], int]) -> list[int]:
+def _greedy_clique(m: int, row: Callable[[int], int], deadline: float = math.inf) -> list[int]:
     """Clique on vertices 0..m-1 built by repeatedly taking the lowest-index
     vertex adjacent to every vertex taken so far; ``row(v)`` is v's neighbor
-    bitmask."""
+    bitmask. The clock is read after every 256 vertices taken, and past the
+    deadline the clique built so far is returned."""
     chosen: list[int] = []
     allowed = (1 << m) - 1
     while allowed:
+        if chosen and len(chosen) & 255 == 0 and time.monotonic() > deadline:
+            break
         v = (allowed & -allowed).bit_length() - 1
         chosen.append(v)
         allowed &= row(v)
@@ -141,54 +128,52 @@ def _color_order(cand: int, adjacency: list[int], kmin: int) -> list[tuple[int, 
     return order
 
 
-def _max_clique(adjacency: list[int], limits: SearchLimits) -> tuple[list[int], bool, int]:
+def _max_clique(
+    adjacency: list[int], max_nodes: float, deadline: float
+) -> tuple[list[int], bool, int]:
     """Largest clique among vertices 0..m-1 with the given neighbor bitmasks.
 
     Returns (vertex indices in the order they were added, exhausted, nodes).
-    When the budget runs out the best clique found so far is returned with
-    exhausted False.
+    Every node opened counts, the root as node 1; past ``max_nodes`` nodes,
+    or past the deadline (read at nodes 1, 257, 513, ...), the best clique
+    found so far is returned with exhausted False.
     """
     m = len(adjacency)
-    if m == 0:
-        return [], True, 0
     best = _greedy_clique(m, adjacency.__getitem__)
-    budget = _Budget(limits)
+    nodes = 0
     current: list[int] = []
     # the open node's candidates and color order are held in cand/order; each
-    # open ancestor's pair waits on the stack, so len(stack) == len(current)
+    # open ancestor's pair waits on the stack above a placeholder for the
+    # root's parent, so len(stack) == len(current) + 1
     stack: list[tuple[int, list[tuple[int, int]]]] = []
-    cand, order = (1 << m) - 1, []
-    try:
-        budget.spend()
-        if m > len(best):
-            order = _color_order(cand, adjacency, len(best) + 1)
-        while True:
-            # every unprocessed candidate has color <= the last one, so the
-            # node cannot beat the incumbent once the check fails
-            if order and len(current) + order[-1][0] > len(best):
-                v = order.pop()[1]
-                cand ^= 1 << v
-                current.append(v)
-                sub = cand & adjacency[v]
-                if sub:
-                    budget.spend()
-                    if len(current) + sub.bit_count() > len(best):
-                        stack.append((cand, order))
-                        kmin = len(best) - len(current) + 1
-                        cand, order = sub, _color_order(sub, adjacency, kmin)
-                        continue
-                elif len(current) > len(best):
+    cand, order = 0, []
+    sub = (1 << m) - 1  # candidates of the node to open next, the root first
+    while True:
+        if sub:
+            nodes += 1
+            if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
+                return best, False, nodes
+            stack.append((cand, order))
+            kmin = len(best) - len(current) + 1
+            # too few candidates to beat the incumbent: nothing to color
+            cand, order = sub, _color_order(sub, adjacency, kmin) if sub.bit_count() >= kmin else []
+            sub = 0
+        # every unprocessed candidate has color <= the last one, so the node
+        # cannot beat the incumbent once the check fails
+        elif order and len(current) + order[-1][0] > len(best):
+            v = order.pop()[1]
+            cand ^= 1 << v
+            current.append(v)
+            sub = cand & adjacency[v]
+            if not sub:
+                if len(current) > len(best):
                     best = current.copy()
                 current.pop()
-            elif stack:
-                cand, order = stack.pop()
-                current.pop()
-            else:
-                break
-        exhausted = True
-    except _LimitHit:
-        exhausted = False
-    return best, exhausted, budget.nodes
+        elif current:
+            cand, order = stack.pop()
+            current.pop()
+        else:
+            return best, True, nodes
 
 
 def _adjacency_at_distance(vectors: list, d: int) -> list[int]:
@@ -216,10 +201,13 @@ def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
 def _solve(vectors: list, d: int, limits: SearchLimits) -> tuple[str, list[int], int]:
     """Largest set of vectors with pairwise coordinate-wise distance >= d.
 
-    Returns (status, chosen vector indices, nodes). When the budget rules out
-    a real search, the greedy clique is built one distance row per chosen
-    vector, so the full graph is never materialised.
+    Returns (status, chosen vector indices, nodes). The clock starts here, so
+    building the adjacency spends the same time budget as the search. When
+    the budget rules out a real search, the greedy clique is built one
+    distance row per chosen vector, so the full graph is never materialised.
     """
+    max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
+    deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     if _over_budget_upfront(len(vectors), limits):
         arr = np.asarray(vectors, dtype=np.int16)
 
@@ -227,8 +215,8 @@ def _solve(vectors: list, d: int, limits: SearchLimits) -> tuple[str, list[int],
             far = np.count_nonzero(arr != arr[v], axis=1) >= d
             return int.from_bytes(np.packbits(far, bitorder="little").tobytes(), "little")
 
-        return STATUS_LOWER_BOUND_ONLY, _greedy_clique(len(vectors), row), 0
-    clique, exhausted, nodes = _max_clique(_adjacency_at_distance(vectors, d), limits)
+        return STATUS_LOWER_BOUND_ONLY, _greedy_clique(len(vectors), row, deadline), 0
+    clique, exhausted, nodes = _max_clique(_adjacency_at_distance(vectors, d), max_nodes, deadline)
     return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), clique, nodes
 
 
@@ -243,7 +231,7 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     vertices = [p for p in iterate_all(n) if weight(p) >= d]
     status, chosen, nodes = _solve(vertices, d, limits)
     witness = PermutationArray(n, [identity(n)] + [vertices[i] for i in chosen])
-    return SearchOutcome(status, len(witness), witness, nodes)
+    return SearchOutcome(status, witness, nodes)
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -258,7 +246,7 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     vertices = list(iterate_weight(n, w))
     status, chosen, nodes = _solve(vertices, d, limits)
     witness = PermutationArray(n, [vertices[i] for i in chosen])
-    return SearchOutcome(status, len(witness), witness, nodes)
+    return SearchOutcome(status, witness, nodes)
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -272,10 +260,9 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     words = list(combinations(range(n), w))
-    indicators = [[int(i in members) for i in range(n)] for members in map(set, words)]
-    status, chosen, nodes = _solve(indicators, d, limits)
+    status, chosen, nodes = _solve(indicator_vectors(n, words), d, limits)
     witness = BinaryCwCode(n, w, tuple(words[i] for i in chosen), d)
-    return SearchOutcome(status, len(witness), witness, nodes)
+    return SearchOutcome(status, witness, nodes)
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from permarray.bounds import (
+    BoundResult,
     CwTable,
     best_upper_bound,
     candidate_bounds,
@@ -25,6 +26,14 @@ from permarray.bounds import (
     subset_bound,
 )
 from permarray.exactmath import ball_volume, factorial
+
+
+class TestBoundResult:
+    def test_rejects_unknown_kind_and_empty_trace(self):
+        with pytest.raises(ValueError):
+            BoundResult(7, "guess", ("DV",))
+        with pytest.raises(ValueError):
+            BoundResult(7, "upper", ())
 
 
 class TestQuotientBound:

@@ -198,6 +198,15 @@ class TestSupportLifting:
         with pytest.raises(ValueError, match=r"\(0, 1, 2\).*\(0, 1, 3\)"):
             lift_binary_cw_code(code, 2)
 
+    def test_overlap_violation_reports_the_first_pair_and_its_overlap(self):
+        # in pair order the first two words share three points, the first and
+        # last share one, and the last two share two
+        words = ((0, 1, 2, 3), (0, 1, 2, 4), (1, 4, 5, 8))
+        code = BinaryCwCode(9, 4, words, 2)
+        with pytest.raises(ValueError, match=r"^supports \(0, 1, 2, 3\) and \(0, 1, 2, 4\) "
+                                             r"share 3 points; at most 1 allowed$"):
+            lift_binary_cw_code(code, 3)
+
 
 class TestPerfectFamilies:
     def test_registry_names(self):

@@ -4,6 +4,7 @@ determinism, and behaviour at the node and time limits."""
 import hashlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,19 @@ from permarray.search import (
     exact_p_cw,
     verify_pa,
 )
+
+
+def fake_clock(monkeypatch, steady_reads):
+    """Replace ``time.monotonic`` with a clock that reads 0.0 for its first
+    ``steady_reads`` reads and an hour later from then on."""
+    reads = 0
+
+    def monotonic():
+        nonlocal reads
+        reads += 1
+        return 0.0 if reads <= steady_reads else 3600.0
+
+    monkeypatch.setattr(time, "monotonic", monotonic)
 
 
 def assert_verified(outcome, d):
@@ -108,6 +122,32 @@ class TestLimitBehaviour:
         outcome = exact_p(5, 4, SearchLimits(max_nodes=None, max_seconds=0.0))
         assert outcome.status == STATUS_LOWER_BOUND_ONLY
         assert_verified(outcome, 4)
+
+    def test_deadline_stops_the_greedy_witness(self, monkeypatch):
+        # the node cap gates the search; the first read sets the deadline and
+        # the clock has jumped past it when the greedy, at 256 members, checks
+        fake_clock(monkeypatch, steady_reads=1)
+        outcome = exact_p(6, 2, SearchLimits(max_nodes=10, max_seconds=60.0))
+        assert outcome.status == STATUS_LOWER_BOUND_ONLY
+        assert_verified(outcome, 2)
+        # at d = 2 every vertex joins, so the witness is the identity and the
+        # first 256 vertices
+        vertices = [p for p in iterate_all(6) if weight(p) >= 2]
+        assert outcome.witness == PermutationArray(6, [identity(6)] + vertices[:256])
+
+    def test_deadline_stops_mid_search(self, monkeypatch):
+        # reads: the deadline, then nodes 1, 257 and 513 on time; node 769 is
+        # late
+        fake_clock(monkeypatch, steady_reads=4)
+        outcome = exact_p(6, 5, SearchLimits(max_nodes=None, max_seconds=60.0))
+        assert outcome.status == STATUS_INCOMPLETE
+        assert outcome.nodes == 769
+        assert_verified(outcome, 5)
+        # the clock stops the traversal where a 768-node cap does (above the
+        # 529 vertices, so the cap does not gate the search)
+        capped = exact_p(6, 5, SearchLimits(max_nodes=768, max_seconds=None))
+        assert (capped.status, capped.nodes) == (STATUS_INCOMPLETE, 769)
+        assert capped.witness == outcome.witness
 
     def test_incomplete_mid_search(self):
         # enough budget to pass the upfront gate but not to finish
