@@ -13,7 +13,7 @@ arrays matching the exact values the bounds module reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -110,13 +110,13 @@ class BinaryCwCode:
         ``itertools.combinations``. The indicator vectors' Hamming distance is
         2 * (weight - overlap)."""
         words = self.words
-        pairs = pairs_below(indicator_vectors(self.n, words), d)
+        pairs = pairs_below(list(indicator_vectors(self.n, words)), d)
         return [(words[i], words[j], dist) for i, j, dist in pairs]
 
 
-def indicator_vectors(n: int, words: Iterable[Iterable[int]]) -> list[list[int]]:
-    """The 0/1 vector of length n marking each word's points."""
-    return [[int(i in word) for i in range(n)] for word in map(set, words)]
+def indicator_vectors(n: int, words: Iterable[Iterable[int]]) -> Iterator[list[int]]:
+    """Yield the 0/1 vector of length n marking each word's points."""
+    return ([int(i in word) for i in range(n)] for word in map(set, words))
 
 
 def block_cycle_cwpa(n: int, k: int) -> PermutationArray:

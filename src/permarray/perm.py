@@ -84,6 +84,24 @@ def inverse(a: Permutation) -> Permutation:
     return Permutation(images)
 
 
+def cycle_type(a: Sequence[int]) -> tuple[int, ...]:
+    """Return the cycle lengths of a, longest first, with each fixed point a
+    cycle of length 1, so the lengths partition len(a). Two permutations
+    have the same cycle type exactly when they are conjugate."""
+    seen = bytearray(len(a))
+    lengths = []
+    for start in range(len(a)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            i = a[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def iterate_all(n: int) -> Iterator[Permutation]:
     """Yield every permutation of n points in lexicographic order."""
     if n < 0:

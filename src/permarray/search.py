@@ -1,12 +1,13 @@
 """Exhaustive search oracles for small permutation arrays and constant-weight
 codes, via branch-and-bound maximum-clique search.
 
-Each oracle lists its vertices, the eligible objects in their fixed
-enumeration order (see ``perm``), and runs one pipeline, ``_solve``: two
-vertices are adjacent when their distance clears the target. If the budget,
-or the memory the adjacency bitsets would take, rules out a real search, the
-"lower-bound-only" witness is the lowest-index greedy clique, built one
-distance row per chosen vertex. Otherwise the same
+Each oracle counts its vertices in closed form, then hands one pipeline,
+``_solve``, the stream of eligible objects in their fixed enumeration order
+(see ``perm``) and an orbit label for each: two vertices are adjacent when
+their distance clears the target. If the budget, or the memory the adjacency
+bitsets would take, rules out a real search, the vertices are never listed:
+the "lower-bound-only" witness is the lowest-index greedy clique, read from
+the stream in blocks. Otherwise the same
 greedy clique seeds a search that keeps each open node's candidates and color
 order on an explicit stack instead of recursing. At every node the candidates
 get the first-fit coloring in index order (classes with no internal edge; a
@@ -21,26 +22,43 @@ assumed to be a member (composing every member with one member's inverse
 preserves all distances), so the search runs over permutations at distance
 >= d from the identity and adds the identity back to the witness.
 
-The limits are one budget, taken when the search starts: a node cap, which is
-deterministic, and a deadline, which covers building the adjacency, the
-search and the greedy witness alike. The clock is read every 256 nodes, or
-every 256 greedy members, so the deadline is best-effort; past it the best
-clique found so far is the witness.
+The root prunes whole orbits. A label names the vertex's orbit under a group
+of distance-preserving maps of the vertex set onto itself: conjugation by
+S_n for permutations (it fixes the identity and keeps weights and
+distances; its orbits are the cycle types), and S_n permuting coordinates
+for constant-weight words (it takes any word to any other, so there is one
+orbit). Once the root's branch on v is done, v's whole orbit leaves the
+root's candidates. This is sound because those candidates are always a
+union of orbits: a clique among them that meets v's orbit is mapped by the
+group onto a clique of the same size through v, still among them, and v's
+branch has searched all of those. The first root branch is the unpruned
+one, so a run that stops inside it keeps its tree (and never computes the
+labels); only searches that come back to the root shrink, and a
+constant-weight search needs one root branch.
+
+The limits are one budget, taken when the search starts, before any vertex
+is listed: a node cap, which is deterministic, and a deadline, which covers
+listing the vertices, building the adjacency, the search and the greedy
+witness alike. The clock is read every 256 nodes, or every 256 vertices the
+greedy reads, so the deadline is best-effort; past it the best clique found
+so far is the witness.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .constructions import BinaryCwCode, PermutationArray, indicator_vectors
+from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     Permutation,
+    cycle_type,
     distance_blocks,
     identity,
     iterate_all,
@@ -87,20 +105,46 @@ class SearchOutcome:
         return len(self.witness)
 
 
-def _greedy_clique(m: int, row: Callable[[int], int], deadline: float = math.inf) -> list[int]:
+def _greedy_clique(m: int, row: Callable[[int], int]) -> list[int]:
     """Clique on vertices 0..m-1 built by repeatedly taking the lowest-index
     vertex adjacent to every vertex taken so far; ``row(v)`` is v's neighbor
-    bitmask. The clock is read after every 256 vertices taken, and past the
-    deadline the clique built so far is returned."""
+    bitmask."""
     chosen: list[int] = []
     allowed = (1 << m) - 1
     while allowed:
-        if chosen and len(chosen) & 255 == 0 and time.monotonic() > deadline:
-            break
         v = (allowed & -allowed).bit_length() - 1
         chosen.append(v)
         allowed &= row(v)
     return chosen
+
+
+def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -> list:
+    """The same lowest-index greedy clique, read from a stream of vectors:
+    each vector is kept when it is at distance >= d from every vector kept
+    before it. The stream is read 256 vectors at a time and checked against
+    the kept ones in numpy blocks, so memory scales with the clique, not with
+    the stream. The clock is read after each block, and past the deadline
+    the vectors kept so far are returned."""
+    kept: list = []
+    kept_rows = np.empty((0, 0), dtype=np.int16)  # the kept vectors, as rows
+    stream = iter(vertices)
+    while block := list(islice(stream, 256)):
+        rows = np.asarray(block, dtype=np.int16)
+        far = np.ones(len(block), dtype=bool)
+        for start in range(0, len(kept), 256):
+            apart = np.count_nonzero(rows[:, None] != kept_rows[None, start:start + 256], axis=2)
+            far &= (apart >= d).all(axis=1)
+        taken = []
+        for i in range(len(block)):
+            if far[i]:
+                taken.append(i)
+                far[i + 1:] &= np.count_nonzero(rows[i + 1:] != rows[i], axis=1) >= d
+        if taken:
+            kept.extend(block[i] for i in taken)
+            kept_rows = np.concatenate([kept_rows, rows[taken]]) if len(kept_rows) else rows[taken]
+        if time.monotonic() > deadline:
+            break
+    return kept
 
 
 def _color_order(cand: int, adjacency: list[int], kmin: int) -> list[tuple[int, int]]:
@@ -129,9 +173,18 @@ def _color_order(cand: int, adjacency: list[int], kmin: int) -> list[tuple[int, 
 
 
 def _max_clique(
-    adjacency: list[int], max_nodes: float, deadline: float
+    adjacency: list[int], orbit_masks: Callable[[], list[int]], max_nodes: float, deadline: float
 ) -> tuple[list[int], bool, int]:
     """Largest clique among vertices 0..m-1 with the given neighbor bitmasks.
+
+    ``orbit_masks()[v]`` is the bitmask of v's orbit under a group of
+    automorphisms of the graph. Once the root's branch on v is done, v's
+    whole orbit leaves the root's candidates, and the root's color order
+    drops it too: the root's candidates stay a union of orbits, so any
+    clique among them that meets v's orbit maps onto one through v, which
+    v's branch has covered. Below the root the search is unchanged. The
+    masks are asked for when the root first comes back, so a search that
+    stops inside its first branch never builds them.
 
     Returns (vertex indices in the order they were added, exhausted, nodes).
     Every node opened counts, the root as node 1; past ``max_nodes`` nodes,
@@ -140,40 +193,54 @@ def _max_clique(
     """
     m = len(adjacency)
     best = _greedy_clique(m, adjacency.__getitem__)
-    nodes = 0
-    current: list[int] = []
-    # the open node's candidates and color order are held in cand/order; each
-    # open ancestor's pair waits on the stack above a placeholder for the
-    # root's parent, so len(stack) == len(current) + 1
-    stack: list[tuple[int, list[tuple[int, int]]]] = []
-    cand, order = 0, []
-    sub = (1 << m) - 1  # candidates of the node to open next, the root first
-    while True:
-        if sub:
-            nodes += 1
-            if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
-                return best, False, nodes
-            stack.append((cand, order))
-            kmin = len(best) - len(current) + 1
-            # too few candidates to beat the incumbent: nothing to color
-            cand, order = sub, _color_order(sub, adjacency, kmin) if sub.bit_count() >= kmin else []
-            sub = 0
-        # every unprocessed candidate has color <= the last one, so the node
-        # cannot beat the incumbent once the check fails
-        elif order and len(current) + order[-1][0] > len(best):
-            v = order.pop()[1]
-            cand ^= 1 << v
-            current.append(v)
-            sub = cand & adjacency[v]
-            if not sub:
-                if len(current) > len(best):
-                    best = current.copy()
+    if not m:
+        return best, True, 0
+    nodes = 1
+    if nodes > max_nodes or time.monotonic() > deadline:
+        return best, False, nodes
+    root = (1 << m) - 1
+    root_order = _color_order(root, adjacency, len(best) + 1) if m > len(best) else []
+    orbit: list[int] = []
+    while root_order and root_order[-1][0] > len(best):
+        branch = root_order.pop()[1]
+        sub = root & adjacency[branch]
+        current = [branch]
+        # the open node's candidates and color order are held in cand/order;
+        # each open ancestor's pair waits on the stack above a placeholder for
+        # the root's parent, so len(stack) == len(current) + 1. The root's
+        # own pair is root/root_order, so cand/order start empty in its place.
+        stack: list[tuple[int, list[tuple[int, int]]]] = [(0, [])]
+        cand, order = 0, []
+        while True:
+            if sub:
+                nodes += 1
+                if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
+                    return best, False, nodes
+                stack.append((cand, order))
+                kmin = len(best) - len(current) + 1
+                # too few candidates to beat the incumbent: nothing to color
+                cand, order = sub, _color_order(sub, adjacency, kmin) if sub.bit_count() >= kmin else []
+                sub = 0
+            # every unprocessed candidate has color <= the last one, so the
+            # node cannot beat the incumbent once the check fails
+            elif order and len(current) + order[-1][0] > len(best):
+                v = order.pop()[1]
+                cand ^= 1 << v
+                current.append(v)
+                sub = cand & adjacency[v]
+                if not sub:
+                    if len(current) > len(best):
+                        best = current.copy()
+                    current.pop()
+            elif current:
+                cand, order = stack.pop()
                 current.pop()
-        elif current:
-            cand, order = stack.pop()
-            current.pop()
-        else:
-            return best, True, nodes
+            else:
+                break
+        orbit = orbit or orbit_masks()
+        root &= ~orbit[branch]
+        root_order = [(k, u) for k, u in root_order if root >> u & 1]
+    return best, True, nodes
 
 
 def _adjacency_at_distance(vectors: list, d: int) -> list[int]:
@@ -198,39 +265,54 @@ def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     return limits.max_seconds is not None and limits.max_seconds <= 0
 
 
-def _solve(vectors: list, d: int, limits: SearchLimits) -> tuple[str, list[int], int]:
-    """Largest set of vectors with pairwise coordinate-wise distance >= d.
+def _solve(
+    m: int, vertices: Iterable[Sequence[int]], d: int, limits: SearchLimits,
+    orbit: Callable[[Sequence[int]], Hashable],
+) -> tuple[str, list, int]:
+    """Largest set of the m vectors that ``vertices`` yields with pairwise
+    coordinate-wise distance >= d.
 
-    Returns (status, chosen vector indices, nodes). The clock starts here, so
-    building the adjacency spends the same time budget as the search. When
-    the budget rules out a real search, the greedy clique is built one
-    distance row per chosen vector, so the full graph is never materialised.
+    Returns (status, chosen vectors, nodes). ``orbit(vector)`` labels the
+    vector's orbit under a group of distance-preserving maps of the vertex
+    set onto itself. The clock starts here and the gate acts on m before
+    the vertices are read, so listing them spends the same time budget as
+    the search. When the budget rules out a real search, the greedy clique
+    is streamed, so the vertices are never listed.
     """
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
-    if _over_budget_upfront(len(vectors), limits):
-        arr = np.asarray(vectors, dtype=np.int16)
+    if _over_budget_upfront(m, limits):
+        return STATUS_LOWER_BOUND_ONLY, _greedy_stream(vertices, d, deadline), 0
+    vectors = list(vertices)
 
-        def row(v: int) -> int:
-            far = np.count_nonzero(arr != arr[v], axis=1) >= d
-            return int.from_bytes(np.packbits(far, bitorder="little").tobytes(), "little")
+    def orbit_masks() -> list[int]:
+        labels = [orbit(vector) for vector in vectors]
+        masks: dict[Hashable, int] = {}
+        for i, label in enumerate(labels):
+            masks[label] = masks.get(label, 0) | 1 << i
+        return [masks[label] for label in labels]
 
-        return STATUS_LOWER_BOUND_ONLY, _greedy_clique(len(vectors), row, deadline), 0
-    clique, exhausted, nodes = _max_clique(_adjacency_at_distance(vectors, d), max_nodes, deadline)
-    return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), clique, nodes
+    clique, exhausted, nodes = _max_clique(
+        _adjacency_at_distance(vectors, d), orbit_masks, max_nodes, deadline
+    )
+    return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), [vectors[i] for i in clique], nodes
 
 
 def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d, by clique search with the identity forced in. Practical up
-    to n = 7 (and small distances only below n = 6) under default limits."""
+    to n = 7 (and small distances only below n = 6) under default limits.
+
+    Conjugation fixes the identity and keeps weights and distances, so each
+    vertex's orbit is its cycle type."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
-    vertices = [p for p in iterate_all(n) if weight(p) >= d]
-    status, chosen, nodes = _solve(vertices, d, limits)
-    witness = PermutationArray(n, [identity(n)] + [vertices[i] for i in chosen])
+    m = factorial(n) - ball_volume(n, d - 1)
+    vertices = (p for p in iterate_all(n) if weight(p) >= d)
+    status, chosen, nodes = _solve(m, vertices, d, limits, cycle_type)
+    witness = PermutationArray(n, [identity(n)] + chosen)
     return SearchOutcome(status, witness, nodes)
 
 
@@ -238,30 +320,36 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d and every member of weight exactly w. The identity is not a
     member (its weight is 0), so the clique runs over the whole weight-w
-    stream."""
+    stream. Conjugation keeps weights and distances, so each vertex's orbit
+    is its cycle type."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if d < 1:
         raise ValueError(f"distance must be positive: {d}")
-    vertices = list(iterate_weight(n, w))
-    status, chosen, nodes = _solve(vertices, d, limits)
-    witness = PermutationArray(n, [vertices[i] for i in chosen])
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    m = binomial(n, w) * derangement_count(w)
+    status, chosen, nodes = _solve(m, iterate_weight(n, w), d, limits, cycle_type)
+    witness = PermutationArray(n, chosen)
     return SearchOutcome(status, witness, nodes)
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Exact maximum size of a binary code of length n, constant weight w,
     minimum distance d (even: distances between equal-weight words are always
-    even)."""
+    even). Permuting coordinates keeps distances and takes any word to any
+    other, so all words share one orbit and the search needs one root
+    branch."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if d <= 0 or d % 2 != 0:
         raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
-    words = list(combinations(range(n), w))
-    status, chosen, nodes = _solve(indicator_vectors(n, words), d, limits)
-    witness = BinaryCwCode(n, w, tuple(words[i] for i in chosen), d)
+    vectors = indicator_vectors(n, combinations(range(n), w))
+    status, chosen, nodes = _solve(binomial(n, w), vectors, d, limits, lambda vector: 0)
+    words = tuple(tuple(i for i, bit in enumerate(vector) if bit) for vector in chosen)
+    witness = BinaryCwCode(n, w, words, d)
     return SearchOutcome(status, witness, nodes)
 
 

@@ -202,6 +202,12 @@ class TestSearch:
         assert header.kind == "cw"
         assert payload.violations(4) == []
 
+    def test_binary_code_search_certifies_a_12_6_4(self, capsys):
+        # one root branch: every word lies in the same orbit
+        code, out, _ = run_cli(capsys, "search", "acw", "12", "6", "4")
+        assert code == EXIT_OK
+        assert "A(12,6,4) = 9" in out
+
     def test_weight_argument_policing(self, capsys):
         code, _, err = run_cli(capsys, "search", "p", "4", "3", "2")
         assert code == EXIT_USAGE

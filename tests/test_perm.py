@@ -13,6 +13,7 @@ from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
     compose,
+    cycle_type,
     distance_blocks,
     hamming_distance,
     identity,
@@ -63,6 +64,40 @@ def test_compose_and_inverse():
     assert compose(inverse(a), a) == identity(3)
     with pytest.raises(ValueError):
         compose(a, identity(4))
+
+
+def test_cycle_type_examples():
+    assert cycle_type(identity(0)) == ()
+    assert cycle_type(identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(Permutation((1, 0, 2, 4, 3))) == (2, 2, 1)
+    assert cycle_type(Permutation((1, 2, 0, 4, 3))) == (3, 2)
+    assert cycle_type(Permutation((1, 2, 3, 4, 5, 0))) == (6,)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_cycle_type_partitions_n_and_is_conjugation_and_inversion_invariant(pair):
+    a, s = map(Permutation, pair)
+    shape = cycle_type(a)
+    assert sum(shape) == len(a)
+    assert all(part >= 1 for part in shape)
+    assert list(shape) == sorted(shape, reverse=True)
+    assert cycle_type(compose(inverse(s), compose(a, s))) == shape
+    assert cycle_type(inverse(a)) == shape
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_cycle_types_are_the_conjugacy_classes(n):
+    group = list(iterate_all(n))
+    classes = {}
+    for a in group:
+        classes.setdefault(cycle_type(a), set()).add(a)
+    # one class per partition of n: 1, 1, 2, 3, 5, 7
+    assert len(classes) == [1, 1, 2, 3, 5, 7][n]
+    for members in classes.values():
+        a = min(members)
+        assert {compose(inverse(s), compose(a, s)) for s in group} == members
 
 
 def test_distance_is_weight_of_relative_permutation():

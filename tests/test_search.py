@@ -2,6 +2,8 @@
 determinism, and behaviour at the node and time limits."""
 
 import hashlib
+import itertools
+import math
 import random
 import sys
 import time
@@ -10,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
+from permarray import search
+from permarray.constructions import (
+    BinaryCwCode,
+    PermutationArray,
+    block_cycle_cwpa,
+    indicator_vectors,
+)
 from permarray.exactmath import factorial
 from permarray.perm import Permutation, identity, iterate_all, weight
 from permarray.search import (
@@ -22,6 +30,8 @@ from permarray.search import (
     _adjacency_at_distance,
     _color_order,
     _greedy_clique,
+    _greedy_stream,
+    _max_clique,
     _over_budget_upfront,
     exact_a_cw,
     exact_p,
@@ -112,6 +122,17 @@ class TestLimitBehaviour:
         greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
         assert gated.witness == PermutationArray(5, [identity(5)] + [vertices[i] for i in greedy])
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_streamed_greedy_matches_the_graph_greedy(self, d):
+        # several 256-vector blocks, and at d = 2 more than 256 kept vectors
+        perms = [p for p in iterate_all(6) if weight(p) >= d]
+        words = list(indicator_vectors(11, itertools.combinations(range(11), 5)))
+        for vectors, distance in [(perms, d), (words, 2 * d)]:
+            adjacency = _adjacency_at_distance(vectors, distance)
+            greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
+            streamed = _greedy_stream(iter(vectors), distance, math.inf)
+            assert streamed == [vectors[i] for i in greedy]
+
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
         # S_8's 40,320 rows of 5,040 B (203 MB) still search
@@ -149,6 +170,47 @@ class TestLimitBehaviour:
         assert (capped.status, capped.nodes) == (STATUS_INCOMPLETE, 769)
         assert capped.witness == outcome.witness
 
+    def test_gate_acts_before_the_vertices_are_listed(self, monkeypatch):
+        # S_11 has 39,916,800 members; a gated search may pull only what its
+        # greedy witness reads before the deadline
+        pulled = 0
+
+        def counting_iterate_all(n):
+            nonlocal pulled
+            for p in iterate_all(n):
+                pulled += 1
+                if pulled > 1_000_000:
+                    raise AssertionError("the gated search is listing S_11")
+                yield p
+
+        monkeypatch.setattr(search, "iterate_all", counting_iterate_all)
+        outcome = exact_p(11, 3, SearchLimits(max_nodes=10, max_seconds=0.5))
+        assert outcome.status == STATUS_LOWER_BOUND_ONLY
+        assert outcome.value > 1
+        assert_verified(outcome, 3)
+        assert 0 < pulled < factorial(11) // 100
+
+    def test_vertex_counts_are_closed_form(self, monkeypatch):
+        # each oracle gates on a vertex count it works out before listing;
+        # it must equal the length of the stream it hands over
+        counts = []
+
+        def count_only(m, vertices, d, limits, orbit):
+            counts.append((m, sum(1 for _ in vertices)))
+            return STATUS_EXACT, [], 0
+
+        monkeypatch.setattr(search, "_solve", count_only)
+        for n in range(1, 7):
+            for d in range(1, n + 1):
+                exact_p(n, d)
+            for w in [0] + list(range(2, n + 1)):
+                exact_p_cw(n, 2, w)
+        for n in range(1, 9):
+            for w in range(n + 1):
+                exact_a_cw(n, 2, w)
+        assert len(counts) == 21 + 21 + 44
+        assert all(m == listed for m, listed in counts)
+
     def test_incomplete_mid_search(self):
         # enough budget to pass the upfront gate but not to finish
         outcome = exact_p(6, 5, SearchLimits(max_nodes=2000, max_seconds=None))
@@ -181,6 +243,153 @@ class TestSearchTree:
         assert outcome.value == value
         members = repr(outcome.witness.members).encode()
         assert hashlib.sha256(members).hexdigest()[:16] == digest
+
+    def test_orbit_pruned_runs_are_pinned(self):
+        # all words share one orbit, so the root branches once; with one
+        # orbit per vertex the search takes 315,491 nodes to the same witness
+        outcome = exact_a_cw(11, 6, 4)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 6, 4616)
+        words = repr(outcome.witness.words).encode()
+        assert hashlib.sha256(words).hexdigest()[:16] == "3f501d4b975ed080"
+        outcome = exact_p_cw(6, 4, 2)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 3, 2)
+        members = repr(outcome.witness.members).encode()
+        assert hashlib.sha256(members).hexdigest()[:16] == "abdcd152015e27f6"
+        # derangements of 6 points have four cycle types, so the root comes
+        # back to later orbits; unpruned, 20,000 nodes do not finish it
+        outcome = exact_p_cw(6, 4, 6)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 50, 14163)
+
+
+def _one_orbit_per_vertex(monkeypatch, oracle, *args):
+    """The oracle's search without orbit pruning: every vertex gets its own
+    orbit label, so the root drops only the vertex it branched on."""
+    solve = search._solve
+
+    def solve_unpruned(m, vertices, d, limits, orbit):
+        labels = itertools.count()
+        return solve(m, vertices, d, limits, lambda vector: next(labels))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve", solve_unpruned)
+        return oracle(*args)
+
+
+# A(n,d,w) for n <= 10, w <= n/2 and even d <= 2w, except the five whose
+# unpruned tree runs past 20,000 nodes: (9,4,4), (10,4,3), (10,4,4),
+# (10,4,5) and (10,6,5)
+_ACW_CASES = [
+    (n, d, w)
+    for n in range(2, 11)
+    for w in range(1, n // 2 + 1)
+    for d in range(2, 2 * w + 1, 2)
+    if (n, d, w) not in {(9, 4, 4), (10, 4, 3), (10, 4, 4), (10, 4, 5), (10, 6, 5)}
+]
+# the cases the other tests search, and four whose members have several
+# cycle types
+_PCW_CASES = sorted(
+    {(n, 2 * k, k) for n in range(4, 9) for k in range(2, min(4, n // 2) + 1)}
+    | {(6, 4, 2), (4, 1, 0)}
+    | {(n, 2 * k + 1, k + 1) for n, k in [(5, 1), (6, 1), (7, 1), (7, 2)]}
+    | {(5, 4, 5), (6, 4, 3), (6, 5, 4), (7, 6, 4)}
+)
+_P_CASES = [(n, d) for n in range(1, 6) for d in range(1, n + 1)] + [(6, 2), (6, 3), (6, 6)]
+
+
+@st.composite
+def shift_invariant_graphs(draw):
+    """A random graph on Z_m with the shift by r (r dividing m) among its
+    automorphisms, and each vertex's orbit under the shifts: its residue
+    class mod r."""
+    r = draw(st.integers(1, 8))
+    m = r * draw(st.integers(1, 40 // r))
+    adjacency = [0] * m
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=4 * m)):
+        if i != j:
+            for t in range(0, m, r):
+                a, b = (i + t) % m, (j + t) % m
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    orbit = [sum(1 << u for u in range(v % r, m, r)) for v in range(m)]
+    return adjacency, orbit
+
+
+class TestOrbitPruning:
+    """Pruning whole orbits at the root keeps the value: checked against the
+    same search with one orbit per vertex, which is the unpruned tree."""
+
+    def _assert_same_value(self, pruned, unpruned, d):
+        assert pruned.status == unpruned.status == STATUS_EXACT
+        assert pruned.value == unpruned.value
+        assert pruned.nodes <= unpruned.nodes
+        assert_verified(pruned, d)
+        assert_verified(unpruned, d)
+
+    @pytest.mark.parametrize("n, d", _P_CASES)
+    def test_exact_p(self, monkeypatch, n, d):
+        unpruned = _one_orbit_per_vertex(monkeypatch, exact_p, n, d)
+        self._assert_same_value(exact_p(n, d), unpruned, d)
+
+    @pytest.mark.parametrize("n, d, w", _PCW_CASES)
+    def test_exact_p_cw(self, monkeypatch, n, d, w):
+        unpruned = _one_orbit_per_vertex(monkeypatch, exact_p_cw, n, d, w)
+        self._assert_same_value(exact_p_cw(n, d, w), unpruned, d)
+
+    @pytest.mark.parametrize("n, d, w", _ACW_CASES)
+    def test_exact_a_cw(self, monkeypatch, n, d, w):
+        unpruned = _one_orbit_per_vertex(monkeypatch, exact_a_cw, n, d, w)
+        self._assert_same_value(exact_a_cw(n, d, w), unpruned, d)
+
+    @pytest.mark.parametrize(
+        "oracle, args, act",
+        [(exact_p, (5, d), "conjugate") for d in range(1, 6)]
+        + [(exact_p_cw, (5, 2, w), "conjugate") for w in (0, 2, 3, 4, 5)]
+        + [(exact_a_cw, (6, 2, w), "permute") for w in range(4)],
+    )
+    def test_labels_are_the_orbits(self, monkeypatch, oracle, args, act):
+        # the vertices that share a label are exactly one orbit of the group
+        # the oracle names: conjugation by S_n, or permuting the coordinates
+        seen = {}
+
+        def capture(m, vertices, d, limits, orbit):
+            seen["vertices"], seen["orbit"] = list(vertices), orbit
+            return STATUS_EXACT, [], 0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_solve", capture)
+            oracle(*args)
+        n = args[0]
+        group = [(s, [s.index(i) for i in range(n)]) for s in itertools.permutations(range(n))]
+        if act == "conjugate":
+            def image(v, s, s_inverse):
+                return tuple(s_inverse[v[s[i]]] for i in range(n))
+        else:
+            def image(v, s, s_inverse):
+                return tuple(v[s[i]] for i in range(n))
+        classes = {}
+        for vertex in seen["vertices"]:
+            classes.setdefault(seen["orbit"](vertex), set()).add(tuple(vertex))
+        for members in classes.values():
+            v = min(members)
+            assert {image(v, s, s_inverse) for s, s_inverse in group} == members
+
+    def test_one_orbit_per_vertex_prunes_nothing(self, monkeypatch):
+        # plain branch and bound takes 4 nodes on P(6,4,2), pruning 2
+        assert _one_orbit_per_vertex(monkeypatch, exact_p_cw, 6, 4, 2).nodes == 4
+
+    @settings(deadline=None)
+    @given(shift_invariant_graphs())
+    def test_matches_unpruned_search_on_shift_invariant_graphs(self, case):
+        adjacency, orbit = case
+        m = len(adjacency)
+        pruned, done, _ = _max_clique(adjacency, lambda: orbit, math.inf, math.inf)
+        unpruned, done_too, _ = _max_clique(adjacency, lambda: [1 << v for v in range(m)],
+                                            math.inf, math.inf)
+        assert done and done_too
+        assert len(pruned) == len(unpruned)
+        for u, v in itertools.combinations(pruned, 2):
+            assert adjacency[u] >> v & 1
 
 
 def _reference_color_order(cand, adjacency):
@@ -279,6 +488,12 @@ class TestExactACw:
     def test_odd_distance_rejected(self):
         with pytest.raises(ValueError):
             exact_a_cw(6, 3, 3)
+
+    def test_certifies_a_12_6_4(self):
+        outcome = exact_a_cw(12, 6, 4)
+        assert outcome.status == STATUS_EXACT
+        assert outcome.value == 9
+        assert outcome.witness.violations(6) == []
 
     def test_lower_bound_only_gate(self):
         outcome = exact_a_cw(10, 4, 5, SearchLimits(max_nodes=3, max_seconds=None))
