@@ -4,7 +4,7 @@ codes, via branch-and-bound maximum-clique search.
 Each oracle counts its vertices in closed form, then hands one pipeline,
 ``_solve``, the stream of eligible objects in their fixed enumeration order
 (see ``perm``) and an orbit label for each: two vertices are adjacent when
-their distance clears the target. If the budget, or the memory the adjacency
+their distance clears the target. If the budget, or the memory the conflict
 bitsets would take, rules out a real search, the vertices are never listed:
 the "lower-bound-only" witness is the lowest-index greedy clique, read from
 the stream in blocks. Otherwise the same
@@ -22,6 +22,18 @@ assumed to be a member (composing every member with one member's inverse
 preserves all distances), so the search runs over permutations at distance
 >= d from the identity and adds the identity back to the witness.
 
+The graph is stored as conflict masks: bit u of ``conflicts[v]`` is set when
+u and v are at distance below the target (v itself excluded), so a color
+class keeps, vertex by vertex, the candidates in conflict with every member
+so far (``q &= conflicts[v]``), and a branch keeps the candidates out of
+conflict (``cand ^ (cand & conflicts[v])``). The search lists the vertices
+in reverse and always takes the highest index first, which on the reversed
+list is the lowest index of the enumeration order: every coloring, branch,
+node count and witness is the one the enumeration order gives. Python ints
+shrink to their highest set bit, so clearing from the top makes each ``&``
+and ``^`` cheaper as a class fills, and no operand is negative (a negative
+int costs a two's-complement pass per operation).
+
 The root prunes whole orbits. A label names the vertex's orbit under a group
 of distance-preserving maps of the vertex set onto itself: conjugation by
 S_n for permutations (it fixes the identity and keeps weights and
@@ -38,7 +50,7 @@ constant-weight search needs one root branch.
 
 The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
-listing the vertices, building the adjacency, the search and the greedy
+listing the vertices, building the conflict masks, the search and the greedy
 witness alike. The clock is read every 256 nodes, or every 256 vertices the
 greedy reads, so the deadline is best-effort; past it the best clique found
 so far is the witness.
@@ -71,8 +83,8 @@ STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower-bound-only"
 STATUS_INCOMPLETE = "incomplete"
 
-# Largest adjacency list, in bytes of neighbor bits, that a search may build:
-# S_8 (40,320 vertices, about 203 MB) fits, S_9 (about 16.5 GB) does not.
+# Largest set of conflict masks, in bytes of conflict bits, that a search may
+# build: S_8 (40,320 vertices, about 203 MB) fits, S_9 (about 16.5 GB) does not.
 _ADJACENCY_BYTES = 1 << 30
 
 
@@ -105,16 +117,18 @@ class SearchOutcome:
         return len(self.witness)
 
 
-def _greedy_clique(m: int, row: Callable[[int], int]) -> list[int]:
-    """Clique on vertices 0..m-1 built by repeatedly taking the lowest-index
-    vertex adjacent to every vertex taken so far; ``row(v)`` is v's neighbor
-    bitmask."""
+def _greedy_clique(conflicts: list[int]) -> list[int]:
+    """Clique built by repeatedly taking the highest-index vertex that
+    conflicts with no vertex taken so far; ``conflicts[v]`` is v's conflict
+    bitmask. On the reversed vertex list this is the lowest-index greedy
+    clique of the listing order."""
     chosen: list[int] = []
-    allowed = (1 << m) - 1
+    allowed = (1 << len(conflicts)) - 1
     while allowed:
-        v = (allowed & -allowed).bit_length() - 1
+        v = allowed.bit_length() - 1
         chosen.append(v)
-        allowed &= row(v)
+        allowed ^= 1 << v
+        allowed ^= allowed & conflicts[v]
     return chosen
 
 
@@ -147,35 +161,42 @@ def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -
     return kept
 
 
-def _color_order(cand: int, adjacency: list[int], kmin: int) -> list[tuple[int, int]]:
-    """Greedy first-fit coloring of the candidate set in index order, built
-    one class at a time: each class takes the lowest remaining vertex, drops
-    its neighbors, and repeats until nothing is left to add.
+def _color_order(cand: int, conflicts: list[int], kmin: int) -> list[tuple[int, int]]:
+    """Greedy first-fit coloring of the candidate set in descending index
+    order, built one class at a time: each class takes the highest remaining
+    vertex, keeps only the vertices in conflict with it, and repeats until
+    nothing is left to add.
 
-    Returns (color, vertex) pairs sorted ascending, leaving out vertices whose
-    color is below ``kmin`` (their classes are still built, so later colors
-    are unchanged); the color of a vertex bounds any clique drawn from it and
+    Returns (color, vertex) pairs in the order colored, colors ascending and
+    vertices descending within a class, leaving out vertices whose color is
+    below ``kmin`` (their classes are still built, so later colors are
+    unchanged); the color of a vertex bounds any clique drawn from it and
     the vertices colored before it."""
     order: list[tuple[int, int]] = []
     k = 0
-    while cand:
+    while cand and k + 1 < kmin:
         k += 1
-        keep = k >= kmin
         q = cand
         while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            cand ^= low
-            q &= ~(adjacency[v] | low)
-            if keep:
-                order.append((k, v))
+            v = q.bit_length() - 1
+            cand ^= 1 << v
+            q &= conflicts[v]
+    while cand:
+        k += 1
+        q = cand
+        while q:
+            v = q.bit_length() - 1
+            cand ^= 1 << v
+            q &= conflicts[v]
+            order.append((k, v))
     return order
 
 
 def _max_clique(
-    adjacency: list[int], orbit_masks: Callable[[], list[int]], max_nodes: float, deadline: float
+    conflicts: list[int], orbit_masks: Callable[[], list[int]], max_nodes: float, deadline: float
 ) -> tuple[list[int], bool, int]:
-    """Largest clique among vertices 0..m-1 with the given neighbor bitmasks.
+    """Largest clique among vertices 0..m-1 with the given conflict bitmasks
+    (two vertices are adjacent when neither is in the other's mask).
 
     ``orbit_masks()[v]`` is the bitmask of v's orbit under a group of
     automorphisms of the graph. Once the root's branch on v is done, v's
@@ -191,19 +212,20 @@ def _max_clique(
     or past the deadline (read at nodes 1, 257, 513, ...), the best clique
     found so far is returned with exhausted False.
     """
-    m = len(adjacency)
-    best = _greedy_clique(m, adjacency.__getitem__)
+    m = len(conflicts)
+    best = _greedy_clique(conflicts)
     if not m:
         return best, True, 0
     nodes = 1
     if nodes > max_nodes or time.monotonic() > deadline:
         return best, False, nodes
     root = (1 << m) - 1
-    root_order = _color_order(root, adjacency, len(best) + 1) if m > len(best) else []
+    root_order = _color_order(root, conflicts, len(best) + 1) if m > len(best) else []
     orbit: list[int] = []
     while root_order and root_order[-1][0] > len(best):
         branch = root_order.pop()[1]
-        sub = root & adjacency[branch]
+        root ^= 1 << branch
+        sub = root ^ (root & conflicts[branch])
         current = [branch]
         # the open node's candidates and color order are held in cand/order;
         # each open ancestor's pair waits on the stack above a placeholder for
@@ -219,7 +241,7 @@ def _max_clique(
                 stack.append((cand, order))
                 kmin = len(best) - len(current) + 1
                 # too few candidates to beat the incumbent: nothing to color
-                cand, order = sub, _color_order(sub, adjacency, kmin) if sub.bit_count() >= kmin else []
+                cand, order = sub, _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else []
                 sub = 0
             # every unprocessed candidate has color <= the last one, so the
             # node cannot beat the incumbent once the check fails
@@ -227,7 +249,7 @@ def _max_clique(
                 v = order.pop()[1]
                 cand ^= 1 << v
                 current.append(v)
-                sub = cand & adjacency[v]
+                sub = cand ^ (cand & conflicts[v])
                 if not sub:
                     if len(current) > len(best):
                         best = current.copy()
@@ -238,26 +260,27 @@ def _max_clique(
             else:
                 break
         orbit = orbit or orbit_masks()
-        root &= ~orbit[branch]
+        root ^= root & orbit[branch]
         root_order = [(k, u) for k, u in root_order if root >> u & 1]
     return best, True, nodes
 
 
-def _adjacency_at_distance(vectors: list, d: int) -> list[int]:
-    """Neighbor bitmasks for "coordinate-wise distance >= d" on equal-length
-    integer vectors."""
-    adjacency: list[int] = []
+def _conflict_masks(vectors: list, d: int) -> list[int]:
+    """Conflict bitmasks for "coordinate-wise distance >= d" on equal-length
+    integer vectors: bit u of v's mask is set when u != v and the two are at
+    distance < d, so no clique holds both."""
+    conflicts: list[int] = []
     for start, _, block in distance_blocks(vectors):
-        ok = block >= d
-        np.fill_diagonal(ok[:, start:], False)
-        packed = np.packbits(ok, axis=1, bitorder="little")
-        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return adjacency
+        close = block < d
+        np.fill_diagonal(close[:, start:], False)
+        packed = np.packbits(close, axis=1, bitorder="little")
+        conflicts.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return conflicts
 
 
 def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     """Whether the search must not start: more vertices than nodes allowed,
-    no time at all, or an adjacency list (m rows of m bits) too big to hold."""
+    no time at all, or conflict masks (m rows of m bits) too big to hold."""
     if limits.max_nodes is not None and m > limits.max_nodes:
         return True
     if m * ((m + 7) // 8) > _ADJACENCY_BYTES:
@@ -277,13 +300,16 @@ def _solve(
     set onto itself. The clock starts here and the gate acts on m before
     the vertices are read, so listing them spends the same time budget as
     the search. When the budget rules out a real search, the greedy clique
-    is streamed, so the vertices are never listed.
+    is streamed, so the vertices are never listed. Otherwise they are listed
+    in reverse, so that the search, which takes the highest index first,
+    walks them in stream order.
     """
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     if _over_budget_upfront(m, limits):
         return STATUS_LOWER_BOUND_ONLY, _greedy_stream(vertices, d, deadline), 0
     vectors = list(vertices)
+    vectors.reverse()
 
     def orbit_masks() -> list[int]:
         labels = [orbit(vector) for vector in vectors]
@@ -293,7 +319,7 @@ def _solve(
         return [masks[label] for label in labels]
 
     clique, exhausted, nodes = _max_clique(
-        _adjacency_at_distance(vectors, d), orbit_masks, max_nodes, deadline
+        _conflict_masks(vectors, d), orbit_masks, max_nodes, deadline
     )
     return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), [vectors[i] for i in clique], nodes
 

@@ -25,7 +25,7 @@ from permarray.perm import (
     support,
     weight,
 )
-from permarray.search import _adjacency_at_distance, verify_pa
+from permarray.search import _conflict_masks, verify_pa
 
 
 def test_constructor_accepts_bijections():
@@ -232,15 +232,15 @@ class TestDistanceBlocks:
         array = PermutationArray(n, perms)
         members = array.members
         pairs = [(a, b, hamming_distance(a, b)) for a, b in itertools.combinations(members, 2)]
-        adjacency = [0] * len(members)
+        conflicts = [0] * len(members)
         for i, j in itertools.permutations(range(len(members)), 2):
-            if hamming_distance(members[i], members[j]) >= d:
-                adjacency[i] |= 1 << j
+            if hamming_distance(members[i], members[j]) < d:
+                conflicts[i] |= 1 << j
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
             _assert_blocks_match(members, upper=False)
             _assert_blocks_match(members, upper=True)
-            assert _adjacency_at_distance(list(members), d) == adjacency
+            assert _conflict_masks(list(members), d) == conflicts
             assert verify_pa(array, d) == [pair for pair in pairs if pair[2] < d]
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)

@@ -27,8 +27,8 @@ from permarray.search import (
     STATUS_INCOMPLETE,
     STATUS_LOWER_BOUND_ONLY,
     SearchLimits,
-    _adjacency_at_distance,
     _color_order,
+    _conflict_masks,
     _greedy_clique,
     _greedy_stream,
     _max_clique,
@@ -116,10 +116,10 @@ class TestLimitBehaviour:
         assert gated.value <= outcome.value
         assert_verified(gated, 3)
         assert gated.nodes == 0
-        # the gated witness is the greedy clique of the full graph
-        vertices = [p for p in iterate_all(5) if weight(p) >= 3]
-        adjacency = _adjacency_at_distance(vertices, 3)
-        greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
+        # the gated witness is the greedy clique of the full graph, which
+        # takes the highest index first on the reversed vertex list
+        vertices = [p for p in iterate_all(5) if weight(p) >= 3][::-1]
+        greedy = _greedy_clique(_conflict_masks(vertices, 3))
         assert gated.witness == PermutationArray(5, [identity(5)] + [vertices[i] for i in greedy])
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -128,10 +128,10 @@ class TestLimitBehaviour:
         perms = [p for p in iterate_all(6) if weight(p) >= d]
         words = list(indicator_vectors(11, itertools.combinations(range(11), 5)))
         for vectors, distance in [(perms, d), (words, 2 * d)]:
-            adjacency = _adjacency_at_distance(vectors, distance)
-            greedy = _greedy_clique(len(adjacency), adjacency.__getitem__)
+            reverse = vectors[::-1]
+            greedy = _greedy_clique(_conflict_masks(reverse, distance))
             streamed = _greedy_stream(iter(vectors), distance, math.inf)
-            assert streamed == [vectors[i] for i in greedy]
+            assert streamed == [reverse[i] for i in greedy]
 
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
@@ -383,8 +383,9 @@ class TestOrbitPruning:
     def test_matches_unpruned_search_on_shift_invariant_graphs(self, case):
         adjacency, orbit = case
         m = len(adjacency)
-        pruned, done, _ = _max_clique(adjacency, lambda: orbit, math.inf, math.inf)
-        unpruned, done_too, _ = _max_clique(adjacency, lambda: [1 << v for v in range(m)],
+        conflicts = _conflicts_of(adjacency)
+        pruned, done, _ = _max_clique(conflicts, lambda: orbit, math.inf, math.inf)
+        unpruned, done_too, _ = _max_clique(conflicts, lambda: [1 << v for v in range(m)],
                                             math.inf, math.inf)
         assert done and done_too
         assert len(pruned) == len(unpruned)
@@ -392,31 +393,38 @@ class TestOrbitPruning:
             assert adjacency[u] >> v & 1
 
 
+def _conflicts_of(adjacency):
+    """Conflict masks of the graph with the given neighbor masks: every other
+    vertex that is not a neighbor."""
+    everything = (1 << len(adjacency)) - 1
+    return [everything ^ neighbors ^ 1 << v for v, neighbors in enumerate(adjacency)]
+
+
 def _reference_color_order(cand, adjacency):
-    """First-fit coloring one vertex at a time: each vertex, in index order,
-    joins the first class holding none of its neighbors."""
+    """First-fit coloring one vertex at a time: each vertex, in descending
+    index order, joins the first class holding none of its neighbors. Listed
+    class by class, descending within a class, as the search colors them."""
     classes = []
     order = []
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
+    for v in reversed(range(cand.bit_length())):
+        if not cand >> v & 1:
+            continue
         neighbors = adjacency[v]
         for i, cls in enumerate(classes):
             if not neighbors & cls:
-                classes[i] = cls | low
+                classes[i] = cls | 1 << v
                 order.append((i + 1, v))
                 break
         else:
-            classes.append(low)
+            classes.append(1 << v)
             order.append((len(classes), v))
-    order.sort()
+    order.sort(key=lambda kv: (kv[0], -kv[1]))
     return order
 
 
-@st.composite
-def coloring_cases(draw):
-    m = draw(st.integers(0, 64))
+def _random_graph(draw, m):
+    """Neighbor masks of a graph on m vertices, each edge drawn with one
+    random density."""
     density = draw(st.floats(0, 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     adjacency = [0] * m
@@ -425,6 +433,13 @@ def coloring_cases(draw):
             if rng.random() < density:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
+    return adjacency
+
+
+@st.composite
+def coloring_cases(draw):
+    m = draw(st.integers(0, 64))
+    adjacency = _random_graph(draw, m)
     cand = draw(st.integers(0, (1 << m) - 1))
     kmin = draw(st.integers(1, m + 2))
     return adjacency, cand, kmin
@@ -435,9 +450,119 @@ class TestColorOrder:
     @given(coloring_cases())
     def test_matches_first_fit_reference(self, case):
         adjacency, cand, kmin = case
+        conflicts = _conflicts_of(adjacency)
         reference = _reference_color_order(cand, adjacency)
-        assert _color_order(cand, adjacency, 1) == reference
-        assert _color_order(cand, adjacency, kmin) == [(k, v) for k, v in reference if k >= kmin]
+        assert _color_order(cand, conflicts, 1) == reference
+        assert _color_order(cand, conflicts, kmin) == [(k, v) for k, v in reference if k >= kmin]
+
+
+# The neighbor-mask search, lowest index first, as it was before the graph
+# was stored as conflict masks: the reference for the search tree.
+def _neighbor_greedy_clique(adjacency):
+    chosen = []
+    allowed = (1 << len(adjacency)) - 1
+    while allowed:
+        v = (allowed & -allowed).bit_length() - 1
+        chosen.append(v)
+        allowed &= adjacency[v]
+    return chosen
+
+
+def _neighbor_color_order(cand, adjacency, kmin):
+    order = []
+    k = 0
+    while cand:
+        k += 1
+        keep = k >= kmin
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q &= ~(adjacency[v] | low)
+            if keep:
+                order.append((k, v))
+    return order
+
+
+def _neighbor_max_clique(adjacency, orbit, max_nodes):
+    m = len(adjacency)
+    best = _neighbor_greedy_clique(adjacency)
+    if not m:
+        return best, True, 0
+    nodes = 1
+    if nodes > max_nodes:
+        return best, False, nodes
+    root = (1 << m) - 1
+    root_order = _neighbor_color_order(root, adjacency, len(best) + 1) if m > len(best) else []
+    while root_order and root_order[-1][0] > len(best):
+        branch = root_order.pop()[1]
+        sub = root & adjacency[branch]
+        current = [branch]
+        stack = [(0, [])]
+        cand, order = 0, []
+        while True:
+            if sub:
+                nodes += 1
+                if nodes > max_nodes:
+                    return best, False, nodes
+                stack.append((cand, order))
+                kmin = len(best) - len(current) + 1
+                cand = sub
+                order = _neighbor_color_order(sub, adjacency, kmin) if sub.bit_count() >= kmin else []
+                sub = 0
+            elif order and len(current) + order[-1][0] > len(best):
+                v = order.pop()[1]
+                cand ^= 1 << v
+                current.append(v)
+                sub = cand & adjacency[v]
+                if not sub:
+                    if len(current) > len(best):
+                        best = current.copy()
+                    current.pop()
+            elif current:
+                cand, order = stack.pop()
+                current.pop()
+            else:
+                break
+        root &= ~orbit[branch]
+        root_order = [(k, u) for k, u in root_order if root >> u & 1]
+    return best, True, nodes
+
+
+@st.composite
+def search_cases(draw):
+    """A random graph on m <= 64 vertices, orbit masks that are the residue
+    classes mod r, and a node cap (None for no cap)."""
+    m = draw(st.integers(0, 64))
+    adjacency = _random_graph(draw, m)
+    r = draw(st.integers(1, max(m, 1)))
+    orbit = [sum(1 << u for u in range(v % r, m, r)) for v in range(m)]
+    max_nodes = draw(st.one_of(st.none(), st.integers(1, 200)))
+    return adjacency, orbit, max_nodes
+
+
+class TestSearchTreeIdentity:
+    """Highest index first on conflict masks over the reversed vertex list
+    walks the same tree as lowest index first on neighbor masks."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(search_cases())
+    def test_matches_the_neighbor_mask_search(self, case):
+        adjacency, orbit, max_nodes = case
+        m = len(adjacency)
+
+        def reverse(mask):
+            return sum(1 << (m - 1 - u) for u in range(m) if mask >> u & 1)
+
+        reversed_adjacency = [reverse(adjacency[m - 1 - v]) for v in range(m)]
+        reversed_orbit = [reverse(orbit[m - 1 - v]) for v in range(m)]
+        cap = math.inf if max_nodes is None else max_nodes
+        clique, exhausted, nodes = _max_clique(
+            _conflicts_of(reversed_adjacency), lambda: reversed_orbit, cap, math.inf
+        )
+        expected = _neighbor_max_clique(adjacency, orbit, cap)
+        assert ([m - 1 - v for v in clique], exhausted, nodes) == expected
 
 
 class TestExactPCw:
