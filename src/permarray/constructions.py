@@ -146,6 +146,13 @@ def greedy_partial_steiner(n: int, blocksize: int) -> BinaryCwCode:
     ``blocksize`` subsets of {0..n-1} in lexicographic order, keeping each
     block that meets every kept block in at most one point.
 
+    Two blocks meet in two or more points exactly when they share a pair, so
+    the scan keeps one covered-pair bitmask per point (bit b of
+    ``covered[a]``, a < b, is set when {a, b} lies in a kept block): a block
+    is kept when none of its pairs is covered, and keeping it covers them.
+    The cost is C(blocksize, 2) bit tests per subset, whatever the number
+    of kept blocks.
+
     The result is a constant-weight code with indicator distance at least
     2 * (blocksize - 1). Greedy is not always maximum, but at (7, 3) it does
     reach the full 7-block packing.
@@ -154,12 +161,15 @@ def greedy_partial_steiner(n: int, blocksize: int) -> BinaryCwCode:
         raise ValueError(f"block size must be at least 2: {blocksize}")
     if n < blocksize:
         raise ValueError(f"need n >= blocksize; got n={n}, blocksize={blocksize}")
-    kept: list[frozenset[int]] = []
+    covered = [0] * n
     words = []
     for block in combinations(range(n), blocksize):
-        candidate = frozenset(block)
-        if all(len(candidate & other) <= 1 for other in kept):
-            kept.append(candidate)
+        for a, b in combinations(block, 2):
+            if covered[a] >> b & 1:
+                break
+        else:
+            for a, b in combinations(block, 2):
+                covered[a] |= 1 << b
             words.append(block)
     return BinaryCwCode(n, blocksize, tuple(words), 2 * (blocksize - 1))
 
@@ -276,29 +286,32 @@ def _projective(p: int) -> PermutationArray:
     the field of prime order p, acting on the projective line {0..p-1, inf}
     with inf encoded as index p: (p+1)p(p-1) permutations of p + 1 points at
     pairwise distance p - 1 (two distinct maps agree on at most two points).
+
+    Scaling (a, b, c, d) by a nonzero constant gives the same map, so each
+    map is built once, from its normalised matrix: c = 1 (any a, b, d with
+    ad - b != 0; the pole -d goes to inf and inf to a), or c = 0 and d = 1
+    (x -> ax + b with a != 0, fixing inf). Inverses come from one table.
     """
     if not _is_prime(p):
         raise ValueError(f"projective family needs a prime modulus: {p}")
-    images = set()
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 0:
-                        continue
-                    img = []
-                    for x in range(p):
-                        den = (c * x + d) % p
-                        if den == 0:
-                            img.append(p)
-                        else:
-                            img.append((a * x + b) * pow(den, p - 2, p) % p)
-                    if c == 0:
-                        img.append(p)
-                    else:
-                        img.append(a * pow(c, p - 2, p) % p)
-                    images.add(tuple(img))
-    return PermutationArray(p + 1, (Permutation(t) for t in images))
+    # inverse[0] is never used: the pole's image is overwritten with inf
+    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    members = [
+        Permutation([(a * x + b) % p for x in range(p)] + [p])
+        for a in range(1, p)
+        for b in range(p)
+    ]
+    for d in range(p):
+        pole = -d % p
+        for a in range(p):
+            for b in range(p):
+                if (a * d - b) % p == 0:
+                    continue
+                images = [(a * x + b) * inverse[(x + d) % p] % p for x in range(p)]
+                images[pole] = p
+                images.append(a)
+                members.append(Permutation(images))
+    return PermutationArray(p + 1, members)
 
 
 # family name -> (builder, length, claimed distance, size meeting n!/(d-1)!)

@@ -51,8 +51,9 @@ constant-weight search needs one root branch.
 The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
 listing the vertices, building the conflict masks, the search and the greedy
-witness alike. The clock is read every 256 nodes, or every 256 vertices the
-greedy reads, so the deadline is best-effort; past it the best clique found
+witness alike. The clock is read every 256 nodes, or, in the streamed
+greedy, after each 256 vertices it reads and each 256 kept rows it checks
+them against, so the deadline is best-effort; past it the best clique found
 so far is the witness.
 """
 
@@ -136,8 +137,9 @@ def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -
     """The same lowest-index greedy clique, read from a stream of vectors:
     each vector is kept when it is at distance >= d from every vector kept
     before it. The stream is read 256 vectors at a time and checked against
-    the kept ones in numpy blocks, so memory scales with the clique, not with
-    the stream. The clock is read after each block, and past the deadline
+    the kept ones 256 rows at a time, so memory scales with the clique, not
+    with the stream. The clock is read after each of those checks and after
+    each block, so one check's work bounds the overrun; past the deadline
     the vectors kept so far are returned."""
     kept: list = []
     kept_rows = np.empty((0, 0), dtype=np.int16)  # the kept vectors, as rows
@@ -148,6 +150,8 @@ def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -
         for start in range(0, len(kept), 256):
             apart = np.count_nonzero(rows[:, None] != kept_rows[None, start:start + 256], axis=2)
             far &= (apart >= d).all(axis=1)
+            if time.monotonic() > deadline:
+                return kept
         taken = []
         for i in range(len(block)):
             if far[i]:

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+from test_constructions import reference_greedy_partial_steiner, reference_projective
+
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from permarray.pafile import load
+from permarray.constructions import BinaryCwCode, lift_binary_cw_code
+from permarray.pafile import dump_pa, load
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +148,29 @@ class TestConstruct:
         assert code == EXIT_OK
         header, array = load(out_path)
         assert header.count == 7
+        assert array.min_distance() >= 5
+
+    def test_files_match_the_reference_builders(self, capsys, tmp_path):
+        code = BinaryCwCode(13, 3, reference_greedy_partial_steiner(13, 3), 4)
+        expected = {
+            ("steiner-lift", "13", "2"): dump_pa(lift_binary_cw_code(code, 2), 5, 3),
+            ("pgl2", "7"): dump_pa(reference_projective(7), 6),
+        }
+        for argv, text in expected.items():
+            out_path = tmp_path / f"{argv[0]}.pa"
+            status, _, _ = run_cli(capsys, "construct", *argv, "--out", str(out_path))
+            assert status == EXIT_OK
+            assert out_path.read_text(encoding="utf-8") == text
+
+    def test_large_steiner_lift(self, capsys, tmp_path):
+        out_path = tmp_path / "lift.pa"
+        code, out, _ = run_cli(
+            capsys, "construct", "steiner-lift", "100", "2", "--out", str(out_path)
+        )
+        assert code == EXIT_OK
+        assert "1317 permutations of 100 points, distance 5" in out
+        header, array = load(out_path)
+        assert (header.count, header.w) == (1317, 3)
         assert array.min_distance() >= 5
 
     def test_unknown_family(self, capsys):

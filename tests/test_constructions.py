@@ -1,7 +1,7 @@
 """Constructions: explicit arrays, binary codes, the support-lifting map,
 and the group families that meet the quotient bound."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -22,6 +22,35 @@ from permarray.constructions import (
 )
 from permarray.exactmath import factorial
 from permarray.perm import Permutation, compose, hamming_distance, identity, inverse, weight
+
+
+def reference_greedy_partial_steiner(n, blocksize):
+    """The greedy packing's words, found by comparing each subset with every
+    kept block."""
+    kept = []
+    words = []
+    for block in combinations(range(n), blocksize):
+        candidate = frozenset(block)
+        if all(len(candidate & other) <= 1 for other in kept):
+            kept.append(candidate)
+            words.append(block)
+    return tuple(words)
+
+
+def reference_projective(p):
+    """The fractional-linear maps over F_p, one per invertible matrix (p^4
+    candidates, each map p - 1 times), with the repeats removed by a set."""
+    images = set()
+    for a, b, c, d in product(range(p), repeat=4):
+        if (a * d - b * c) % p == 0:
+            continue
+        img = []
+        for x in range(p):
+            den = (c * x + d) % p
+            img.append(p if den == 0 else (a * x + b) * pow(den, p - 2, p) % p)
+        img.append(p if c == 0 else a * pow(c, p - 2, p) % p)
+        images.add(tuple(img))
+    return PermutationArray(p + 1, (Permutation(t) for t in images))
 
 
 def _relabelled(array, sigma):
@@ -155,6 +184,14 @@ class TestGreedyPartialSteiner:
             for b in code.words[i + 1 :]:
                 assert len(set(a) & set(b)) <= 1
 
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(2, 17) for k in range(2, min(n, 5) + 1)]
+    )
+    def test_matches_the_pairwise_reference(self, n, k):
+        code = greedy_partial_steiner(n, k)
+        assert code.words == reference_greedy_partial_steiner(n, k)
+        assert (code.n, code.weight, code.distance) == (n, k, 2 * (k - 1))
+
     def test_small_cases(self):
         assert len(greedy_partial_steiner(5, 3).words) == 2
         assert len(greedy_partial_steiner(3, 3).words) == 1
@@ -256,6 +293,12 @@ class TestPerfectFamilies:
         assert len(array) == (p + 1) * p * (p - 1)
         assert array.min_distance() == p - 1
         assert len(array) == dv_bound(p + 1, p - 1).value
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_projective_matches_the_matrix_reference(self, p):
+        array = perfect_pa("pgl2", p)
+        assert array == reference_projective(p)
+        assert len(array) == family_size("pgl2", p)
 
     def test_non_prime_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,20 @@ class TestLimitBehaviour:
         vertices = [p for p in iterate_all(6) if weight(p) >= 2]
         assert outcome.witness == PermutationArray(6, [identity(6)] + vertices[:256])
 
+    @pytest.mark.parametrize("steady_reads, kept", [(2, 256), (4, 512), (5, 512), (6, 719)])
+    def test_deadline_stops_the_greedy_between_kept_chunks(self, monkeypatch, steady_reads, kept):
+        # at d = 2 every one of the 719 vertices joins. Reads: the deadline;
+        # block 1's end; block 2's check against kept rows 0-255, then its
+        # end; block 3's checks against kept rows 0-255 and 256-511, then its
+        # end. A late check returns what the earlier blocks kept, so the
+        # overrun is one check's work, not a whole block's
+        fake_clock(monkeypatch, steady_reads=steady_reads)
+        outcome = exact_p(6, 2, SearchLimits(max_nodes=10, max_seconds=60.0))
+        assert outcome.status == STATUS_LOWER_BOUND_ONLY
+        assert_verified(outcome, 2)
+        vertices = [p for p in iterate_all(6) if weight(p) >= 2]
+        assert outcome.witness == PermutationArray(6, [identity(6)] + vertices[:kept])
+
     def test_deadline_stops_mid_search(self, monkeypatch):
         # reads: the deadline, then nodes 1, 257 and 513 on time; node 769 is
         # late
