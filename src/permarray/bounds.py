@@ -214,7 +214,7 @@ def recursive_bound(n: int, d: int, m: int, bound_at_m: BoundResult) -> BoundRes
         raise ValueError("cannot lift a not-applicable bound")
     if bound_at_m.kind == KIND_LOWER:
         raise ValueError("cannot lift a lower bound through an upper-bound rule")
-    value = factorial(n) * bound_at_m.value // factorial(m)
+    value = subset_bound(n, d, factorial(m), bound_at_m.value).value
     kind = bound_at_m.kind if m == n else KIND_UPPER
     return BoundResult(value, kind, (f"recursive(m={m})", *bound_at_m.derivation))
 
@@ -307,10 +307,11 @@ def candidate_bounds(
 
 def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundResult:
     """The smallest applicable upper bound on P(n, d) among DV, SP, ME (even
-    d) and MO (odd d). Ties go to the shorter derivation, then to the rule
-    order just given. Distance 1 is rewritten as distance 2 when n >= 2,
-    since distinct permutations always differ in at least two positions; on
-    one point P(1, 1) = 1 is bounded directly."""
+    d) and MO (odd d). Ties go to the rule order just given. Distance 1 is
+    rewritten as distance 2 when n >= 2, since distinct permutations always
+    differ in at least two positions; on one point P(1, 1) = 1 is bounded
+    directly. Each candidate's derivation is a single tag, so the winning
+    rule is always the last tag of the result's derivation."""
     tags: tuple[str, ...] = ()
     if d == 1 and n >= 2:
         tags = ("d1-as-d2",)
@@ -318,8 +319,7 @@ def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundRes
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
     best = min(
-        (c for _, c in candidate_bounds(n, d, table) if c.applicable),
-        key=lambda c: (c.value, len(c.derivation)),
+        (c for _, c in candidate_bounds(n, d, table) if c.applicable), key=lambda c: c.value
     )
     if tags:
         return BoundResult(best.value, best.kind, tags + best.derivation)

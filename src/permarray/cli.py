@@ -105,7 +105,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "n": n,
             "d": d,
             "bounds": [_bound_row(name, r) for name, r in rows if r.applicable],
-            "best": _bound_row(best.derivation[0], best),
+            "best": _bound_row(best.derivation[-1], best),
             "tight": tight,
         }
         print(json.dumps(report))
@@ -132,10 +132,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, min(d_hi, n) + 1):
             best = best_upper_bound(n, d, table)
-            letter = next(
-                (_RULE_LETTERS[t] for t in best.derivation if t in _RULE_LETTERS), "?"
-            )
-            cells.append({"n": n, "d": d, "value": best.value, "rule": letter})
+            cells.append({"n": n, "d": d, "value": best.value,
+                          "rule": _RULE_LETTERS[best.derivation[-1]]})
     if args.json:
         print(json.dumps({"rules": _RULE_LETTERS, "cells": cells}))
         return EXIT_OK

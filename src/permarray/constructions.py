@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, distance_blocks, pairs_below
+from .perm import Permutation, cycle_type, distance_blocks, iterate_all, pairs_below
 
 
 class PermutationArray:
@@ -238,33 +238,14 @@ def _cyclic(n: int) -> PermutationArray:
 def _symmetric(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    from .perm import iterate_all
-
     return PermutationArray(n, iterate_all(n))
-
-
-def _parity(p: Permutation) -> int:
-    seen = [False] * len(p)
-    transpositions = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        transpositions += length - 1
-    return transpositions % 2
 
 
 def _alternating(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    from .perm import iterate_all
-
-    return PermutationArray(n, (p for p in iterate_all(n) if _parity(p) == 0))
+    # a permutation with c cycles is a product of n - c transpositions
+    return PermutationArray(n, (p for p in iterate_all(n) if (n - len(cycle_type(p))) % 2 == 0))
 
 
 def _affine(p: int) -> PermutationArray:

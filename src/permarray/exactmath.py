@@ -1,27 +1,24 @@
 """Exact counting primitives: factorials, binomials, derangements, ball volumes.
 
 Everything in this module is arbitrary-precision integer arithmetic; no value
-is ever computed through floats. Small derangement counts are served from a
-table built once at import time.
+is ever computed through floats. Derangement counts come from one recurrence,
+run afresh for each call; it holds its last two values and caches nothing.
 """
 
 from __future__ import annotations
 
 import math
-
-# Derangement counts up to this size are answered from a precomputed table;
-# larger ones are computed on the fly without being cached.
-MEMO_CAP = 64
+from collections.abc import Iterator
+from itertools import count, islice
 
 
-def _derangement_table(cap: int) -> tuple[int, ...]:
-    values = [1, 0]
-    for k in range(2, cap + 1):
-        values.append((k - 1) * (values[k - 1] + values[k - 2]))
-    return tuple(values)
-
-
-_DERANGEMENTS = _derangement_table(MEMO_CAP)
+def _derangements() -> Iterator[int]:
+    """Yield D_0, D_1, D_2, ... by D_k = (k - 1) * (D_{k-1} + D_{k-2}), with
+    D_0 = 1 (the k = 1 step multiplies by zero, so D_{-1} never matters)."""
+    prev, value = 0, 1
+    for k in count(1):
+        yield value
+        prev, value = value, (k - 1) * (value + prev)
 
 
 def factorial(n: int) -> int:
@@ -49,12 +46,7 @@ def derangement_count(k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"derangement count undefined for negative k: {k}")
-    if k <= MEMO_CAP:
-        return _DERANGEMENTS[k]
-    prev2, prev1 = _DERANGEMENTS[MEMO_CAP - 1], _DERANGEMENTS[MEMO_CAP]
-    for i in range(MEMO_CAP + 1, k + 1):
-        prev2, prev1 = prev1, (i - 1) * (prev1 + prev2)
-    return prev1
+    return next(islice(_derangements(), k, None))
 
 
 def ball_volume(n: int, r: int) -> int:
@@ -67,4 +59,4 @@ def ball_volume(n: int, r: int) -> int:
         raise ValueError(f"ball volume undefined for negative n: {n}")
     if r < 0 or r > n:
         raise ValueError(f"radius {r} outside valid range 0..{n}")
-    return sum(binomial(n, i) * derangement_count(i) for i in range(r + 1))
+    return sum(binomial(n, i) * d_i for i, d_i in zip(range(r + 1), _derangements()))

@@ -9,8 +9,9 @@ bitsets would take, rules out a real search, the vertices are never listed:
 the "lower-bound-only" witness is the lowest-index greedy clique, read from
 the stream in blocks. Otherwise the same
 greedy clique seeds a search that keeps each open node's candidates and color
-order on an explicit stack instead of recursing. At every node the candidates
-get the first-fit coloring in index order (classes with no internal edge; a
+order on an explicit stack instead of recursing; one loop opens and branches
+every node, the root as node 1. At every node the candidates get the
+first-fit coloring in index order (classes with no internal edge; a
 clique takes at most one vertex per class), built one class at a time on
 bitsets as in BBMC (San Segundo et al. 2011), and branching walks them in
 descending color order so the color number doubles as a per-branch bound.
@@ -39,14 +40,14 @@ of distance-preserving maps of the vertex set onto itself: conjugation by
 S_n for permutations (it fixes the identity and keeps weights and
 distances; its orbits are the cycle types), and S_n permuting coordinates
 for constant-weight words (it takes any word to any other, so there is one
-orbit). Once the root's branch on v is done, v's whole orbit leaves the
-root's candidates. This is sound because those candidates are always a
-union of orbits: a clique among them that meets v's orbit is mapped by the
-group onto a clique of the same size through v, still among them, and v's
-branch has searched all of those. The first root branch is the unpruned
-one, so a run that stops inside it keeps its tree (and never computes the
-labels); only searches that come back to the root shrink, and a
-constant-weight search needs one root branch.
+orbit). When the loop pops back to depth 0, the root's branch on v is
+done, and v's whole orbit leaves the root's candidates. This is sound
+because those candidates are always a union of orbits: a clique among them
+that meets v's orbit is mapped by the group onto a clique of the same size
+through v, still among them, and v's branch has searched all of those. The
+first root branch is the unpruned one, so a run that stops inside it keeps
+its tree (and never computes the labels); only searches that come back to
+the root shrink, and a constant-weight search needs one root branch.
 
 The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
@@ -202,71 +203,64 @@ def _max_clique(
     """Largest clique among vertices 0..m-1 with the given conflict bitmasks
     (two vertices are adjacent when neither is in the other's mask).
 
-    ``orbit_masks()[v]`` is the bitmask of v's orbit under a group of
-    automorphisms of the graph. Once the root's branch on v is done, v's
-    whole orbit leaves the root's candidates, and the root's color order
-    drops it too: the root's candidates stay a union of orbits, so any
-    clique among them that meets v's orbit maps onto one through v, which
-    v's branch has covered. Below the root the search is unchanged. The
-    masks are asked for when the root first comes back, so a search that
-    stops inside its first branch never builds them.
+    One loop opens every node, the root as node 1: it pushes the parent's
+    candidates and color order, colors the new node's candidates, and
+    branches on them in descending color order. ``orbit_masks()[v]`` is the
+    bitmask of v's orbit under a group of automorphisms of the graph. When
+    the loop pops back to depth 0, the root's branch on v is done, and v's
+    whole orbit leaves the root's candidates and color order: the root's
+    candidates stay a union of orbits, so any clique among them that meets
+    v's orbit maps onto one through v, which v's branch has covered. Below
+    the root nothing is pruned. The masks are asked for on the first return
+    to the root, so a search that stops inside its first branch never
+    builds them.
 
     Returns (vertex indices in the order they were added, exhausted, nodes).
-    Every node opened counts, the root as node 1; past ``max_nodes`` nodes,
-    or past the deadline (read at nodes 1, 257, 513, ...), the best clique
-    found so far is returned with exhausted False.
+    Past ``max_nodes`` nodes, or past the deadline (read at nodes 1, 257,
+    513, ...), the best clique found so far is returned with exhausted False.
     """
-    m = len(conflicts)
     best = _greedy_clique(conflicts)
-    if not m:
-        return best, True, 0
-    nodes = 1
-    if nodes > max_nodes or time.monotonic() > deadline:
-        return best, False, nodes
-    root = (1 << m) - 1
-    root_order = _color_order(root, conflicts, len(best) + 1) if m > len(best) else []
     orbit: list[int] = []
-    while root_order and root_order[-1][0] > len(best):
-        branch = root_order.pop()[1]
-        root ^= 1 << branch
-        sub = root ^ (root & conflicts[branch])
-        current = [branch]
-        # the open node's candidates and color order are held in cand/order;
-        # each open ancestor's pair waits on the stack above a placeholder for
-        # the root's parent, so len(stack) == len(current) + 1. The root's
-        # own pair is root/root_order, so cand/order start empty in its place.
-        stack: list[tuple[int, list[tuple[int, int]]]] = [(0, [])]
-        cand, order = 0, []
-        while True:
+    nodes = 0
+    # the open node's candidates and color order are held in cand/order, and
+    # each open ancestor's pair waits on the stack above the empty pair the
+    # root pushed, so len(stack) == len(current) + 1 while a node is open
+    stack: list[tuple[int, list[tuple[int, int]]]] = []
+    current: list[int] = []
+    cand, order = 0, []
+    sub = (1 << len(conflicts)) - 1
+    while True:
+        if sub:
+            nodes += 1
+            if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
+                return best, False, nodes
+            stack.append((cand, order))
+            kmin = len(best) - len(current) + 1
+            # too few candidates to beat the incumbent: nothing to color
+            cand, order = sub, _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else []
+            sub = 0
+            continue
+        # every unprocessed candidate has color <= the last one, so the node
+        # cannot beat the incumbent once the check fails
+        if order and len(current) + order[-1][0] > len(best):
+            v = order.pop()[1]
+            cand ^= 1 << v
+            current.append(v)
+            sub = cand ^ (cand & conflicts[v])
             if sub:
-                nodes += 1
-                if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
-                    return best, False, nodes
-                stack.append((cand, order))
-                kmin = len(best) - len(current) + 1
-                # too few candidates to beat the incumbent: nothing to color
-                cand, order = sub, _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else []
-                sub = 0
-            # every unprocessed candidate has color <= the last one, so the
-            # node cannot beat the incumbent once the check fails
-            elif order and len(current) + order[-1][0] > len(best):
-                v = order.pop()[1]
-                cand ^= 1 << v
-                current.append(v)
-                sub = cand ^ (cand & conflicts[v])
-                if not sub:
-                    if len(current) > len(best):
-                        best = current.copy()
-                    current.pop()
-            elif current:
-                cand, order = stack.pop()
-                current.pop()
-            else:
-                break
-        orbit = orbit or orbit_masks()
-        root ^= root & orbit[branch]
-        root_order = [(k, u) for k, u in root_order if root >> u & 1]
-    return best, True, nodes
+                continue
+            if len(current) > len(best):
+                best = current.copy()
+        elif current:
+            cand, order = stack.pop()
+        else:
+            return best, True, nodes
+        # a leaf or a finished node: drop its vertex, and at depth 0 its orbit
+        v = current.pop()
+        if not current:
+            orbit = orbit or orbit_masks()
+            cand ^= cand & orbit[v]
+            order = [(k, u) for k, u in order if cand >> u & 1]
 
 
 def _conflict_masks(vectors: list, d: int) -> list[int]:

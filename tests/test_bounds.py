@@ -210,6 +210,8 @@ class TestRecursiveBound:
             recursive_bound(6, 4, 7, dv_bound(7, 4))  # m > n
         with pytest.raises(ValueError):
             recursive_bound(6, 4, 5, me_bound(5, 1))  # not applicable
+        with pytest.raises(ValueError, match="distance 0 outside valid range"):
+            recursive_bound(6, 0, 5, dv_bound(5, 4))  # d < 1, refused by subset_bound
 
     def test_dominance_over_direct_bounds(self):
         # lifting SP from any m never beats both direct bounds at n

@@ -58,6 +58,13 @@ class TestBound:
         }
         assert report["tight"] is False
 
+    def test_json_best_rule_is_the_winning_rule(self, capsys):
+        # distance 1 is rewritten as distance 2; the rewrite is not a rule
+        _, out, _ = run_cli(capsys, "bound", "5", "1", "--json")
+        best = json.loads(out)["best"]
+        assert best["rule"] == "DV"
+        assert best["derivation"] == ["d1-as-d2", "DV"]
+
     def test_cw_table_changes_odd_bound_trace(self, capsys, tmp_path):
         path = tmp_path / "cw.txt"
         path.write_text("20 8 5 16 exact\n", encoding="utf-8")

@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarray import search
@@ -20,7 +20,7 @@ from permarray.constructions import (
     indicator_vectors,
 )
 from permarray.exactmath import factorial
-from permarray.perm import Permutation, identity, iterate_all, weight
+from permarray.perm import Permutation, cycle_type, identity, iterate_all, weight
 from permarray.search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -388,6 +388,26 @@ class TestOrbitPruning:
             v = min(members)
             assert {image(v, s, s_inverse) for s, s_inverse in group} == members
 
+    def test_orbit_masks_are_built_on_the_first_return_to_the_root(self, monkeypatch):
+        calls = 0
+
+        def counting_cycle_type(p):
+            nonlocal calls
+            calls += 1
+            return cycle_type(p)
+
+        monkeypatch.setattr(search, "cycle_type", counting_cycle_type)
+        # all 700 nodes lie inside the first root branch
+        exact_p(6, 4, SearchLimits(max_nodes=700, max_seconds=None))
+        assert calls == 0
+        # the root comes back after its first branch: one label per vertex,
+        # once for the whole search, however often the root comes back
+        exact_p_cw(6, 4, 2)
+        assert calls == 15
+        calls = 0
+        exact_p_cw(6, 4, 6)
+        assert calls == 265
+
     def test_one_orbit_per_vertex_prunes_nothing(self, monkeypatch):
         # plain branch and bound takes 4 nodes on P(6,4,2), pruning 2
         assert _one_orbit_per_vertex(monkeypatch, exact_p_cw, 6, 4, 2).nodes == 4
@@ -556,12 +576,26 @@ def search_cases(draw):
     return adjacency, orbit, max_nodes
 
 
+def _childless_root_branch():
+    """A graph whose later root branch has no candidates below it: that
+    branch must still clear its orbit (the residue class mod 2) from the
+    root, or the search opens 3 nodes where the reference opens 2."""
+    edges = [(0, 2), (0, 7), (1, 3), (1, 6), (2, 3), (2, 4), (4, 6), (5, 8), (6, 7), (6, 8)]
+    adjacency = [0] * 9
+    for u, v in edges:
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    orbit = [sum(1 << u for u in range(v % 2, 9, 2)) for v in range(9)]
+    return adjacency, orbit, None
+
+
 class TestSearchTreeIdentity:
     """Highest index first on conflict masks over the reversed vertex list
     walks the same tree as lowest index first on neighbor masks."""
 
     @settings(deadline=None, max_examples=300)
     @given(search_cases())
+    @example(_childless_root_branch())
     def test_matches_the_neighbor_mask_search(self, case):
         adjacency, orbit, max_nodes = case
         m = len(adjacency)
