@@ -13,29 +13,59 @@ arrays matching the exact values the bounds module reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, cycle_type, distance_blocks, iterate_all, pairs_below
+from .perm import Permutation, cycle_type, distance_blocks, pairs_below
 
 
 class PermutationArray:
     """A set of distinct permutations of a common length, kept sorted in
-    lexicographic image order. The pairwise minimum distance is computed on
+    lexicographic image order, both as ``members`` (a tuple of
+    ``Permutation``) and as ``rows``, the read-only (m, n) integer matrix the
+    distance kernel reads. The pairwise minimum distance is computed on
     first request and cached; constructors never stamp a claimed distance
-    into the cache, so verification always measures."""
+    into the cache, so verification always measures.
 
-    def __init__(self, n: int, members: Iterable[Permutation]) -> None:
-        unique = sorted(set(members))
-        for p in unique:
-            if len(p) != n:
-                raise ValueError(f"member of length {len(p)} in an array on {n} points")
+    ``members`` may be any iterable of integer sequences. A member whose
+    length is not n raises ``ValueError``; otherwise the first member that
+    is no bijection on 0..n-1 raises the ``ValueError`` that ``Permutation``
+    gives for it. The check and the sort run on the whole matrix at once;
+    duplicates are dropped."""
+
+    def __init__(self, n: int, members: Iterable[Sequence[int]]) -> None:
+        members = list(members)
+        for length in map(len, members):
+            if length != n:
+                raise ValueError(f"member of length {length} in an array on {n} points")
+        rows = np.array(list(chain.from_iterable(members)))
+        if rows.dtype.kind not in "iu":
+            # floats, strings, bools, integers beyond int64, or no entries at
+            # all: Permutation judges each member as given
+            for p in members:
+                Permutation(p)
+            rows = rows.astype(np.int64)
+        rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
+        bad = (np.sort(rows, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
+        # the smallest signed dtype holding 0..n-1 sorts fastest
+        rows = rows.astype(np.min_scalar_type(-n))
+        if n > 0:  # lexsort needs a key; with none, every row is the empty one
+            rows = rows[np.lexsort(rows.T[::-1])]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         self.n = n
-        self.members: tuple[Permutation, ...] = tuple(unique)
+        self.rows = rows[keep]
+        self.rows.flags.writeable = False
+        # the rows are checked bijections, so skip Permutation's own check
+        self.members: tuple[Permutation, ...] = tuple(
+            map(partial(tuple.__new__, Permutation), self.rows.tolist()))
         self._min_distance: int | None = None
 
     def __len__(self) -> int:
@@ -64,7 +94,7 @@ class PermutationArray:
             raise ValueError("minimum distance needs at least two members")
         if self._min_distance is None:
             best = self.n
-            for start, _, block in distance_blocks(self.members, upper=True):
+            for start, _, block in distance_blocks(self.rows, upper=True):
                 # the block's own square holds each pair twice and the diagonal
                 # once; mask all but its strict upper triangle with a value no
                 # distance exceeds
@@ -137,7 +167,7 @@ def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
         for j in range(i * k, i * k + k - 1):
             images[j] = j + 1
         images[i * k + k - 1] = i * k
-        members.append(Permutation(images))
+        members.append(images)
     return PermutationArray(n, members)
 
 
@@ -202,7 +232,7 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         images = list(range(code.n))
         for idx, point in enumerate(word):
             images[point] = word[(idx + 1) % len(word)]
-        members.append(Permutation(images))
+        members.append(images)
     return PermutationArray(code.n, members)
 
 
@@ -231,21 +261,22 @@ def _is_prime_power(q: int) -> bool:
 def _cyclic(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    members = [Permutation((i + c) % n for i in range(n)) for c in range(n)]
+    members = [[(i + c) % n for i in range(n)] for c in range(n)]
     return PermutationArray(n, members)
 
 
 def _symmetric(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    return PermutationArray(n, iterate_all(n))
+    return PermutationArray(n, permutations(range(n)))
 
 
 def _alternating(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     # a permutation with c cycles is a product of n - c transpositions
-    return PermutationArray(n, (p for p in iterate_all(n) if (n - len(cycle_type(p))) % 2 == 0))
+    return PermutationArray(n, (p for p in permutations(range(n))
+                                if (n - len(cycle_type(p))) % 2 == 0))
 
 
 def _affine(p: int) -> PermutationArray:
@@ -255,7 +286,7 @@ def _affine(p: int) -> PermutationArray:
     if not _is_prime(p):
         raise ValueError(f"affine family needs a prime modulus: {p}")
     members = [
-        Permutation((a * x + b) % p for x in range(p))
+        [(a * x + b) % p for x in range(p)]
         for a in range(1, p)
         for b in range(p)
     ]
@@ -278,7 +309,7 @@ def _projective(p: int) -> PermutationArray:
     # inverse[0] is never used: the pole's image is overwritten with inf
     inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
     members = [
-        Permutation([(a * x + b) % p for x in range(p)] + [p])
+        [(a * x + b) % p for x in range(p)] + [p]
         for a in range(1, p)
         for b in range(p)
     ]
@@ -291,7 +322,7 @@ def _projective(p: int) -> PermutationArray:
                 images = [(a * x + b) * inverse[(x + d) % p] % p for x in range(p)]
                 images[pole] = p
                 images.append(a)
-                members.append(Permutation(images))
+                members.append(images)
     return PermutationArray(p + 1, members)
 
 

@@ -53,10 +53,15 @@ def ball_volume(n: int, r: int) -> int:
     """Return the number of permutations of n points within Hamming distance r
     of a fixed permutation: sum over i <= r of C(n, i) * D_i.
 
-    The radius must satisfy 0 <= r <= n.
+    The radius must satisfy 0 <= r <= n. Each binomial is stepped from the
+    last, C(n, i + 1) = C(n, i) * (n - i) / (i + 1), which divides exactly.
     """
     if n < 0:
         raise ValueError(f"ball volume undefined for negative n: {n}")
     if r < 0 or r > n:
         raise ValueError(f"radius {r} outside valid range 0..{n}")
-    return sum(binomial(n, i) * d_i for i, d_i in zip(range(r + 1), _derangements()))
+    total, choose = 0, 1
+    for i, d_i in zip(range(r + 1), _derangements()):
+        total += choose * d_i
+        choose = choose * (n - i) // (i + 1)
+    return total

@@ -21,6 +21,7 @@ than trust it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .constructions import BinaryCwCode, PermutationArray
@@ -102,40 +103,58 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _ints(lineno: int, line: str) -> list[int]:
+    try:
+        return list(map(int, line.split(",")))
+    except ValueError as exc:
+        raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
+
+
 def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     """Parse format text into its header and payload, validating the member
     count and (for permutations) bijectivity. The claimed distance is parsed
-    but not checked here."""
+    but not checked here.
+
+    The body is parsed in one pass over all its entries; a permutation body
+    goes to ``PermutationArray`` as one batch of rows, which checks them all
+    at once. Errors come in line order: the first non-integer entry, then
+    the member count, then the first line that is not a bijection on its
+    own entries or does not have n of them."""
     lines = _content_lines(text)
     if not lines:
         raise PaFormatError("empty file")
     header = _parse_header(lines[0][1], lines[0][0])
-    rows: list[tuple[int, ...]] = []
-    for lineno, line in lines[1:]:
+    body = lines[1:]
+    try:
+        values = list(map(int, ",".join(line for _, line in body).split(",")))
+    except ValueError:
+        # line by line, to name the first line at fault (an empty body lands here too)
+        values = [v for lineno, line in body for v in _ints(lineno, line)]
+    if len(body) != header.count:
+        raise PaFormatError(f"header promises {header.count} members, found {len(body)}")
+    widths = [line.count(",") + 1 for _, line in body]
+    if header.kind == "cw":
+        entries = iter(values)
+        words = tuple(tuple(islice(entries, width)) for width in widths)
         try:
-            rows.append(tuple(int(v) for v in line.split(",")))
-        except ValueError as exc:
-            raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
-    if len(rows) != header.count:
-        raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
-    if header.kind == "pa":
-        members = []
-        for row in rows:
-            try:
-                members.append(Permutation(row))
-            except ValueError as exc:
-                raise PaFormatError(str(exc)) from exc
-            if len(row) != header.n:
-                raise PaFormatError(f"member {row!r} does not have length {header.n}")
-        payload: PermutationArray | BinaryCwCode = PermutationArray(header.n, members)
-        if len(payload) != header.count:
-            raise PaFormatError("duplicate members in body")
-    else:
-        try:
-            payload = BinaryCwCode(header.n, header.w, tuple(rows), header.d)
+            return header, BinaryCwCode(header.n, header.w, words, header.d)
         except ValueError as exc:
             raise PaFormatError(str(exc)) from exc
-    return header, payload
+    n = header.n
+    # the lines before the first one of the wrong width hold n entries each
+    k = next((i for i, width in enumerate(widths) if width != n), len(widths))
+    misfit = tuple(values[k * n:k * n + widths[k]]) if k < len(widths) else None
+    try:
+        array = PermutationArray(n, zip(*[iter(values[:k * n])] * n))
+        if misfit is not None:
+            Permutation(misfit)  # a non-bijection reports that before its length
+    except ValueError as exc:
+        raise PaFormatError(str(exc)) from exc
+    if misfit is not None:
+        raise PaFormatError(f"member {misfit!r} does not have length {n}")
+    if len(array) != header.count:
+        raise PaFormatError("duplicate members in body")
+    return header, array
 
 
 def load(path: str | Path) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:

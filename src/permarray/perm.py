@@ -1,7 +1,8 @@
 """Permutations of {0..n-1} as image tuples, with the Hamming metric and
 fixed-order enumeration streams, and ``distance_blocks``, the one bulk
 distance kernel, which walks all pairwise distances in row blocks of bounded
-size.
+size. The kernel reads any (m, n) integer matrix or sequence of equal-length
+vectors; ``PermutationArray.rows`` is the matrix it reads for arrays.
 
 The distance between two permutations is the number of positions where their
 images differ; the weight of a permutation is its distance from the identity,
@@ -21,15 +22,22 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# distances per block in distance_blocks; 256 KiB to 1 MiB ran fastest
-_BLOCK_BYTES = 1 << 20
+# Distances per block in distance_blocks. Smaller blocks follow the upper
+# triangle more closely: on 1,320 rows they compute 1.00 M distances at
+# 256 KiB against 1.32 M at 1 MiB. Medians of 12 interleaved runs on a 2-core
+# Xeon, 1 MiB -> 256 KiB: pairs_below on pgl2 11 14.1 -> 9.8 ms, S_7 at d = 3
+# 101 -> 97 ms, P(7,4) conflict masks 76 -> 70 ms, P(6,4) masks 3.3 -> 2.9 ms.
+_BLOCK_BYTES = 1 << 18
 
 
 class Permutation(tuple):
     """A bijection on {0..n-1} stored as its tuple of images.
 
     Ordering and hashing are inherited from ``tuple``, so sorting a collection
-    of permutations sorts lexicographically on images.
+    of permutations sorts lexicographically on images. The constructor checks
+    one member at a time; ``PermutationArray`` checks a whole array as one
+    matrix and calls this constructor only on the first bad row, so the
+    message below is the one definition of a non-bijection's error.
     """
 
     __slots__ = ()
@@ -162,16 +170,20 @@ def distance_blocks(
     first row's column, which covers every pair i <= j once at half the work.
     A block holds about ``_BLOCK_BYTES`` distances, so memory stays bounded
     whatever the number of vectors; each block is a fresh array of the
-    smallest unsigned dtype that holds the vector length.
+    smallest unsigned dtype that holds the vector length. ``vectors`` may be
+    an (m, n) integer matrix or a sequence of equal-length integer vectors.
     """
     m = len(vectors)
     if m == 0:
         return
-    arr = np.asarray(vectors, dtype=np.int16)
+    arr = np.asarray(vectors)
     if arr.ndim != 2:
         raise ValueError("vectors must share a common length")
     n = arr.shape[1]
-    columns = np.ascontiguousarray(arr.T)
+    # int16 columns compare up to twice as fast as int64; wider values keep
+    # their own dtype, since a narrowed copy could make unequal entries equal
+    narrow = not arr.size or (arr.min() >= -(1 << 15) and arr.max() < 1 << 15)
+    columns = np.ascontiguousarray(arr.T, dtype=np.int16 if narrow else arr.dtype)
     count = np.min_scalar_type(n)
     rows = max(1, _BLOCK_BYTES // m)
     for start in range(0, m, rows):

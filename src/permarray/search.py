@@ -381,4 +381,4 @@ def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permut
     """All member pairs at distance below d, in row-major pair order; an empty
     list means the array verifies at distance d."""
     members = array.members
-    return [(members[i], members[j], dist) for i, j, dist in pairs_below(members, d)]
+    return [(members[i], members[j], dist) for i, j, dist in pairs_below(array.rows, d)]

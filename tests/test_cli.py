@@ -293,6 +293,21 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2\n0,0,2\n", "not a bijection on 0..2: (0, 0, 2)"),
+            ("0,1,2\n1,0\n", "member (1, 0) does not have length 3"),
+            ("0,1,2\n0,1,x\n", "line 3: non-integer entry in '0,1,x'"),
+            ("0,1,2\n0,1,2\n", "duplicate members in body"),
+        ],
+    )
+    def test_bad_file_message(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.pa"
+        path.write_text("pa n=3 d=2 w=- count=2\n" + body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"permarray: error: {message}\n")
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -4,6 +4,8 @@ and the group families that meet the quotient bound."""
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permarray.bounds import dv_bound
 from permarray.constructions import (
@@ -51,6 +53,28 @@ def reference_projective(p):
         img.append(p if c == 0 else a * pow(c, p - 2, p) % p)
         images.add(tuple(img))
     return PermutationArray(p + 1, (Permutation(t) for t in images))
+
+
+def _permutation_error(images):
+    """The message Permutation gives for images that are no bijection."""
+    with pytest.raises(ValueError) as excinfo:
+        Permutation(images)
+    return str(excinfo.value)
+
+
+@st.composite
+def member_lists(draw):
+    """Permutations of n points, with repeats, as tuples, lists or
+    Permutations, in any order."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 12]))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=12))
+    kind = draw(st.sampled_from([tuple, list, Permutation]))
+    return n, [kind(p) for p in draw(st.lists(st.sampled_from(pool), max_size=30))]
+
+
+# entries that break a row: in or out of range, a float, an integer too
+# wide for int64, a string
+_BAD_ENTRIES = st.one_of(st.integers(-2, 9), st.sampled_from([1.0, 2.5, 2**63, 2**70, "1"]))
 
 
 def _relabelled(array, sigma):
@@ -110,8 +134,67 @@ class TestPermutationArray:
             PermutationArray(3, [identity(3)]).min_distance()
 
     def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^member of length 4 in an array on 3 points$"):
             PermutationArray(3, [identity(3), identity(4)])
+        with pytest.raises(ValueError, match="^member of length 2 in an array on 3 points$"):
+            PermutationArray(3, [(0, 1, 2), (1, 0)])
+
+    def test_degenerate_lengths(self):
+        assert PermutationArray(0, [(), ()]).members == ((),)
+        assert PermutationArray(0, []).rows.shape == (0, 0)
+        assert len(PermutationArray(-1, [])) == 0
+
+    @pytest.mark.parametrize(
+        "members, bad",
+        [
+            ([(0, 0, 0), (1, 1, 1)], (0, 0, 0)),
+            ([(0, 1, 2), (0, 1, 2.0)], (0, 1, 2.0)),
+            ([(2, 1, 0), (1, 2, 3)], (1, 2, 3)),
+            ([(2, 1, 0), (-1, 0, 1)], (-1, 0, 1)),
+            ([(0, 1, 2), (0, 1, 2**70)], (0, 1, 2**70)),
+            ([(0, 1, 2**63)], (0, 1, 2**63)),
+            ([(0, 1, 2), (0, 1, "2")], (0, 1, "2")),
+        ],
+        ids=["repeats", "float", "too-large", "negative", "beyond-int64", "uint64", "string"],
+    )
+    def test_rejects_non_permutations(self, members, bad):
+        # (0,0,0), (1,1,1) used to be accepted and then verify at distance 3
+        with pytest.raises(ValueError) as excinfo:
+            PermutationArray(3, members)
+        assert str(excinfo.value) == _permutation_error(bad)
+
+    @settings(deadline=None)
+    @given(member_lists())
+    def test_matches_sorted_set_of_permutations(self, case):
+        n, members = case
+        array = PermutationArray(n, members)
+        expected = tuple(sorted(set(map(Permutation, members))))
+        assert array.members == expected
+        assert all(type(p) is Permutation for p in array.members)
+        assert array.rows.shape == (len(expected), n)
+        assert array.rows.tolist() == [list(p) for p in expected]
+        assert not array.rows.flags.writeable
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_first_bad_member_raises_its_permutation_error(self, data):
+        n = data.draw(st.integers(1, 6))
+        members = [list(p) for p in data.draw(
+            st.lists(st.permutations(range(n)), min_size=1, max_size=10))]
+        for i in data.draw(st.lists(st.integers(0, len(members) - 1), min_size=1, max_size=3)):
+            members[i][data.draw(st.integers(0, n - 1))] = data.draw(_BAD_ENTRIES)
+        errors = []
+        for p in members:
+            try:
+                Permutation(p)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if not errors:
+            assert len(PermutationArray(n, members)) == len(set(map(tuple, members)))
+            return
+        with pytest.raises(ValueError) as excinfo:
+            PermutationArray(n, members)
+        assert str(excinfo.value) == errors[0]
 
     def test_equality(self):
         members = [identity(3), Permutation((1, 2, 0))]

@@ -112,6 +112,15 @@ def test_ball_volume_monotone_in_radius():
             assert volumes[r] > volumes[r - 1]
 
 
+def test_ball_volume_matches_binomial_sums():
+    derangements = [derangement_count(k) for k in range(201)]
+    for n in range(201):
+        volume = 0
+        for r in range(n + 1):
+            volume += math.comb(n, r) * derangements[r]
+            assert ball_volume(n, r) == volume
+
+
 def test_ball_volume_rejects_bad_radius():
     with pytest.raises(ValueError):
         ball_volume(5, 6)

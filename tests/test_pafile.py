@@ -1,11 +1,17 @@
 """Interchange format: round-trips, header parsing, and rejection of
 malformed or inconsistent files."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
 from permarray.pafile import (
     PaFormatError,
+    _content_lines,
+    _parse_header,
     dump_cw,
     dump_pa,
     load,
@@ -14,6 +20,92 @@ from permarray.pafile import (
     write_pa,
 )
 from permarray.perm import Permutation, identity
+
+
+def reference_loads(text):
+    """The loader as it was before bulk parsing: each line parsed on its own,
+    and each permutation row checked as a Permutation, then for length."""
+    lines = _content_lines(text)
+    if not lines:
+        raise PaFormatError("empty file")
+    header = _parse_header(lines[0][1], lines[0][0])
+    rows = []
+    for lineno, line in lines[1:]:
+        try:
+            rows.append(tuple(int(v) for v in line.split(",")))
+        except ValueError as exc:
+            raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
+    if len(rows) != header.count:
+        raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
+    if header.kind == "pa":
+        members = []
+        for row in rows:
+            try:
+                members.append(Permutation(row))
+            except ValueError as exc:
+                raise PaFormatError(str(exc)) from exc
+            if len(row) != header.n:
+                raise PaFormatError(f"member {row!r} does not have length {header.n}")
+        payload = PermutationArray(header.n, members)
+        if len(payload) != header.count:
+            raise PaFormatError("duplicate members in body")
+    else:
+        try:
+            payload = BinaryCwCode(header.n, header.w, tuple(rows), header.d)
+        except ValueError as exc:
+            raise PaFormatError(str(exc)) from exc
+    return header, payload
+
+
+FAULTS = ("non-integer", "wrong-length", "non-bijection", "out-of-range", "duplicate",
+          "count", "misaligned")
+
+
+@st.composite
+def format_texts(draw):
+    """A valid pa or cw file with up to three faults injected, written with
+    random spaces around entries, comments and blank lines."""
+    kind = draw(st.sampled_from(["pa", "cw"]))
+    n = draw(st.integers(1, 7))
+    if kind == "pa":
+        w = None
+        pool = st.permutations(range(n))
+    else:
+        w = draw(st.integers(0, n))
+        pool = st.sampled_from(list(combinations(range(n), w)))
+    rows = [list(r) for r in draw(st.lists(pool, min_size=1, max_size=10, unique_by=tuple))]
+    count = len(rows)
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if fault == "non-integer" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["x", "", "1.5", "0x1"]))
+        elif fault == "wrong-length":
+            # dropping the largest entry or appending the length keeps a
+            # permutation a bijection on its own entries
+            if row and draw(st.booleans()):
+                row.remove(max(row, key=lambda v: (isinstance(v, int), v)))
+            else:
+                row.append(len(row))
+        elif fault == "non-bijection" and len(row) >= 2:
+            row[0], row[1] = row[1], row[1]
+        elif fault == "out-of-range" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([-1, n, n + 3, 2**70]))
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), row.copy())
+            count += 1
+        elif fault == "count":
+            count += draw(st.sampled_from([-1, 1]))
+        elif fault == "misaligned" and i + 1 < len(rows) and row:
+            rows[i + 1].insert(0, row.pop())
+    text = [f"{kind} n={n} d=2 w={'-' if w is None else w} count={count}"]
+    for row in rows:
+        if draw(st.booleans()):
+            text.append(draw(st.sampled_from(["", "   ", "# a comment"])))
+        entries = [draw(st.sampled_from(["", " "])) + str(v) + draw(st.sampled_from(["", " "]))
+                   for v in row]
+        text.append(",".join(entries) + draw(st.sampled_from(["", " # trailing"])))
+    return "\n".join(text) + "\n"
 
 
 class TestRoundTrips:
@@ -64,6 +156,42 @@ class TestRoundTrips:
         )
         _, array = loads(text)
         assert len(array) == 2
+
+
+class TestAgainstReference:
+    @settings(deadline=None, max_examples=400)
+    @given(format_texts())
+    def test_matches_the_per_row_loader(self, text):
+        try:
+            expected = reference_loads(text)
+        except PaFormatError as exc:
+            with pytest.raises(PaFormatError) as excinfo:
+                loads(text)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert loads(text) == expected
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # the first non-integer entry wins over an earlier wrong length
+            ("0,1\n0,1,2\n0,x,2\n", "line 4: non-integer entry in '0,x,2'"),
+            # a bijection error on a line comes before its wrong length
+            ("0,1,2\n1,1\n2,1,0\n", "not a bijection on 0..1: (1, 1)"),
+            ("0,1,2\n1,0\n2,1,0\n", "member (1, 0) does not have length 3"),
+            # an earlier non-bijection wins over a later wrong length
+            ("0,2,2\n1,0\n2,1,0\n", "not a bijection on 0..2: (0, 2, 2)"),
+            # the right number of entries in total, split across lines wrongly
+            ("0,1,0\n1\n2,1,0\n", "not a bijection on 0..2: (0, 1, 0)"),
+            ("0,1,2,3\n0,2\n2,1,0\n", "member (0, 1, 2, 3) does not have length 3"),
+        ],
+    )
+    def test_error_precedence(self, body, message):
+        text = "pa n=3 d=2 w=- count=3\n" + body
+        for loader in (loads, reference_loads):
+            with pytest.raises(PaFormatError) as excinfo:
+                loader(text)
+            assert str(excinfo.value) == message
 
 
 class TestRejections:

@@ -275,3 +275,13 @@ class TestDistanceBlocks:
         assert array.min_distance() == 2
         assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
         assert pairs_below(vectors, 3) == [(0, 2, 2)]
+
+    def test_entries_beyond_int16_are_compared_exactly(self):
+        # 0 and 65536 are equal in 16 bits, so a narrowed copy would see one
+        # agreement too many
+        n = 70_000
+        swapped = list(range(n))
+        swapped[0], swapped[65536] = 65536, 0
+        array = PermutationArray(n, [identity(n), swapped])
+        assert array.min_distance() == 2
+        assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
