@@ -239,6 +239,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "status": outcome.status,
             "value": outcome.value,
             "nodes": outcome.nodes,
+            "pruned": list(outcome.pruned),
             "witness_size": len(witness),
             "out": args.out,
         }

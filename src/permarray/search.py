@@ -3,13 +3,14 @@ codes, via branch-and-bound maximum-clique search.
 
 Each oracle counts its vertices in closed form, then hands one pipeline,
 ``_solve``, the stream of eligible objects in their fixed enumeration order
-(see ``perm``) and an orbit label for each: two vertices are adjacent when
-their distance clears the target. If the budget, or the memory the conflict
-bitsets would take, rules out a real search, the vertices are never listed:
-the "lower-bound-only" witness is the lowest-index greedy clique, read from
-the stream in blocks. Otherwise the same
-greedy clique seeds a search that keeps each open node's candidates and color
-order on an explicit stack instead of recursing; one loop opens and branches
+(see ``perm``) and a group of maps that keep their distances: two vertices
+are adjacent when their distance clears the target. If the budget, or the
+memory the conflict bitsets would take, rules out a real search, the
+vertices are never listed: the "lower-bound-only" witness is the
+lowest-index greedy clique, read from the stream in blocks. Otherwise the
+same greedy clique seeds a search that keeps each open node's candidates
+and color order (packed as ``color << 17 | vertex`` in an ``array("q")``)
+on an explicit stack instead of recursing; one loop opens and branches
 every node, the root as node 1. At every node the candidates get the
 first-fit coloring in index order (classes with no internal edge; a
 clique takes at most one vertex per class), built one class at a time on
@@ -35,19 +36,26 @@ shrink to their highest set bit, so clearing from the top makes each ``&``
 and ``^`` cheaper as a class fills, and no operand is negative (a negative
 int costs a two's-complement pass per operation).
 
-The root prunes whole orbits. A label names the vertex's orbit under a group
-of distance-preserving maps of the vertex set onto itself: conjugation by
-S_n for permutations (it fixes the identity and keeps weights and
-distances; its orbits are the cycle types), and S_n permuting coordinates
-for constant-weight words (it takes any word to any other, so there is one
-orbit). When the loop pops back to depth 0, the root's branch on v is
-done, and v's whole orbit leaves the root's candidates. This is sound
-because those candidates are always a union of orbits: a clique among them
-that meets v's orbit is mapped by the group onto a clique of the same size
-through v, still among them, and v's branch has searched all of those. The
-first root branch is the unpruned one, so a run that stops inside it keeps
-its tree (and never computes the labels); only searches that come back to
-the root shrink, and a constant-weight search needs one root branch.
+Every node prunes whole orbits, in the spirit of orbital branching
+(Ostrowski et al. 2011). The group is one of distance-preserving maps of
+the vertex set onto itself: for permutations, x -> g x g^-1 and
+x -> g x^-1 g^-1 for g in S_n (they fix the identity and keep weights and
+distances; the whole group's orbits are the cycle types), and for
+constant-weight words, S_n permuting coordinates (it takes any word to any
+other, so the root has one orbit). When the loop returns to a node whose
+clique is C, the node's branch on v is done, and v's orbit under the
+pointwise stabiliser of C leaves the node's candidates; the root is the
+case C = {} (for full arrays, C = {identity}). This is sound because a
+node's candidates are always a union of its stabiliser's orbits: a clique
+among them that meets v's orbit is mapped by the stabiliser onto a clique
+of the same size through v, still among them, which v's branch has
+searched. Each stabiliser is worked out on the first return to its node,
+so a node's first branch is always unpruned, a run that stops before
+returning to a node never computes its group, and once a stabiliser is
+trivial the nodes below it cost nothing extra. S_n is listed as a matrix
+up to 8 points; past that, only the whole group's orbits are used. A
+constant-weight search needs one root branch; the stabiliser of its words
+is the Young subgroup of the atoms their supports cut the coordinates into.
 
 The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
@@ -62,9 +70,12 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from array import array
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import cache, cached_property
+from itertools import combinations, islice, permutations
+from typing import Protocol
 
 import numpy as np
 
@@ -84,6 +95,10 @@ from .perm import (
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower-bound-only"
 STATUS_INCOMPLETE = "incomplete"
+
+# A color-order code is color << 17 | vertex; the adjacency gate keeps both
+# below 2^17
+_VERTEX = (1 << 17) - 1
 
 # Largest set of conflict masks, in bytes of conflict bits, that a search may
 # build: S_8 (40,320 vertices, about 203 MB) fits, S_9 (about 16.5 GB) does not.
@@ -113,6 +128,7 @@ class SearchOutcome:
     status: str
     witness: PermutationArray | BinaryCwCode
     nodes: int = 0
+    pruned: tuple[int, ...] = ()
 
     @property
     def value(self) -> int:
@@ -166,18 +182,19 @@ def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -
     return kept
 
 
-def _color_order(cand: int, conflicts: list[int], kmin: int) -> list[tuple[int, int]]:
+def _color_order(cand: int, conflicts: list[int], kmin: int) -> array:
     """Greedy first-fit coloring of the candidate set in descending index
     order, built one class at a time: each class takes the highest remaining
     vertex, keeps only the vertices in conflict with it, and repeats until
     nothing is left to add.
 
-    Returns (color, vertex) pairs in the order colored, colors ascending and
-    vertices descending within a class, leaving out vertices whose color is
-    below ``kmin`` (their classes are still built, so later colors are
-    unchanged); the color of a vertex bounds any clique drawn from it and
-    the vertices colored before it."""
-    order: list[tuple[int, int]] = []
+    Returns the codes ``color << 17 | vertex`` in the order colored, colors
+    ascending and vertices descending within a class, leaving out vertices
+    whose color is below ``kmin`` (their classes are still built, so later
+    colors are unchanged); the color of a vertex bounds any clique drawn
+    from it and the vertices colored before it. The adjacency gate keeps
+    every vertex, and so every color, below 2^17."""
+    order = array("q")
     k = 0
     while cand and k + 1 < kmin:
         k += 1
@@ -188,62 +205,76 @@ def _color_order(cand: int, conflicts: list[int], kmin: int) -> list[tuple[int, 
             q &= conflicts[v]
     while cand:
         k += 1
+        color = k << 17
         q = cand
         while q:
             v = q.bit_length() - 1
             cand ^= 1 << v
             q &= conflicts[v]
-            order.append((k, v))
+            order.append(color | v)
     return order
 
 
 def _max_clique(
-    conflicts: list[int], orbit_masks: Callable[[], list[int]], max_nodes: float, deadline: float
-) -> tuple[list[int], bool, int]:
+    conflicts: list[int], group: _Symmetry, max_nodes: float, deadline: float
+) -> tuple[list[int], bool, int, tuple[int, ...]]:
     """Largest clique among vertices 0..m-1 with the given conflict bitmasks
     (two vertices are adjacent when neither is in the other's mask).
 
     One loop opens every node, the root as node 1: it pushes the parent's
     candidates and color order, colors the new node's candidates, and
-    branches on them in descending color order. ``orbit_masks()[v]`` is the
-    bitmask of v's orbit under a group of automorphisms of the graph. When
-    the loop pops back to depth 0, the root's branch on v is done, and v's
-    whole orbit leaves the root's candidates and color order: the root's
-    candidates stay a union of orbits, so any clique among them that meets
-    v's orbit maps onto one through v, which v's branch has covered. Below
-    the root nothing is pruned. The masks are asked for on the first return
-    to the root, so a search that stops inside its first branch never
-    builds them.
+    branches on them in descending color order. ``group`` is a group of
+    automorphisms of the graph. When the loop returns to a node whose
+    clique is C, that node's branch on v is done, and the orbit of v under
+    the pointwise stabiliser of C leaves the node's candidates and color
+    order. The node's candidates stay a union of those orbits, so any clique
+    among them that meets v's orbit maps onto one through v, which v's
+    branch has covered; a child's candidates, the parent's that avoid v's
+    conflicts, are then a union of orbits of the smaller stabiliser that
+    also fixes v. Each open node's stabiliser waits on a stack beside the
+    node and is worked out on the first return to the node, from the
+    nearest ancestor's; a search that stops before it returns to a node
+    never computes that node's group. Once a stabiliser is trivial, every
+    node below it costs O(1) and asks the group nothing.
 
-    Returns (vertex indices in the order they were added, exhausted, nodes).
-    Past ``max_nodes`` nodes, or past the deadline (read at nodes 1, 257,
-    513, ...), the best clique found so far is returned with exhausted False.
+    Returns (vertex indices in the order they were added, exhausted, nodes,
+    pruned), where ``pruned[k]`` counts the vertices that orbits removed
+    from nodes whose clique has k vertices. Past ``max_nodes`` nodes, or
+    past the deadline (read at nodes 1, 257, 513, ...), the best clique
+    found so far is returned with exhausted False.
     """
     best = _greedy_clique(conflicts)
-    orbit: list[int] = []
     nodes = 0
+    pruned: list[int] = []
     # the open node's candidates and color order are held in cand/order, and
     # each open ancestor's pair waits on the stack above the empty pair the
-    # root pushed, so len(stack) == len(current) + 1 while a node is open
-    stack: list[tuple[int, list[tuple[int, int]]]] = []
+    # root pushed, so len(stack) == len(current) + 1 while a node is open;
+    # stabs[k] is the stabiliser of the open node at depth k, and the list
+    # stops short at nodes not yet returned to and at ``trivial``, the depth
+    # of the first trivial stabiliser on the path (``never`` if none is
+    # known), below which every stabiliser is trivial
+    stack: list[tuple[int, array]] = []
+    stabs: list = []
+    never = trivial = len(conflicts) + 1
     current: list[int] = []
-    cand, order = 0, []
+    cand, order = 0, array("q")
     sub = (1 << len(conflicts)) - 1
     while True:
         if sub:
             nodes += 1
             if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
-                return best, False, nodes
+                return best, False, nodes, tuple(pruned)
             stack.append((cand, order))
             kmin = len(best) - len(current) + 1
             # too few candidates to beat the incumbent: nothing to color
-            cand, order = sub, _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else []
+            cand = sub
+            order = _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else array("q")
             sub = 0
             continue
         # every unprocessed candidate has color <= the last one, so the node
         # cannot beat the incumbent once the check fails
-        if order and len(current) + order[-1][0] > len(best):
-            v = order.pop()[1]
+        if order and len(current) + (order[-1] >> 17) > len(best):
+            v = order.pop() & _VERTEX
             cand ^= 1 << v
             current.append(v)
             sub = cand ^ (cand & conflicts[v])
@@ -254,16 +285,30 @@ def _max_clique(
         elif current:
             cand, order = stack.pop()
         else:
-            return best, True, nodes
-        # a leaf or a finished node: drop its vertex, and at depth 0 its orbit
+            return best, True, nodes, tuple(pruned)
+        # a leaf or a finished node: back at its parent, drop its vertex's orbit
         v = current.pop()
-        if not current:
-            orbit = orbit or orbit_masks()
-            cand ^= cand & orbit[v]
-            order = [(k, u) for k, u in order if cand >> u & 1]
+        depth = len(current)
+        if depth < trivial:
+            # any trivial stabiliser on the path was deeper, at a closed node
+            trivial = never
+            del stabs[depth + 1:]
+            while len(stabs) <= depth:
+                stab = group.fix(stabs[-1], current[len(stabs) - 1]) if stabs else group.whole()
+                if stab is None:
+                    trivial = len(stabs)
+                    break
+                stabs.append(stab)
+            else:
+                gone = cand & group.orbit(stabs[depth], v)
+                if gone:
+                    cand ^= gone
+                    pruned.extend([0] * (depth + 1 - len(pruned)))
+                    pruned[depth] += gone.bit_count()
+                    order = array("q", [c for c in order if cand >> (c & _VERTEX) & 1])
 
 
-def _conflict_masks(vectors: list, d: int) -> list[int]:
+def _conflict_masks(vectors: Sequence[Sequence[int]] | np.ndarray, d: int) -> list[int]:
     """Conflict bitmasks for "coordinate-wise distance >= d" on equal-length
     integer vectors: bit u of v's mask is set when u != v and the two are at
     distance < d, so no clique holds both."""
@@ -286,40 +331,171 @@ def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     return limits.max_seconds is not None and limits.max_seconds <= 0
 
 
+def _mask(bits: np.ndarray) -> int:
+    """The bitmask with bit i set where ``bits[i]`` is true."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+class _Symmetry(Protocol):
+    """A group of distance-preserving maps of a vertex set onto itself, and
+    its subgroups, for ``_max_clique``. A group is whatever object the
+    implementation chooses, or None for the trivial group, below which the
+    search asks nothing more; ``fix`` may return any subgroup of the
+    stabiliser, since the trivial one is always sound."""
+
+    def whole(self) -> object | None:
+        """The whole group."""
+
+    def fix(self, group: object, v: int) -> object | None:
+        """The subgroup of ``group`` that fixes vertex v."""
+
+    def orbit(self, group: object, v: int) -> int:
+        """The bitmask of v's orbit under ``group``."""
+
+
+# S_n is listed as an (n!, n) matrix up to n = 8 (40,320 rows, 2.6 MB)
+_LISTED_DEGREE = 8
+
+
+@cache
+def _symmetric_group(n: int) -> np.ndarray:
+    """The permutations of n <= ``_LISTED_DEGREE`` points as the rows of a
+    read-only matrix, listed once per n, since searches with node caps may
+    otherwise spend a large share of their time listing them."""
+    g = np.array(list(permutations(range(n))), dtype=np.intp)
+    g.flags.writeable = False
+    return g
+
+
+class _Conjugation:
+    """The maps x -> g x g^-1 and x -> g x^-1 g^-1 of S_n, on a vertex set of
+    permutations that is closed under them (every set of the permutations of
+    given weights is): they keep weights and distances and fix the identity.
+    A group is the pair of (k, n) matrices that list its g of each kind;
+    when every vertex is an involution, inversion acts as the identity and
+    the second kind is left out. A vertex's images are found by integer
+    code, the base-n number its images spell."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def whole(self) -> object | None:
+        m, n = self.rows.shape
+        g = _symmetric_group(n)
+        involutions = (self.rows[np.arange(m)[:, None], self.rows] == np.arange(n)).all()
+        return self._group(g, g[:0] if involutions else g)
+
+    def fix(self, group: object, v: int) -> object | None:
+        x = self.rows[v]
+        plain, flipped = group
+        # g x g^-1 = x when g x = x g, and g x^-1 g^-1 = x when g x^-1 = x g
+        return self._group(plain[(plain[:, x] == x[plain]).all(axis=1)],
+                           flipped[(flipped[:, np.argsort(x)] == x[flipped]).all(axis=1)])
+
+    def orbit(self, group: object, v: int) -> int:
+        power, sorter, codes = self._lookup
+        x = self.rows[v]
+        # the image y = g x g^-1 has y[g[j]] = g[x[j]], so its code is the
+        # sum over j of g[x[j]] * n^g[j]; likewise with x^-1 for flipped g
+        images = [(g[:, p] * power[g]).sum(axis=1) for g, p in zip(group, (x, np.argsort(x)))]
+        bits = np.zeros(len(self.rows), dtype=bool)
+        bits[sorter[np.searchsorted(codes, np.concatenate(images))]] = True
+        return _mask(bits)
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The powers of n, and the vertex codes' sorting order and values."""
+        power = self.rows.shape[1] ** np.arange(self.rows.shape[1])
+        codes = self.rows @ power
+        sorter = np.argsort(codes)
+        return power, sorter, codes[sorter]
+
+    @staticmethod
+    def _group(plain: np.ndarray, flipped: np.ndarray) -> object | None:
+        return None if len(plain) + len(flipped) <= 1 else (plain, flipped)
+
+
+class _CycleTypes:
+    """Conjugation on permutations of more than ``_LISTED_DEGREE`` points,
+    whose S_n is too big to list: the whole group's orbits are the cycle
+    types, and no stabiliser below it is kept."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def whole(self) -> object | None:
+        labels: dict[tuple[int, ...], int] = {}
+        return np.array([labels.setdefault(cycle_type(x), len(labels)) for x in self.rows.tolist()])
+
+    def fix(self, group: object, v: int) -> object | None:
+        return None
+
+    def orbit(self, group: object, v: int) -> int:
+        return _mask(group == group[v])
+
+
+def _conjugation(n: int) -> Callable[[np.ndarray], _Symmetry]:
+    """The conjugation group of permutations of n points."""
+    return _Conjugation if n <= _LISTED_DEGREE else _CycleTypes
+
+
+class _Young:
+    """Coordinate permutations acting on 0/1 words of one weight. The words
+    a permutation fixes are those whose supports it maps onto themselves, so
+    the pointwise stabiliser of a set of words is the Young subgroup of the
+    atoms their supports cut the coordinates into, and a word's orbit under
+    it is every word with the same number of ones in each atom. A group is
+    (atom of each coordinate, each word's count of ones per atom)."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def whole(self) -> object | None:
+        return self._group(np.zeros(self.rows.shape[1], dtype=np.intp))
+
+    def fix(self, group: object, v: int) -> object | None:
+        _, atoms = np.unique(group[0] * 2 + self.rows[v], return_inverse=True)
+        return self._group(atoms)
+
+    def orbit(self, group: object, v: int) -> int:
+        counts = group[1]
+        return _mask((counts == counts[v]).all(axis=1))
+
+    def _group(self, atoms: np.ndarray) -> object | None:
+        k = atoms.max(initial=-1) + 1
+        if k == len(atoms):  # every atom is one coordinate
+            return None
+        return atoms, self.rows @ (atoms[:, None] == np.arange(k))
+
+
 def _solve(
     m: int, vertices: Iterable[Sequence[int]], d: int, limits: SearchLimits,
-    orbit: Callable[[Sequence[int]], Hashable],
-) -> tuple[str, list, int]:
+    symmetry: Callable[[np.ndarray], _Symmetry],
+) -> tuple[str, list, int, tuple[int, ...]]:
     """Largest set of the m vectors that ``vertices`` yields with pairwise
     coordinate-wise distance >= d.
 
-    Returns (status, chosen vectors, nodes). ``orbit(vector)`` labels the
-    vector's orbit under a group of distance-preserving maps of the vertex
-    set onto itself. The clock starts here and the gate acts on m before
-    the vertices are read, so listing them spends the same time budget as
-    the search. When the budget rules out a real search, the greedy clique
-    is streamed, so the vertices are never listed. Otherwise they are listed
-    in reverse, so that the search, which takes the highest index first,
-    walks them in stream order.
+    Returns (status, chosen vectors, nodes, pruned). ``symmetry(rows)``
+    gives a group of distance-preserving maps of the vertex set onto itself,
+    given the vectors as the rows of a matrix in search order. The clock
+    starts here and the gate acts on m before the vertices are read, so
+    listing them spends the same time budget as the search. When the budget
+    rules out a real search, the greedy clique is streamed, so the vertices
+    are never listed. Otherwise they are listed in reverse, so that the
+    search, which takes the highest index first, walks them in stream order.
     """
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     if _over_budget_upfront(m, limits):
-        return STATUS_LOWER_BOUND_ONLY, _greedy_stream(vertices, d, deadline), 0
+        return STATUS_LOWER_BOUND_ONLY, _greedy_stream(vertices, d, deadline), 0, ()
     vectors = list(vertices)
     vectors.reverse()
-
-    def orbit_masks() -> list[int]:
-        labels = [orbit(vector) for vector in vectors]
-        masks: dict[Hashable, int] = {}
-        for i, label in enumerate(labels):
-            masks[label] = masks.get(label, 0) | 1 << i
-        return [masks[label] for label in labels]
-
-    clique, exhausted, nodes = _max_clique(
-        _conflict_masks(vectors, d), orbit_masks, max_nodes, deadline
+    rows = np.asarray(vectors)
+    clique, exhausted, nodes, pruned = _max_clique(
+        _conflict_masks(rows, d), symmetry(rows), max_nodes, deadline
     )
-    return (STATUS_EXACT if exhausted else STATUS_INCOMPLETE), [vectors[i] for i in clique], nodes
+    status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
+    return status, [vectors[i] for i in clique], nodes, pruned
 
 
 def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -327,25 +503,25 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     distance >= d, by clique search with the identity forced in. Practical up
     to n = 7 (and small distances only below n = 6) under default limits.
 
-    Conjugation fixes the identity and keeps weights and distances, so each
-    vertex's orbit is its cycle type."""
+    Conjugation and inversion fix the identity and keep weights and
+    distances, so the search prunes the orbits of their stabilisers."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
     m = factorial(n) - ball_volume(n, d - 1)
     vertices = (p for p in iterate_all(n) if weight(p) >= d)
-    status, chosen, nodes = _solve(m, vertices, d, limits, cycle_type)
+    status, chosen, nodes, pruned = _solve(m, vertices, d, limits, _conjugation(n))
     witness = PermutationArray(n, [identity(n)] + chosen)
-    return SearchOutcome(status, witness, nodes)
+    return SearchOutcome(status, witness, nodes, pruned)
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d and every member of weight exactly w. The identity is not a
     member (its weight is 0), so the clique runs over the whole weight-w
-    stream. Conjugation keeps weights and distances, so each vertex's orbit
-    is its cycle type."""
+    stream. Conjugation and inversion keep weights and distances, so the
+    search prunes the orbits of their stabilisers."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if d < 1:
@@ -353,17 +529,17 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     m = binomial(n, w) * derangement_count(w)
-    status, chosen, nodes = _solve(m, iterate_weight(n, w), d, limits, cycle_type)
+    status, chosen, nodes, pruned = _solve(m, iterate_weight(n, w), d, limits, _conjugation(n))
     witness = PermutationArray(n, chosen)
-    return SearchOutcome(status, witness, nodes)
+    return SearchOutcome(status, witness, nodes, pruned)
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Exact maximum size of a binary code of length n, constant weight w,
     minimum distance d (even: distances between equal-weight words are always
     even). Permuting coordinates keeps distances and takes any word to any
-    other, so all words share one orbit and the search needs one root
-    branch."""
+    other, so the search needs one root branch, and below it prunes the
+    orbits of the Young subgroups that fix the words chosen so far."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if d <= 0 or d % 2 != 0:
@@ -371,14 +547,19 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     vectors = indicator_vectors(n, combinations(range(n), w))
-    status, chosen, nodes = _solve(binomial(n, w), vectors, d, limits, lambda vector: 0)
+    status, chosen, nodes, pruned = _solve(binomial(n, w), vectors, d, limits, _Young)
     words = tuple(tuple(i for i, bit in enumerate(vector) if bit) for vector in chosen)
     witness = BinaryCwCode(n, w, words, d)
-    return SearchOutcome(status, witness, nodes)
+    return SearchOutcome(status, witness, nodes, pruned)
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:
     """All member pairs at distance below d, in row-major pair order; an empty
     list means the array verifies at distance d."""
     members = array.members
-    return [(members[i], members[j], dist) for i, j, dist in pairs_below(array.rows, d)]
+    pairs: list = pairs_below(array.rows, d)
+    # each index triple gives way to its member triple in place, so the
+    # pairs are never held twice
+    for k, (i, j, dist) in enumerate(pairs):
+        pairs[k] = (members[i], members[j], dist)
+    return pairs

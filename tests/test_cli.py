@@ -225,6 +225,8 @@ class TestSearch:
         assert report["target"] == "P(6,4,2)"
         assert report["status"] == "exact"
         assert report["value"] == 3
+        # the root's one branch leaves the other 14 transpositions, one orbit
+        assert (report["nodes"], report["pruned"]) == (2, [14])
 
     def test_binary_code_witness(self, capsys, tmp_path):
         out_path = tmp_path / "a643.pa"
@@ -236,10 +238,11 @@ class TestSearch:
         assert payload.violations(4) == []
 
     def test_binary_code_search_certifies_a_12_6_4(self, capsys):
-        # one root branch: every word lies in the same orbit
+        # one root branch: every word lies in the same orbit, and each depth
+        # below branches once per orbit of its Young subgroup
         code, out, _ = run_cli(capsys, "search", "acw", "12", "6", "4")
         assert code == EXIT_OK
-        assert "A(12,6,4) = 9" in out
+        assert "A(12,6,4) = 9  [exact, 9 nodes]" in out
 
     def test_weight_argument_policing(self, capsys):
         code, _, err = run_cli(capsys, "search", "p", "4", "3", "2")

@@ -7,7 +7,9 @@ import math
 import random
 import sys
 import time
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,14 @@ class TestExactP:
     def test_trivial_distances(self):
         assert exact_p(4, 1).value == factorial(4)
         assert exact_p(1, 1).value == 1
+
+    def test_certifies_p_6_5(self):
+        # about 8 s on a 2-core Xeon; the limit tests below stop this tree
+        # after 768, 2,000 and 50,000 nodes
+        outcome = exact_p(6, 5)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 18, 532_716)
+        assert outcome.pruned == (523, 1164, 1106, 1790, 295, 1)
+        assert_verified(outcome, 5)
 
     def test_determinism(self):
         first = exact_p(5, 4)
@@ -209,9 +219,9 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, vertices, d, limits, orbit):
+        def count_only(m, vertices, d, limits, symmetry):
             counts.append((m, sum(1 for _ in vertices)))
-            return STATUS_EXACT, [], 0
+            return STATUS_EXACT, [], 0, ()
 
         monkeypatch.setattr(search, "_solve", count_only)
         for n in range(1, 7):
@@ -259,34 +269,154 @@ class TestSearchTree:
         assert hashlib.sha256(members).hexdigest()[:16] == digest
 
     def test_orbit_pruned_runs_are_pinned(self):
-        # all words share one orbit, so the root branches once; with one
-        # orbit per vertex the search takes 315,491 nodes to the same witness
+        # all words share one orbit, so the root branches once, and each
+        # depth below keeps one word per orbit of the Young subgroup; with
+        # root pruning alone the search took 4,616 nodes, with none 315,491,
+        # to the same witness
         outcome = exact_a_cw(11, 6, 4)
-        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 6, 4616)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 6, 6)
+        assert outcome.pruned == (329, 173, 53, 15)
         words = repr(outcome.witness.words).encode()
         assert hashlib.sha256(words).hexdigest()[:16] == "3f501d4b975ed080"
         outcome = exact_p_cw(6, 4, 2)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 3, 2)
+        assert outcome.pruned == (14,)
         members = repr(outcome.witness.members).encode()
         assert hashlib.sha256(members).hexdigest()[:16] == "abdcd152015e27f6"
         # derangements of 6 points have four cycle types, so the root comes
-        # back to later orbits; unpruned, 20,000 nodes do not finish it
+        # back to later orbits; root pruning alone took 14,163 nodes, and
+        # unpruned, 20,000 nodes do not finish it
         outcome = exact_p_cw(6, 4, 6)
-        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 50, 14163)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 50, 746)
+        assert outcome.pruned == (261, 277, 111, 34, 4)
+        members = repr(outcome.witness.members).encode()
+        assert hashlib.sha256(members).hexdigest()[:16] == "f91577237e20af4b"
+
+
+class _Trivial:
+    """The trivial group: the search prunes nothing."""
+
+    def whole(self):
+        return None
 
 
 def _one_orbit_per_vertex(monkeypatch, oracle, *args):
-    """The oracle's search without orbit pruning: every vertex gets its own
-    orbit label, so the root drops only the vertex it branched on."""
+    """The oracle's search without orbit pruning: the trivial group, so each
+    node drops only the vertex it branched on."""
     solve = search._solve
 
-    def solve_unpruned(m, vertices, d, limits, orbit):
-        labels = itertools.count()
-        return solve(m, vertices, d, limits, lambda vector: next(labels))
+    def solve_unpruned(m, vertices, d, limits, symmetry):
+        return solve(m, vertices, d, limits, lambda rows: _Trivial())
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_solve", solve_unpruned)
         return oracle(*args)
+
+
+class _RootOnly:
+    """Given orbit masks at the root and no stabiliser below it: a sound
+    rule for any group with these orbits, and any partition of the vertices
+    for the tree tests below."""
+
+    def __init__(self, orbit):
+        self.masks = orbit
+
+    def whole(self):
+        return self.masks
+
+    def fix(self, group, v):
+        return None
+
+    def orbit(self, group, v):
+        return group[v]
+
+
+class _Affine:
+    """The maps x -> s*x + t of Z_m, for s in ``signs`` and t a multiple of r
+    (r divides m); a group is the list of its (s, t) pairs."""
+
+    def __init__(self, m, r, signs):
+        self.m, self.r, self.signs = m, r, signs
+
+    def whole(self):
+        return self._group([(s, t) for s in self.signs for t in range(0, self.m, self.r)])
+
+    def fix(self, group, v):
+        return self._group([(s, t) for s, t in group if (s * v + t) % self.m == v])
+
+    def orbit(self, group, v):
+        return sum(1 << u for u in {(s * v + t) % self.m for s, t in group})
+
+    @staticmethod
+    def _group(maps):
+        return maps if len(maps) > 1 else None
+
+
+class _Recording:
+    """A group that logs each call the search makes: its name and the group
+    it was given."""
+
+    def __init__(self, group):
+        self.group, self.calls = group, []
+
+    def whole(self):
+        self.calls.append(("whole", None))
+        return self.group.whole()
+
+    def fix(self, group, v):
+        self.calls.append(("fix", group))
+        return self.group.fix(group, v)
+
+    def orbit(self, group, v):
+        self.calls.append(("orbit", group))
+        return self.group.orbit(group, v)
+
+
+def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
+    """The search as it was when only the root pruned orbits: the reference
+    for the rule at every depth. ``orbit_masks()[v]`` is v's orbit under the
+    whole group."""
+    best = _greedy_clique(conflicts)
+    orbit = []
+    nodes = 0
+    stack = []
+    current = []
+    cand, order = 0, []
+    sub = (1 << len(conflicts)) - 1
+    while True:
+        if sub:
+            nodes += 1
+            if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
+                return best, False, nodes
+            stack.append((cand, order))
+            kmin = len(best) - len(current) + 1
+            cand = sub
+            order = _decoded(_color_order(sub, conflicts, kmin)) if sub.bit_count() >= kmin else []
+            sub = 0
+            continue
+        if order and len(current) + order[-1][0] > len(best):
+            v = order.pop()[1]
+            cand ^= 1 << v
+            current.append(v)
+            sub = cand ^ (cand & conflicts[v])
+            if sub:
+                continue
+            if len(current) > len(best):
+                best = current.copy()
+        elif current:
+            cand, order = stack.pop()
+        else:
+            return best, True, nodes
+        v = current.pop()
+        if not current:
+            orbit = orbit or orbit_masks()
+            cand ^= cand & orbit[v]
+            order = [(k, u) for k, u in order if cand >> u & 1]
+
+
+def _decoded(order):
+    """(color, vertex) pairs of a color order's codes."""
+    return [(code >> 17, code & (1 << 17) - 1) for code in order]
 
 
 # A(n,d,w) for n <= 10, w <= n/2 and even d <= 2w, except the five whose
@@ -299,44 +429,53 @@ _ACW_CASES = [
     for d in range(2, 2 * w + 1, 2)
     if (n, d, w) not in {(9, 4, 4), (10, 4, 3), (10, 4, 4), (10, 4, 5), (10, 6, 5)}
 ]
-# the cases the other tests search, and four whose members have several
-# cycle types
+# the cases the other tests search, four whose members have several cycle
+# types, and two on 9 points, past the listed S_n, whose root orbits are
+# the cycle types
 _PCW_CASES = sorted(
     {(n, 2 * k, k) for n in range(4, 9) for k in range(2, min(4, n // 2) + 1)}
     | {(6, 4, 2), (4, 1, 0)}
     | {(n, 2 * k + 1, k + 1) for n, k in [(5, 1), (6, 1), (7, 1), (7, 2)]}
     | {(5, 4, 5), (6, 4, 3), (6, 5, 4), (7, 6, 4)}
+    | {(9, 6, 3), (9, 7, 4)}
 )
 _P_CASES = [(n, d) for n in range(1, 6) for d in range(1, n + 1)] + [(6, 2), (6, 3), (6, 6)]
 
 
 @st.composite
-def shift_invariant_graphs(draw):
-    """A random graph on Z_m with the shift by r (r dividing m) among its
-    automorphisms, and each vertex's orbit under the shifts: its residue
-    class mod r."""
+def shift_invariant_graphs(draw, signs=((1,),)):
+    """A random graph on Z_m with the maps x -> s*x + t (s in one of the sign
+    sets ``signs``, t a multiple of r, r dividing m) among its automorphisms,
+    and that group."""
     r = draw(st.integers(1, 8))
     m = r * draw(st.integers(1, 40 // r))
+    group = _Affine(m, r, draw(st.sampled_from(signs)))
     adjacency = [0] * m
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                               max_size=4 * m)):
-        if i != j:
-            for t in range(0, m, r):
-                a, b = (i + t) % m, (j + t) % m
+        for s, t in group.whole() or [(1, 0)]:
+            a, b = (s * i + t) % m, (s * j + t) % m
+            if a != b:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    orbit = [sum(1 << u for u in range(v % r, m, r)) for v in range(m)]
-    return adjacency, orbit
+    return adjacency, group
+
+
+def _assert_clique(adjacency, clique):
+    for u, v in itertools.combinations(clique, 2):
+        assert adjacency[u] >> v & 1
 
 
 class TestOrbitPruning:
-    """Pruning whole orbits at the root keeps the value: checked against the
-    same search with one orbit per vertex, which is the unpruned tree."""
+    """Pruning stabiliser orbits at every depth keeps the value: checked
+    against the same search with the trivial group, which is the unpruned
+    tree, and against the search that pruned at the root alone."""
 
     def _assert_same_value(self, pruned, unpruned, d):
         assert pruned.status == unpruned.status == STATUS_EXACT
         assert pruned.value == unpruned.value
         assert pruned.nodes <= unpruned.nodes
+        assert unpruned.pruned == ()
         assert_verified(pruned, d)
         assert_verified(unpruned, d)
 
@@ -355,6 +494,41 @@ class TestOrbitPruning:
         unpruned = _one_orbit_per_vertex(monkeypatch, exact_a_cw, n, d, w)
         self._assert_same_value(exact_a_cw(n, d, w), unpruned, d)
 
+    @staticmethod
+    def _capture(monkeypatch, oracle, args):
+        """The oracle's group, given its vertices in search order, and those
+        vertices."""
+        seen = {}
+
+        def capture(m, vertices, d, limits, symmetry):
+            seen["vectors"] = [tuple(vector) for vector in vertices][::-1]
+            seen["group"] = symmetry(np.asarray(seen["vectors"]))
+            return STATUS_EXACT, [], 0, ()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_solve", capture)
+            oracle(*args)
+        return seen["group"], seen["vectors"]
+
+    @staticmethod
+    def _act(act, n):
+        """The images of a vertex under the named action: conjugation by S_n,
+        with or without inversion first, or permuting the coordinates."""
+        group = [(s, [s.index(i) for i in range(n)]) for s in itertools.permutations(range(n))]
+
+        def images(v):
+            inverse = [v.index(i) for i in range(n)] if act == "conjugate" else None
+            found = set()
+            for s, s_inverse in group:
+                if act == "conjugate":
+                    found.add(tuple(s_inverse[v[s[i]]] for i in range(n)))
+                    found.add(tuple(s_inverse[inverse[s[i]]] for i in range(n)))
+                else:
+                    found.add(tuple(v[s[i]] for i in range(n)))
+            return found
+
+        return images
+
     @pytest.mark.parametrize(
         "oracle, args, act",
         [(exact_p, (5, d), "conjugate") for d in range(1, 6)]
@@ -362,51 +536,102 @@ class TestOrbitPruning:
         + [(exact_a_cw, (6, 2, w), "permute") for w in range(4)],
     )
     def test_labels_are_the_orbits(self, monkeypatch, oracle, args, act):
-        # the vertices that share a label are exactly one orbit of the group
-        # the oracle names: conjugation by S_n, or permuting the coordinates
-        seen = {}
+        # the orbits of the whole group are exactly those of the group the
+        # oracle names: conjugation by S_n and inversion, or permuting the
+        # coordinates
+        group, vectors = self._capture(monkeypatch, oracle, args)
+        whole = group.whole()
+        images = self._act(act, args[0])
+        for i, vector in enumerate(vectors):
+            orbit = group.orbit(whole, i) if whole is not None else 1 << i
+            assert {vectors[u] for u in range(len(vectors)) if orbit >> u & 1} == images(vector)
 
-        def capture(m, vertices, d, limits, orbit):
-            seen["vertices"], seen["orbit"] = list(vertices), orbit
-            return STATUS_EXACT, [], 0
-
-        with monkeypatch.context() as patch:
-            patch.setattr(search, "_solve", capture)
-            oracle(*args)
+    @pytest.mark.parametrize(
+        "oracle, args, act",
+        [(exact_p, (4, 2), "conjugate"), (exact_p, (5, 4), "conjugate"),
+         (exact_p_cw, (5, 2, 4), "conjugate"), (exact_p_cw, (6, 2, 4), "conjugate"),
+         (exact_a_cw, (6, 2, 3), "permute"), (exact_a_cw, (7, 2, 3), "permute")],
+    )
+    def test_stabilisers_are_the_pointwise_stabilisers(self, monkeypatch, oracle, args, act):
+        # along a few chains of vertices, each stabiliser's orbits are the
+        # orbits of the maps of the named group that fix every vertex so
+        # far, and the group is None exactly when they are all single
+        group, vectors = self._capture(monkeypatch, oracle, args)
         n = args[0]
-        group = [(s, [s.index(i) for i in range(n)]) for s in itertools.permutations(range(n))]
         if act == "conjugate":
-            def image(v, s, s_inverse):
-                return tuple(s_inverse[v[s[i]]] for i in range(n))
+            maps = [(s, flip) for s in itertools.permutations(range(n)) for flip in (False, True)]
+
+            def image(f, v):
+                s, flip = f
+                x = [v.index(i) for i in range(n)] if flip else v
+                return tuple(s[x[s.index(i)]] for i in range(n))
         else:
-            def image(v, s, s_inverse):
-                return tuple(v[s[i]] for i in range(n))
-        classes = {}
-        for vertex in seen["vertices"]:
-            classes.setdefault(seen["orbit"](vertex), set()).add(tuple(vertex))
-        for members in classes.values():
-            v = min(members)
-            assert {image(v, s, s_inverse) for s, s_inverse in group} == members
+            maps = list(itertools.permutations(range(n)))
+
+            def image(f, v):
+                return tuple(v[f.index(i)] for i in range(n))
+
+        rng = random.Random(repr(args))
+        for _ in range(4):
+            stab, fixing = group.whole(), maps
+            for v in rng.sample(range(len(vectors)), min(4, len(vectors))):
+                stab = None if stab is None else group.fix(stab, v)
+                fixing = [f for f in fixing if image(f, vectors[v]) == vectors[v]]
+                moved = False
+                for u, vector in enumerate(vectors):
+                    expected = {image(f, vector) for f in fixing}
+                    moved |= len(expected) > 1
+                    orbit = 1 << u if stab is None else group.orbit(stab, u)
+                    assert {vectors[k] for k in range(len(vectors)) if orbit >> k & 1} == expected
+                assert (stab is not None) == moved
+
+    def test_cycle_types_past_the_listed_degree(self, monkeypatch):
+        # S_9 is not listed: the whole group's orbits are the cycle types,
+        # and the stabilisers below it are taken as trivial
+        group, vectors = self._capture(monkeypatch, exact_p_cw, (9, 2, 4))
+        whole = group.whole()
+        for i, vector in enumerate(vectors[:50]):
+            orbit = group.orbit(whole, i)
+            assert orbit == sum(1 << u for u, other in enumerate(vectors)
+                                if cycle_type(other) == cycle_type(vector))
+            assert group.fix(whole, i) is None
 
     def test_orbit_masks_are_built_on_the_first_return_to_the_root(self, monkeypatch):
-        calls = 0
+        recorded = []
 
-        def counting_cycle_type(p):
-            nonlocal calls
-            calls += 1
-            return cycle_type(p)
+        def recording(rows):
+            recorded.append(_Recording(search._Conjugation(rows)))
+            return recorded[-1]
 
-        monkeypatch.setattr(search, "cycle_type", counting_cycle_type)
-        # all 700 nodes lie inside the first root branch
+        monkeypatch.setattr(search, "_conjugation", lambda n: recording)
+        # all 700 nodes lie inside the first root branch, and every node the
+        # search returns to has a trivial stabiliser: the chain of
+        # stabilisers down to the first trivial one is built once, on the
+        # first return, and no orbit is computed
         exact_p(6, 4, SearchLimits(max_nodes=700, max_seconds=None))
-        assert calls == 0
-        # the root comes back after its first branch: one label per vertex,
-        # once for the whole search, however often the root comes back
+        names = [name for name, _ in recorded[-1].calls]
+        assert names[0] == "whole" and set(names[1:]) == {"fix"} and len(names) <= 6
+        # the root comes back after its first branch and computes one orbit
         exact_p_cw(6, 4, 2)
-        assert calls == 15
-        calls = 0
-        exact_p_cw(6, 4, 6)
-        assert calls == 265
+        assert [name for name, _ in recorded[-1].calls] == ["whole", "orbit"]
+
+    @settings(deadline=None)
+    @given(shift_invariant_graphs())
+    def test_trivial_stabilisers_cost_nothing(self, case):
+        # the shifts fix no vertex, so the root's group is the only one: it is
+        # built on the first return, and every later call is an orbit at the
+        # root or the stabiliser of one root branch, found trivial at once
+        adjacency, group = case
+        recording = _Recording(group)
+        _, done, _, _ = _max_clique(_conflicts_of(adjacency), recording, math.inf, math.inf)
+        assert done
+        calls = recording.calls
+        if calls:
+            assert calls[0] == ("whole", None)
+            root = group.whole()
+            assert all(name != "whole" and stab == root for name, stab in calls[1:])
+            names = [name for name, _ in calls]
+            assert names.count("fix") <= names.count("orbit") + 1
 
     def test_one_orbit_per_vertex_prunes_nothing(self, monkeypatch):
         # plain branch and bound takes 4 nodes on P(6,4,2), pruning 2
@@ -415,16 +640,36 @@ class TestOrbitPruning:
     @settings(deadline=None)
     @given(shift_invariant_graphs())
     def test_matches_unpruned_search_on_shift_invariant_graphs(self, case):
-        adjacency, orbit = case
+        adjacency, group = case
+        conflicts = _conflicts_of(adjacency)
+        pruned, done, _, _ = _max_clique(conflicts, group, math.inf, math.inf)
+        unpruned, done_too, _, nothing = _max_clique(conflicts, _Trivial(), math.inf, math.inf)
+        assert done and done_too
+        assert nothing == ()
+        assert len(pruned) == len(unpruned)
+        _assert_clique(adjacency, pruned)
+
+    @settings(deadline=None, max_examples=300)
+    @given(shift_invariant_graphs(signs=((1,), (1, -1))))
+    def test_matches_root_only_search_on_reflection_invariant_graphs(self, case):
+        # with x -> -x + t in the group, a vertex's stabiliser holds a
+        # reflection, and at even m two vertices half the cycle apart keep
+        # one too
+        adjacency, group = case
         m = len(adjacency)
         conflicts = _conflicts_of(adjacency)
-        pruned, done, _ = _max_clique(conflicts, lambda: orbit, math.inf, math.inf)
-        unpruned, done_too, _ = _max_clique(conflicts, lambda: [1 << v for v in range(m)],
-                                            math.inf, math.inf)
+        whole = group.whole()
+        masks = [1 << v if whole is None else group.orbit(whole, v) for v in range(m)]
+        pruned, done, _, counts = _max_clique(conflicts, group, math.inf, math.inf)
+        reference, done_too, _ = _root_only_max_clique(
+            conflicts, lambda: masks, math.inf, math.inf)
         assert done and done_too
-        assert len(pruned) == len(unpruned)
-        for u, v in itertools.combinations(pruned, 2):
-            assert adjacency[u] >> v & 1
+        assert len(pruned) == len(reference)
+        _assert_clique(adjacency, pruned)
+        # the root branches as it did, since each root branch ends with the
+        # same incumbent size, so it prunes as much as before
+        _, _, _, root_counts = _max_clique(conflicts, _RootOnly(masks), math.inf, math.inf)
+        assert sum(counts[:1]) == sum(root_counts)
 
 
 def _conflicts_of(adjacency):
@@ -486,8 +731,12 @@ class TestColorOrder:
         adjacency, cand, kmin = case
         conflicts = _conflicts_of(adjacency)
         reference = _reference_color_order(cand, adjacency)
-        assert _color_order(cand, conflicts, 1) == reference
-        assert _color_order(cand, conflicts, kmin) == [(k, v) for k, v in reference if k >= kmin]
+        full = _color_order(cand, conflicts, 1)
+        assert isinstance(full, array) and full.typecode == "q"
+        assert _decoded(full) == reference
+        assert _decoded(_color_order(cand, conflicts, kmin)) == [
+            (k, v) for k, v in reference if k >= kmin
+        ]
 
 
 # The neighbor-mask search, lowest index first, as it was before the graph
@@ -606,8 +855,8 @@ class TestSearchTreeIdentity:
         reversed_adjacency = [reverse(adjacency[m - 1 - v]) for v in range(m)]
         reversed_orbit = [reverse(orbit[m - 1 - v]) for v in range(m)]
         cap = math.inf if max_nodes is None else max_nodes
-        clique, exhausted, nodes = _max_clique(
-            _conflicts_of(reversed_adjacency), lambda: reversed_orbit, cap, math.inf
+        clique, exhausted, nodes, _ = _max_clique(
+            _conflicts_of(reversed_adjacency), _RootOnly(reversed_orbit), cap, math.inf
         )
         expected = _neighbor_max_clique(adjacency, orbit, cap)
         assert ([m - 1 - v for v in clique], exhausted, nodes) == expected
@@ -667,6 +916,16 @@ class TestExactACw:
         assert outcome.status == STATUS_EXACT
         assert outcome.value == 9
         assert outcome.witness.violations(6) == []
+
+    @pytest.mark.parametrize(
+        "n, d, w, value, nodes",
+        [(12, 6, 5, 12, 5191), (10, 4, 3, 13, 151), (11, 4, 3, 17, 455), (10, 4, 4, 30, 77193)],
+    )
+    def test_certifies_past_root_pruning(self, n, d, w, value, nodes):
+        # none of these finished in 300,000 nodes when only the root pruned
+        outcome = exact_a_cw(n, d, w)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, nodes)
+        assert outcome.witness.violations(d) == []
 
     def test_lower_bound_only_gate(self):
         outcome = exact_a_cw(10, 4, 5, SearchLimits(max_nodes=3, max_seconds=None))
