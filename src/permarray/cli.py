@@ -240,6 +240,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "value": outcome.value,
             "nodes": outcome.nodes,
             "pruned": list(outcome.pruned),
+            "seconds": outcome.seconds,
             "witness_size": len(witness),
             "out": args.out,
         }

@@ -32,25 +32,32 @@ class PermutationArray:
     first request and cached; constructors never stamp a claimed distance
     into the cache, so verification always measures.
 
-    ``members`` may be any iterable of integer sequences. A member whose
-    length is not n raises ``ValueError``; otherwise the first member that
-    is no bijection on 0..n-1 raises the ``ValueError`` that ``Permutation``
-    gives for it. The check and the sort run on the whole matrix at once;
-    duplicates are dropped."""
+    ``members`` may be any iterable of integer sequences, or an (m, n)
+    integer matrix, which is read as it is. A member whose length is not n
+    raises ``ValueError``; otherwise the first member that is no bijection
+    on 0..n-1 raises the ``ValueError`` that ``Permutation`` gives for it.
+    The check and the sort run on the whole matrix at once; duplicates are
+    dropped."""
 
-    def __init__(self, n: int, members: Iterable[Sequence[int]]) -> None:
-        members = list(members)
-        for length in map(len, members):
-            if length != n:
-                raise ValueError(f"member of length {length} in an array on {n} points")
-        rows = np.array(list(chain.from_iterable(members)))
-        if rows.dtype.kind not in "iu":
-            # floats, strings, bools, integers beyond int64, or no entries at
-            # all: Permutation judges each member as given
-            for p in members:
-                Permutation(p)
-            rows = rows.astype(np.int64)
-        rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
+    def __init__(self, n: int, members: Iterable[Sequence[int]] | np.ndarray) -> None:
+        matrix = isinstance(members, np.ndarray) and members.ndim == 2 and len(members) > 0
+        if matrix and members.dtype.kind in "iu":
+            if members.shape[1] != n:
+                raise ValueError(f"member of length {members.shape[1]} in an array on {n} points")
+            rows = members
+        else:
+            members = list(members)
+            for length in map(len, members):
+                if length != n:
+                    raise ValueError(f"member of length {length} in an array on {n} points")
+            rows = np.array(list(chain.from_iterable(members)))
+            if rows.dtype.kind not in "iu":
+                # floats, strings, bools, integers beyond int64, or no entries
+                # at all: Permutation judges each member as given
+                for p in members:
+                    Permutation(p)
+                rows = rows.astype(np.int64)
+            rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
         bad = (np.sort(rows, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row

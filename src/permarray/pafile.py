@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from .constructions import BinaryCwCode, PermutationArray
 from .perm import Permutation
 
@@ -116,7 +118,7 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     but not checked here.
 
     The body is parsed in one pass over all its entries; a permutation body
-    goes to ``PermutationArray`` as one batch of rows, which checks them all
+    goes to ``PermutationArray`` as one integer matrix, which it checks all
     at once. Errors come in line order: the first non-integer entry, then
     the member count, then the first line that is not a bijection on its
     own entries or does not have n of them."""
@@ -144,8 +146,14 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     # the lines before the first one of the wrong width hold n entries each
     k = next((i for i, width in enumerate(widths) if width != n), len(widths))
     misfit = tuple(values[k * n:k * n + widths[k]]) if k < len(widths) else None
+    entries = values[:k * n]
     try:
-        array = PermutationArray(n, zip(*[iter(values[:k * n])] * n))
+        members = np.array(entries, dtype=np.int64).reshape(k, max(n, 0))
+    except OverflowError:
+        # an entry beyond int64: rows of Python ints, for Permutation to name
+        members = zip(*[iter(entries)] * n)
+    try:
+        array = PermutationArray(n, members)
         if misfit is not None:
             Permutation(misfit)  # a non-bijection reports that before its length
     except ValueError as exc:

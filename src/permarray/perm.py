@@ -13,6 +13,14 @@ Every enumeration stream in this module yields image tuples in lexicographic
 order; ``iterate_weight`` is support-first (supports ascend lexicographically,
 then the derangements of each support ascend lexicographically), which is the
 order the search module relies on for reproducible witnesses.
+``permutation_rows`` and ``weight_rows`` list the same orders as the rows of
+small-integer matrices, a block at a time, with no per-member objects: the
+search reads its vertices from them.
+
+The kernel compares int8 columns when every entry fits in 8 bits, int16
+columns when they fit in 16, and the matrix's own dtype otherwise; each
+column's bool comparison is added to the agreement counts through a uint8
+view, so the add needs no cast.
 """
 
 from __future__ import annotations
@@ -22,12 +30,22 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .exactmath import derangement_count
+
 # Distances per block in distance_blocks. Smaller blocks follow the upper
 # triangle more closely: on 1,320 rows they compute 1.00 M distances at
 # 256 KiB against 1.32 M at 1 MiB. Medians of 12 interleaved runs on a 2-core
-# Xeon, 1 MiB -> 256 KiB: pairs_below on pgl2 11 14.1 -> 9.8 ms, S_7 at d = 3
-# 101 -> 97 ms, P(7,4) conflict masks 76 -> 70 ms, P(6,4) masks 3.3 -> 2.9 ms.
+# Xeon with int16 columns, 1 MiB -> 256 KiB: pairs_below on pgl2 11 14.1 ->
+# 9.8 ms, S_7 at d = 3 101 -> 97 ms, P(7,4) conflict masks 76 -> 70 ms,
+# P(6,4) masks 3.3 -> 2.9 ms. int8 columns and the uint8 add keep this size;
+# best of 7 on the same machine, int16 -> int8: the upper-triangle blocks
+# of pgl2 11 3.7-4.9 -> 2.6-2.7 ms, P(7,4) conflict masks 50-56 -> 38 ms.
 _BLOCK_BYTES = 1 << 18
+
+# Permutations read per block by permutation_rows, and rows per block of
+# weight_rows at most: blocks of a few KiB, so a caller that stops early has
+# listed little past what it read
+_LIST_ROWS = 1 << 12
 
 
 class Permutation(tuple):
@@ -158,6 +176,62 @@ def iterate_weight(n: int, w: int) -> Iterator[Permutation]:
         yield from iterate_derangements_on(points, n)
 
 
+def _row_dtype(n: int) -> np.dtype:
+    """The smallest signed dtype that holds 0..n-1: int8 up to 128 points."""
+    return np.min_scalar_type(-max(n, 1))
+
+
+def permutation_rows(n: int, min_weight: int) -> Iterator[np.ndarray]:
+    """Yield the permutations of n points that move at least ``min_weight``
+    points, in lexicographic order (``iterate_all``'s, filtered by weight),
+    as the rows of consecutive integer matrices.
+
+    Each block is the survivors of the next ``_LIST_ROWS`` permutations, so
+    a block may be empty, and the stream yields at least one block.
+    """
+    if n < 0:
+        raise ValueError(f"negative length: {n}")
+    dtype = _row_dtype(n)
+    fixed = np.arange(n, dtype=dtype)
+    perms = itertools.permutations(range(n))
+    while chunk := list(itertools.islice(perms, _LIST_ROWS)):
+        rows = np.fromiter(itertools.chain.from_iterable(chunk), dtype=dtype,
+                           count=len(chunk) * n).reshape(len(chunk), n)
+        yield rows[np.count_nonzero(rows != fixed, axis=1) >= min_weight]
+
+
+def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
+    """Yield the permutations of n points with weight exactly w, in
+    ``iterate_weight``'s support-first order, as the rows of consecutive
+    integer matrices of at most ``_LIST_ROWS`` rows each, or one support's
+    at a time when its derangements outnumber that.
+
+    A block is built by index arithmetic: each support's derangements are
+    the derangements of 0..w-1, listed once, read as indices into the
+    support's points. The stream yields at least one block.
+    """
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    if w == 1:
+        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
+    dtype = _row_dtype(n)
+    if w == 0:
+        yield np.arange(n, dtype=dtype)[None]
+        return
+    count = derangement_count(w)
+    listed = np.concatenate(list(permutation_rows(w, w))) if count <= _LIST_ROWS else None
+    supports = itertools.combinations(range(n), w)
+    while group := list(itertools.islice(supports, max(1, _LIST_ROWS // count))):
+        points = np.array(group, dtype=dtype)
+        for local in (listed,) if listed is not None else permutation_rows(w, w):
+            # row (i, j) is the identity with support i's points moved to
+            # the points that derangement j names
+            rows = np.broadcast_to(np.arange(n, dtype=dtype), (len(group), len(local), n)).copy()
+            where = np.broadcast_to(points[:, None], (len(group), len(local), w))
+            np.put_along_axis(rows, where, points[:, local], axis=2)
+            yield rows.reshape(-1, n)
+
+
 def distance_blocks(
     vectors: Sequence[Sequence[int]], upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -180,10 +254,13 @@ def distance_blocks(
     if arr.ndim != 2:
         raise ValueError("vectors must share a common length")
     n = arr.shape[1]
-    # int16 columns compare up to twice as fast as int64; wider values keep
-    # their own dtype, since a narrowed copy could make unequal entries equal
-    narrow = not arr.size or (arr.min() >= -(1 << 15) and arr.max() < 1 << 15)
-    columns = np.ascontiguousarray(arr.T, dtype=np.int16 if narrow else arr.dtype)
+    # int8 columns compare faster than int16, and int16 up to twice as fast
+    # as int64; wider values keep their own dtype, since a narrowed copy
+    # could make unequal entries equal
+    low, high = (arr.min(), arr.max()) if arr.size else (0, 0)
+    dtype = next((t for t in (np.int8, np.int16)
+                  if np.iinfo(t).min <= low and high <= np.iinfo(t).max), arr.dtype)
+    columns = np.ascontiguousarray(arr.T, dtype=dtype)
     count = np.min_scalar_type(n)
     rows = max(1, _BLOCK_BYTES // m)
     for start in range(0, m, rows):
@@ -191,9 +268,10 @@ def distance_blocks(
         first = start if upper else 0
         agree = np.zeros((stop - start, m - first), dtype=count)
         scratch = np.empty(agree.shape, dtype=bool)
+        ones = scratch.view(np.uint8)  # the comparisons as 0/1 counts, added with no cast
         for k in range(n):
             np.equal(columns[k, start:stop, None], columns[k, None, first:], out=scratch)
-            agree += scratch
+            agree += ones
         yield start, first, np.subtract(n, agree, out=agree)
 
 

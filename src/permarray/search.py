@@ -2,13 +2,19 @@
 codes, via branch-and-bound maximum-clique search.
 
 Each oracle counts its vertices in closed form, then hands one pipeline,
-``_solve``, the stream of eligible objects in their fixed enumeration order
-(see ``perm``) and a group of maps that keep their distances: two vertices
-are adjacent when their distance clears the target. If the budget, or the
-memory the conflict bitsets would take, rules out a real search, the
-vertices are never listed: the "lower-bound-only" witness is the
-lowest-index greedy clique, read from the stream in blocks. Otherwise the
-same greedy clique seeds a search that keeps each open node's candidates
+``_solve``, its vertices in their fixed enumeration order (see ``perm``) as
+a stream of small-integer row blocks, and a group of maps that keep their
+distances: two vertices are adjacent when their distance clears the target.
+The blocks come from ``perm.permutation_rows`` (chunks of
+``itertools.permutations`` read into numpy, with the weight filter applied
+to the whole chunk), ``perm.weight_rows`` (each support's derangements by
+index arithmetic) and ``_word_rows`` (0/1 words placed by their supports),
+so no per-vertex object is made. If the budget, or the memory the conflict
+bitsets would take, rules out a real search, the vertices are never listed:
+the "lower-bound-only" witness is the lowest-index greedy clique, read from
+the blocks 256 rows at a time. Otherwise the blocks are joined into one
+matrix, reversed, and the same greedy clique seeds a search that keeps each
+open node's candidates
 and color order (packed as ``color << 17 | vertex`` in an ``array("q")``)
 on an explicit stack instead of recursing; one loop opens and branches
 every node, the root as node 1. At every node the candidates get the
@@ -34,7 +40,11 @@ list is the lowest index of the enumeration order: every coloring, branch,
 node count and witness is the one the enumeration order gives. Python ints
 shrink to their highest set bit, so clearing from the top makes each ``&``
 and ``^`` cheaper as a class fills, and no operand is negative (a negative
-int costs a two's-complement pass per operation).
+int costs a two's-complement pass per operation). A vertex leaves a set
+through ``bits[v]``, a table of the single-bit ints ``1 << v`` made once per
+search (about m^2 / 16 bytes, half the conflict masks, and counted with
+them against the memory gate), so no coloring or branching step allocates
+a bit of its own. The witness is read off the reversed matrix as rows.
 
 Every node prunes whole orbits, in the spirit of orbital branching
 (Ostrowski et al. 2011). The group is one of distance-preserving maps of
@@ -63,7 +73,9 @@ listing the vertices, building the conflict masks, the search and the greedy
 witness alike. The clock is read every 256 nodes, or, in the streamed
 greedy, after each 256 vertices it reads and each 256 kept rows it checks
 them against, so the deadline is best-effort; past it the best clique found
-so far is the witness.
+so far is the witness. Each phase's wall time, on ``time.perf_counter``
+(the deadline keeps ``time.monotonic``), is reported in
+``SearchOutcome.seconds``.
 """
 
 from __future__ import annotations
@@ -71,25 +83,23 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Protocol
 
 import numpy as np
 
-from .constructions import BinaryCwCode, PermutationArray, indicator_vectors
+from .constructions import BinaryCwCode, PermutationArray
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     Permutation,
     cycle_type,
     distance_blocks,
-    identity,
-    iterate_all,
-    iterate_weight,
     pairs_below,
-    weight,
+    permutation_rows,
+    weight_rows,
 )
 
 STATUS_EXACT = "exact"
@@ -100,8 +110,9 @@ STATUS_INCOMPLETE = "incomplete"
 # below 2^17
 _VERTEX = (1 << 17) - 1
 
-# Largest set of conflict masks, in bytes of conflict bits, that a search may
-# build: S_8 (40,320 vertices, about 203 MB) fits, S_9 (about 16.5 GB) does not.
+# Largest graph, in bytes of conflict masks and single-bit table, that a
+# search may build: S_8 (40,320 vertices, about 203 + 102 MB) fits, S_9
+# (about 16.5 + 8.2 GB) does not.
 _ADJACENCY_BYTES = 1 << 30
 
 
@@ -123,12 +134,18 @@ class SearchOutcome:
     means the search was interrupted mid-run; "lower-bound-only" means the
     limits, or the memory the adjacency would take, ruled out any search
     node, so only a greedy witness was built).
-    ``witness`` always verifies at the target distance."""
+    ``witness`` always verifies at the target distance.
+
+    ``seconds`` holds the wall time of each phase the call went through:
+    "listing" (the vertex matrix), "conflict_masks" and "search" when a
+    search ran, "greedy" when only the greedy witness was built. It is
+    measured, so it takes no part in comparisons."""
 
     status: str
     witness: PermutationArray | BinaryCwCode
     nodes: int = 0
     pruned: tuple[int, ...] = ()
+    seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def value(self) -> int:
@@ -150,43 +167,58 @@ def _greedy_clique(conflicts: list[int]) -> list[int]:
     return chosen
 
 
-def _greedy_stream(vertices: Iterable[Sequence[int]], d: int, deadline: float) -> list:
-    """The same lowest-index greedy clique, read from a stream of vectors:
-    each vector is kept when it is at distance >= d from every vector kept
-    before it. The stream is read 256 vectors at a time and checked against
-    the kept ones 256 rows at a time, so memory scales with the clique, not
-    with the stream. The clock is read after each of those checks and after
-    each block, so one check's work bounds the overrun; past the deadline
-    the vectors kept so far are returned."""
-    kept: list = []
-    kept_rows = np.empty((0, 0), dtype=np.int16)  # the kept vectors, as rows
-    stream = iter(vertices)
-    while block := list(islice(stream, 256)):
-        rows = np.asarray(block, dtype=np.int16)
-        far = np.ones(len(block), dtype=bool)
+def _chunks(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The rows of consecutive row blocks, regrouped ``size`` at a time; the
+    last group may be shorter. A block is read only when the rows before it
+    run out."""
+    rest = None
+    for block in blocks:
+        if rest is not None and len(rest):
+            block = np.concatenate([rest, block])
+        end = len(block) - len(block) % size
+        for start in range(0, end, size):
+            yield block[start:start + size]
+        rest = block[end:]
+    if rest is not None and len(rest):
+        yield rest
+
+
+def _greedy_stream(blocks: Iterable[np.ndarray], d: int, deadline: float) -> np.ndarray:
+    """The same lowest-index greedy clique, read from a stream of row
+    blocks (at least one, possibly empty): each row is kept when it is at
+    distance >= d from every row kept before it. The stream is read 256
+    rows at a time and checked against the kept ones 256 rows at a time, so
+    memory scales with the clique, not with the stream. The clock is read
+    after each of those checks and after each 256 rows, so one check's work
+    bounds the overrun; past the deadline the rows kept so far are
+    returned, as the rows of a matrix."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    kept = first[:0]
+    for rows in _chunks(chain([first], blocks), 256):
+        far = np.ones(len(rows), dtype=bool)
         for start in range(0, len(kept), 256):
-            apart = np.count_nonzero(rows[:, None] != kept_rows[None, start:start + 256], axis=2)
+            apart = np.count_nonzero(rows[:, None] != kept[None, start:start + 256], axis=2)
             far &= (apart >= d).all(axis=1)
             if time.monotonic() > deadline:
                 return kept
         taken = []
-        for i in range(len(block)):
+        for i in range(len(rows)):
             if far[i]:
                 taken.append(i)
                 far[i + 1:] &= np.count_nonzero(rows[i + 1:] != rows[i], axis=1) >= d
-        if taken:
-            kept.extend(block[i] for i in taken)
-            kept_rows = np.concatenate([kept_rows, rows[taken]]) if len(kept_rows) else rows[taken]
+        kept = np.concatenate([kept, rows[taken]])
         if time.monotonic() > deadline:
             break
     return kept
 
 
-def _color_order(cand: int, conflicts: list[int], kmin: int) -> array:
+def _color_order(cand: int, conflicts: list[int], bits: list[int], kmin: int) -> array:
     """Greedy first-fit coloring of the candidate set in descending index
     order, built one class at a time: each class takes the highest remaining
     vertex, keeps only the vertices in conflict with it, and repeats until
-    nothing is left to add.
+    nothing is left to add. ``bits[v]`` is ``1 << v``, made once per search,
+    so that taking a vertex out allocates no bit.
 
     Returns the codes ``color << 17 | vertex`` in the order colored, colors
     ascending and vertices descending within a class, leaving out vertices
@@ -201,7 +233,7 @@ def _color_order(cand: int, conflicts: list[int], kmin: int) -> array:
         q = cand
         while q:
             v = q.bit_length() - 1
-            cand ^= 1 << v
+            cand ^= bits[v]
             q &= conflicts[v]
     while cand:
         k += 1
@@ -209,7 +241,7 @@ def _color_order(cand: int, conflicts: list[int], kmin: int) -> array:
         q = cand
         while q:
             v = q.bit_length() - 1
-            cand ^= 1 << v
+            cand ^= bits[v]
             q &= conflicts[v]
             order.append(color | v)
     return order
@@ -244,6 +276,7 @@ def _max_clique(
     found so far is returned with exhausted False.
     """
     best = _greedy_clique(conflicts)
+    bits = [1 << v for v in range(len(conflicts))]
     nodes = 0
     pruned: list[int] = []
     # the open node's candidates and color order are held in cand/order, and
@@ -268,14 +301,15 @@ def _max_clique(
             kmin = len(best) - len(current) + 1
             # too few candidates to beat the incumbent: nothing to color
             cand = sub
-            order = _color_order(sub, conflicts, kmin) if sub.bit_count() >= kmin else array("q")
+            order = (_color_order(sub, conflicts, bits, kmin) if sub.bit_count() >= kmin
+                     else array("q"))
             sub = 0
             continue
         # every unprocessed candidate has color <= the last one, so the node
         # cannot beat the incumbent once the check fails
         if order and len(current) + (order[-1] >> 17) > len(best):
             v = order.pop() & _VERTEX
-            cand ^= 1 << v
+            cand ^= bits[v]
             current.append(v)
             sub = cand ^ (cand & conflicts[v])
             if sub:
@@ -323,10 +357,12 @@ def _conflict_masks(vectors: Sequence[Sequence[int]] | np.ndarray, d: int) -> li
 
 def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     """Whether the search must not start: more vertices than nodes allowed,
-    no time at all, or conflict masks (m rows of m bits) too big to hold."""
+    no time at all, or a graph too big to hold: conflict masks (m rows of m
+    bits) and the single-bit table (``1 << v`` for each vertex v, about
+    m^2 / 16 bytes)."""
     if limits.max_nodes is not None and m > limits.max_nodes:
         return True
-    if m * ((m + 7) // 8) > _ADJACENCY_BYTES:
+    if m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES:
         return True
     return limits.max_seconds is not None and limits.max_seconds <= 0
 
@@ -469,33 +505,50 @@ class _Young:
 
 
 def _solve(
-    m: int, vertices: Iterable[Sequence[int]], d: int, limits: SearchLimits,
+    m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
     symmetry: Callable[[np.ndarray], _Symmetry],
-) -> tuple[str, list, int, tuple[int, ...]]:
-    """Largest set of the m vectors that ``vertices`` yields with pairwise
-    coordinate-wise distance >= d.
+) -> tuple[str, np.ndarray, int, tuple[int, ...], dict[str, float]]:
+    """Largest set of the m vectors that ``blocks`` yields, as the rows of
+    one or more integer matrices, with pairwise coordinate-wise distance
+    >= d.
 
-    Returns (status, chosen vectors, nodes, pruned). ``symmetry(rows)``
-    gives a group of distance-preserving maps of the vertex set onto itself,
-    given the vectors as the rows of a matrix in search order. The clock
-    starts here and the gate acts on m before the vertices are read, so
-    listing them spends the same time budget as the search. When the budget
-    rules out a real search, the greedy clique is streamed, so the vertices
-    are never listed. Otherwise they are listed in reverse, so that the
-    search, which takes the highest index first, walks them in stream order.
+    Returns (status, chosen vectors as the rows of a matrix, nodes, pruned,
+    seconds per phase). ``symmetry(rows)`` gives a group of
+    distance-preserving maps of the vertex set onto itself, given the
+    vectors as the rows of a matrix in search order. The clock starts here
+    and the gate acts on m before the vertices are read, so listing them
+    spends the same time budget as the search. When the budget rules out a
+    real search, the greedy clique is streamed, so the vertices are never
+    listed. Otherwise they are listed in reverse, so that the search, which
+    takes the highest index first, walks them in stream order.
     """
+    start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     if _over_budget_upfront(m, limits):
-        return STATUS_LOWER_BOUND_ONLY, _greedy_stream(vertices, d, deadline), 0, ()
-    vectors = list(vertices)
-    vectors.reverse()
-    rows = np.asarray(vectors)
-    clique, exhausted, nodes, pruned = _max_clique(
-        _conflict_masks(rows, d), symmetry(rows), max_nodes, deadline
-    )
+        kept = _greedy_stream(blocks, d, deadline)
+        return STATUS_LOWER_BOUND_ONLY, kept, 0, (), {"greedy": time.perf_counter() - start}
+    rows = np.concatenate(list(blocks))[::-1]
+    listed = time.perf_counter()
+    conflicts = _conflict_masks(rows, d)
+    masked = time.perf_counter()
+    clique, exhausted, nodes, pruned = _max_clique(conflicts, symmetry(rows), max_nodes, deadline)
+    seconds = {"listing": listed - start, "conflict_masks": masked - listed,
+               "search": time.perf_counter() - masked}
     status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
-    return status, [vectors[i] for i in clique], nodes, pruned
+    return status, rows[clique], nodes, pruned, seconds
+
+
+def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
+    """The 0/1 words of length n and weight w, supports in lexicographic
+    order, as the rows of consecutive int8 matrices of at most 4,096 rows
+    (at least one)."""
+    supports = combinations(range(n), w)
+    while group := list(islice(supports, 1 << 12)):
+        points = np.array(group, dtype=np.intp).reshape(len(group), w)
+        rows = np.zeros((len(group), n), dtype=np.int8)
+        np.put_along_axis(rows, points, 1, axis=1)
+        yield rows
 
 
 def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -510,18 +563,18 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
     m = factorial(n) - ball_volume(n, d - 1)
-    vertices = (p for p in iterate_all(n) if weight(p) >= d)
-    status, chosen, nodes, pruned = _solve(m, vertices, d, limits, _conjugation(n))
-    witness = PermutationArray(n, [identity(n)] + chosen)
-    return SearchOutcome(status, witness, nodes, pruned)
+    status, chosen, nodes, pruned, seconds = _solve(
+        m, permutation_rows(n, d), d, limits, _conjugation(n))
+    witness = PermutationArray(n, np.concatenate([np.arange(n)[None], chosen]))
+    return SearchOutcome(status, witness, nodes, pruned, seconds)
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d and every member of weight exactly w. The identity is not a
-    member (its weight is 0), so the clique runs over the whole weight-w
-    stream. Conjugation and inversion keep weights and distances, so the
-    search prunes the orbits of their stabilisers."""
+    member (its weight is 0), so the clique runs over all the weight-w
+    permutations. Conjugation and inversion keep weights and distances, so
+    the search prunes the orbits of their stabilisers."""
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
     if d < 1:
@@ -529,9 +582,10 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     m = binomial(n, w) * derangement_count(w)
-    status, chosen, nodes, pruned = _solve(m, iterate_weight(n, w), d, limits, _conjugation(n))
+    status, chosen, nodes, pruned, seconds = _solve(
+        m, weight_rows(n, w), d, limits, _conjugation(n))
     witness = PermutationArray(n, chosen)
-    return SearchOutcome(status, witness, nodes, pruned)
+    return SearchOutcome(status, witness, nodes, pruned, seconds)
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -546,11 +600,11 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
         raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
-    vectors = indicator_vectors(n, combinations(range(n), w))
-    status, chosen, nodes, pruned = _solve(binomial(n, w), vectors, d, limits, _Young)
-    words = tuple(tuple(i for i, bit in enumerate(vector) if bit) for vector in chosen)
+    status, chosen, nodes, pruned, seconds = _solve(
+        binomial(n, w), _word_rows(n, w), d, limits, _Young)
+    words = tuple(tuple(np.flatnonzero(vector).tolist()) for vector in chosen)
     witness = BinaryCwCode(n, w, words, d)
-    return SearchOutcome(status, witness, nodes, pruned)
+    return SearchOutcome(status, witness, nodes, pruned, seconds)
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:

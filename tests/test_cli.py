@@ -227,6 +227,15 @@ class TestSearch:
         assert report["value"] == 3
         # the root's one branch leaves the other 14 transpositions, one orbit
         assert (report["nodes"], report["pruned"]) == (2, [14])
+        assert set(report["seconds"]) == {"listing", "conflict_masks", "search"}
+        assert all(seconds >= 0 for seconds in report["seconds"].values())
+
+    def test_json_report_of_a_gated_search(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "p", "6", "2", "--limit-nodes", "10", "--json")
+        report = json.loads(out)
+        assert code == EXIT_LIMITS
+        assert report["status"] == "lower-bound-only"
+        assert list(report["seconds"]) == ["greedy"]
 
     def test_binary_code_witness(self, capsys, tmp_path):
         out_path = tmp_path / "a643.pa"

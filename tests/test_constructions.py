@@ -3,6 +3,7 @@ and the group families that meet the quotient bound."""
 
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +177,17 @@ class TestPermutationArray:
         assert not array.rows.flags.writeable
 
     @settings(deadline=None)
+    @given(member_lists(), st.sampled_from([np.int8, np.uint8, np.int16, np.int64]))
+    def test_a_matrix_is_read_as_its_rows(self, case, dtype):
+        n, members = case
+        matrix = np.array([list(p) for p in members], dtype=dtype).reshape(len(members), n)
+        array = PermutationArray(n, matrix)
+        assert array == PermutationArray(n, members)
+        assert array.rows.tolist() == [list(p) for p in array.members]
+        assert all(type(p) is Permutation for p in array.members)
+        assert matrix.flags.writeable  # the caller's matrix is copied, not frozen
+
+    @settings(deadline=None)
     @given(st.data())
     def test_first_bad_member_raises_its_permutation_error(self, data):
         n = data.draw(st.integers(1, 6))
@@ -195,6 +207,15 @@ class TestPermutationArray:
         with pytest.raises(ValueError) as excinfo:
             PermutationArray(n, members)
         assert str(excinfo.value) == errors[0]
+        if all(isinstance(v, int) and -2**63 <= v < 2**63 for p in members for v in p):
+            with pytest.raises(ValueError) as excinfo:
+                PermutationArray(n, np.array(members))
+            assert str(excinfo.value) == errors[0]
+
+    def test_a_matrix_of_the_wrong_width_is_rejected(self):
+        with pytest.raises(ValueError, match="member of length 4 in an array on 3 points"):
+            PermutationArray(3, np.zeros((2, 4), dtype=np.int8))
+        assert len(PermutationArray(3, np.zeros((0, 4), dtype=np.int8))) == 0
 
     def test_equality(self):
         members = [identity(3), Permutation((1, 2, 0))]

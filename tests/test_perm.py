@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,33 @@ def test_iterate_weight_is_support_first():
         assert tuples == sorted(tuples)
 
 
+@pytest.mark.parametrize("list_rows", [1, 5, None])
+def test_row_streams_list_the_tuple_streams(monkeypatch, list_rows):
+    # at 1 and 5 rows per block, blocks are ragged or empty after the weight
+    # filter, and supports with more derangements than that stream them
+    if list_rows is not None:
+        monkeypatch.setattr(perm, "_LIST_ROWS", list_rows)
+    for n in range(7):
+        perms = list(iterate_all(n))
+        for d in range(n + 2):
+            blocks = list(perm.permutation_rows(n, d))
+            assert blocks and all(block.dtype == np.int8 for block in blocks)
+            assert np.concatenate(blocks).tolist() == [list(p) for p in perms if weight(p) >= d]
+        for w in [0] + list(range(2, n + 1)):
+            blocks = list(perm.weight_rows(n, w))
+            assert blocks and all(len(block) <= max(perm._LIST_ROWS, derangement_count(w))
+                                  for block in blocks)
+            assert np.concatenate(blocks).tolist() == [list(p) for p in iterate_weight(n, w)]
+
+
+def test_row_streams_reject_what_the_tuple_streams_reject():
+    with pytest.raises(ValueError):
+        next(perm.permutation_rows(-1, 0))
+    for w in (1, 6, -1):
+        with pytest.raises(ValueError):
+            next(perm.weight_rows(5, w))
+
+
 def test_iterate_derangements_on():
     on_012 = list(iterate_derangements_on((0, 1, 2), 5))
     assert len(on_012) == 2
@@ -259,22 +287,37 @@ class TestDistanceBlocks:
             assert code.violations(d) == expected
 
     def test_long_vectors_do_not_wrap(self, monkeypatch):
-        # 300 agreements overflow an 8-bit count
-        rng = random.Random(300)
-        a = list(range(300))
-        rng.shuffle(a)
-        b = list(range(300))
-        rng.shuffle(b)
-        near = a.copy()
-        near[0], near[1] = near[1], near[0]
-        vectors = [Permutation(p) for p in (a, b, near)]
+        # 255 agreements fill an 8-bit count; 256 and 300 overflow it, so the
+        # count widens to 16 bits (and entries up to 255 need int16 columns)
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 4)
+        for n in (255, 256, 300):
+            rng = random.Random(n)
+            a = list(range(n))
+            rng.shuffle(a)
+            b = list(range(n))
+            rng.shuffle(b)
+            near = a.copy()
+            near[0], near[1] = near[1], near[0]
+            vectors = [Permutation(p) for p in (a, b, near)]
+            _assert_blocks_match(vectors, upper=False)
+            _assert_blocks_match(vectors, upper=True)
+            array = PermutationArray(n, vectors)
+            assert array.min_distance() == 2
+            assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
+            assert pairs_below(vectors, 3) == [(0, 2, 2)]
+
+    @pytest.mark.parametrize("a, b", [(-129, 127), (128, -128), (-128, 127), (127, 128)])
+    def test_entries_at_the_int8_edges_are_compared_exactly(self, monkeypatch, a, b):
+        # -129 and 127, and 128 and -128, are equal in 8 bits, so a narrowed
+        # copy would see agreements that are not there; -128 and 127 fit
+        vectors = [[a, 0, b], [b, 0, a], [a, 1, a], [b, 1, b], [a, 0, b]]
         monkeypatch.setattr(perm, "_BLOCK_BYTES", 4)
         _assert_blocks_match(vectors, upper=False)
         _assert_blocks_match(vectors, upper=True)
-        array = PermutationArray(300, vectors)
-        assert array.min_distance() == 2
-        assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
-        assert pairs_below(vectors, 3) == [(0, 2, 2)]
+        expected = [(i, j, hamming_distance(vectors[i], vectors[j]))
+                    for i, j in itertools.combinations(range(5), 2)]
+        assert pairs_below(vectors, 4) == expected
+        assert pairs_below(np.array(vectors), 1) == [(0, 4, 0)]
 
     def test_entries_beyond_int16_are_compared_exactly(self):
         # 0 and 65536 are equal in 16 bits, so a narrowed copy would see one

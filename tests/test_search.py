@@ -1,6 +1,7 @@
 """Clique search: exact values on small instances, witness integrity,
 determinism, and behaviour at the node and time limits."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -22,7 +23,15 @@ from permarray.constructions import (
     indicator_vectors,
 )
 from permarray.exactmath import factorial
-from permarray.perm import Permutation, cycle_type, identity, iterate_all, weight
+from permarray.perm import (
+    Permutation,
+    cycle_type,
+    identity,
+    iterate_all,
+    iterate_weight,
+    permutation_rows,
+    weight,
+)
 from permarray.search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -134,14 +143,17 @@ class TestLimitBehaviour:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_streamed_greedy_matches_the_graph_greedy(self, d):
-        # several 256-vector blocks, and at d = 2 more than 256 kept vectors
+        # several 256-vector blocks, and at d = 2 more than 256 kept vectors;
+        # the stream comes in ragged blocks that the greedy regroups
         perms = [p for p in iterate_all(6) if weight(p) >= d]
         words = list(indicator_vectors(11, itertools.combinations(range(11), 5)))
         for vectors, distance in [(perms, d), (words, 2 * d)]:
             reverse = vectors[::-1]
             greedy = _greedy_clique(_conflict_masks(reverse, distance))
-            streamed = _greedy_stream(iter(vectors), distance, math.inf)
-            assert streamed == [reverse[i] for i in greedy]
+            rows = np.array(vectors, dtype=np.int8)
+            blocks = (rows[start:start + 100] for start in range(0, len(rows) + 1, 100))
+            streamed = _greedy_stream(blocks, distance, math.inf)
+            assert streamed.tolist() == [list(reverse[i]) for i in greedy]
 
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
@@ -199,15 +211,15 @@ class TestLimitBehaviour:
         # greedy witness reads before the deadline
         pulled = 0
 
-        def counting_iterate_all(n):
+        def counting_permutation_rows(n, min_weight):
             nonlocal pulled
-            for p in iterate_all(n):
-                pulled += 1
+            for block in permutation_rows(n, min_weight):
+                pulled += len(block)
                 if pulled > 1_000_000:
                     raise AssertionError("the gated search is listing S_11")
-                yield p
+                yield block
 
-        monkeypatch.setattr(search, "iterate_all", counting_iterate_all)
+        monkeypatch.setattr(search, "permutation_rows", counting_permutation_rows)
         outcome = exact_p(11, 3, SearchLimits(max_nodes=10, max_seconds=0.5))
         assert outcome.status == STATUS_LOWER_BOUND_ONLY
         assert outcome.value > 1
@@ -219,9 +231,10 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, vertices, d, limits, symmetry):
-            counts.append((m, sum(1 for _ in vertices)))
-            return STATUS_EXACT, [], 0, ()
+        def count_only(m, blocks, d, limits, symmetry):
+            blocks = list(blocks)
+            counts.append((m, sum(map(len, blocks))))
+            return STATUS_EXACT, blocks[0][:0], 0, (), {}
 
         monkeypatch.setattr(search, "_solve", count_only)
         for n in range(1, 7):
@@ -377,6 +390,7 @@ def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
     for the rule at every depth. ``orbit_masks()[v]`` is v's orbit under the
     whole group."""
     best = _greedy_clique(conflicts)
+    bits = [1 << v for v in range(len(conflicts))]
     orbit = []
     nodes = 0
     stack = []
@@ -391,7 +405,8 @@ def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
             stack.append((cand, order))
             kmin = len(best) - len(current) + 1
             cand = sub
-            order = _decoded(_color_order(sub, conflicts, kmin)) if sub.bit_count() >= kmin else []
+            order = (_decoded(_color_order(sub, conflicts, bits, kmin))
+                     if sub.bit_count() >= kmin else [])
             sub = 0
             continue
         if order and len(current) + order[-1][0] > len(best):
@@ -500,10 +515,11 @@ class TestOrbitPruning:
         vertices."""
         seen = {}
 
-        def capture(m, vertices, d, limits, symmetry):
-            seen["vectors"] = [tuple(vector) for vector in vertices][::-1]
-            seen["group"] = symmetry(np.asarray(seen["vectors"]))
-            return STATUS_EXACT, [], 0, ()
+        def capture(m, blocks, d, limits, symmetry):
+            rows = np.concatenate(list(blocks))[::-1]
+            seen["vectors"] = [tuple(vector) for vector in rows.tolist()]
+            seen["group"] = symmetry(rows)
+            return STATUS_EXACT, rows[:0], 0, (), {}
 
         with monkeypatch.context() as patch:
             patch.setattr(search, "_solve", capture)
@@ -672,6 +688,67 @@ class TestOrbitPruning:
         assert sum(counts[:1]) == sum(root_counts)
 
 
+def _handed_over(monkeypatch, oracle, *args):
+    """The row blocks an oracle hands the search, as the list of their rows."""
+    handed = []
+
+    def capture(m, blocks, d, limits, symmetry):
+        blocks = list(blocks)
+        assert blocks and all(block.ndim == 2 and block.dtype.kind == "i" for block in blocks)
+        handed.extend(np.concatenate(blocks).tolist())
+        return STATUS_EXACT, blocks[0][:0], 0, (), {}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve", capture)
+        oracle(*args)
+    return handed
+
+
+class TestVertexSources:
+    """Each oracle's row blocks list, row for row, the tuple stream it read
+    before its vertices came as matrices."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exact_p(self, monkeypatch, n):
+        perms = list(iterate_all(n))
+        for d in range(1, n + 1):
+            expected = [list(p) for p in perms if weight(p) >= d]
+            assert _handed_over(monkeypatch, exact_p, n, d) == expected
+
+    @pytest.mark.parametrize("n, d, w", _PCW_CASES)
+    def test_exact_p_cw(self, monkeypatch, n, d, w):
+        expected = [list(p) for p in iterate_weight(n, w)]
+        assert _handed_over(monkeypatch, exact_p_cw, n, d, w) == expected
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_exact_a_cw(self, monkeypatch, n):
+        for w in range(n + 1):
+            expected = list(indicator_vectors(n, itertools.combinations(range(n), w)))
+            assert _handed_over(monkeypatch, exact_a_cw, n, 2, w) == expected
+
+
+class TestPhaseSeconds:
+    @pytest.mark.parametrize(
+        "oracle, args, phases",
+        [(exact_p, (6, 4, SearchLimits(700, None)), ["listing", "conflict_masks", "search"]),
+         (exact_p_cw, (6, 4, 6), ["listing", "conflict_masks", "search"]),
+         (exact_a_cw, (8, 4, 3), ["listing", "conflict_masks", "search"]),
+         (exact_p, (6, 2, SearchLimits(10, None)), ["greedy"]),
+         (exact_a_cw, (9, 4, 4, SearchLimits(None, 0.0)), ["greedy"])],
+    )
+    def test_phases_fit_in_the_call(self, oracle, args, phases):
+        start = time.perf_counter()
+        outcome = oracle(*args)
+        wall = time.perf_counter() - start
+        assert list(outcome.seconds) == phases
+        assert all(seconds >= 0 for seconds in outcome.seconds.values())
+        assert sum(outcome.seconds.values()) <= wall
+
+    def test_seconds_take_no_part_in_equality(self):
+        outcome = exact_p(5, 4)
+        assert outcome == dataclasses.replace(outcome, seconds={"search": 1e9})
+
+
 def _conflicts_of(adjacency):
     """Conflict masks of the graph with the given neighbor masks: every other
     vertex that is not a neighbor."""
@@ -730,11 +807,12 @@ class TestColorOrder:
     def test_matches_first_fit_reference(self, case):
         adjacency, cand, kmin = case
         conflicts = _conflicts_of(adjacency)
+        bits = [1 << v for v in range(len(adjacency))]
         reference = _reference_color_order(cand, adjacency)
-        full = _color_order(cand, conflicts, 1)
+        full = _color_order(cand, conflicts, bits, 1)
         assert isinstance(full, array) and full.typecode == "q"
         assert _decoded(full) == reference
-        assert _decoded(_color_order(cand, conflicts, kmin)) == [
+        assert _decoded(_color_order(cand, conflicts, bits, kmin)) == [
             (k, v) for k, v in reference if k >= kmin
         ]
 
