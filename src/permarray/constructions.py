@@ -21,7 +21,7 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, cycle_type, distance_blocks, pairs_below
+from .perm import Permutation, cycle_type, distance_blocks, pairs_below, permutation_rows
 
 
 class PermutationArray:
@@ -275,7 +275,7 @@ def _cyclic(n: int) -> PermutationArray:
 def _symmetric(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    return PermutationArray(n, permutations(range(n)))
+    return PermutationArray(n, np.concatenate(list(permutation_rows(n, 0))))
 
 
 def _alternating(n: int) -> PermutationArray:

@@ -1,8 +1,7 @@
 """Permutations of {0..n-1} as image tuples, with the Hamming metric and
-fixed-order enumeration streams, and ``distance_blocks``, the one bulk
-distance kernel, which walks all pairwise distances in row blocks of bounded
-size. The kernel reads any (m, n) integer matrix or sequence of equal-length
-vectors; ``PermutationArray.rows`` is the matrix it reads for arrays.
+fixed-order enumeration streams, and the one bulk distance kernel. The
+kernel reads any (m, n) integer matrix or sequence of equal-length vectors;
+``PermutationArray.rows`` is the matrix it reads for arrays.
 
 The distance between two permutations is the number of positions where their
 images differ; the weight of a permutation is its distance from the identity,
@@ -17,10 +16,13 @@ order the search module relies on for reproducible witnesses.
 small-integer matrices, a block at a time, with no per-member objects: the
 search reads its vertices from them.
 
-The kernel compares int8 columns when every entry fits in 8 bits, int16
-columns when they fit in 16, and the matrix's own dtype otherwise; each
-column's bool comparison is added to the agreement counts through a uint8
-view, so the add needs no cast.
+The kernel has a self form, ``distance_blocks``, which walks all pairwise
+distances of one set in row blocks of bounded size, and a cross form,
+``distances``, which measures each vector of one small set against each of
+another. Both compare columns narrowed to one dtype, int8 when every entry
+fits in 8 bits, int16 when in 16, and run one column loop, which adds each
+column's bool comparison to the agreement counts through a uint8 view, so
+the add needs no cast.
 """
 
 from __future__ import annotations
@@ -232,13 +234,50 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
             yield rows.reshape(-1, n)
 
 
+def _columns(*matrices: np.ndarray) -> list[np.ndarray]:
+    """The matrices' columns, as contiguous rows, in the narrowest integer
+    dtype that holds every entry of all of them (int8 compares faster than
+    int16, and int16 up to twice as fast as int64), else object: a narrower
+    copy, or a float one such as ``np.result_type(int64, uint64)``, could
+    make unequal entries equal."""
+    filled = [matrix for matrix in matrices if matrix.size]
+    low = min((int(matrix.min()) for matrix in filled), default=0)
+    high = max((int(matrix.max()) for matrix in filled), default=0)
+    dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64, np.uint64)
+                  if np.iinfo(t).min <= low and high <= np.iinfo(t).max), object)
+    return [np.ascontiguousarray(matrix.T, dtype=dtype) for matrix in matrices]
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distances between the vectors whose ``_columns`` are a and b, in
+    the smallest unsigned dtype that holds the vector length."""
+    n = len(a)
+    agree = np.zeros((a.shape[1], b.shape[1]), dtype=np.min_scalar_type(n))
+    scratch = np.empty(agree.shape, dtype=bool)
+    ones = scratch.view(np.uint8)  # the comparisons as 0/1 counts, added with no cast
+    for k in range(n):
+        np.equal(a[k, :, None], b[k, None, :], out=scratch)
+        agree += ones
+    return np.subtract(n, agree, out=agree)
+
+
+def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
+    """The kernel's cross form: the (len(a), len(b)) Hamming distances
+    between the vectors of a and of b, each an integer matrix or a sequence
+    of vectors, all of one length, as one block."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError("vectors must share a common length")
+    return _distances(*_columns(a, b))
+
+
 def distance_blocks(
     vectors: Sequence[Sequence[int]], upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield the pairwise Hamming distances between equal-length integer
-    vectors as consecutive row blocks ``(start, first_column, block)``, where
-    ``block[r, c]`` is the distance between ``vectors[start + r]`` and
-    ``vectors[first_column + c]``.
+    """The kernel's self form: the pairwise Hamming distances between
+    equal-length integer vectors as consecutive row blocks
+    ``(start, first_column, block)``, where ``block[r, c]`` is the distance
+    between ``vectors[start + r]`` and ``vectors[first_column + c]``.
 
     Full rows start at column 0; with ``upper`` each block starts at its own
     first row's column, which covers every pair i <= j once at half the work.
@@ -253,26 +292,11 @@ def distance_blocks(
     arr = np.asarray(vectors)
     if arr.ndim != 2:
         raise ValueError("vectors must share a common length")
-    n = arr.shape[1]
-    # int8 columns compare faster than int16, and int16 up to twice as fast
-    # as int64; wider values keep their own dtype, since a narrowed copy
-    # could make unequal entries equal
-    low, high = (arr.min(), arr.max()) if arr.size else (0, 0)
-    dtype = next((t for t in (np.int8, np.int16)
-                  if np.iinfo(t).min <= low and high <= np.iinfo(t).max), arr.dtype)
-    columns = np.ascontiguousarray(arr.T, dtype=dtype)
-    count = np.min_scalar_type(n)
+    columns, = _columns(arr)
     rows = max(1, _BLOCK_BYTES // m)
     for start in range(0, m, rows):
-        stop = min(start + rows, m)
         first = start if upper else 0
-        agree = np.zeros((stop - start, m - first), dtype=count)
-        scratch = np.empty(agree.shape, dtype=bool)
-        ones = scratch.view(np.uint8)  # the comparisons as 0/1 counts, added with no cast
-        for k in range(n):
-            np.equal(columns[k, start:stop, None], columns[k, None, first:], out=scratch)
-            agree += ones
-        yield start, first, np.subtract(n, agree, out=agree)
+        yield start, first, _distances(columns[:, start:start + rows], columns[:, first:])
 
 
 def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int, int]]:

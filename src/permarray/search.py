@@ -3,21 +3,25 @@ codes, via branch-and-bound maximum-clique search.
 
 Each oracle counts its vertices in closed form, then hands one pipeline,
 ``_solve``, its vertices in their fixed enumeration order (see ``perm``) as
-a stream of small-integer row blocks, and a group of maps that keep their
-distances: two vertices are adjacent when their distance clears the target.
-The blocks come from ``perm.permutation_rows`` (chunks of
-``itertools.permutations`` read into numpy, with the weight filter applied
-to the whole chunk), ``perm.weight_rows`` (each support's derangements by
-index arithmetic) and ``_word_rows`` (0/1 words placed by their supports),
-so no per-vertex object is made. If the budget, or the memory the conflict
-bitsets would take, rules out a real search, the vertices are never listed:
+a stream of small-integer row blocks, a group of maps that keep their
+distances (two vertices are adjacent when their distance clears the
+target), and a builder that makes its witness from the chosen rows;
+``_solve`` returns the ``SearchOutcome``. The blocks come from
+``perm.permutation_rows`` (chunks of ``itertools.permutations`` read into
+numpy, with the weight filter applied to the whole chunk),
+``perm.weight_rows`` (each support's derangements by index arithmetic) and
+``_word_rows`` (0/1 words placed by their supports), so no per-vertex
+object is made. If the budget, or the memory the conflict bitsets would
+take, rules out a real search, the vertices are never listed:
 the "lower-bound-only" witness is the lowest-index greedy clique, read from
-the blocks 256 rows at a time. Otherwise the blocks are joined into one
-matrix, reversed, and the same greedy clique seeds a search that keeps each
-open node's candidates
-and color order (packed as ``color << 17 | vertex`` in an ``array("q")``)
-on an explicit stack instead of recursing; one loop opens and branches
-every node, the root as node 1. At every node the candidates get the
+each block 256 rows at a time: ``_greedy_clique``, the one greedy rule,
+picks among the rows of a slice that ``perm.distances``, the distance
+kernel's cross form, finds far from every row kept so far. Otherwise the
+blocks are joined into one matrix, reversed, and the same greedy clique
+seeds a search that keeps each open node's candidates and color order
+(packed as ``color << 17 | vertex`` in an ``array("q")``) on an explicit
+stack instead of recursing; one loop opens and branches every node, the
+root as node 1. At every node the candidates get the
 first-fit coloring in index order (classes with no internal edge; a
 clique takes at most one vertex per class), built one class at a time on
 bitsets as in BBMC (San Segundo et al. 2011), and branching walks them in
@@ -71,11 +75,11 @@ The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
 listing the vertices, building the conflict masks, the search and the greedy
 witness alike. The clock is read every 256 nodes, or, in the streamed
-greedy, after each 256 vertices it reads and each 256 kept rows it checks
-them against, so the deadline is best-effort; past it the best clique found
-so far is the witness. Each phase's wall time, on ``time.perf_counter``
-(the deadline keeps ``time.monotonic``), is reported in
-``SearchOutcome.seconds``.
+greedy, after each slice of at most 256 vertices it reads and each 256
+kept rows it checks them against, so the deadline is best-effort; past it
+the best clique found so far is the witness. Each phase's wall time, on
+``time.perf_counter`` (the deadline keeps ``time.monotonic``), is reported
+in ``SearchOutcome.seconds``.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import chain, combinations, islice, permutations
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, islice
 from typing import Protocol
 
 import numpy as np
@@ -94,9 +98,11 @@ import numpy as np
 from .constructions import BinaryCwCode, PermutationArray
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
+    _LIST_ROWS,
     Permutation,
     cycle_type,
     distance_blocks,
+    distances,
     pairs_below,
     permutation_rows,
     weight_rows,
@@ -118,10 +124,17 @@ _ADJACENCY_BYTES = 1 << 30
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Budget for one search; None disables that limit."""
+    """Budget for one search; None disables that limit. A limit is a
+    number >= 0 (zero rules out any search node, inf never stops it), so a
+    negative or NaN limit raises ``ValueError``."""
 
     max_nodes: int | None = 100_000_000
     max_seconds: float | None = 300.0
+
+    def __post_init__(self) -> None:
+        for name, limit in (("node", self.max_nodes), ("time", self.max_seconds)):
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{name} limit must be >= 0 or None: {limit}")
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -167,49 +180,31 @@ def _greedy_clique(conflicts: list[int]) -> list[int]:
     return chosen
 
 
-def _chunks(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The rows of consecutive row blocks, regrouped ``size`` at a time; the
-    last group may be shorter. A block is read only when the rows before it
-    run out."""
-    rest = None
-    for block in blocks:
-        if rest is not None and len(rest):
-            block = np.concatenate([rest, block])
-        end = len(block) - len(block) % size
-        for start in range(0, end, size):
-            yield block[start:start + size]
-        rest = block[end:]
-    if rest is not None and len(rest):
-        yield rest
-
-
 def _greedy_stream(blocks: Iterable[np.ndarray], d: int, deadline: float) -> np.ndarray:
     """The same lowest-index greedy clique, read from a stream of row
-    blocks (at least one, possibly empty): each row is kept when it is at
-    distance >= d from every row kept before it. The stream is read 256
-    rows at a time and checked against the kept ones 256 rows at a time, so
-    memory scales with the clique, not with the stream. The clock is read
-    after each of those checks and after each 256 rows, so one check's work
-    bounds the overrun; past the deadline the rows kept so far are
+    blocks (at least one, possibly empty) 256 rows at a time: the rows of a
+    slice at distance >= d from every row kept so far, checked against the
+    kept rows 256 at a time with ``distances``, are its candidates, and
+    ``_greedy_clique`` on their conflict masks, reversed, keeps its share of
+    the clique. Memory scales with the clique, not with the stream. The
+    clock is read after each check and after each slice, so one check's
+    work bounds the overrun; past the deadline the rows kept so far are
     returned, as the rows of a matrix."""
     blocks = iter(blocks)
     first = next(blocks)
     kept = first[:0]
-    for rows in _chunks(chain([first], blocks), 256):
-        far = np.ones(len(rows), dtype=bool)
-        for start in range(0, len(kept), 256):
-            apart = np.count_nonzero(rows[:, None] != kept[None, start:start + 256], axis=2)
-            far &= (apart >= d).all(axis=1)
+    for block in chain([first], blocks):
+        for start in range(0, len(block), 256):
+            rows = block[start:start + 256]
+            far = np.ones(len(rows), dtype=bool)
+            for top in range(0, len(kept), 256):
+                far &= (distances(rows, kept[top:top + 256]) >= d).all(axis=1)
+                if time.monotonic() > deadline:
+                    return kept
+            rows = rows[far][::-1]
+            kept = np.concatenate([kept, rows[_greedy_clique(_conflict_masks(rows, d))]])
             if time.monotonic() > deadline:
                 return kept
-        taken = []
-        for i in range(len(rows)):
-            if far[i]:
-                taken.append(i)
-                far[i + 1:] &= np.count_nonzero(rows[i + 1:] != rows[i], axis=1) >= d
-        kept = np.concatenate([kept, rows[taken]])
-        if time.monotonic() > deadline:
-            break
     return kept
 
 
@@ -398,7 +393,7 @@ def _symmetric_group(n: int) -> np.ndarray:
     """The permutations of n <= ``_LISTED_DEGREE`` points as the rows of a
     read-only matrix, listed once per n, since searches with node caps may
     otherwise spend a large share of their time listing them."""
-    g = np.array(list(permutations(range(n))), dtype=np.intp)
+    g = np.concatenate(list(permutation_rows(n, 0)), dtype=np.intp)
     g.flags.writeable = False
     return g
 
@@ -507,14 +502,13 @@ class _Young:
 def _solve(
     m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
     symmetry: Callable[[np.ndarray], _Symmetry],
-) -> tuple[str, np.ndarray, int, tuple[int, ...], dict[str, float]]:
+    witness: Callable[[np.ndarray], PermutationArray | BinaryCwCode],
+) -> SearchOutcome:
     """Largest set of the m vectors that ``blocks`` yields, as the rows of
     one or more integer matrices, with pairwise coordinate-wise distance
-    >= d.
-
-    Returns (status, chosen vectors as the rows of a matrix, nodes, pruned,
-    seconds per phase). ``symmetry(rows)`` gives a group of
-    distance-preserving maps of the vertex set onto itself, given the
+    >= d, as the outcome whose witness is ``witness(chosen)``, the chosen
+    vectors given as the rows of a matrix. ``symmetry(rows)`` gives a group
+    of distance-preserving maps of the vertex set onto itself, given the
     vectors as the rows of a matrix in search order. The clock starts here
     and the gate acts on m before the vertices are read, so listing them
     spends the same time budget as the search. When the budget rules out a
@@ -527,7 +521,8 @@ def _solve(
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     if _over_budget_upfront(m, limits):
         kept = _greedy_stream(blocks, d, deadline)
-        return STATUS_LOWER_BOUND_ONLY, kept, 0, (), {"greedy": time.perf_counter() - start}
+        seconds = {"greedy": time.perf_counter() - start}
+        return SearchOutcome(STATUS_LOWER_BOUND_ONLY, witness(kept), seconds=seconds)
     rows = np.concatenate(list(blocks))[::-1]
     listed = time.perf_counter()
     conflicts = _conflict_masks(rows, d)
@@ -536,15 +531,15 @@ def _solve(
     seconds = {"listing": listed - start, "conflict_masks": masked - listed,
                "search": time.perf_counter() - masked}
     status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
-    return status, rows[clique], nodes, pruned, seconds
+    return SearchOutcome(status, witness(rows[clique]), nodes, pruned, seconds)
 
 
 def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
     """The 0/1 words of length n and weight w, supports in lexicographic
-    order, as the rows of consecutive int8 matrices of at most 4,096 rows
-    (at least one)."""
+    order, as the rows of consecutive int8 matrices of at most
+    ``perm._LIST_ROWS`` rows (at least one)."""
     supports = combinations(range(n), w)
-    while group := list(islice(supports, 1 << 12)):
+    while group := list(islice(supports, _LIST_ROWS)):
         points = np.array(group, dtype=np.intp).reshape(len(group), w)
         rows = np.zeros((len(group), n), dtype=np.int8)
         np.put_along_axis(rows, points, 1, axis=1)
@@ -563,10 +558,8 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
     m = factorial(n) - ball_volume(n, d - 1)
-    status, chosen, nodes, pruned, seconds = _solve(
-        m, permutation_rows(n, d), d, limits, _conjugation(n))
-    witness = PermutationArray(n, np.concatenate([np.arange(n)[None], chosen]))
-    return SearchOutcome(status, witness, nodes, pruned, seconds)
+    return _solve(m, permutation_rows(n, d), d, limits, _conjugation(n),
+                  lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])))
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -582,10 +575,7 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     m = binomial(n, w) * derangement_count(w)
-    status, chosen, nodes, pruned, seconds = _solve(
-        m, weight_rows(n, w), d, limits, _conjugation(n))
-    witness = PermutationArray(n, chosen)
-    return SearchOutcome(status, witness, nodes, pruned, seconds)
+    return _solve(m, weight_rows(n, w), d, limits, _conjugation(n), partial(PermutationArray, n))
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -600,11 +590,9 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
         raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
-    status, chosen, nodes, pruned, seconds = _solve(
-        binomial(n, w), _word_rows(n, w), d, limits, _Young)
-    words = tuple(tuple(np.flatnonzero(vector).tolist()) for vector in chosen)
-    witness = BinaryCwCode(n, w, words, d)
-    return SearchOutcome(status, witness, nodes, pruned, seconds)
+    return _solve(binomial(n, w), _word_rows(n, w), d, limits, _Young,
+                  lambda chosen: BinaryCwCode(
+                      n, w, tuple(tuple(np.flatnonzero(row).tolist()) for row in chosen), d))
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:

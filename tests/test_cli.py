@@ -218,6 +218,22 @@ class TestSearch:
         assert ">=" in out
         assert "incomplete" in out
 
+    @pytest.mark.parametrize("limit", [("--limit-seconds", "nan"), ("--limit-seconds", "-1"),
+                                       ("--limit-nodes", "-5")])
+    def test_negative_or_nan_limit_is_a_usage_error(self, capsys, limit):
+        code, out, err = run_cli(capsys, "search", "p", "6", "5", *limit)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "limit must be >= 0" in err
+
+    def test_zero_and_infinite_limits_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "0")
+        assert code == EXIT_LIMITS
+        assert "lower-bound-only" in out
+        code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "inf")
+        assert code == EXIT_OK
+        assert "P(5,3) = 60" in out
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "search", "pcw", "6", "4", "2", "--json")
         report = json.loads(out)

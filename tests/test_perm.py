@@ -16,6 +16,7 @@ from permarray.perm import (
     compose,
     cycle_type,
     distance_blocks,
+    distances,
     hamming_distance,
     identity,
     inverse,
@@ -232,6 +233,15 @@ def _assert_blocks_match(vectors, upper):
     assert next_row == len(vectors)
 
 
+def _assert_cross_matches(a, b):
+    """The cross form's (len(a), len(b)) block holds every distance from a
+    vector of a to a vector of b."""
+    block = distances(a, b)
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    assert block.shape == (len(a), len(b))
+    assert block.tolist() == [[hamming_distance(x, y) for y in b] for x in a]
+
+
 @st.composite
 def permutation_sets(draw):
     n = draw(st.integers(1, 7))
@@ -268,10 +278,28 @@ class TestDistanceBlocks:
             mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
             _assert_blocks_match(members, upper=False)
             _assert_blocks_match(members, upper=True)
+            # the cross form on the set cut into two matrices of unequal
+            # lengths (one may be empty) and dtypes, narrowed to one
+            cut = len(members) // 3
+            _assert_cross_matches(array.rows[:cut], array.rows[cut:].astype(np.uint64))
             assert _conflict_masks(list(members), d) == conflicts
             assert verify_pa(array, d) == [pair for pair in pairs if pair[2] < d]
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
+
+    def test_cross_form_needs_one_length(self):
+        with pytest.raises(ValueError):
+            distances([[0, 1]], [[0, 1, 2]])
+        with pytest.raises(ValueError):
+            distances([0, 1], [[0, 1]])
+
+    def test_cross_form_does_not_compare_in_floats(self):
+        # 2^63 and 2^63 - 1 are one float64, the type that uint64 and int64
+        # promote to; the kernel compares them as uint64
+        big = np.array([[2**63, 0]], dtype=np.uint64)
+        near = np.array([[2**63 - 1, 0], [-1, 0]], dtype=np.int64)
+        assert distances(big, near[:1]).tolist() == [[1]]
+        assert distances(big, near).tolist() == [[1, 1]]
 
     @settings(deadline=None)
     @given(cw_codes(), st.integers(1, 64))
@@ -301,6 +329,8 @@ class TestDistanceBlocks:
             vectors = [Permutation(p) for p in (a, b, near)]
             _assert_blocks_match(vectors, upper=False)
             _assert_blocks_match(vectors, upper=True)
+            _assert_cross_matches(vectors[:1], vectors[1:])
+            _assert_cross_matches(vectors, vectors[2:])
             array = PermutationArray(n, vectors)
             assert array.min_distance() == 2
             assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
@@ -318,6 +348,8 @@ class TestDistanceBlocks:
                     for i, j in itertools.combinations(range(5), 2)]
         assert pairs_below(vectors, 4) == expected
         assert pairs_below(np.array(vectors), 1) == [(0, 4, 0)]
+        _assert_cross_matches(vectors[:2], vectors[2:])
+        _assert_cross_matches(np.array(vectors[3:], dtype=np.int16), np.array(vectors[:3]))
 
     def test_entries_beyond_int16_are_compared_exactly(self):
         # 0 and 65536 are equal in 16 bits, so a narrowed copy would see one
@@ -327,4 +359,6 @@ class TestDistanceBlocks:
         swapped[0], swapped[65536] = 65536, 0
         array = PermutationArray(n, [identity(n), swapped])
         assert array.min_distance() == 2
+        assert distances(array.rows[:1], array.rows).tolist() == [[0, 2]]
+        assert distances(array.rows[1:].astype(np.uint32), array.rows[:1]).tolist() == [[2]]
         assert [dist for _, _, dist in verify_pa(array, 3)] == [2]

@@ -38,6 +38,7 @@ from permarray.search import (
     STATUS_INCOMPLETE,
     STATUS_LOWER_BOUND_ONLY,
     SearchLimits,
+    SearchOutcome,
     _color_order,
     _conflict_masks,
     _greedy_clique,
@@ -143,23 +144,48 @@ class TestLimitBehaviour:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_streamed_greedy_matches_the_graph_greedy(self, d):
-        # several 256-vector blocks, and at d = 2 more than 256 kept vectors;
-        # the stream comes in ragged blocks that the greedy regroups
+        # several 256-vector slices, and at d = 2 more than 256 kept vectors;
+        # the greedy cuts each block into slices of at most 256 rows, so
+        # blocks of 300 and 1,000 rows end in a shorter slice, and an empty
+        # block mid-stream adds none
         perms = [p for p in iterate_all(6) if weight(p) >= d]
         words = list(indicator_vectors(11, itertools.combinations(range(11), 5)))
         for vectors, distance in [(perms, d), (words, 2 * d)]:
             reverse = vectors[::-1]
             greedy = _greedy_clique(_conflict_masks(reverse, distance))
             rows = np.array(vectors, dtype=np.int8)
-            blocks = (rows[start:start + 100] for start in range(0, len(rows) + 1, 100))
-            streamed = _greedy_stream(blocks, distance, math.inf)
-            assert streamed.tolist() == [list(reverse[i]) for i in greedy]
+            for size in (100, 300, 1000):
+                blocks = [rows[start:start + size] for start in range(0, len(rows) + 1, size)]
+                blocks.insert(len(blocks) // 2 + 1, rows[:0])
+                streamed = _greedy_stream(iter(blocks), distance, math.inf)
+                assert streamed.tolist() == [list(reverse[i]) for i in greedy]
+
+    def test_gated_witness_of_a_stream_of_blocks_is_pinned(self):
+        # S_8 is read 4,096 permutations at a time, so the 37,085 vertices
+        # at distance >= 6 from the identity come in ten ragged blocks
+        outcome = exact_p(8, 6, SearchLimits(max_nodes=10, max_seconds=None))
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, 77, 0)
+        assert_verified(outcome, 6)
+        members = repr(outcome.witness.members).encode()
+        assert hashlib.sha256(members).hexdigest()[:16] == "32b22f92784aab64"
 
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
         # S_8's 40,320 rows of 5,040 B (203 MB) still search
         assert _over_budget_upfront(362_880, DEFAULT_LIMITS)
         assert not _over_budget_upfront(40_320, DEFAULT_LIMITS)
+
+    @pytest.mark.parametrize("limits", [(-5, None), (-1, 60.0), (None, -1.0), (10, math.nan),
+                                        (math.nan, None), (None, -math.inf)])
+    def test_negative_or_nan_limits_are_rejected(self, limits):
+        # a NaN deadline is never passed, so it would turn the clock off
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            SearchLimits(*limits)
+
+    def test_zero_and_infinite_limits_keep_their_meaning(self):
+        assert exact_p(5, 3, SearchLimits(0, None)).status == STATUS_LOWER_BOUND_ONLY
+        outcome = exact_p(5, 3, SearchLimits(math.inf, math.inf))
+        assert (outcome.status, outcome.value) == (STATUS_EXACT, 60)
 
     def test_zero_seconds_is_lower_bound_only(self):
         outcome = exact_p(5, 4, SearchLimits(max_nodes=None, max_seconds=0.0))
@@ -231,10 +257,10 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, blocks, d, limits, symmetry):
+        def count_only(m, blocks, d, limits, symmetry, witness):
             blocks = list(blocks)
             counts.append((m, sum(map(len, blocks))))
-            return STATUS_EXACT, blocks[0][:0], 0, (), {}
+            return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
         monkeypatch.setattr(search, "_solve", count_only)
         for n in range(1, 7):
@@ -318,8 +344,8 @@ def _one_orbit_per_vertex(monkeypatch, oracle, *args):
     node drops only the vertex it branched on."""
     solve = search._solve
 
-    def solve_unpruned(m, vertices, d, limits, symmetry):
-        return solve(m, vertices, d, limits, lambda rows: _Trivial())
+    def solve_unpruned(m, vertices, d, limits, symmetry, witness):
+        return solve(m, vertices, d, limits, lambda rows: _Trivial(), witness)
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_solve", solve_unpruned)
@@ -515,11 +541,11 @@ class TestOrbitPruning:
         vertices."""
         seen = {}
 
-        def capture(m, blocks, d, limits, symmetry):
+        def capture(m, blocks, d, limits, symmetry, witness):
             rows = np.concatenate(list(blocks))[::-1]
             seen["vectors"] = [tuple(vector) for vector in rows.tolist()]
             seen["group"] = symmetry(rows)
-            return STATUS_EXACT, rows[:0], 0, (), {}
+            return SearchOutcome(STATUS_EXACT, witness(rows[:0]))
 
         with monkeypatch.context() as patch:
             patch.setattr(search, "_solve", capture)
@@ -692,11 +718,11 @@ def _handed_over(monkeypatch, oracle, *args):
     """The row blocks an oracle hands the search, as the list of their rows."""
     handed = []
 
-    def capture(m, blocks, d, limits, symmetry):
+    def capture(m, blocks, d, limits, symmetry, witness):
         blocks = list(blocks)
         assert blocks and all(block.ndim == 2 and block.dtype.kind == "i" for block in blocks)
         handed.extend(np.concatenate(blocks).tolist())
-        return STATUS_EXACT, blocks[0][:0], 0, (), {}
+        return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_solve", capture)
