@@ -15,22 +15,24 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, combinations, permutations
+from functools import cached_property, partial
+from itertools import chain, combinations
 
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, cycle_type, distance_blocks, pairs_below, permutation_rows
+from .perm import Permutation, distance_blocks, pairs_below, permutation_rows
 
 
 class PermutationArray:
     """A set of distinct permutations of a common length, kept sorted in
-    lexicographic image order, both as ``members`` (a tuple of
-    ``Permutation``) and as ``rows``, the read-only (m, n) integer matrix the
-    distance kernel reads. The pairwise minimum distance is computed on
-    first request and cached; constructors never stamp a claimed distance
-    into the cache, so verification always measures.
+    lexicographic image order as ``rows``, the read-only (m, n) integer
+    matrix the distance kernel reads. ``members``, the same rows as a tuple
+    of ``Permutation``, is built from ``rows`` on first read: length,
+    equality, ``min_distance`` and a verification that finds no bad pair
+    never build it. The pairwise minimum distance is computed on first
+    request and cached; constructors never stamp a claimed distance into
+    the cache, so verification always measures.
 
     ``members`` may be any iterable of integer sequences, or an (m, n)
     integer matrix, which is read as it is. A member whose length is not n
@@ -70,13 +72,15 @@ class PermutationArray:
         self.n = n
         self.rows = rows[keep]
         self.rows.flags.writeable = False
-        # the rows are checked bijections, so skip Permutation's own check
-        self.members: tuple[Permutation, ...] = tuple(
-            map(partial(tuple.__new__, Permutation), self.rows.tolist()))
         self._min_distance: int | None = None
 
+    @cached_property
+    def members(self) -> tuple[Permutation, ...]:
+        # the rows are checked bijections, so skip Permutation's own check
+        return tuple(map(partial(tuple.__new__, Permutation), self.rows.tolist()))
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.members)
@@ -90,14 +94,14 @@ class PermutationArray:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermutationArray):
             return NotImplemented
-        return self.n == other.n and self.members == other.members
+        return self.n == other.n and np.array_equal(self.rows, other.rows)
 
     def __repr__(self) -> str:
-        return f"PermutationArray(n={self.n}, size={len(self.members)})"
+        return f"PermutationArray(n={self.n}, size={len(self)})"
 
     def min_distance(self) -> int:
         """Exact pairwise minimum Hamming distance; needs >= 2 members."""
-        if len(self.members) < 2:
+        if len(self) < 2:
             raise ValueError("minimum distance needs at least two members")
         if self._min_distance is None:
             best = self.n
@@ -281,9 +285,12 @@ def _symmetric(n: int) -> PermutationArray:
 def _alternating(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    # a permutation with c cycles is a product of n - c transpositions
-    return PermutationArray(n, (p for p in permutations(range(n))
-                                if (n - len(cycle_type(p))) % 2 == 0))
+    # a permutation is even when its inversions, the pairs i < j with
+    # p(i) > p(j), are even in number
+    i, j = np.triu_indices(n, 1)
+    return PermutationArray(n, np.concatenate([
+        rows[np.count_nonzero(rows[:, i] > rows[:, j], axis=1) % 2 == 0]
+        for rows in permutation_rows(n, 0)]))
 
 
 def _affine(p: int) -> PermutationArray:

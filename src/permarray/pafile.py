@@ -117,27 +117,36 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     count and (for permutations) bijectivity. The claimed distance is parsed
     but not checked here.
 
-    The body is parsed in one pass over all its entries; a permutation body
-    goes to ``PermutationArray`` as one integer matrix, which it checks all
-    at once. Errors come in line order: the first non-integer entry, then
-    the member count, then the first line that is not a bijection on its
-    own entries or does not have n of them."""
+    The body is parsed in one pass over all its entries: numpy reads them
+    into one int64 array by ``int()``'s rules (surrounding spaces, a sign,
+    digit underscores and Unicode digits are accepted), and entries beyond
+    int64 are read as Python ints. A permutation body goes to
+    ``PermutationArray`` as one integer matrix, which it checks all at
+    once. Errors come in line order: the first non-integer entry, then the
+    member count, then the first line that is not a bijection on its own
+    entries or does not have n of them."""
     lines = _content_lines(text)
     if not lines:
         raise PaFormatError("empty file")
     header = _parse_header(lines[0][1], lines[0][0])
     body = lines[1:]
+    entries = ",".join(line for _, line in body).split(",")
     try:
-        values = list(map(int, ",".join(line for _, line in body).split(",")))
+        try:
+            values = np.array(entries, dtype=np.int64)
+        except OverflowError:
+            # an entry beyond int64: Python ints, for Permutation to name
+            values = np.array(list(map(int, entries)), dtype=object)
     except ValueError:
         # line by line, to name the first line at fault (an empty body lands here too)
-        values = [v for lineno, line in body for v in _ints(lineno, line)]
+        values = np.array([v for lineno, line in body for v in _ints(lineno, line)],
+                          dtype=np.int64)
     if len(body) != header.count:
         raise PaFormatError(f"header promises {header.count} members, found {len(body)}")
     widths = [line.count(",") + 1 for _, line in body]
     if header.kind == "cw":
-        entries = iter(values)
-        words = tuple(tuple(islice(entries, width)) for width in widths)
+        ints = iter(values.tolist())
+        words = tuple(tuple(islice(ints, width)) for width in widths)
         try:
             return header, BinaryCwCode(header.n, header.w, words, header.d)
         except ValueError as exc:
@@ -145,15 +154,11 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     n = header.n
     # the lines before the first one of the wrong width hold n entries each
     k = next((i for i, width in enumerate(widths) if width != n), len(widths))
-    misfit = tuple(values[k * n:k * n + widths[k]]) if k < len(widths) else None
-    entries = values[:k * n]
+    misfit = tuple(values[k * n:k * n + widths[k]].tolist()) if k < len(widths) else None
     try:
-        members = np.array(entries, dtype=np.int64).reshape(k, max(n, 0))
-    except OverflowError:
-        # an entry beyond int64: rows of Python ints, for Permutation to name
-        members = zip(*[iter(entries)] * n)
-    try:
-        array = PermutationArray(n, members)
+        # an int64 matrix, or with an entry beyond int64 an object one, whose
+        # rows PermutationArray hands to Permutation one by one
+        array = PermutationArray(n, values[:k * n].reshape(k, max(n, 0)))
         if misfit is not None:
             Permutation(misfit)  # a non-bijection reports that before its length
     except ValueError as exc:

@@ -598,8 +598,10 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:
     """All member pairs at distance below d, in row-major pair order; an empty
     list means the array verifies at distance d."""
-    members = array.members
     pairs: list = pairs_below(array.rows, d)
+    if not pairs:
+        return pairs  # the members are not built when there is nothing to report
+    members = array.members
     # each index triple gives way to its member triple in place, so the
     # pairs are never held twice
     for k, (i, j, dist) in enumerate(pairs):

@@ -2,12 +2,14 @@
 agreement between the human and JSON renderings."""
 
 import json
+from itertools import combinations, permutations
 
 import pytest
 
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 
-from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from permarray import perm
+from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from permarray.constructions import BinaryCwCode, lift_binary_cw_code
 from permarray.pafile import dump_pa, load
 
@@ -309,6 +311,20 @@ class TestVerify:
         assert report["ok"] is False
         assert report["violations"][0]["distance"] == 2
 
+    def test_many_pairs_across_blocks_in_pair_order(self, capsys, tmp_path, monkeypatch):
+        # blocks of a few rows, so the 600 pairs at distance 2 in S_5 (one
+        # per transposition away) are found in many blocks
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 1000)
+        path = tmp_path / "s5.pa"
+        run_cli(capsys, "construct", "symmetric", "5", "--out", str(path))
+        code, out, _ = run_cli(capsys, "verify", str(path), "3")
+        expected = [f"  {','.join(map(str, a))} <-> {','.join(map(str, b))} distance 2"
+                    for a, b in combinations(permutations(range(5)), 2)
+                    if sum(x != y for x, y in zip(a, b)) < 3]
+        assert code == EXIT_VERIFY
+        assert len(expected) == 600
+        assert out.splitlines() == ["FAIL: 600 pair(s) below distance 3:"] + expected
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent/file.pa")
         assert code == EXIT_USAGE
@@ -352,3 +368,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "x", "3"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # main parses with one parser per process; no call's options or
+        # errors carry over to the next
+        assert build_parser() is not build_parser()
+        _, as_json, _ = run_cli(capsys, "bound", "5", "5", "--json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify"])
+        assert excinfo.value.code == EXIT_USAGE
+        capsys.readouterr()
+        code, plain, err = run_cli(capsys, "bound", "5", "5")
+        assert json.loads(as_json)["best"]["value"] == 5
+        assert (code, plain.splitlines()[0], err) == (EXIT_OK, "upper bounds for P(5,5):", "")

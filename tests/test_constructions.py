@@ -1,7 +1,7 @@
 """Constructions: explicit arrays, binary codes, the support-lifting map,
 and the group families that meet the quotient bound."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -24,7 +24,16 @@ from permarray.constructions import (
     perfect_size,
 )
 from permarray.exactmath import factorial
-from permarray.perm import Permutation, compose, hamming_distance, identity, inverse, weight
+from permarray.perm import (
+    Permutation,
+    compose,
+    cycle_type,
+    hamming_distance,
+    identity,
+    inverse,
+    weight,
+)
+from permarray.search import SearchLimits, exact_p, verify_pa
 
 
 def reference_greedy_partial_steiner(n, blocksize):
@@ -219,7 +228,31 @@ class TestPermutationArray:
 
     def test_equality(self):
         members = [identity(3), Permutation((1, 2, 0))]
-        assert PermutationArray(3, members) == PermutationArray(3, list(reversed(members)))
+        array = PermutationArray(3, members)
+        assert array == PermutationArray(3, list(reversed(members)))
+        assert array != PermutationArray(3, [identity(3)])
+        assert array != PermutationArray(3, [identity(3), Permutation((2, 0, 1))])
+        assert PermutationArray(2, []) != PermutationArray(3, [])
+        assert array.__eq__(members) is NotImplemented
+
+    @pytest.mark.parametrize("make", [
+        lambda: PermutationArray(4, [list(p) for p in permutations(range(4))][::-1]),
+        lambda: exact_p(5, 4, SearchLimits(max_nodes=10, max_seconds=None)).witness,
+    ], ids=["list", "search-witness"])
+    def test_members_are_built_on_first_read(self, make):
+        array, same = make(), make()
+        d = array.min_distance()
+        assert len(array) == len(array.rows) and array == same
+        assert verify_pa(array, d) == [] and verify_pa(same, d) == []
+        assert "members" not in vars(array) and "members" not in vars(same)
+        # once read, the members are those the eager constructor built
+        expected = tuple(sorted(set(map(Permutation, array.rows.tolist()))))
+        assert array.members == expected
+        assert all(type(p) is Permutation for p in array.members)
+        assert array.members is array.members
+        assert "members" not in vars(same)
+        assert verify_pa(same, d + 1)  # pairs to report: now they are built
+        assert same.members == expected
 
 
 class TestBinaryCwCode:
@@ -374,6 +407,13 @@ class TestPerfectFamilies:
         assert len(array) == factorial(n)
         assert array.min_distance() == 2
         assert len(array) == dv_bound(n, 2).value
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_alternating_matches_the_cycle_type_filter(self, n):
+        # a permutation with c cycles is a product of n - c transpositions
+        expected = [p for p in permutations(range(n)) if (n - len(cycle_type(p))) % 2 == 0]
+        array = perfect_pa("alternating", n)
+        assert array.rows.tolist() == [list(p) for p in expected]
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_alternating(self, n):

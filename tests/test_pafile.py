@@ -58,7 +58,12 @@ def reference_loads(text):
 
 
 FAULTS = ("non-integer", "wrong-length", "non-bijection", "out-of-range", "duplicate",
-          "count", "misaligned")
+          "count", "misaligned", "spelling")
+
+# entries that int() reads, spelled with a sign, an underscore, a Unicode
+# digit, a leading space, and one past int64; numpy must read them alike
+SPELLINGS = ("+1", "1_0", "\u0663", " 1", str(2**63))
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 @st.composite
@@ -98,6 +103,12 @@ def format_texts(draw):
             count += draw(st.sampled_from([-1, 1]))
         elif fault == "misaligned" and i + 1 < len(rows) and row:
             rows[i + 1].insert(0, row.pop())
+        elif fault == "spelling" and row:
+            k = draw(st.integers(0, len(row) - 1))
+            # the entry's own value spelled another way keeps a valid file valid
+            own = str(row[k])
+            row[k] = draw(st.sampled_from(
+                (f"+{own}", f" {own}", own.translate(ARABIC_INDIC)) + SPELLINGS))
     text = [f"{kind} n={n} d=2 w={'-' if w is None else w} count={count}"]
     for row in rows:
         if draw(st.booleans()):

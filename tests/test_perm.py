@@ -287,6 +287,18 @@ class TestDistanceBlocks:
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
 
+    @pytest.mark.parametrize("block_bytes", [1, 7, 24, 100, 1 << 18])
+    def test_pair_order_with_many_hits_across_blocks(self, monkeypatch, block_bytes):
+        # S_4 at d = 3 has 72 pairs at distance 2, spread over every block
+        rows = np.array(list(itertools.permutations(range(4))), dtype=np.int8)
+        expected = [(i, j, hamming_distance(rows[i], rows[j]))
+                    for i, j in itertools.combinations(range(24), 2)
+                    if hamming_distance(rows[i], rows[j]) < 3]
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", block_bytes)
+        assert len(expected) == 72
+        assert pairs_below(rows, 3) == expected
+        assert all(type(v) is int for pair in pairs_below(rows, 3) for v in pair)
+
     def test_cross_form_needs_one_length(self):
         with pytest.raises(ValueError):
             distances([[0, 1]], [[0, 1, 2]])
