@@ -13,7 +13,6 @@ report carrying the same numbers as the human output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -336,15 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reads with, built once per process: building it
-    costs more than forty times what one ``parse_args`` does."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

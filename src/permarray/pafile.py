@@ -120,7 +120,9 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     The body is parsed in one pass over all its entries: numpy reads them
     into one int64 array by ``int()``'s rules (surrounding spaces, a sign,
     digit underscores and Unicode digits are accepted), and entries beyond
-    int64 are read as Python ints. A permutation body goes to
+    int64 are read as Python ints. That is how numpy reads a str, not a
+    documented promise of it, so a supported numpy must pass
+    ``test_numpy_reads_an_entry_by_int_rules``. A permutation body goes to
     ``PermutationArray`` as one integer matrix, which it checks all at
     once. Errors come in line order: the first non-integer entry, then the
     member count, then the first line that is not a bijection on its own

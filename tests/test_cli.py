@@ -9,7 +9,7 @@ import pytest
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 
 from permarray import perm
-from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
+from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import BinaryCwCode, lift_binary_cw_code
 from permarray.pafile import dump_pa, load
 
@@ -368,16 +368,3 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "x", "3"])
         assert excinfo.value.code == EXIT_USAGE
-
-    def test_one_parser_serves_every_call(self, capsys):
-        # main parses with one parser per process; no call's options or
-        # errors carry over to the next
-        assert build_parser() is not build_parser()
-        _, as_json, _ = run_cli(capsys, "bound", "5", "5", "--json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify"])
-        assert excinfo.value.code == EXIT_USAGE
-        capsys.readouterr()
-        code, plain, err = run_cli(capsys, "bound", "5", "5")
-        assert json.loads(as_json)["best"]["value"] == 5
-        assert (code, plain.splitlines()[0], err) == (EXIT_OK, "upper bounds for P(5,5):", "")

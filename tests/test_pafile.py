@@ -3,6 +3,7 @@ malformed or inconsistent files."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,28 @@ class TestAgainstReference:
             assert str(excinfo.value) == str(exc)
         else:
             assert loads(text) == expected
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["3", " 3", "\t3\n", "+3", "-3", "-0", "00", "1_0", "\u0663", "\u0663_\u0660",
+         "\uff13", "x", "", " ", "1.5", "1e3", "0x1", "0b1", "1__0", "_1", "1_", "+-1",
+         "1 0", str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1), str(10**30)],
+    )
+    def test_numpy_reads_an_entry_by_int_rules(self, entry):
+        # loads parses the body with np.array(entries, dtype=np.int64); the
+        # numpy it runs on must read a str as int() does, and raise
+        # OverflowError (for the Python-int fallback) past int64
+        try:
+            value = int(entry)
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.array([entry], dtype=np.int64)
+            return
+        if -2**63 <= value < 2**63:
+            assert np.array([entry], dtype=np.int64).tolist() == [value]
+        else:
+            with pytest.raises(OverflowError):
+                np.array([entry], dtype=np.int64)
 
     @pytest.mark.parametrize(
         "body, message",
