@@ -47,6 +47,10 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_LIMITS = 3
 
+# verify writes its pair lines this many at a time, so the text held at once
+# stays bounded however many pairs fail
+_LINES_PER_WRITE = 4096
+
 _RULE_LETTERS = {"DV": "D", "SP": "S", "ME": "E", "MO-corollary": "O", "MO-exact-A": "O"}
 
 
@@ -279,8 +283,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"OK: {header.count} {kind} on {header.n} points, pairwise distance >= {d}")
         return EXIT_OK
     print(f"FAIL: {len(bad)} pair(s) below distance {d}:")
-    for a, b, dist in bad:
-        print(f"  {','.join(map(str, a))} <-> {','.join(map(str, b))} distance {dist}")
+    names: dict[tuple[int, ...], str] = {}  # each member's text, made once
+    for start in range(0, len(bad), _LINES_PER_WRITE):
+        lines = []
+        for a, b, dist in bad[start:start + _LINES_PER_WRITE]:
+            name_a = names.get(a)
+            if name_a is None:
+                name_a = names[a] = ",".join(map(str, a))
+            name_b = names.get(b)
+            if name_b is None:
+                name_b = names[b] = ",".join(map(str, b))
+            lines.append(f"  {name_a} <-> {name_b} distance {dist}\n")
+        sys.stdout.write("".join(lines))
     return EXIT_VERIFY
 
 

@@ -16,12 +16,23 @@ Blank lines and '#' comments are ignored. Example::
 
 The d field records the distance the writer claims; readers re-verify rather
 than trust it.
+
+Writers render the whole body with one format call. ``loads`` has two
+readers that give the same result, payload or error, on every text. A text
+that is ASCII, whose first line is the header, and that holds no ASCII
+whitespace other than space, tab and newline (the guard) has its body read
+by numpy's C text reader; this is every text the writers make. Any other
+text, and any body that reader rejects or shapes otherwise than the header
+promises, goes to the general reader, the source of every error message
+about the body.
 """
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +61,23 @@ def _format_header(kind: str, n: int, d: int, w: int | None, count: int) -> str:
     return f"{kind} n={n} d={d} w={w_text} count={count}"
 
 
+def _format_body(entries: list[int], width: int, count: int) -> str:
+    """count lines of width comma-separated entries each, in one format call."""
+    return (",".join(["%d"] * width) + "\n") * count % tuple(entries)
+
+
 def dump_pa(array: PermutationArray, d: int, w: int | None = None) -> str:
     """Render an array to format text, claiming distance d (and weight w for
     constant-weight arrays)."""
-    lines = [_format_header("pa", array.n, d, w, len(array))]
-    lines.extend(",".join(str(v) for v in p) for p in array)
-    return "\n".join(lines) + "\n"
+    header = _format_header("pa", array.n, d, w, len(array))
+    return header + "\n" + _format_body(array.rows.ravel().tolist(), array.n, len(array))
 
 
 def dump_cw(code: BinaryCwCode) -> str:
     """Render a constant-weight binary code to format text."""
-    lines = [_format_header("cw", code.n, code.distance, code.weight, len(code))]
-    lines.extend(",".join(str(v) for v in word) for word in code)
-    return "\n".join(lines) + "\n"
+    header = _format_header("cw", code.n, code.distance, code.weight, len(code))
+    supports = list(chain.from_iterable(code))
+    return header + "\n" + _format_body(supports, code.weight, len(code))
 
 
 def write_pa(array: PermutationArray, d: int, path: str | Path, w: int | None = None) -> None:
@@ -96,6 +111,13 @@ def _parse_header(line: str, lineno: int) -> PaHeader:
     return header
 
 
+# ASCII whitespace other than space, tab and newline: str.splitlines breaks
+# lines at \r, \v, \f and \x1c-\x1e, and np.loadtxt strips \x1f around an
+# entry, where int() rejects it. One `in` test per character scans the
+# 63 KB pgl2 11 file in 4 us, a regex character class in 0.3 ms.
+_UNGUARDED = "\r\v\f\x1c\x1d\x1e\x1f"
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,21 +134,93 @@ def _ints(lineno: int, line: str) -> list[int]:
         raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
 
 
+def _canonical_body(text: str) -> tuple[PaHeader, np.ndarray] | None:
+    """The header and the body as one (count, width) int64 matrix, read by
+    numpy's C text reader; None when the text fails the guard or the reader
+    rejects the body or shapes it otherwise than the header promises."""
+    if not text.isascii() or any(c in text for c in _UNGUARDED):
+        return None
+    first, _, rest = text.partition("\n")
+    line = first.split("#", 1)[0].strip()
+    if not line:
+        return None
+    header = _parse_header(line, 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body without rows
+            matrix = np.loadtxt(io.StringIO(rest), dtype=np.int64, delimiter=",",
+                                comments="#", ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    width = header.n if header.kind == "pa" else header.w
+    if matrix.shape != (header.count, width):
+        return None
+    return header, matrix
+
+
+def _code(header: PaHeader, words: tuple[tuple[int, ...], ...]) -> BinaryCwCode:
+    try:
+        return BinaryCwCode(header.n, header.w, words, header.d)
+    except ValueError as exc:
+        raise PaFormatError(str(exc)) from exc
+
+
+def _array(header: PaHeader, matrix: np.ndarray,
+           misfit: tuple[int, ...] | None = None) -> PermutationArray:
+    """The array of matrix's rows; misfit is the first body line that does
+    not hold n entries, if any, and matrix holds the lines before it."""
+    try:
+        # an int64 matrix, or with an entry beyond int64 an object one, whose
+        # rows PermutationArray hands to Permutation one by one
+        array = PermutationArray(header.n, matrix)
+        if misfit is not None:
+            Permutation(misfit)  # a non-bijection reports that before its length
+    except ValueError as exc:
+        raise PaFormatError(str(exc)) from exc
+    if misfit is not None:
+        raise PaFormatError(f"member {misfit!r} does not have length {header.n}")
+    if len(array) != header.count:
+        raise PaFormatError("duplicate members in body")
+    return array
+
+
 def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     """Parse format text into its header and payload, validating the member
     count and (for permutations) bijectivity. The claimed distance is parsed
     but not checked here.
 
-    The body is parsed in one pass over all its entries: numpy reads them
-    into one int64 array by ``int()``'s rules (surrounding spaces, a sign,
-    digit underscores and Unicode digits are accepted), and entries beyond
-    int64 are read as Python ints. That is how numpy reads a str, not a
-    documented promise of it, so a supported numpy must pass
-    ``test_numpy_reads_an_entry_by_int_rules``. A permutation body goes to
-    ``PermutationArray`` as one integer matrix, which it checks all at
-    once. Errors come in line order: the first non-integer entry, then the
-    member count, then the first line that is not a bijection on its own
-    entries or does not have n of them."""
+    Two readers give the same result, payload or error, on every text.
+
+    The C reader takes a text that passes the guard: it is ASCII, its first
+    line is the header, and it holds no ASCII whitespace but space, tab and
+    newline, so its lines are the ones ``str.splitlines`` finds. numpy's
+    ``loadtxt`` reads the body into one int64 matrix; an entry it accepts
+    is one ``int()`` accepts, with the same value, as
+    ``test_loadtxt_reads_an_entry_by_int_rules`` checks. When the matrix has
+    the header's count of rows and n entries each (the weight, for a code),
+    the payload is built from it as below. Any other text, any body the C
+    reader rejects or warns on (non-integer or out-of-range entries, rows of
+    unequal width, a whitespace-only line, no rows) and any other shape goes
+    to the general reader.
+
+    The general reader parses the body in one pass over all its entries:
+    numpy reads them into one int64 array by ``int()``'s rules (surrounding
+    spaces, a sign, digit underscores and Unicode digits are accepted), and
+    entries beyond int64 are read as Python ints. That is how numpy reads a
+    str, not a documented promise of it, so a supported numpy must pass
+    ``test_numpy_reads_an_entry_by_int_rules``. Errors come in line order:
+    the first non-integer entry, then the member count, then the first line
+    that is not a bijection on its own entries or does not have n of them.
+
+    Either way a permutation body goes to ``PermutationArray`` as one
+    integer matrix, which it checks all at once, and a code body to
+    ``BinaryCwCode`` as tuples."""
+    canonical = _canonical_body(text)
+    if canonical is not None:
+        header, matrix = canonical
+        if header.kind == "cw":
+            return header, _code(header, tuple(map(tuple, matrix.tolist())))
+        return header, _array(header, matrix)
     lines = _content_lines(text)
     if not lines:
         raise PaFormatError("empty file")
@@ -148,28 +242,12 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     widths = [line.count(",") + 1 for _, line in body]
     if header.kind == "cw":
         ints = iter(values.tolist())
-        words = tuple(tuple(islice(ints, width)) for width in widths)
-        try:
-            return header, BinaryCwCode(header.n, header.w, words, header.d)
-        except ValueError as exc:
-            raise PaFormatError(str(exc)) from exc
+        return header, _code(header, tuple(tuple(islice(ints, width)) for width in widths))
     n = header.n
     # the lines before the first one of the wrong width hold n entries each
     k = next((i for i, width in enumerate(widths) if width != n), len(widths))
     misfit = tuple(values[k * n:k * n + widths[k]].tolist()) if k < len(widths) else None
-    try:
-        # an int64 matrix, or with an entry beyond int64 an object one, whose
-        # rows PermutationArray hands to Permutation one by one
-        array = PermutationArray(n, values[:k * n].reshape(k, max(n, 0)))
-        if misfit is not None:
-            Permutation(misfit)  # a non-bijection reports that before its length
-    except ValueError as exc:
-        raise PaFormatError(str(exc)) from exc
-    if misfit is not None:
-        raise PaFormatError(f"member {misfit!r} does not have length {n}")
-    if len(array) != header.count:
-        raise PaFormatError("duplicate members in body")
-    return header, array
+    return header, _array(header, values[:k * n].reshape(k, max(n, 0)), misfit)
 
 
 def load(path: str | Path) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:

@@ -8,7 +8,7 @@ import pytest
 
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 
-from permarray import perm
+from permarray import cli, perm
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import BinaryCwCode, lift_binary_cw_code
 from permarray.pafile import dump_pa, load
@@ -313,8 +313,10 @@ class TestVerify:
 
     def test_many_pairs_across_blocks_in_pair_order(self, capsys, tmp_path, monkeypatch):
         # blocks of a few rows, so the 600 pairs at distance 2 in S_5 (one
-        # per transposition away) are found in many blocks
+        # per transposition away) are found in many blocks, and written
+        # seven lines at a time, the last write short
         monkeypatch.setattr(perm, "_BLOCK_BYTES", 1000)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
         path = tmp_path / "s5.pa"
         run_cli(capsys, "construct", "symmetric", "5", "--out", str(path))
         code, out, _ = run_cli(capsys, "verify", str(path), "3")
@@ -323,7 +325,7 @@ class TestVerify:
                     if sum(x != y for x, y in zip(a, b)) < 3]
         assert code == EXIT_VERIFY
         assert len(expected) == 600
-        assert out.splitlines() == ["FAIL: 600 pair(s) below distance 3:"] + expected
+        assert out == "\n".join(["FAIL: 600 pair(s) below distance 3:"] + expected) + "\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent/file.pa")

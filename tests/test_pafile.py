@@ -1,6 +1,8 @@
 """Interchange format: round-trips, header parsing, and rejection of
 malformed or inconsistent files."""
 
+import io
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permarray import pafile
 from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
 from permarray.pafile import (
     PaFormatError,
+    _canonical_body,
     _content_lines,
     _parse_header,
     dump_cw,
@@ -21,6 +25,19 @@ from permarray.pafile import (
     write_pa,
 )
 from permarray.perm import Permutation, identity
+
+
+def reference_dump_pa(array, d, w=None):
+    """The writer as it was before one-call formatting: one line per member."""
+    lines = [pafile._format_header("pa", array.n, d, w, len(array))]
+    lines.extend(",".join(str(v) for v in p) for p in array)
+    return "\n".join(lines) + "\n"
+
+
+def reference_dump_cw(code):
+    lines = [pafile._format_header("cw", code.n, code.distance, code.weight, len(code))]
+    lines.extend(",".join(str(v) for v in word) for word in code)
+    return "\n".join(lines) + "\n"
 
 
 def reference_loads(text):
@@ -59,12 +76,15 @@ def reference_loads(text):
 
 
 FAULTS = ("non-integer", "wrong-length", "non-bijection", "out-of-range", "duplicate",
-          "count", "misaligned", "spelling")
+          "count", "misaligned", "spelling", "control")
 
 # entries that int() reads, spelled with a sign, an underscore, a Unicode
 # digit, a leading space, and one past int64; numpy must read them alike
 SPELLINGS = ("+1", "1_0", "\u0663", " 1", str(2**63))
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# characters str.splitlines breaks a line at, or int() and np.loadtxt read
+# differently around an entry; the C reader must leave such a text alone
+CONTROLS = ("\x0c", "\x0b", "\r", "\r\n", "\x1c", "\x1f", "\x85", "\u2028", "\t")
 
 
 @st.composite
@@ -85,7 +105,8 @@ def format_texts(draw):
         i = draw(st.integers(0, len(rows) - 1))
         row = rows[i]
         if fault == "non-integer" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["x", "", "1.5", "0x1"]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(["x", "", "1.5", "0x1", "1.0", "1e3"]))
         elif fault == "wrong-length":
             # dropping the largest entry or appending the length keeps a
             # permutation a bijection on its own entries
@@ -110,12 +131,26 @@ def format_texts(draw):
             own = str(row[k])
             row[k] = draw(st.sampled_from(
                 (f"+{own}", f" {own}", own.translate(ARABIC_INDIC)) + SPELLINGS))
+        elif fault == "control" and row:
+            control = draw(st.sampled_from(CONTROLS))
+            if len(row) >= 2 and draw(st.booleans()):
+                # between two fields, before or after their comma
+                k = draw(st.integers(0, len(row) - 2))
+                if draw(st.booleans()):
+                    row[k] = f"{row[k]}{control}"
+                else:
+                    row[k + 1] = f"{control}{row[k + 1]}"
+            else:
+                k = draw(st.integers(0, len(row) - 1))
+                entry = str(row[k])
+                at = draw(st.integers(0, len(entry)))
+                row[k] = entry[:at] + control + entry[at:]
     text = [f"{kind} n={n} d=2 w={'-' if w is None else w} count={count}"]
     for row in rows:
         if draw(st.booleans()):
-            text.append(draw(st.sampled_from(["", "   ", "# a comment"])))
-        entries = [draw(st.sampled_from(["", " "])) + str(v) + draw(st.sampled_from(["", " "]))
-                   for v in row]
+            text.append(draw(st.sampled_from(["", "   ", "\t", " \t ", "# a comment"])))
+        entries = [draw(st.sampled_from(["", " ", "\t"])) + str(v)
+                   + draw(st.sampled_from(["", " ", "\t"])) for v in row]
         text.append(",".join(entries) + draw(st.sampled_from(["", " # trailing"])))
     return "\n".join(text) + "\n"
 
@@ -170,6 +205,72 @@ class TestRoundTrips:
         assert len(array) == 2
 
 
+class TestWriters:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=30))),
+        st.sampled_from([None, 0, 3]))
+    def test_pa_text_matches_the_per_member_writer(self, n_members, w):
+        n, members = n_members
+        array = PermutationArray(n, members)
+        assert dump_pa(array, 2, w) == reference_dump_pa(array, 2, w)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 8).flatmap(lambda n: st.integers(0, n).flatmap(
+        lambda w: st.tuples(st.just(n), st.just(w),
+                            st.lists(st.sampled_from(list(combinations(range(n), w))),
+                                     max_size=20, unique=True)))))
+    def test_cw_text_matches_the_per_word_writer(self, n_w_words):
+        n, w, words = n_w_words
+        code = BinaryCwCode(n, w, tuple(words), 2)
+        assert dump_cw(code) == reference_dump_cw(code)
+
+    @pytest.mark.parametrize("array", [
+        PermutationArray(3, []), PermutationArray(1, [(0,)]), PermutationArray(0, [()])])
+    def test_edge_arrays(self, array):
+        assert dump_pa(array, 2) == reference_dump_pa(array, 2)
+
+    def test_edge_codes(self):
+        for code in (BinaryCwCode(5, 2, (), 4), BinaryCwCode(1, 1, ((0,),), 2)):
+            assert dump_cw(code) == reference_dump_cw(code)
+
+    def test_dump_pa_does_not_build_members(self):
+        array = block_cycle_cwpa(8, 2)
+        dump_pa(array, 4, w=2)
+        assert "members" not in vars(array)
+
+
+class TestReaders:
+    def test_a_dumped_text_takes_the_c_reader(self, monkeypatch):
+        array = block_cycle_cwpa(8, 2)
+        code = BinaryCwCode(6, 3, ((0, 1, 2), (3, 4, 5)), 6)
+        pa_text, cw_text = dump_pa(array, 4, w=2), dump_cw(code)
+
+        def general_reader(text):
+            raise AssertionError("the general reader ran")
+
+        monkeypatch.setattr(pafile, "_content_lines", general_reader)
+        assert loads(pa_text) == (pafile.PaHeader("pa", 8, 4, 2, len(array)), array)
+        assert loads(cw_text)[1] == code
+
+    @pytest.mark.parametrize("control", list("\r\x0b\x0c\x1c\x1d\x1e\x1f"))
+    def test_a_guarded_character_takes_the_general_reader(self, control, monkeypatch):
+        # between two fields; without the guard numpy reads this text as a
+        # valid array, while str.splitlines breaks the line at \r, \x0b, \x0c
+        # and \x1c-\x1e, and int() rejects \x1f beside a digit
+        text = f"pa n=2 d=2 w=- count=2\n0{control},1\n1,0\n"
+        assert _canonical_body(text) is None
+        with pytest.raises(PaFormatError) as expected:
+            reference_loads(text)
+        calls = []
+        monkeypatch.setattr(pafile, "_content_lines",
+                            lambda text: calls.append(text) or _content_lines(text))
+        with pytest.raises(PaFormatError) as excinfo:
+            loads(text)
+        assert calls == [text]
+        assert str(excinfo.value) == str(expected.value)
+
+
 class TestAgainstReference:
     @settings(deadline=None, max_examples=400)
     @given(format_texts())
@@ -204,6 +305,37 @@ class TestAgainstReference:
         else:
             with pytest.raises(OverflowError):
                 np.array([entry], dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["0", "3", " 3", "3 ", "\t3", "3\t", " \t3\t ", "+3", "-3", "-0", "+0", "00", "007",
+         "1_0", "_1", "1_", "x", "", " ", "\t", "1.0", "1.5", "1e3", "1E3", "0x1", "0b1", "0o1",
+         "+", "-", "+-1", "--1", "++1", "+ 1", "- 1", "1 0", "1\t0", "inf", "nan", "1\x00",
+         "\x001", "1\x7f", "'1'", '"1"', "1j", str(2**63 - 1), str(-2**63), str(2**63),
+         str(-2**63 - 1), str(10**30)],
+    )
+    def test_loadtxt_reads_an_entry_by_int_rules(self, entry):
+        # the C reader parses a body with these loadtxt arguments; an entry it
+        # accepts must be one int() accepts, with the same value
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(io.StringIO(entry + "\n"), dtype=np.int64, delimiter=",",
+                                    comments="#", ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return
+        assert values.tolist() == [[int(entry)]]
+
+    def test_the_c_reader_accepts_no_character_int_rejects(self):
+        # every ASCII character before, inside and after an entry: the guard
+        # and loadtxt together accept only what int() reads, as int() reads it
+        for c in map(chr, range(128)):
+            if c in ",#\n":
+                continue
+            for entry in (c + "1", "1" + c, "1" + c + "0"):
+                canonical = _canonical_body(f"pa n=1 d=2 w=- count=1\n{entry}\n")
+                if canonical is not None:
+                    assert canonical[1].tolist() == [[int(entry)]], repr(entry)
 
     @pytest.mark.parametrize(
         "body, message",
