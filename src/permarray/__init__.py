@@ -29,18 +29,7 @@ from .constructions import (
     perfect_size,
 )
 from .exactmath import ball_volume, binomial, derangement_count, factorial
-from .perm import (
-    Permutation,
-    compose,
-    hamming_distance,
-    identity,
-    inverse,
-    iterate_all,
-    iterate_derangements_on,
-    iterate_weight,
-    support,
-    weight,
-)
+from .perm import Permutation, hamming_distance, support, weight
 from .search import (
     SearchLimits,
     SearchOutcome,
@@ -80,13 +69,7 @@ __all__ = [
     "derangement_count",
     "factorial",
     "Permutation",
-    "compose",
     "hamming_distance",
-    "identity",
-    "inverse",
-    "iterate_all",
-    "iterate_derangements_on",
-    "iterate_weight",
     "support",
     "weight",
     "SearchLimits",

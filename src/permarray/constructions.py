@@ -320,8 +320,8 @@ def _projective(p: int) -> PermutationArray:
     """
     if not _is_prime(p):
         raise ValueError(f"projective family needs a prime modulus: {p}")
-    # inverse[0] is never used: the pole's image is overwritten with inf
-    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    # inverses[0] is never used: the pole's image is overwritten with inf
+    inverses = [0] + [pow(x, p - 2, p) for x in range(1, p)]
     members = [
         [(a * x + b) % p for x in range(p)] + [p]
         for a in range(1, p)
@@ -333,7 +333,7 @@ def _projective(p: int) -> PermutationArray:
             for b in range(p):
                 if (a * d - b) % p == 0:
                     continue
-                images = [(a * x + b) * inverse[(x + d) % p] % p for x in range(p)]
+                images = [(a * x + b) * inverses[(x + d) % p] % p for x in range(p)]
                 images[pole] = p
                 images.append(a)
                 members.append(images)

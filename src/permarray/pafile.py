@@ -32,7 +32,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,8 @@ def _parse_header(line: str, lineno: int) -> PaHeader:
         key, sep, value = field.partition("=")
         if not sep or key not in ("n", "d", "w", "count"):
             raise PaFormatError(f"line {lineno}: bad header field {field!r}")
+        if key in values:
+            raise PaFormatError(f"line {lineno}: repeated header field {key!r}")
         values[key] = value
     missing = {"n", "d", "w", "count"} - set(values)
     if missing:
@@ -165,14 +167,13 @@ def _code(header: PaHeader, words: tuple[tuple[int, ...], ...]) -> BinaryCwCode:
         raise PaFormatError(str(exc)) from exc
 
 
-def _array(header: PaHeader, matrix: np.ndarray,
+def _array(header: PaHeader, rows: np.ndarray | list[list[int]],
            misfit: tuple[int, ...] | None = None) -> PermutationArray:
-    """The array of matrix's rows; misfit is the first body line that does
-    not hold n entries, if any, and matrix holds the lines before it."""
+    """The array of the body's rows, an int64 matrix or lists of ints; misfit
+    is the first body line that does not hold n entries, if any, and rows
+    holds the lines before it."""
     try:
-        # an int64 matrix, or with an entry beyond int64 an object one, whose
-        # rows PermutationArray hands to Permutation one by one
-        array = PermutationArray(header.n, matrix)
+        array = PermutationArray(header.n, rows)
         if misfit is not None:
             Permutation(misfit)  # a non-bijection reports that before its length
     except ValueError as exc:
@@ -203,18 +204,15 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     unequal width, a whitespace-only line, no rows) and any other shape goes
     to the general reader.
 
-    The general reader parses the body in one pass over all its entries:
-    numpy reads them into one int64 array by ``int()``'s rules (surrounding
-    spaces, a sign, digit underscores and Unicode digits are accepted), and
-    entries beyond int64 are read as Python ints. That is how numpy reads a
-    str, not a documented promise of it, so a supported numpy must pass
-    ``test_numpy_reads_an_entry_by_int_rules``. Errors come in line order:
-    the first non-integer entry, then the member count, then the first line
-    that is not a bijection on its own entries or does not have n of them.
+    The general reader reads each body line with ``int()`` (surrounding
+    spaces, a sign, digit underscores and Unicode digits are accepted, and
+    no entry is too large). Errors come in line order: the first
+    non-integer entry, then the member count, then the first line that is
+    not a bijection on its own entries or does not have n of them.
 
-    Either way a permutation body goes to ``PermutationArray`` as one
-    integer matrix, which it checks all at once, and a code body to
-    ``BinaryCwCode`` as tuples."""
+    Either way a permutation body goes to ``PermutationArray``, an int64
+    matrix from the C reader or lists from the general one, and is checked
+    all at once; a code body goes to ``BinaryCwCode`` as tuples."""
     canonical = _canonical_body(text)
     if canonical is not None:
         header, matrix = canonical
@@ -225,29 +223,15 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     if not lines:
         raise PaFormatError("empty file")
     header = _parse_header(lines[0][1], lines[0][0])
-    body = lines[1:]
-    entries = ",".join(line for _, line in body).split(",")
-    try:
-        try:
-            values = np.array(entries, dtype=np.int64)
-        except OverflowError:
-            # an entry beyond int64: Python ints, for Permutation to name
-            values = np.array(list(map(int, entries)), dtype=object)
-    except ValueError:
-        # line by line, to name the first line at fault (an empty body lands here too)
-        values = np.array([v for lineno, line in body for v in _ints(lineno, line)],
-                          dtype=np.int64)
-    if len(body) != header.count:
-        raise PaFormatError(f"header promises {header.count} members, found {len(body)}")
-    widths = [line.count(",") + 1 for _, line in body]
+    rows = [_ints(lineno, line) for lineno, line in lines[1:]]
+    if len(rows) != header.count:
+        raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
     if header.kind == "cw":
-        ints = iter(values.tolist())
-        return header, _code(header, tuple(tuple(islice(ints, width)) for width in widths))
-    n = header.n
-    # the lines before the first one of the wrong width hold n entries each
-    k = next((i for i, width in enumerate(widths) if width != n), len(widths))
-    misfit = tuple(values[k * n:k * n + widths[k]].tolist()) if k < len(widths) else None
-    return header, _array(header, values[:k * n].reshape(k, max(n, 0)), misfit)
+        return header, _code(header, tuple(map(tuple, rows)))
+    # the lines before the first one of the wrong length hold n entries each
+    k = next((i for i, row in enumerate(rows) if len(row) != header.n), len(rows))
+    misfit = tuple(rows[k]) if k < len(rows) else None
+    return header, _array(header, rows[:k], misfit)
 
 
 def load(path: str | Path) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:

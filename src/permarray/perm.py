@@ -1,5 +1,5 @@
-"""Permutations of {0..n-1} as image tuples, with the Hamming metric and
-fixed-order enumeration streams, and the one bulk distance kernel. The
+"""Permutations of {0..n-1} as image tuples, with the Hamming metric,
+fixed-order enumeration streams and the one bulk distance kernel. The
 kernel reads any (m, n) integer matrix or sequence of equal-length vectors;
 ``PermutationArray.rows`` is the matrix it reads for arrays.
 
@@ -8,13 +8,14 @@ images differ; the weight of a permutation is its distance from the identity,
 i.e. the number of points it moves. Distinct permutations always differ in at
 least two positions, so weight 1 is impossible.
 
-Every enumeration stream in this module yields image tuples in lexicographic
-order; ``iterate_weight`` is support-first (supports ascend lexicographically,
-then the derangements of each support ascend lexicographically), which is the
-order the search module relies on for reproducible witnesses.
-``permutation_rows`` and ``weight_rows`` list the same orders as the rows of
-small-integer matrices, a block at a time, with no per-member objects: the
-search reads its vertices from them.
+The enumeration streams list permutations as the rows of small-integer
+matrices, a block at a time, with no per-member objects; the search reads
+its vertices from them. ``permutation_rows`` lists the permutations that
+move at least a given number of points in lexicographic image order.
+``weight_rows`` lists one weight class support-first: supports ascend
+lexicographically, then the derangements of each support ascend
+lexicographically. The search relies on both orders for reproducible
+witnesses.
 
 The kernel has a self form, ``distance_blocks``, which walks all pairwise
 distances of one set in row blocks of bounded size, and a cross form,
@@ -73,13 +74,6 @@ class Permutation(tuple):
         return self
 
 
-def identity(n: int) -> Permutation:
-    """Return the identity permutation on n points."""
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
-    return Permutation(range(n))
-
-
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Return the number of positions where a and b differ."""
     if len(a) != len(b):
@@ -95,21 +89,6 @@ def weight(a: Sequence[int]) -> int:
 def support(a: Sequence[int]) -> tuple[int, ...]:
     """Return the moved points of a as a sorted tuple."""
     return tuple(i for i, v in enumerate(a) if v != i)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Return a after b: the permutation sending i to a[b[i]]."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return Permutation(a[v] for v in b)
-
-
-def inverse(a: Permutation) -> Permutation:
-    """Return the inverse permutation of a."""
-    images = [0] * len(a)
-    for i, v in enumerate(a):
-        images[v] = i
-    return Permutation(images)
 
 
 def cycle_type(a: Sequence[int]) -> tuple[int, ...]:
@@ -130,54 +109,6 @@ def cycle_type(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def iterate_all(n: int) -> Iterator[Permutation]:
-    """Yield every permutation of n points in lexicographic order."""
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
-
-
-def iterate_derangements_on(moved: Sequence[int], n: int) -> Iterator[Permutation]:
-    """Yield the permutations of n points that move exactly the given set of
-    positions, in lexicographic image order.
-
-    The stream is empty when the set admits no derangement (a single point
-    cannot move to itself, so a size-1 set yields nothing).
-    """
-    points = tuple(sorted(moved))
-    if len(set(points)) != len(points):
-        raise ValueError(f"duplicate positions in support: {moved!r}")
-    if points and not (0 <= points[0] and points[-1] < n):
-        raise ValueError(f"support {moved!r} outside 0..{n - 1}")
-    base = list(range(n))
-    for assignment in itertools.permutations(points):
-        if any(img == pos for img, pos in zip(assignment, points)):
-            continue
-        images = base.copy()
-        for pos, img in zip(points, assignment):
-            images[pos] = img
-        yield Permutation(images)
-
-
-def iterate_weight(n: int, w: int) -> Iterator[Permutation]:
-    """Yield every permutation of n points with weight exactly w, support
-    first: supports in lexicographic order, then each support's derangements
-    in lexicographic image order.
-
-    Weight 1 is impossible for a permutation and is rejected.
-    """
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
-    if w == 1:
-        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
-    if w == 0:
-        yield identity(n)
-        return
-    for points in itertools.combinations(range(n), w):
-        yield from iterate_derangements_on(points, n)
-
-
 def _row_dtype(n: int) -> np.dtype:
     """The smallest signed dtype that holds 0..n-1: int8 up to 128 points."""
     return np.min_scalar_type(-max(n, 1))
@@ -185,8 +116,8 @@ def _row_dtype(n: int) -> np.dtype:
 
 def permutation_rows(n: int, min_weight: int) -> Iterator[np.ndarray]:
     """Yield the permutations of n points that move at least ``min_weight``
-    points, in lexicographic order (``iterate_all``'s, filtered by weight),
-    as the rows of consecutive integer matrices.
+    points, in lexicographic image order (``itertools.permutations``'s,
+    filtered by weight), as the rows of consecutive integer matrices.
 
     Each block is the survivors of the next ``_LIST_ROWS`` permutations, so
     a block may be empty, and the stream yields at least one block.
@@ -203,10 +134,12 @@ def permutation_rows(n: int, min_weight: int) -> Iterator[np.ndarray]:
 
 
 def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
-    """Yield the permutations of n points with weight exactly w, in
-    ``iterate_weight``'s support-first order, as the rows of consecutive
+    """Yield the permutations of n points with weight exactly w, support
+    first: supports in lexicographic order, then each support's derangements
+    in lexicographic image order. They come as the rows of consecutive
     integer matrices of at most ``_LIST_ROWS`` rows each, or one support's
-    at a time when its derangements outnumber that.
+    at a time when its derangements outnumber that. Weight 1 is impossible
+    for a permutation and is rejected, as is a weight outside 0..n.
 
     A block is built by index arithmetic: each support's derangements are
     the derangements of 0..w-1, listed once, read as indices into the

@@ -13,16 +13,10 @@ from permarray.constructions import BinaryCwCode, PermutationArray
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
-    compose,
     cycle_type,
     distance_blocks,
     distances,
     hamming_distance,
-    identity,
-    inverse,
-    iterate_all,
-    iterate_derangements_on,
-    iterate_weight,
     pairs_below,
     support,
     weight,
@@ -30,10 +24,24 @@ from permarray.perm import (
 from permarray.search import _conflict_masks, verify_pa
 
 
+def _compose(a, b):
+    """a after b: the permutation sending i to a[b[i]]."""
+    return Permutation(a[v] for v in b)
+
+
+def _inverse(a):
+    return Permutation(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _listed(blocks):
+    """A row stream's permutations as tuples, in stream order."""
+    return list(map(tuple, np.concatenate(list(blocks)).tolist()))
+
+
 def test_constructor_accepts_bijections():
     assert Permutation((2, 0, 1)) == (2, 0, 1)
-    assert identity(4) == (0, 1, 2, 3)
-    assert identity(0) == ()
+    assert Permutation(range(4)) == (0, 1, 2, 3)
+    assert Permutation(()) == ()
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 1), (0, 2), (1, 2, 3), (-1, 0), (0, 1.5)])
@@ -53,24 +61,13 @@ def test_weight_and_support():
     p = Permutation((1, 0, 2, 4, 3))
     assert weight(p) == 4
     assert support(p) == (0, 1, 3, 4)
-    assert weight(identity(6)) == 0
-    assert support(identity(6)) == ()
-
-
-def test_compose_and_inverse():
-    a = Permutation((1, 2, 0))
-    b = Permutation((0, 2, 1))
-    # (a after b)(i) = a[b[i]]
-    assert compose(a, b) == (1, 0, 2)
-    assert compose(a, inverse(a)) == identity(3)
-    assert compose(inverse(a), a) == identity(3)
-    with pytest.raises(ValueError):
-        compose(a, identity(4))
+    assert weight(Permutation(range(6))) == 0
+    assert support(Permutation(range(6))) == ()
 
 
 def test_cycle_type_examples():
-    assert cycle_type(identity(0)) == ()
-    assert cycle_type(identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(Permutation(())) == ()
+    assert cycle_type(Permutation(range(4))) == (1, 1, 1, 1)
     assert cycle_type(Permutation((1, 0, 2, 4, 3))) == (2, 2, 1)
     assert cycle_type(Permutation((1, 2, 0, 4, 3))) == (3, 2)
     assert cycle_type(Permutation((1, 2, 3, 4, 5, 0))) == (6,)
@@ -85,13 +82,13 @@ def test_cycle_type_partitions_n_and_is_conjugation_and_inversion_invariant(pair
     assert sum(shape) == len(a)
     assert all(part >= 1 for part in shape)
     assert list(shape) == sorted(shape, reverse=True)
-    assert cycle_type(compose(inverse(s), compose(a, s))) == shape
-    assert cycle_type(inverse(a)) == shape
+    assert cycle_type(_compose(_inverse(s), _compose(a, s))) == shape
+    assert cycle_type(_inverse(a)) == shape
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_cycle_types_are_the_conjugacy_classes(n):
-    group = list(iterate_all(n))
+    group = list(map(Permutation, itertools.permutations(range(n))))
     classes = {}
     for a in group:
         classes.setdefault(cycle_type(a), set()).add(a)
@@ -99,7 +96,7 @@ def test_cycle_types_are_the_conjugacy_classes(n):
     assert len(classes) == [1, 1, 2, 3, 5, 7][n]
     for members in classes.values():
         a = min(members)
-        assert {compose(inverse(s), compose(a, s)) for s in group} == members
+        assert {_compose(_inverse(s), _compose(a, s)) for s in group} == members
 
 
 def test_distance_is_weight_of_relative_permutation():
@@ -107,7 +104,7 @@ def test_distance_is_weight_of_relative_permutation():
     perms = [Permutation(p) for p in itertools.permutations(range(7))]
     for _ in range(1000):
         x, y = rng.choice(perms), rng.choice(perms)
-        assert hamming_distance(x, y) == weight(compose(x, inverse(y)))
+        assert hamming_distance(x, y) == weight(_compose(x, _inverse(y)))
 
 
 def test_metric_and_left_invariance_samples():
@@ -120,19 +117,20 @@ def test_metric_and_left_invariance_samples():
         assert (dxy == 0) == (x == y)
         assert dxy <= hamming_distance(x, z) + hamming_distance(z, y)
         # composing on the left with z preserves distance
-        assert hamming_distance(compose(z, x), compose(z, y)) == dxy
+        assert hamming_distance(_compose(z, x), _compose(z, y)) == dxy
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_no_pair_at_distance_one(n):
-    perms = list(iterate_all(n))
+    perms = list(itertools.permutations(range(n)))
     for x, y in itertools.combinations(perms, 2):
         assert hamming_distance(x, y) >= 2
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_iterate_all_is_exhaustive_and_lexicographic(n):
-    perms = list(iterate_all(n))
+    perms = _listed(perm.permutation_rows(n, 0))
+    assert all(sorted(p) == list(range(n)) for p in perms)
     assert len(perms) == factorial(n)
     assert perms == sorted(perms)
     assert len(set(perms)) == len(perms)
@@ -141,28 +139,23 @@ def test_iterate_all_is_exhaustive_and_lexicographic(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_iterate_weight_cardinalities(n):
     for w in [0] + list(range(2, n + 1)):
-        stream = list(iterate_weight(n, w))
+        stream = _listed(perm.weight_rows(n, w))
+        assert all(sorted(p) == list(range(n)) for p in stream)
         assert len(stream) == binomial(n, w) * derangement_count(w)
         assert all(weight(p) == w for p in stream)
         assert len(set(stream)) == len(stream)
 
 
-def test_iterate_weight_rejects_weight_one():
-    with pytest.raises(ValueError):
-        list(iterate_weight(5, 1))
-    with pytest.raises(ValueError):
-        list(iterate_weight(5, 6))
-
-
 def test_iterate_weight_is_support_first():
-    stream = list(iterate_weight(4, 2))
-    supports = [support(p) for p in stream]
-    assert supports == sorted(supports)
-    # and within one support, image tuples ascend
-    by_support = itertools.groupby(stream, key=support)
-    for _, group in by_support:
-        tuples = list(group)
-        assert tuples == sorted(tuples)
+    for n, w in [(4, 2), (6, 3)]:
+        stream = _listed(perm.weight_rows(n, w))
+        supports = [support(p) for p in stream]
+        assert supports == sorted(supports)
+        # and within one support, image tuples ascend
+        by_support = itertools.groupby(stream, key=support)
+        for _, group in by_support:
+            tuples = list(group)
+            assert tuples == sorted(tuples)
 
 
 @pytest.mark.parametrize("list_rows", [1, 5, None])
@@ -172,7 +165,7 @@ def test_row_streams_list_the_tuple_streams(monkeypatch, list_rows):
     if list_rows is not None:
         monkeypatch.setattr(perm, "_LIST_ROWS", list_rows)
     for n in range(7):
-        perms = list(iterate_all(n))
+        perms = list(itertools.permutations(range(n)))
         for d in range(n + 2):
             blocks = list(perm.permutation_rows(n, d))
             assert blocks and all(block.dtype == np.int8 for block in blocks)
@@ -181,7 +174,9 @@ def test_row_streams_list_the_tuple_streams(monkeypatch, list_rows):
             blocks = list(perm.weight_rows(n, w))
             assert blocks and all(len(block) <= max(perm._LIST_ROWS, derangement_count(w))
                                   for block in blocks)
-            assert np.concatenate(blocks).tolist() == [list(p) for p in iterate_weight(n, w)]
+            # support first, then lexicographic within a support
+            expected = sorted((p for p in perms if weight(p) == w), key=lambda p: (support(p), p))
+            assert np.concatenate(blocks).tolist() == [list(p) for p in expected]
 
 
 def test_row_streams_reject_what_the_tuple_streams_reject():
@@ -192,20 +187,8 @@ def test_row_streams_reject_what_the_tuple_streams_reject():
             next(perm.weight_rows(5, w))
 
 
-def test_iterate_derangements_on():
-    on_012 = list(iterate_derangements_on((0, 1, 2), 5))
-    assert len(on_012) == 2
-    assert all(support(p) == (0, 1, 2) for p in on_012)
-    assert list(iterate_derangements_on((3,), 5)) == []
-    assert list(iterate_derangements_on((), 4)) == [identity(4)]
-    with pytest.raises(ValueError):
-        list(iterate_derangements_on((1, 1), 4))
-    with pytest.raises(ValueError):
-        list(iterate_derangements_on((4,), 4))
-
-
 def test_distance_blocks_match_pairwise():
-    perms = list(iterate_weight(5, 3))
+    perms = _listed(perm.weight_rows(5, 3))
     dist = {}
     for start, first, block in distance_blocks(perms):
         assert first == 0 and block.shape[1] == len(perms)
@@ -369,7 +352,7 @@ class TestDistanceBlocks:
         n = 70_000
         swapped = list(range(n))
         swapped[0], swapped[65536] = 65536, 0
-        array = PermutationArray(n, [identity(n), swapped])
+        array = PermutationArray(n, [Permutation(range(n)), swapped])
         assert array.min_distance() == 2
         assert distances(array.rows[:1], array.rows).tolist() == [[0, 2]]
         assert distances(array.rows[1:].astype(np.uint32), array.rows[:1]).tolist() == [[2]]

@@ -26,10 +26,8 @@ from permarray.exactmath import factorial
 from permarray.perm import (
     Permutation,
     cycle_type,
-    identity,
-    iterate_all,
-    iterate_weight,
     permutation_rows,
+    support,
     weight,
 )
 from permarray.search import (
@@ -90,7 +88,7 @@ class TestExactP:
 
     def test_identity_always_a_member(self):
         outcome = exact_p(5, 3)
-        assert identity(5) in outcome.witness
+        assert Permutation(range(5)) in outcome.witness
 
     def test_trivial_distances(self):
         assert exact_p(4, 1).value == factorial(4)
@@ -138,9 +136,10 @@ class TestLimitBehaviour:
         assert gated.nodes == 0
         # the gated witness is the greedy clique of the full graph, which
         # takes the highest index first on the reversed vertex list
-        vertices = [p for p in iterate_all(5) if weight(p) >= 3][::-1]
+        vertices = [p for p in itertools.permutations(range(5)) if weight(p) >= 3][::-1]
         greedy = _greedy_clique(_conflict_masks(vertices, 3))
-        assert gated.witness == PermutationArray(5, [identity(5)] + [vertices[i] for i in greedy])
+        members = [Permutation(range(5))] + [vertices[i] for i in greedy]
+        assert gated.witness == PermutationArray(5, members)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_streamed_greedy_matches_the_graph_greedy(self, d):
@@ -148,7 +147,7 @@ class TestLimitBehaviour:
         # the greedy cuts each block into slices of at most 256 rows, so
         # blocks of 300 and 1,000 rows end in a shorter slice, and an empty
         # block mid-stream adds none
-        perms = [p for p in iterate_all(6) if weight(p) >= d]
+        perms = [p for p in itertools.permutations(range(6)) if weight(p) >= d]
         words = list(indicator_vectors(11, itertools.combinations(range(11), 5)))
         for vectors, distance in [(perms, d), (words, 2 * d)]:
             reverse = vectors[::-1]
@@ -201,8 +200,8 @@ class TestLimitBehaviour:
         assert_verified(outcome, 2)
         # at d = 2 every vertex joins, so the witness is the identity and the
         # first 256 vertices
-        vertices = [p for p in iterate_all(6) if weight(p) >= 2]
-        assert outcome.witness == PermutationArray(6, [identity(6)] + vertices[:256])
+        vertices = [p for p in itertools.permutations(range(6)) if weight(p) >= 2]
+        assert outcome.witness == PermutationArray(6, [Permutation(range(6))] + vertices[:256])
 
     @pytest.mark.parametrize("steady_reads, kept", [(2, 256), (4, 512), (5, 512), (6, 719)])
     def test_deadline_stops_the_greedy_between_kept_chunks(self, monkeypatch, steady_reads, kept):
@@ -215,8 +214,8 @@ class TestLimitBehaviour:
         outcome = exact_p(6, 2, SearchLimits(max_nodes=10, max_seconds=60.0))
         assert outcome.status == STATUS_LOWER_BOUND_ONLY
         assert_verified(outcome, 2)
-        vertices = [p for p in iterate_all(6) if weight(p) >= 2]
-        assert outcome.witness == PermutationArray(6, [identity(6)] + vertices[:kept])
+        vertices = [p for p in itertools.permutations(range(6)) if weight(p) >= 2]
+        assert outcome.witness == PermutationArray(6, [Permutation(range(6))] + vertices[:kept])
 
     def test_deadline_stops_mid_search(self, monkeypatch):
         # reads: the deadline, then nodes 1, 257 and 513 on time; node 769 is
@@ -731,19 +730,22 @@ def _handed_over(monkeypatch, oracle, *args):
 
 
 class TestVertexSources:
-    """Each oracle's row blocks list, row for row, the tuple stream it read
-    before its vertices came as matrices."""
+    """Each oracle's row blocks list, row for row, its vertices as naive
+    references list them: S_n in lexicographic order filtered by weight, a
+    weight class support first, and the words of a weight in
+    ``itertools.combinations`` order."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_exact_p(self, monkeypatch, n):
-        perms = list(iterate_all(n))
+        perms = list(itertools.permutations(range(n)))
         for d in range(1, n + 1):
             expected = [list(p) for p in perms if weight(p) >= d]
             assert _handed_over(monkeypatch, exact_p, n, d) == expected
 
     @pytest.mark.parametrize("n, d, w", _PCW_CASES)
     def test_exact_p_cw(self, monkeypatch, n, d, w):
-        expected = [list(p) for p in iterate_weight(n, w)]
+        perms = (p for p in itertools.permutations(range(n)) if weight(p) == w)
+        expected = [list(p) for p in sorted(perms, key=lambda p: (support(p), p))]
         assert _handed_over(monkeypatch, exact_p_cw, n, d, w) == expected
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -984,7 +986,7 @@ class TestExactPCw:
     def test_weight_zero(self):
         outcome = exact_p_cw(4, 1, 0)
         assert outcome.value == 1
-        assert tuple(outcome.witness) == (identity(4),)
+        assert tuple(outcome.witness) == (Permutation(range(4)),)
 
     def test_weight_one_rejected(self):
         with pytest.raises(ValueError):
@@ -1039,7 +1041,7 @@ class TestExactACw:
 
 class TestVerification:
     def test_min_distance(self):
-        array = PermutationArray(4, [identity(4), Permutation((1, 0, 3, 2))])
+        array = PermutationArray(4, [Permutation(range(4)), Permutation((1, 0, 3, 2))])
         assert array.min_distance() == 4
 
     def test_verify_pa_passes(self):
@@ -1047,12 +1049,12 @@ class TestVerification:
         assert verify_pa(array, 4) == []
 
     def test_verify_pa_reports_offending_pairs(self):
-        close = PermutationArray(4, [identity(4), Permutation((1, 0, 2, 3))])
+        close = PermutationArray(4, [Permutation(range(4)), Permutation((1, 0, 2, 3))])
         bad = verify_pa(close, 3)
-        assert bad == [(identity(4), Permutation((1, 0, 2, 3)), 2)]
+        assert bad == [(Permutation(range(4)), Permutation((1, 0, 2, 3)), 2)]
 
     def test_verify_pa_singleton_is_vacuous(self):
-        assert verify_pa(PermutationArray(3, [identity(3)]), 3) == []
+        assert verify_pa(PermutationArray(3, [Permutation(range(3))]), 3) == []
 
     def test_default_limits_are_generous(self):
         assert DEFAULT_LIMITS.max_nodes == 100_000_000
