@@ -23,15 +23,13 @@ from . import pafile
 from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds
 from .constructions import (
     BinaryCwCode,
-    PermutationArray,
     block_cycle_cwpa,
+    family_distance,
     greedy_partial_steiner,
     known_perfect,
     lift_binary_cw_code,
-    perfect_families,
     perfect_pa,
 )
-from .constructions import family_distance as _family_distance
 from .search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -52,6 +50,33 @@ EXIT_LIMITS = 3
 _LINES_PER_WRITE = 4096
 
 _RULE_LETTERS = {"DV": "D", "SP": "S", "ME": "E", "MO-corollary": "O", "MO-exact-A": "O"}
+
+
+def _perfect(family: str):
+    """The builder of a family meeting n!/(d-1)!: it claims the family's
+    distance and no weight."""
+    return lambda param: (perfect_pa(family, param), family_distance(family, param), None)
+
+
+def _steiner_lift(n: int, k: int):
+    return lift_binary_cw_code(greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1
+
+
+# construct family -> (parameter names, builder returning the array, the
+# distance it claims, and its weight or None)
+_FAMILIES = {
+    "cyclic": ("n", _perfect("cyclic")),
+    "symmetric": ("n", _perfect("symmetric")),
+    "alternating": ("n", _perfect("alternating")),
+    "agl": ("p", _perfect("agl")),
+    "pgl2": ("p", _perfect("pgl2")),
+    "block-cycle": ("n k", lambda n, k: (block_cycle_cwpa(n, k), 2 * k, k)),
+    "steiner-lift": ("n k", _steiner_lift),
+}
+
+# search kind -> (oracle, letter of its target); every kind but p takes a
+# weight, which the oracle reads after the distance
+_SEARCHES = {"p": (exact_p, "P"), "pcw": (exact_p_cw, "P"), "acw": (exact_a_cw, "A")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,12 +108,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _load_table(path: str | None) -> CwTable | None:
-    if path is None:
-        return None
-    return CwTable.load(path)
-
-
 def _bound_row(name: str, result: BoundResult) -> dict:
     return {
         "rule": name,
@@ -99,7 +118,7 @@ def _bound_row(name: str, result: BoundResult) -> dict:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    table = _load_table(args.cw_table)
+    table = None if args.cw_table is None else CwTable.load(args.cw_table)
     n, d = args.n, args.d
     rows = candidate_bounds(n, d, table)
     best = best_upper_bound(n, d, table)
@@ -126,68 +145,44 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    table = _load_table(args.cw_table)
+    table = None if args.cw_table is None else CwTable.load(args.cw_table)
     n_lo, n_hi = _parse_range(args.n_range)
     d_lo, d_hi = _parse_range(args.d_range)
     if n_lo < 1 or d_lo < 1:
         raise ValueError("table ranges must start at 1 or above")
-    render = _scientific if args.scientific else str
-    cells = []
+    cells = {}  # (n, d) -> (best value, letter of the winning rule)
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, min(d_hi, n) + 1):
             best = best_upper_bound(n, d, table)
-            cells.append({"n": n, "d": d, "value": best.value,
-                          "rule": _RULE_LETTERS[best.derivation[-1]]})
+            cells[n, d] = best.value, _RULE_LETTERS[best.derivation[-1]]
     if args.json:
-        print(json.dumps({"rules": _RULE_LETTERS, "cells": cells}))
+        report = [{"n": n, "d": d, "value": value, "rule": rule}
+                  for (n, d), (value, rule) in cells.items()]
+        print(json.dumps({"rules": _RULE_LETTERS, "cells": report}))
         return EXIT_OK
-    by_cell = {(c["n"], c["d"]): c for c in cells}
-    header = ["n\\d"] + [str(d) for d in range(d_lo, d_hi + 1)]
-    matrix = [header]
+    render = _scientific if args.scientific else str
+    d_values = range(d_lo, d_hi + 1)
+    matrix = [["n\\d"] + [str(d) for d in d_values]]
     for n in range(n_lo, n_hi + 1):
-        row = [str(n)]
-        for d in range(d_lo, d_hi + 1):
-            cell = by_cell.get((n, d))
-            row.append("-" if cell is None else f"{render(cell['value'])}({cell['rule']})")
-        matrix.append(row)
-    widths = [max(len(r[i]) for r in matrix) for i in range(len(header))]
+        matrix.append([str(n)] + [
+            f"{render(cells[n, d][0])}({cells[n, d][1]})" if (n, d) in cells else "-"
+            for d in d_values])
+    widths = [max(map(len, column)) for column in zip(*matrix)]
     print("best upper bounds on P(n,d); rules: D=DV S=SP E=ME O=MO")
     for row in matrix:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return EXIT_OK
 
 
-def _builders() -> dict[str, tuple[int, str]]:
-    """CLI construction names -> (parameter count, parameter hint)."""
-    named = {name: (1, "n" if name in ("cyclic", "symmetric", "alternating") else "p")
-             for name in perfect_families()}
-    named["block-cycle"] = (2, "n k")
-    named["steiner-lift"] = (2, "n k")
-    return named
-
-
-def _construct(family: str, params: list[int]) -> tuple[PermutationArray, int, int | None]:
-    """Build a named array; returns (array, claimed distance, weight)."""
-    if family == "block-cycle":
-        n, k = params
-        return block_cycle_cwpa(n, k), 2 * k, k
-    if family == "steiner-lift":
-        n, k = params
-        code = greedy_partial_steiner(n, k + 1)
-        return lift_binary_cw_code(code, k), 2 * k + 1, k + 1
-    return perfect_pa(family, params[0]), _family_distance(family, params[0]), None
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
-    builders = _builders()
-    if args.family not in builders:
+    if args.family not in _FAMILIES:
         raise ValueError(
-            f"unknown family {args.family!r}; expected one of {', '.join(sorted(builders))}"
+            f"unknown family {args.family!r}; expected one of {', '.join(sorted(_FAMILIES))}"
         )
-    arity, hint = builders[args.family]
-    if len(args.params) != arity:
-        raise ValueError(f"family {args.family!r} takes parameters: {hint}")
-    array, d, w = _construct(args.family, args.params)
+    names, build = _FAMILIES[args.family]
+    if len(args.params) != len(names.split()):
+        raise ValueError(f"family {args.family!r} takes parameters: {names}")
+    array, d, w = build(*args.params)
     text = pafile.dump_pa(array, d, w)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -215,22 +210,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    limits = SearchLimits(args.limit_nodes, args.limit_seconds)
-    if args.kind == "p":
-        if args.w is not None:
-            raise ValueError("search kind 'p' takes no weight")
-        outcome = exact_p(args.n, args.d, limits)
-        target = f"P({args.n},{args.d})"
-    elif args.kind == "pcw":
-        if args.w is None:
-            raise ValueError("search kind 'pcw' needs a weight")
-        outcome = exact_p_cw(args.n, args.d, args.w, limits)
-        target = f"P({args.n},{args.d},{args.w})"
-    else:
-        if args.w is None:
-            raise ValueError("search kind 'acw' needs a weight")
-        outcome = exact_a_cw(args.n, args.d, args.w, limits)
-        target = f"A({args.n},{args.d},{args.w})"
+    oracle, letter = _SEARCHES[args.kind]
+    if args.kind == "p" and args.w is not None:
+        raise ValueError("search kind 'p' takes no weight")
+    params = [args.n, args.d] + ([] if args.kind == "p" else [args.w])
+    if None in params:
+        raise ValueError(f"search kind {args.kind!r} needs a weight")
+    outcome = oracle(*params, SearchLimits(args.limit_nodes, args.limit_seconds))
+    target = f"{letter}({','.join(map(str, params))})"
     witness = outcome.witness
     if args.out:
         if isinstance(witness, BinaryCwCode):
@@ -306,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("n", type=int)
     p_bound.add_argument("d", type=int)
     p_bound.add_argument("--cw-table", metavar="PATH")
-    p_bound.add_argument("--json", action="store_true")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_table = sub.add_parser("table", help="best upper bounds over a grid")
@@ -315,19 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--cw-table", metavar="PATH")
     p_table.add_argument("--scientific", action="store_true",
                          help="display large values as mantissa/exponent (display only)")
-    p_table.add_argument("--json", action="store_true")
     p_table.set_defaults(func=_cmd_table)
 
     p_construct = sub.add_parser("construct", help="build a named permutation array")
-    p_construct.add_argument("family", help="cyclic | symmetric | alternating | agl | pgl2 | "
-                                            "block-cycle | steiner-lift")
+    p_construct.add_argument("family", help=" | ".join(_FAMILIES))
     p_construct.add_argument("params", type=int, nargs="+", help="family parameters")
     p_construct.add_argument("--out", metavar="PATH")
-    p_construct.add_argument("--json", action="store_true")
     p_construct.set_defaults(func=_cmd_construct)
 
     p_search = sub.add_parser("search", help="run an exhaustive search oracle")
-    p_search.add_argument("kind", choices=("p", "pcw", "acw"),
+    p_search.add_argument("kind", choices=tuple(_SEARCHES),
                           help="p: arrays; pcw: constant-weight arrays; acw: binary codes")
     p_search.add_argument("n", type=int)
     p_search.add_argument("d", type=int)
@@ -337,15 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--limit-seconds", type=float, metavar="S",
                           default=DEFAULT_LIMITS.max_seconds)
     p_search.add_argument("--out", metavar="PATH")
-    p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=_cmd_search)
 
     p_verify = sub.add_parser("verify", help="check a written array against a distance")
     p_verify.add_argument("path")
     p_verify.add_argument("d", type=int, nargs="?",
                           help="distance to check (default: the file's claimed distance)")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
+    for command in sub.choices.values():  # last, after each command's own options
+        command.add_argument("--json", action="store_true")
     return parser
 
 

@@ -340,13 +340,13 @@ def _projective(p: int) -> PermutationArray:
     return PermutationArray(p + 1, members)
 
 
-# family name -> (builder, length, claimed distance, size meeting n!/(d-1)!)
+# family name -> (builder, claimed distance)
 _PERFECT_FAMILIES = {
-    "cyclic": (_cyclic, lambda n: n, lambda n: n, lambda n: n),
-    "symmetric": (_symmetric, lambda n: n, lambda n: 2, factorial),
-    "alternating": (_alternating, lambda n: n, lambda n: 3, lambda n: factorial(n) // 2),
-    "agl": (_affine, lambda p: p, lambda p: p - 1, lambda p: p * (p - 1)),
-    "pgl2": (_projective, lambda p: p + 1, lambda p: p - 1, lambda p: (p + 1) * p * (p - 1)),
+    "cyclic": (_cyclic, lambda n: n),
+    "symmetric": (_symmetric, lambda n: 2),
+    "alternating": (_alternating, lambda n: 3),
+    "agl": (_affine, lambda p: p - 1),
+    "pgl2": (_projective, lambda p: p - 1),
 }
 
 
@@ -369,19 +369,9 @@ def perfect_pa(family: str, param: int) -> PermutationArray:
     return builder(param)
 
 
-def family_length(family: str, param: int) -> int:
-    """Number of points the family's members permute."""
-    return _PERFECT_FAMILIES[family][1](param)
-
-
 def family_distance(family: str, param: int) -> int:
     """The pairwise distance the family guarantees."""
-    return _PERFECT_FAMILIES[family][2](param)
-
-
-def family_size(family: str, param: int) -> int:
-    """The member count the family reaches, equal to n!/(d-1)!."""
-    return _PERFECT_FAMILIES[family][3](param)
+    return _PERFECT_FAMILIES[family][1](param)
 
 
 def known_perfect(n: int, d: int) -> bool:

@@ -2,7 +2,11 @@
 agreement between the human and JSON renderings."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from test_constructions import reference_greedy_partial_steiner, reference_proje
 
 from permarray import cli, perm
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from permarray.constructions import BinaryCwCode, lift_binary_cw_code
+from permarray.constructions import BinaryCwCode, lift_binary_cw_code, perfect_families
 from permarray.pafile import dump_pa, load
 
 
@@ -370,3 +374,70 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "x", "3"])
         assert excinfo.value.code == EXIT_USAGE
+
+
+# small parameters for each family `construct` lists
+SMALL_PARAMS = {
+    "cyclic": ["5"],
+    "symmetric": ["4"],
+    "alternating": ["4"],
+    "agl": ["5"],
+    "pgl2": ["5"],
+    "block-cycle": ["7", "3"],
+    "steiner-lift": ["9", "2"],
+}
+
+
+class TestFamilies:
+    def test_every_family_writes_a_file_that_verifies(self, capsys, tmp_path):
+        assert set(SMALL_PARAMS) == set(cli._FAMILIES) >= set(perfect_families())
+        for family, params in SMALL_PARAMS.items():
+            path = tmp_path / f"{family}.pa"
+            code, _, _ = run_cli(capsys, "construct", family, *params, "--out", str(path))
+            assert code == EXIT_OK, family
+            header, array = load(path)
+            code, out, _ = run_cli(capsys, "verify", str(path), str(header.d))
+            assert (code, out) == (EXIT_OK, f"OK: {len(array)} permutations on {array.n} "
+                                            f"points, pairwise distance >= {header.d}\n")
+            if header.w is not None:
+                assert {sum(i != v for i, v in enumerate(p)) for p in array} == {header.w}
+
+    def test_help_names_exactly_the_table_families(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside the family help
+        with pytest.raises(SystemExit) as excinfo:
+            main(["construct", "--help"])
+        assert excinfo.value.code == EXIT_OK
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.lstrip().startswith("family "))
+        assert line.split(None, 1)[1].split(" | ") == list(cli._FAMILIES)
+
+
+class TestEntryPoint:
+    """`python -m permarray.cli` in a real process: `run` and the module's
+    `__main__` guard turn `main`'s value into the exit status."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "permarray.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_exit_codes(self, tmp_path):
+        done = self.run_module("construct", "cyclic", "4", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.startswith("cyclic(4): 4 permutations of 4 points, distance 4\n")
+
+        (tmp_path / "close.pa").write_text("pa n=4 d=3 w=- count=2\n0,1,2,3\n1,0,2,3\n",
+                                           encoding="utf-8")
+        done = self.run_module("verify", "close.pa", cwd=tmp_path)
+        assert done.returncode == EXIT_VERIFY
+        assert done.stdout.startswith("FAIL: 1 pair(s) below distance 3:")
+
+        done = self.run_module("bound", "x", "3", cwd=tmp_path)  # argparse's 2, remapped
+        assert done.returncode == EXIT_USAGE
+        assert "invalid int value" in done.stderr
+
+        done = self.run_module("search", "p", "6", "5", "--limit-nodes", "10", cwd=tmp_path)
+        assert done.returncode == EXIT_LIMITS
+        assert done.stdout.startswith("P(6,5) >= ")

@@ -14,8 +14,6 @@ from permarray.constructions import (
     PermutationArray,
     block_cycle_cwpa,
     family_distance,
-    family_length,
-    family_size,
     greedy_partial_steiner,
     known_perfect,
     lift_binary_cw_code,
@@ -392,8 +390,7 @@ class TestPerfectFamilies:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cyclic(self, n):
         array = perfect_pa("cyclic", n)
-        assert len(array) == family_size("cyclic", n) == n
-        assert family_length("cyclic", n) == n
+        assert len(array) == array.n == n
         if n >= 2:
             assert array.min_distance() == family_distance("cyclic", n) == n
         assert len(array) == dv_bound(n, n).value
@@ -422,7 +419,7 @@ class TestPerfectFamilies:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_affine(self, p):
         array = perfect_pa("agl", p)
-        assert family_length("agl", p) == p
+        assert array.n == p
         assert len(array) == p * (p - 1)
         assert array.min_distance() == p - 1
         assert len(array) == dv_bound(p, p - 1).value
@@ -430,7 +427,7 @@ class TestPerfectFamilies:
     @pytest.mark.parametrize("p", [3, 5])
     def test_projective(self, p):
         array = perfect_pa("pgl2", p)
-        assert family_length("pgl2", p) == p + 1
+        assert array.n == p + 1
         assert len(array) == (p + 1) * p * (p - 1)
         assert array.min_distance() == p - 1
         assert len(array) == dv_bound(p + 1, p - 1).value
@@ -439,7 +436,7 @@ class TestPerfectFamilies:
     def test_projective_matches_the_matrix_reference(self, p):
         array = perfect_pa("pgl2", p)
         assert array == reference_projective(p)
-        assert len(array) == family_size("pgl2", p)
+        assert len(array) == dv_bound(p + 1, p - 1).value
 
     def test_non_prime_parameters_rejected(self):
         with pytest.raises(ValueError):

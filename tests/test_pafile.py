@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permarray import pafile
-from permarray.constructions import BinaryCwCode, PermutationArray, block_cycle_cwpa
+from permarray.constructions import (
+    BinaryCwCode,
+    PermutationArray,
+    block_cycle_cwpa,
+    perfect_pa,
+)
 from permarray.pafile import (
     PaFormatError,
     _canonical_body,
@@ -68,12 +73,23 @@ def reference_loads(text):
         payload = PermutationArray(header.n, members)
         if len(payload) != header.count:
             raise PaFormatError("duplicate members in body")
+        for member in payload:
+            if header.w is not None and sum(i != v for i, v in enumerate(member)) != header.w:
+                raise PaFormatError(f"member {tuple(member)!r} does not have weight {header.w}")
     else:
         try:
             payload = BinaryCwCode(header.n, header.w, tuple(rows), header.d)
         except ValueError as exc:
             raise PaFormatError(str(exc)) from exc
     return header, payload
+
+
+def outcome(loader, text):
+    """What a loader gives for text: ("ok", header, payload) or ("error", message)."""
+    try:
+        return ("ok", *loader(text))
+    except PaFormatError as exc:
+        return ("error", str(exc))
 
 
 FAULTS = ("non-integer", "wrong-length", "non-bijection", "out-of-range", "duplicate",
@@ -256,9 +272,10 @@ class TestReaders:
 
     @pytest.mark.parametrize("control", list("\r\x0b\x0c\x1c\x1d\x1e\x1f"))
     def test_a_guarded_character_takes_the_general_reader(self, control, monkeypatch):
-        # between two fields; without the guard numpy reads this text as a
-        # valid array, while str.splitlines breaks the line at \r, \x0b, \x0c
-        # and \x1c-\x1e, and int() rejects \x1f beside a digit
+        # between two fields: both readers break the line at \r, \x0b, \x0c
+        # and \x1c-\x1e, leaving rows the C reader turns away, and the guard
+        # keeps \x1f, which numpy strips and int() rejects beside a digit,
+        # from the C reader
         text = f"pa n=2 d=2 w=- count=2\n0{control},1\n1,0\n"
         assert _canonical_body(text) is None
         with pytest.raises(PaFormatError) as expected:
@@ -279,9 +296,17 @@ class TestReaders:
             header, body = text.split("\n", 1)
             spelled = header + "\n" + re.sub(
                 r"\d+", lambda m: "+" + m.group().translate(ARABIC_INDIC), body)
+            assert _canonical_body(spelled) is None
             for other in (text.replace("\n", "\r\n"), spelled):
-                assert _canonical_body(other) is None
-                assert loads(other) == loads(text)
+                assert loads(other) == reference_loads(other) == loads(text)
+
+    def test_a_crlf_text_takes_the_c_reader(self, monkeypatch):
+        text = dump_pa(perfect_pa("pgl2", 11), 10)
+        crlf = text.replace("\n", "\r\n")
+        assert _canonical_body(crlf)[1].tolist() == _canonical_body(text)[1].tolist()
+        expected = loads(text)
+        monkeypatch.setattr(pafile, "_content_lines", None)  # the general reader fails
+        assert loads(crlf) == expected
 
     @pytest.mark.parametrize("entry", [str(2**63), str(-2**63 - 1), str(10**30)])
     def test_an_entry_past_int64_takes_the_general_reader(self, entry):
@@ -330,14 +355,19 @@ class TestAgainstReference:
 
     def test_the_c_reader_accepts_no_character_int_rejects(self):
         # every ASCII character before, inside and after an entry: the guard
-        # and loadtxt together accept only what int() reads, as int() reads it
+        # and loadtxt together accept only what the per-line reader reads, as
+        # it reads it (a line break inside an entry splits it for both)
         for c in map(chr, range(128)):
             if c in ",#\n":
                 continue
             for entry in (c + "1", "1" + c, "1" + c + "0"):
-                canonical = _canonical_body(f"pa n=1 d=2 w=- count=1\n{entry}\n")
+                text = f"pa n=1 d=2 w=- count=1\n{entry}\n"
+                canonical = _canonical_body(text)
                 if canonical is not None:
-                    assert canonical[1].tolist() == [[int(entry)]], repr(entry)
+                    rows = [[int(v) for v in line.split(",")]
+                            for _, line in _content_lines(text)[1:]]
+                    assert canonical[1].tolist() == rows, repr(entry)
+                assert outcome(loads, text) == outcome(reference_loads, text), repr(entry)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -386,6 +416,45 @@ class TestRejections:
                 with pytest.raises(PaFormatError) as excinfo:
                     loader(t)
                 assert str(excinfo.value) == f"line 1: repeated header field {key!r}"
+
+    @pytest.mark.parametrize("header, message", [
+        ("pa n=-1 d=0 w=- count=0", "negative n=-1"),
+        ("pa n=3 d=2 w=- count=-1", "negative count=-1"),
+        ("cw n=3 d=2 w=-1 count=0", "weight w=-1 outside 0..3"),
+        ("cw n=3 d=2 w=4 count=0", "weight w=4 outside 0..3"),
+        ("pa n=3 d=2 w=-1 count=0", "weight w=-1 outside 0..3"),
+        ("pa n=3 d=2 w=4 count=0", "weight w=4 outside 0..3"),
+    ])
+    def test_header_value_out_of_range(self, header, message):
+        # on line 1 the C reader parses the header, after a comment the general one
+        for lineno, text in ((1, f"{header}\n"), (2, f"# lead\n{header}\n")):
+            for loader in (loads, reference_loads):
+                with pytest.raises(PaFormatError) as excinfo:
+                    loader(text)
+                assert str(excinfo.value) == f"line {lineno}: {message}"
+
+    @pytest.mark.parametrize("count, body, message", [
+        (1, "0,1,2\n", "member (0, 1, 2) does not have weight 2"),
+        # the first member in sorted order, not in file order
+        (4, "1,0,2\n1,2,0\n2,1,0\n0,2,1\n", "member (1, 2, 0) does not have weight 2"),
+        # every other check comes first
+        (2, "0,1,2\n0,1,2\n", "duplicate members in body"),
+        (2, "0,1,2\n", "header promises 2 members, found 1"),
+        (2, "0,1,2\n1,1,2\n", "not a bijection on 0..2: (1, 1, 2)"),
+        (2, "0,1,2\n0,1\n", "member (0, 1) does not have length 3"),
+    ])
+    def test_pa_member_of_the_wrong_weight(self, count, body, message):
+        text = f"pa n=3 d=2 w=2 count={count}\n{body}"
+        for t in (text, text.replace("\n", "\r\n"), text.replace("0", "\u0660")):
+            for loader in (loads, reference_loads):
+                with pytest.raises(PaFormatError) as excinfo:
+                    loader(t)
+                assert str(excinfo.value) == message
+
+    def test_pa_weight_that_every_member_has(self):
+        array = block_cycle_cwpa(9, 3)
+        for w in (None, 3):
+            assert loads(dump_pa(array, 6, w)) == (pafile.PaHeader("pa", 9, 6, w, 3), array)
 
     def test_non_numeric_field(self):
         with pytest.raises(PaFormatError):
