@@ -84,10 +84,16 @@ def _not_applicable(*tags: str) -> BoundResult:
     return BoundResult(None, KIND_UPPER, tags)
 
 
-def dv_ratio(n: int, d: int) -> Fraction:
-    """The quotient bound n!/(d-1)! as an exact rational (always integral)."""
+def _check_distance(n: int, d: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1: {n}")
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
+
+
+def dv_ratio(n: int, d: int) -> Fraction:
+    """The quotient bound n!/(d-1)! as an exact rational (always integral)."""
+    _check_distance(n, d)
     return Fraction(factorial(n), factorial(d - 1))
 
 
@@ -99,8 +105,7 @@ def dv_bound(n: int, d: int) -> BoundResult:
 
 def sp_ratio(n: int, d: int) -> Fraction:
     """The sphere-packing quantity n! / V(n, floor((d-1)/2)) pre-floor."""
-    if not 1 <= d <= n:
-        raise ValueError(f"distance {d} outside valid range 1..{n}")
+    _check_distance(n, d)
     return Fraction(factorial(n), ball_volume(n, (d - 1) // 2))
 
 
@@ -193,8 +198,7 @@ def subset_bound(n: int, d: int, omega_size: int, p_omega: int) -> BoundResult:
     """Averaging bound: if a subset of size ``omega_size`` of the permutations
     of n points contains at most ``p_omega`` members of any array with
     distance d, then P(n, d) <= floor(n! * p_omega / omega_size)."""
-    if not 1 <= d <= n:
-        raise ValueError(f"distance {d} outside valid range 1..{n}")
+    _check_distance(n, d)
     if not 0 < omega_size <= factorial(n):
         raise ValueError(f"subset size {omega_size} outside valid range 1..n!")
     if p_omega < 0:
@@ -316,8 +320,7 @@ def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundRes
     if d == 1 and n >= 2:
         tags = ("d1-as-d2",)
         d = 2
-    if not 1 <= d <= n:
-        raise ValueError(f"distance {d} outside valid range 1..{n}")
+    _check_distance(n, d)
     best = min(
         (c for _, c in candidate_bounds(n, d, table) if c.applicable), key=lambda c: c.value
     )

@@ -197,7 +197,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "out": args.out,
         }
         if not args.out:
-            report["members"] = [list(p) for p in array]
+            report["members"] = array.rows.tolist()
         print(json.dumps(report))
         return EXIT_OK
     print(f"{args.family}({', '.join(map(str, args.params))}): "
@@ -244,6 +244,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK if outcome.status == STATUS_EXACT else EXIT_LIMITS
 
 
+class _MemberNames(dict):
+    """Each member's text, made on its first lookup: a bad pair's lines name
+    the same members many times. A dict lookup that hits runs no Python
+    code, so it costs less than a ``functools.cache`` call."""
+
+    def __missing__(self, member: tuple[int, ...]) -> str:
+        text = self[member] = ",".join(map(str, member))
+        return text
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
@@ -270,18 +280,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"OK: {header.count} {kind} on {header.n} points, pairwise distance >= {d}")
         return EXIT_OK
     print(f"FAIL: {len(bad)} pair(s) below distance {d}:")
-    names: dict[tuple[int, ...], str] = {}  # each member's text, made once
+    names = _MemberNames()
     for start in range(0, len(bad), _LINES_PER_WRITE):
-        lines = []
-        for a, b, dist in bad[start:start + _LINES_PER_WRITE]:
-            name_a = names.get(a)
-            if name_a is None:
-                name_a = names[a] = ",".join(map(str, a))
-            name_b = names.get(b)
-            if name_b is None:
-                name_b = names[b] = ",".join(map(str, b))
-            lines.append(f"  {name_a} <-> {name_b} distance {dist}\n")
-        sys.stdout.write("".join(lines))
+        sys.stdout.write("".join([f"  {names[a]} <-> {names[b]} distance {dist}\n"
+                                  for a, b, dist in bad[start:start + _LINES_PER_WRITE]]))
     return EXIT_VERIFY
 
 

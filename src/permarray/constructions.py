@@ -13,7 +13,7 @@ arrays matching the exact values the bounds module reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
@@ -21,7 +21,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, distance_blocks, pairs_below, permutation_rows
+from .perm import Permutation, _row_dtype, distance_blocks, pairs_below, permutation_rows
 
 
 class PermutationArray:
@@ -34,12 +34,13 @@ class PermutationArray:
     request and cached; constructors never stamp a claimed distance into
     the cache, so verification always measures.
 
-    ``members`` may be any iterable of integer sequences, or an (m, n)
-    integer matrix, which is read as it is. A member whose length is not n
-    raises ``ValueError``; otherwise the first member that is no bijection
-    on 0..n-1 raises the ``ValueError`` that ``Permutation`` gives for it.
-    The check and the sort run on the whole matrix at once; duplicates are
-    dropped."""
+    ``members`` may be an (m, n) integer matrix, which is read as it is and
+    is what every builder in the package passes, or any iterable of integer
+    sequences, the path that serves input from outside the package. A
+    member whose length is not n raises ``ValueError``; otherwise the first
+    member that is no bijection on 0..n-1 raises the ``ValueError`` that
+    ``Permutation`` gives for it. The check and the sort run on the whole
+    matrix at once; duplicates are dropped."""
 
     def __init__(self, n: int, members: Iterable[Sequence[int]] | np.ndarray) -> None:
         matrix = isinstance(members, np.ndarray) and members.ndim == 2 and len(members) > 0
@@ -63,8 +64,7 @@ class PermutationArray:
         bad = (np.sort(rows, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
-        # the smallest signed dtype holding 0..n-1 sorts fastest
-        rows = rows.astype(np.min_scalar_type(-n))
+        rows = rows.astype(_row_dtype(n))  # the narrowest rows sort fastest
         if n > 0:  # lexsort needs a key; with none, every row is the empty one
             rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
@@ -151,13 +151,29 @@ class BinaryCwCode:
         ``itertools.combinations``. The indicator vectors' Hamming distance is
         2 * (weight - overlap)."""
         words = self.words
-        pairs = pairs_below(list(indicator_vectors(self.n, words)), d)
+        pairs = pairs_below(indicator_rows(self.n, self._supports()), d)
         return [(words[i], words[j], dist) for i, j, dist in pairs]
 
+    def _supports(self) -> np.ndarray:
+        """The words as the rows of an (m, weight) index matrix."""
+        return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
 
-def indicator_vectors(n: int, words: Iterable[Iterable[int]]) -> Iterator[list[int]]:
-    """Yield the 0/1 vector of length n marking each word's points."""
-    return ([int(i in word) for i in range(n)] for word in map(set, words))
+
+def indicator_rows(n: int, supports: np.ndarray) -> np.ndarray:
+    """The int8 0/1 rows of length n marking the points of each row of an
+    (m, w) support matrix."""
+    rows = np.zeros((len(supports), n), dtype=np.int8)
+    np.put_along_axis(rows, supports, 1, axis=1)
+    return rows
+
+
+def _cycle_rows(n: int, supports: np.ndarray) -> np.ndarray:
+    """The permutations of n points that each cycle the points of one row of
+    an (m, w) support matrix, every point to the next in the row and the
+    last to the first, and fix everything else."""
+    rows = np.tile(np.arange(n), (len(supports), 1))
+    np.put_along_axis(rows, supports, np.roll(supports, -1, axis=1), axis=1)
+    return rows
 
 
 def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
@@ -172,14 +188,7 @@ def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
         raise ValueError(f"block size must be at least 2: {k}")
     if n < k:
         raise ValueError(f"need n >= k; got n={n}, k={k}")
-    members = []
-    for i in range(n // k):
-        images = list(range(n))
-        for j in range(i * k, i * k + k - 1):
-            images[j] = j + 1
-        images[i * k + k - 1] = i * k
-        members.append(images)
-    return PermutationArray(n, members)
+    return PermutationArray(n, _cycle_rows(n, np.arange(n // k * k).reshape(n // k, k)))
 
 
 def greedy_partial_steiner(n: int, blocksize: int) -> BinaryCwCode:
@@ -238,13 +247,7 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         raise ValueError(
             f"supports {a!r} and {b!r} share {k + 1 - dist // 2} points; at most 1 allowed"
         )
-    members = []
-    for word in code.words:
-        images = list(range(code.n))
-        for idx, point in enumerate(word):
-            images[point] = word[(idx + 1) % len(word)]
-        members.append(images)
-    return PermutationArray(code.n, members)
+    return PermutationArray(code.n, _cycle_rows(code.n, code._supports()))
 
 
 def _is_prime(p: int) -> bool:
@@ -272,8 +275,8 @@ def _is_prime_power(q: int) -> bool:
 def _cyclic(n: int) -> PermutationArray:
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    members = [[(i + c) % n for i in range(n)] for c in range(n)]
-    return PermutationArray(n, members)
+    x = np.arange(n)
+    return PermutationArray(n, (x + x[:, None]) % n)
 
 
 def _symmetric(n: int) -> PermutationArray:
@@ -293,18 +296,20 @@ def _alternating(n: int) -> PermutationArray:
         for rows in permutation_rows(n, 0)]))
 
 
+def _affine_rows(p: int) -> np.ndarray:
+    """The maps x -> ax + b, a != 0, over the field of prime order p, as the
+    rows of a (p(p-1), p) matrix."""
+    a, b = np.divmod(np.arange(p, p * p), p)  # each a in 1..p-1 with each b in 0..p-1
+    return (a[:, None] * np.arange(p) + b[:, None]) % p
+
+
 def _affine(p: int) -> PermutationArray:
     """All maps x -> ax + b over the field of prime order p: p(p-1)
     permutations, pairwise distance p - 1 (two distinct affine maps agree on
     at most one point)."""
     if not _is_prime(p):
         raise ValueError(f"affine family needs a prime modulus: {p}")
-    members = [
-        [(a * x + b) % p for x in range(p)]
-        for a in range(1, p)
-        for b in range(p)
-    ]
-    return PermutationArray(p, members)
+    return PermutationArray(p, _affine_rows(p))
 
 
 def _projective(p: int) -> PermutationArray:
@@ -314,30 +319,22 @@ def _projective(p: int) -> PermutationArray:
     pairwise distance p - 1 (two distinct maps agree on at most two points).
 
     Scaling (a, b, c, d) by a nonzero constant gives the same map, so each
-    map is built once, from its normalised matrix: c = 1 (any a, b, d with
-    ad - b != 0; the pole -d goes to inf and inf to a), or c = 0 and d = 1
-    (x -> ax + b with a != 0, fixing inf). Inverses come from one table.
+    map has one normalised matrix: c = 0 and d = 1, the affine maps, which
+    fix inf; or c = 1, where (ax + b)/(x + d) = a + (b - ad)/(x + d) is the
+    affine map y -> (b - ad)y + a after y = 1/(x + d), which sends the pole
+    -d to inf and inf to 0. So each c = 1 map is an affine row read at the
+    points 1/(x + d), one shift per d.
     """
     if not _is_prime(p):
         raise ValueError(f"projective family needs a prime modulus: {p}")
-    # inverses[0] is never used: the pole's image is overwritten with inf
-    inverses = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-    members = [
-        [(a * x + b) % p for x in range(p)] + [p]
-        for a in range(1, p)
-        for b in range(p)
-    ]
-    for d in range(p):
-        pole = -d % p
-        for a in range(p):
-            for b in range(p):
-                if (a * d - b) % p == 0:
-                    continue
-                images = [(a * x + b) * inverses[(x + d) % p] % p for x in range(p)]
-                images[pole] = p
-                images.append(a)
-                members.append(images)
-    return PermutationArray(p + 1, members)
+    # the affine maps fix inf; narrowed first, as the shifts copy them p times
+    affine = np.c_[_affine_rows(p), np.full(p * (p - 1), p)].astype(_row_dtype(p + 1))
+    x = np.arange(p)
+    inverses = (np.outer(x, x) % p == 1).argmax(axis=1)  # 0 has none: its entry is 0
+    # row d of shifts is y = 1/(x + d) on the line: the pole -d to inf, inf to 0
+    shifts = np.c_[inverses[(x + x[:, None]) % p], np.zeros(p, dtype=np.intp)]
+    shifts[x, -x % p] = p
+    return PermutationArray(p + 1, np.concatenate([affine, affine[:, shifts].reshape(-1, p + 1)]))
 
 
 # family name -> (builder, claimed distance)

@@ -113,6 +113,8 @@ def _parse_header(line: str, lineno: int) -> PaHeader:
     for key in ("n", "count"):
         if getattr(header, key) < 0:
             raise PaFormatError(f"line {lineno}: negative {key}={getattr(header, key)}")
+    if header.d < 1:
+        raise PaFormatError(f"line {lineno}: distance d={header.d} below 1")
     if header.w is not None and not 0 <= header.w <= header.n:
         raise PaFormatError(f"line {lineno}: weight w={header.w} outside 0..{header.n}")
     return header

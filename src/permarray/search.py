@@ -95,7 +95,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .constructions import BinaryCwCode, PermutationArray
+from .constructions import BinaryCwCode, PermutationArray, indicator_rows
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
@@ -540,10 +540,7 @@ def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
     ``perm._LIST_ROWS`` rows (at least one)."""
     supports = combinations(range(n), w)
     while group := list(islice(supports, _LIST_ROWS)):
-        points = np.array(group, dtype=np.intp).reshape(len(group), w)
-        rows = np.zeros((len(group), n), dtype=np.int8)
-        np.put_along_axis(rows, points, 1, axis=1)
-        yield rows
+        yield indicator_rows(n, np.array(group, dtype=np.intp).reshape(len(group), w))
 
 
 def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:

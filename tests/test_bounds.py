@@ -55,6 +55,21 @@ class TestQuotientBound:
         with pytest.raises(ValueError):
             dv_bound(5, 0)
 
+    @pytest.mark.parametrize("rule", [
+        dv_bound, sp_bound, best_upper_bound, lambda n, d: subset_bound(n, d, 1, 1),
+    ], ids=["dv", "sp", "best", "subset"])
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 0, "need n >= 1: 0"),
+        (-2, 1, "need n >= 1: -2"),
+        (0, 5, "need n >= 1: 0"),
+        (3, 0, "distance 0 outside valid range 1..3"),
+        (3, 4, "distance 4 outside valid range 1..3"),
+    ])
+    def test_n_is_checked_before_the_distance(self, rule, n, d, message):
+        with pytest.raises(ValueError) as excinfo:
+            rule(n, d)
+        assert str(excinfo.value) == message
+
     def test_division_is_exact(self):
         for n in range(2, 30):
             for d in range(1, n + 1):

@@ -83,6 +83,16 @@ class TestBound:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("n, d, message", [
+        ("0", "0", "need n >= 1: 0"),
+        ("-2", "1", "need n >= 1: -2"),
+        ("5", "9", "distance 9 outside valid range 1..5"),
+    ])
+    def test_range_error_names_n_before_the_distance(self, capsys, n, d, message):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "bound", n, d, *json_flag)
+            assert (code, out, err) == (EXIT_USAGE, "", f"permarray: error: {message}\n")
+
 
 class TestTable:
     def test_grid_cells(self, capsys):
@@ -357,6 +367,28 @@ class TestVerify:
         path.write_text("pa n=3 d=2 w=- count=2\n" + body, encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out, err) == (EXIT_USAGE, "", f"permarray: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, header", [
+        (["construct", "symmetric", "1"], "pa n=1 d=2 w=- count=1"),
+        (["search", "pcw", "4", "6", "2"], "pa n=4 d=6 w=2 count=1"),
+    ])
+    def test_a_header_distance_above_n_loads(self, capsys, tmp_path, argv, header):
+        # the package writes these headers itself
+        path = tmp_path / "wide.pa"
+        run_cli(capsys, *argv, "--out", str(path))
+        assert path.read_text(encoding="utf-8").splitlines()[0] == header
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_OK and out.startswith("OK: 1 permutations")
+
+    @pytest.mark.parametrize("d", ["-5", "0"])
+    def test_a_header_distance_below_1_is_refused(self, capsys, tmp_path, d):
+        # such a file used to pass, "pairwise distance >= -5" checking nothing
+        path = tmp_path / "bad.pa"
+        path.write_text(f"pa n=3 d={d} w=- count=2\n0,1,2\n1,0,2\n", encoding="utf-8")
+        for argv in ([str(path)], [str(path), "2"]):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert (code, out, err) == (
+                EXIT_USAGE, "", f"permarray: error: line 1: distance d={d} below 1\n")
 
 
 class TestUsage:

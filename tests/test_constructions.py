@@ -44,6 +44,43 @@ def reference_greedy_partial_steiner(n, blocksize):
     return tuple(words)
 
 
+def reference_cyclic(n):
+    """The translations x -> x + c mod n, one list per shift."""
+    return PermutationArray(n, [[(i + c) % n for i in range(n)] for c in range(n)])
+
+
+def reference_affine(p):
+    """The maps x -> ax + b over F_p with a != 0, one list per map."""
+    return PermutationArray(p, [
+        [(a * x + b) % p for x in range(p)]
+        for a in range(1, p)
+        for b in range(p)
+    ])
+
+
+def reference_block_cycle(n, k):
+    """Each block of k consecutive points cycled, built point by point."""
+    members = []
+    for i in range(n // k):
+        images = list(range(n))
+        for j in range(i * k, i * k + k - 1):
+            images[j] = j + 1
+        images[i * k + k - 1] = i * k
+        members.append(images)
+    return PermutationArray(n, members)
+
+
+def reference_lift(code):
+    """Each word's sorted support cycled, built point by point."""
+    members = []
+    for word in code.words:
+        images = list(range(code.n))
+        for idx, point in enumerate(word):
+            images[point] = word[(idx + 1) % len(word)]
+        members.append(images)
+    return PermutationArray(code.n, members)
+
+
 def reference_projective(p):
     """The fractional-linear maps over F_p, one per invertible matrix (p^4
     candidates, each map p - 1 times), with the repeats removed by a set."""
@@ -250,6 +287,31 @@ class TestPermutationArray:
         assert same.members == expected
 
 
+class TestBuilders:
+    def test_every_builder_passes_an_integer_matrix(self, monkeypatch):
+        passed = []
+        init = PermutationArray.__init__
+
+        def spy(self, n, members):
+            passed.append(members)
+            init(self, n, members)
+
+        monkeypatch.setattr(PermutationArray, "__init__", spy)
+        builds = [(family, lambda family=family: perfect_pa(family, 5))
+                  for family in perfect_families()]
+        builds += [
+            ("block-cycle", lambda: block_cycle_cwpa(7, 3)),
+            ("steiner-lift", lambda: lift_binary_cw_code(greedy_partial_steiner(9, 3), 2)),
+            ("empty-lift", lambda: lift_binary_cw_code(BinaryCwCode(5, 3, (), 4), 2)),
+        ]
+        for name, build in builds:
+            passed.clear()
+            build()
+            assert len(passed) == 1, name
+            assert isinstance(passed[0], np.ndarray) and passed[0].dtype.kind in "iu", name
+            assert passed[0].ndim == 2, name
+
+
 class TestBinaryCwCode:
     def test_validation(self):
         code = BinaryCwCode(5, 2, ((0, 1), (2, 3)), 4)
@@ -292,6 +354,10 @@ class TestBlockCycles:
                 assert all(weight(p) == k for p in array)
                 if len(array) >= 2:
                     assert array.min_distance() == 2 * k
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 13) for k in range(2, n + 1)])
+    def test_matches_the_list_reference(self, n, k):
+        assert block_cycle_cwpa(n, k) == reference_block_cycle(n, k)
 
     def test_single_block_has_no_pairs(self):
         array = block_cycle_cwpa(5, 3)
@@ -357,6 +423,11 @@ class TestSupportLifting:
         assert len(array) == 7
         assert array.min_distance() >= 5
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 16) for k in range(1, min(n, 5))])
+    def test_matches_the_list_reference(self, n, k):
+        for code in (greedy_partial_steiner(n, k + 1), BinaryCwCode(n, k + 1, (), 2 * k)):
+            assert lift_binary_cw_code(code, k) == reference_lift(code)
+
     def test_weight_mismatch_rejected(self):
         code = BinaryCwCode(5, 2, ((0, 1), (2, 3)), 4)
         with pytest.raises(ValueError):
@@ -387,13 +458,14 @@ class TestPerfectFamilies:
             "pgl2",
         }
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic(self, n):
         array = perfect_pa("cyclic", n)
         assert len(array) == array.n == n
         if n >= 2:
             assert array.min_distance() == family_distance("cyclic", n) == n
         assert len(array) == dv_bound(n, n).value
+        assert array == reference_cyclic(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_symmetric(self, n):
@@ -431,6 +503,10 @@ class TestPerfectFamilies:
         assert len(array) == (p + 1) * p * (p - 1)
         assert array.min_distance() == p - 1
         assert len(array) == dv_bound(p + 1, p - 1).value
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_affine_matches_the_list_reference(self, p):
+        assert perfect_pa("agl", p) == reference_affine(p)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_projective_matches_the_matrix_reference(self, p):

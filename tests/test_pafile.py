@@ -424,6 +424,12 @@ class TestRejections:
         ("cw n=3 d=2 w=4 count=0", "weight w=4 outside 0..3"),
         ("pa n=3 d=2 w=-1 count=0", "weight w=-1 outside 0..3"),
         ("pa n=3 d=2 w=4 count=0", "weight w=4 outside 0..3"),
+        ("pa n=3 d=-5 w=- count=2", "distance d=-5 below 1"),
+        ("pa n=3 d=0 w=- count=2", "distance d=0 below 1"),
+        ("cw n=4 d=-2 w=2 count=0", "distance d=-2 below 1"),
+        # n and count are checked first
+        ("pa n=-1 d=-1 w=- count=0", "negative n=-1"),
+        ("pa n=3 d=0 w=- count=-1", "negative count=-1"),
     ])
     def test_header_value_out_of_range(self, header, message):
         # on line 1 the C reader parses the header, after a comment the general one

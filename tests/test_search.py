@@ -9,6 +9,7 @@ import random
 import sys
 import time
 from array import array
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
     block_cycle_cwpa,
-    indicator_vectors,
 )
 from permarray.exactmath import factorial
 from permarray.perm import (
@@ -48,6 +48,11 @@ from permarray.search import (
     exact_p_cw,
     verify_pa,
 )
+
+
+def indicator_vectors(n: int, words: Iterable[Iterable[int]]) -> Iterator[list[int]]:
+    """Yield the 0/1 vector of length n marking each word's points."""
+    return ([int(i in word) for i in range(n)] for word in map(set, words))
 
 
 def fake_clock(monkeypatch, steady_reads):
