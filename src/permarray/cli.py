@@ -255,6 +255,9 @@ class _MemberNames(dict):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.d is not None and args.d < 1:
+        # every pair is at distance >= 0: such a claim checks nothing
+        raise ValueError(f"distance d={args.d} below 1")
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
     if isinstance(payload, BinaryCwCode):
@@ -327,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a written array against a distance")
     p_verify.add_argument("path")
     p_verify.add_argument("d", type=int, nargs="?",
-                          help="distance to check (default: the file's claimed distance)")
+                          help="distance to check, at least 1 "
+                               "(default: the file's claimed distance)")
     p_verify.set_defaults(func=_cmd_verify)
     for command in sub.choices.values():  # last, after each command's own options
         command.add_argument("--json", action="store_true")

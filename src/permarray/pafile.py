@@ -15,8 +15,10 @@ Blank lines and '#' comments are ignored. Example::
     3,2,1,0
 
 The d field records the distance the writer claims; readers re-verify rather
-than trust it. n and count must not be negative, and w, when given, must lie
-in 0..n: every member of a "pa" body with a w moves exactly w points.
+than trust it. d must be at least 1, n and count must not be negative, and
+w, when given, must lie in 0..n: every member of a "pa" body with a w moves
+exactly w points. ``PaHeader`` holds that range rule; the writers raise
+``ValueError`` rather than write a header the reader would refuse.
 
 Writers render the whole body with one format call. ``loads`` has two
 readers that give the same result, payload or error, on every text. Both
@@ -47,7 +49,9 @@ class PaFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PaHeader:
-    """Parsed header line: object kind plus declared parameters."""
+    """Parsed header line: object kind plus declared parameters. A header
+    out of range raises ``ValueError``: the one range rule, which the
+    reader applies to what it parses and the writers to what they write."""
 
     kind: str
     n: int
@@ -55,10 +59,25 @@ class PaHeader:
     w: int | None
     count: int
 
+    def __post_init__(self) -> None:
+        if self.kind == "cw" and self.w is None:
+            raise ValueError("cw header requires an integer weight")
+        for key in ("n", "count"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"negative {key}={getattr(self, key)}")
+        if self.d < 1:
+            raise ValueError(f"distance d={self.d} below 1")
+        if self.w is not None and not 0 <= self.w <= self.n:
+            raise ValueError(f"weight w={self.w} outside 0..{self.n}")
+
+    def __str__(self) -> str:
+        w_text = "-" if self.w is None else str(self.w)
+        return f"{self.kind} n={self.n} d={self.d} w={w_text} count={self.count}"
+
 
 def _format_header(kind: str, n: int, d: int, w: int | None, count: int) -> str:
-    w_text = "-" if w is None else str(w)
-    return f"{kind} n={n} d={d} w={w_text} count={count}"
+    """The header line; ``ValueError`` for one the reader would reject."""
+    return str(PaHeader(kind, n, d, w, count))
 
 
 def _format_body(entries: list[int], width: int, count: int) -> str:
@@ -68,13 +87,14 @@ def _format_body(entries: list[int], width: int, count: int) -> str:
 
 def dump_pa(array: PermutationArray, d: int, w: int | None = None) -> str:
     """Render an array to format text, claiming distance d (and weight w for
-    constant-weight arrays)."""
+    constant-weight arrays); ``ValueError`` for a header out of range."""
     header = _format_header("pa", array.n, d, w, len(array))
     return header + "\n" + _format_body(array.rows.ravel().tolist(), array.n, len(array))
 
 
 def dump_cw(code: BinaryCwCode) -> str:
-    """Render a constant-weight binary code to format text."""
+    """Render a constant-weight binary code to format text; ``ValueError``
+    for a header out of range, such as a code of distance 0."""
     header = _format_header("cw", code.n, code.distance, code.weight, len(code))
     supports = list(chain.from_iterable(code))
     return header + "\n" + _format_body(supports, code.weight, len(code))
@@ -105,19 +125,13 @@ def _parse_header(line: str, lineno: int) -> PaHeader:
         raise PaFormatError(f"line {lineno}: header missing {sorted(missing)}")
     try:
         w = None if values["w"] == "-" else int(values["w"])
-        header = PaHeader(fields[0], int(values["n"]), int(values["d"]), w, int(values["count"]))
+        n, d, count = int(values["n"]), int(values["d"]), int(values["count"])
     except ValueError as exc:
         raise PaFormatError(f"line {lineno}: non-integer header value") from exc
-    if fields[0] == "cw" and header.w is None:
-        raise PaFormatError(f"line {lineno}: cw header requires an integer weight")
-    for key in ("n", "count"):
-        if getattr(header, key) < 0:
-            raise PaFormatError(f"line {lineno}: negative {key}={getattr(header, key)}")
-    if header.d < 1:
-        raise PaFormatError(f"line {lineno}: distance d={header.d} below 1")
-    if header.w is not None and not 0 <= header.w <= header.n:
-        raise PaFormatError(f"line {lineno}: weight w={header.w} outside 0..{header.n}")
-    return header
+    try:
+        return PaHeader(fields[0], n, d, w, count)
+    except ValueError as exc:
+        raise PaFormatError(f"line {lineno}: {exc}") from None
 
 
 # Both readers take their lines from str.splitlines, so every ASCII line

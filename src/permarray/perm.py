@@ -20,10 +20,14 @@ witnesses.
 The kernel has a self form, ``distance_blocks``, which walks all pairwise
 distances of one set in row blocks of bounded size, and a cross form,
 ``distances``, which measures each vector of one small set against each of
-another. Both compare columns narrowed to one dtype, int8 when every entry
-fits in 8 bits, int16 when in 16, and run one column loop, which adds each
-column's bool comparison to the agreement counts through a uint8 view, so
-the add needs no cast.
+another. A distance is the length minus the positions that agree. Both
+forms narrow the columns to one dtype, int8 when every entry fits in 8
+bits, int16 when in 16, and run one column loop, which adds each column's
+0/1 agreements to the counts. With int8 columns whose table fits
+``_TABLE_BYTES``, a column's agreements are rows gathered from a 0/1 table
+built once per call, one row per entry value; any other input compares the
+column by broadcasting, read through a uint8 view so that the add needs no
+cast.
 """
 
 from __future__ import annotations
@@ -37,13 +41,22 @@ from .exactmath import derangement_count
 
 # Distances per block in distance_blocks. Smaller blocks follow the upper
 # triangle more closely: on 1,320 rows they compute 1.00 M distances at
-# 256 KiB against 1.32 M at 1 MiB. Medians of 12 interleaved runs on a 2-core
-# Xeon with int16 columns, 1 MiB -> 256 KiB: pairs_below on pgl2 11 14.1 ->
-# 9.8 ms, S_7 at d = 3 101 -> 97 ms, P(7,4) conflict masks 76 -> 70 ms,
-# P(6,4) masks 3.3 -> 2.9 ms. int8 columns and the uint8 add keep this size;
-# best of 7 on the same machine, int16 -> int8: the upper-triangle blocks
-# of pgl2 11 3.7-4.9 -> 2.6-2.7 ms, P(7,4) conflict masks 50-56 -> 38 ms.
+# 256 KiB against 1.32 M at 1 MiB. With the agreement table, best of two
+# sets of interleaved runs on a 2-core Xeon, 64 / 128 / 256 / 512 KiB:
+# pairs_below on pgl2 11 1.8 / 1.4 / 1.7 / 2.4 ms, S_7 at d = 3
+# 34 / 27 / 25 / 29 ms, P(7,4) conflict masks 31 / 27 / 25 / 38 ms. The
+# whole `verify` of pgl2 11 still favours 256 KiB: the benchmark's tools
+# probe read 6.1-6.4 ms against 6.4-6.5 ms at 128 KiB in 4 alternating pairs.
 _BLOCK_BYTES = 1 << 18
+
+# Bytes of the agreement table that _distance_rows builds from int8 columns
+# (one per column, entry value and vector); larger tables take the compare.
+# Best of 3 on a 2-core Xeon (2 MiB L2 per core), upper blocks, compare ->
+# table: S_8 (a 2.6 MB table) 889 -> 772 ms, 2,000 random 45-point vectors
+# (4 MB) 19.7 -> 14.4 ms; past the bound, 2,048 64-point vectors (8 MB)
+# 18.2 -> 20.3 ms. Within it the table loses only where it has as many
+# values as vectors: 250 127-point vectors (4 MB) 2.3 -> 3.5 ms.
+_TABLE_BYTES = 1 << 22
 
 # Permutations read per block by permutation_rows, and rows per block of
 # weight_rows at most: blocks of a few KiB, so a caller that stops early has
@@ -167,31 +180,56 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
             yield rows.reshape(-1, n)
 
 
-def _columns(*matrices: np.ndarray) -> list[np.ndarray]:
-    """The matrices' columns, as contiguous rows, in the narrowest integer
-    dtype that holds every entry of all of them (int8 compares faster than
-    int16, and int16 up to twice as fast as int64), else object: a narrower
-    copy, or a float one such as ``np.result_type(int64, uint64)``, could
-    make unequal entries equal."""
+def _columns(*matrices: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
+    """The least and greatest entry of all the matrices, and their columns,
+    as contiguous rows, in the narrowest integer dtype that holds every
+    entry (int8 compares faster than int16, and int16 up to twice as fast
+    as int64), else object: a narrower copy, or a float one such as
+    ``np.result_type(int64, uint64)``, could make unequal entries equal."""
     filled = [matrix for matrix in matrices if matrix.size]
     low = min((int(matrix.min()) for matrix in filled), default=0)
     high = max((int(matrix.max()) for matrix in filled), default=0)
     dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64, np.uint64)
                   if np.iinfo(t).min <= low and high <= np.iinfo(t).max), object)
-    return [np.ascontiguousarray(matrix.T, dtype=dtype) for matrix in matrices]
+    return low, high, [np.ascontiguousarray(matrix.T, dtype=dtype) for matrix in matrices]
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distances between the vectors whose ``_columns`` are a and b, in
-    the smallest unsigned dtype that holds the vector length."""
+def _distance_rows(
+    matrices: tuple[np.ndarray, ...], spans: Iterable[tuple[int, int, int]]
+) -> Iterator[np.ndarray]:
+    """For each span (start, stop, first), the distances between the rows
+    start..stop-1 of a and the rows from first on of b, where matrices is
+    (a, b), or (a,) for b = a, each a fresh array in the smallest unsigned
+    dtype that holds the vector length.
+
+    One column loop adds each column's 0/1 agreements to the counts. When
+    the entries fit in int8 and the table fits ``_TABLE_BYTES``, a column's
+    agreements are a row gather from a table built once from b:
+    ``table[k][s, j]`` is 1 when ``b[j, k]`` is ``low + s``, so row
+    ``a[i, k] - low`` holds row i's agreements in column k. Otherwise they
+    are a broadcast compare, in a bool scratch read through a uint8 view,
+    so no add needs a cast."""
+    low, high, columns = _columns(*matrices)
+    a, b = columns[0], columns[-1]
     n = len(a)
-    agree = np.zeros((a.shape[1], b.shape[1]), dtype=np.min_scalar_type(n))
-    scratch = np.empty(agree.shape, dtype=bool)
-    ones = scratch.view(np.uint8)  # the comparisons as 0/1 counts, added with no cast
-    for k in range(n):
-        np.equal(a[k, :, None], b[k, None, :], out=scratch)
-        agree += ones
-    return np.subtract(n, agree, out=agree)
+    table = index = None
+    if b.dtype == np.int8 and b.size * (high - low + 1) <= _TABLE_BYTES:
+        values = np.arange(low, high + 1).astype(np.int8)
+        table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
+        # a - low mod 256 is a - low, which lies in 0..255: a narrow index
+        index = a.view(np.uint8) - np.uint8(low % 256)
+    for start, stop, first in spans:
+        agree = np.zeros((stop - start, b.shape[1] - first), dtype=np.min_scalar_type(n))
+        if table is None:
+            scratch = np.empty(agree.shape, dtype=bool)
+            ones = scratch.view(np.uint8)
+        for k in range(n):
+            if table is None:
+                np.equal(a[k, start:stop, None], b[k, None, first:], out=scratch)
+            else:
+                ones = table[k][index[k, start:stop], first:]
+            agree += ones
+        yield np.subtract(n, agree, out=agree)
 
 
 def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
@@ -201,7 +239,8 @@ def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndar
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("vectors must share a common length")
-    return _distances(*_columns(a, b))
+    block, = _distance_rows((a, b), [(0, len(a), 0)])
+    return block
 
 
 def distance_blocks(
@@ -225,11 +264,11 @@ def distance_blocks(
     arr = np.asarray(vectors)
     if arr.ndim != 2:
         raise ValueError("vectors must share a common length")
-    columns, = _columns(arr)
     rows = max(1, _BLOCK_BYTES // m)
-    for start in range(0, m, rows):
-        first = start if upper else 0
-        yield start, first, _distances(columns[:, start:start + rows], columns[:, first:])
+    spans = [(start, min(start + rows, m), start if upper else 0)
+             for start in range(0, m, rows)]
+    for (start, _, first), block in zip(spans, _distance_rows((arr,), spans)):
+        yield start, first, block
 
 
 def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int, int]]:
@@ -237,8 +276,13 @@ def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int
     row-major order (the order of ``itertools.combinations``)."""
     pairs = []
     for start, first, block in distance_blocks(vectors, upper=True):
+        close = block < d
+        # the block's own square is symmetric with a zero diagonal, so its
+        # hits are the diagonal alone when none lies above it
+        if np.count_nonzero(close) == len(block):
+            continue
         # flat indices: a 2-D np.nonzero costs ten times as much per block
-        hits = np.flatnonzero(block < d)
+        hits = np.flatnonzero(close)
         rows, cols = np.divmod(hits, block.shape[1])
         above = first + cols > start + rows
         rows, cols, hits = rows[above], cols[above], hits[above]

@@ -390,6 +390,19 @@ class TestVerify:
             assert (code, out, err) == (
                 EXIT_USAGE, "", f"permarray: error: line 1: distance d={d} below 1\n")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_an_explicit_distance_below_1_is_refused(self, capsys, tmp_path, json_flag):
+        # "pairwise distance >= 0" used to pass with exit 0, checking nothing
+        path = tmp_path / "c5.pa"
+        run_cli(capsys, "construct", "cyclic", "5", "--out", str(path))
+        for d in ("0", "-3"):
+            code, out, err = run_cli(capsys, "verify", *json_flag, str(path), "--", d)
+            assert (code, out, err) == (
+                EXIT_USAGE, "", f"permarray: error: distance d={d} below 1\n")
+        # a distance above n is a claim that fails
+        code, out, _ = run_cli(capsys, "verify", *json_flag, str(path), "6")
+        assert code == EXIT_VERIFY and out
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -225,10 +225,11 @@ class TestRoundTrips:
 class TestWriters:
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 7).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=30))),
-        st.sampled_from([None, 0, 3]))
-    def test_pa_text_matches_the_per_member_writer(self, n_members, w):
-        n, members = n_members
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=30),
+                            st.sampled_from([None, 0, min(3, n)]))))
+    def test_pa_text_matches_the_per_member_writer(self, n_members_w):
+        # a weight above n is a header the writers refuse
+        n, members, w = n_members_w
         array = PermutationArray(n, members)
         assert dump_pa(array, 2, w) == reference_dump_pa(array, 2, w)
 
@@ -250,6 +251,38 @@ class TestWriters:
     def test_edge_codes(self):
         for code in (BinaryCwCode(5, 2, (), 4), BinaryCwCode(1, 1, ((0,),), 2)):
             assert dump_cw(code) == reference_dump_cw(code)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["pa", "cw"]), st.integers(-2, 5), st.integers(-2, 5),
+           st.none() | st.integers(-2, 7), st.integers(-2, 5))
+    def test_writers_refuse_the_headers_the_reader_refuses(self, kind, n, d, w, count):
+        # an accepted header round-trips; a rejected one raises in the
+        # writers with the reader's message
+        line = f"{kind} n={n} d={d} w={'-' if w is None else w} count={count}"
+        try:
+            parsed = _parse_header(line, 1)
+        except PaFormatError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                pafile._format_header(kind, n, d, w, count)
+            assert str(exc) == f"line 1: {excinfo.value}"
+        else:
+            assert pafile._format_header(kind, n, d, w, count) == line
+            assert parsed == pafile.PaHeader(kind, n, d, w, count)
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: write_pa(perfect_pa("cyclic", 3), 0, path), "distance d=0 below 1"),
+        (lambda path: write_pa(perfect_pa("cyclic", 3), -3, path), "distance d=-3 below 1"),
+        (lambda path: write_pa(perfect_pa("cyclic", 3), 3, path, w=7),
+         "weight w=7 outside 0..3"),
+        (lambda path: write_pa(PermutationArray(-1, []), 2, path), "negative n=-1"),
+        (lambda path: write_cw(BinaryCwCode(5, 3, ((0, 1, 2),), 0), path),
+         "distance d=0 below 1"),
+    ])
+    def test_writers_refuse_a_header_out_of_range(self, write, message, tmp_path):
+        path = tmp_path / "out.pa"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write(path)
+        assert not path.exists()
 
     def test_dump_pa_does_not_build_members(self):
         array = block_cycle_cwpa(8, 2)

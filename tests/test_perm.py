@@ -1,6 +1,8 @@
 """Permutation type, metric, and enumeration streams."""
 
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,7 +23,7 @@ from permarray.perm import (
     support,
     weight,
 )
-from permarray.search import _conflict_masks, verify_pa
+from permarray.search import _conflict_masks, _greedy_stream, verify_pa
 
 
 def _compose(a, b):
@@ -241,10 +243,34 @@ def cw_codes(draw):
     return BinaryCwCode(n, w, tuple(words), 2), draw(st.integers(1, 2 * w + 2))
 
 
+def _on_both_kernel_paths(cls):
+    """Run each test of cls twice: with the kernel's agreement table allowed
+    for any int8 input, then refused, so that every input takes the
+    broadcast compare. The test keeps its name; a failure notes the path."""
+    def twice(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            for path, table_bytes in (("table", 1 << 40), ("compare", 0)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(perm, "_TABLE_BYTES", table_bytes)
+                    try:
+                        test(*args, **kwargs)
+                    except Exception as exc:
+                        exc.add_note(f"on the {path} path")
+                        raise
+        return run
+
+    for name, test in list(vars(cls).items()):
+        if name.startswith("test_"):
+            setattr(cls, name, twice(test))
+    return cls
+
+
+@_on_both_kernel_paths
 class TestDistanceBlocks:
     """The blocked kernel and its callers against pairwise references, with
     blocks shrunk to a few rows so that every input spans many of them and
-    usually ends in a ragged block."""
+    usually ends in a ragged block. Every case runs on both kernel paths."""
 
     @settings(deadline=None)
     @given(permutation_sets(), st.integers(1, 64))
@@ -266,6 +292,12 @@ class TestDistanceBlocks:
             cut = len(members) // 3
             _assert_cross_matches(array.rows[:cut], array.rows[cut:].astype(np.uint64))
             assert _conflict_masks(list(members), d) == conflicts
+            # the search's greedy, which reads the cross form
+            kept = []
+            for member in members:
+                if all(hamming_distance(member, other) >= d for other in kept):
+                    kept.append(member)
+            assert _greedy_stream([array.rows], d, math.inf).tolist() == list(map(list, kept))
             assert verify_pa(array, d) == [pair for pair in pairs if pair[2] < d]
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
@@ -330,6 +362,14 @@ class TestDistanceBlocks:
             assert array.min_distance() == 2
             assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
             assert pairs_below(vectors, 3) == [(0, 2, 2)]
+            # 0/1 words of the same lengths take int8 columns, and past 255
+            # entries 16-bit counts
+            words = [[v % 2 for v in vector] for vector in vectors]
+            _assert_blocks_match(words, upper=True)
+            _assert_cross_matches(words[:1], words)
+            assert pairs_below(words, n + 1) == [
+                (i, j, hamming_distance(words[i], words[j]))
+                for i, j in itertools.combinations(range(3), 2)]
 
     @pytest.mark.parametrize("a, b", [(-129, 127), (128, -128), (-128, 127), (127, 128)])
     def test_entries_at_the_int8_edges_are_compared_exactly(self, monkeypatch, a, b):
