@@ -22,12 +22,12 @@ distances of one set in row blocks of bounded size, and a cross form,
 ``distances``, which measures each vector of one small set against each of
 another. A distance is the length minus the positions that agree. Both
 forms narrow the columns to one dtype, int8 when every entry fits in 8
-bits, int16 when in 16, and run one column loop, which adds each column's
+bits, int16 when in 16, and run one column loop, which adds the columns'
 0/1 agreements to the counts. With int8 columns whose table fits
 ``_TABLE_BYTES``, a column's agreements are rows gathered from a 0/1 table
-built once per call, one row per entry value; any other input compares the
-column by broadcasting, read through a uint8 view so that the add needs no
-cast.
+built once per call, one row per entry value; any other input compares a
+slab of columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``,
+so that long vectors in few rows take few steps.
 """
 
 from __future__ import annotations
@@ -39,14 +39,15 @@ import numpy as np
 
 from .exactmath import derangement_count
 
-# Distances per block in distance_blocks. Smaller blocks follow the upper
-# triangle more closely: on 1,320 rows they compute 1.00 M distances at
-# 256 KiB against 1.32 M at 1 MiB. With the agreement table, best of two
-# sets of interleaved runs on a 2-core Xeon, 64 / 128 / 256 / 512 KiB:
-# pairs_below on pgl2 11 1.8 / 1.4 / 1.7 / 2.4 ms, S_7 at d = 3
-# 34 / 27 / 25 / 29 ms, P(7,4) conflict masks 31 / 27 / 25 / 38 ms. The
-# whole `verify` of pgl2 11 still favours 256 KiB: the benchmark's tools
-# probe read 6.1-6.4 ms against 6.4-6.5 ms at 128 KiB in 4 alternating pairs.
+# Distances per block in distance_blocks, and compares per slab in
+# _distance_rows. Smaller blocks follow the upper triangle more closely:
+# on 1,320 rows they compute 1.00 M distances at 256 KiB against 1.32 M at
+# 1 MiB. With the agreement table, best of two sets of interleaved runs on
+# a 2-core Xeon, 64 / 128 / 256 / 512 KiB: pairs_below on pgl2 11
+# 1.8 / 1.4 / 1.7 / 2.4 ms, S_7 at d = 3 34 / 27 / 25 / 29 ms, P(7,4)
+# conflict masks 31 / 27 / 25 / 38 ms. The whole `verify` of pgl2 11 still
+# favours 256 KiB: the benchmark's tools probe read 6.1-6.4 ms against
+# 6.4-6.5 ms at 128 KiB in 4 alternating pairs.
 _BLOCK_BYTES = 1 << 18
 
 # Bytes of the agreement table that _distance_rows builds from int8 columns
@@ -202,17 +203,20 @@ def _distance_rows(
     (a, b), or (a,) for b = a, each a fresh array in the smallest unsigned
     dtype that holds the vector length.
 
-    One column loop adds each column's 0/1 agreements to the counts. When
+    One column loop adds the columns' 0/1 agreements to the counts. When
     the entries fit in int8 and the table fits ``_TABLE_BYTES``, a column's
     agreements are a row gather from a table built once from b:
     ``table[k][s, j]`` is 1 when ``b[j, k]`` is ``low + s``, so row
-    ``a[i, k] - low`` holds row i's agreements in column k. Otherwise they
-    are a broadcast compare, in a bool scratch read through a uint8 view,
-    so no add needs a cast."""
+    ``a[i, k] - low`` holds row i's agreements in column k. Otherwise each
+    step compares a slab of columns by broadcasting, as many as keep rows
+    x columns x slab within ``_BLOCK_BYTES`` (one for a full block), into a
+    bool scratch read through a uint8 view, and adds the slab's sum in the
+    counts' dtype, so no add needs a cast."""
     low, high, columns = _columns(*matrices)
     a, b = columns[0], columns[-1]
     n = len(a)
     table = index = None
+    step = 1
     if b.dtype == np.int8 and b.size * (high - low + 1) <= _TABLE_BYTES:
         values = np.arange(low, high + 1).astype(np.int8)
         table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
@@ -221,11 +225,16 @@ def _distance_rows(
     for start, stop, first in spans:
         agree = np.zeros((stop - start, b.shape[1] - first), dtype=np.min_scalar_type(n))
         if table is None:
-            scratch = np.empty(agree.shape, dtype=bool)
-            ones = scratch.view(np.uint8)
-        for k in range(n):
+            # a slab of columns per compare, within _BLOCK_BYTES of scratch
+            step = max(1, _BLOCK_BYTES // max(1, agree.size))
+            scratch = np.empty((min(step, n), *agree.shape), dtype=bool)
+        for k in range(0, n, step):
             if table is None:
-                np.equal(a[k, start:stop, None], b[k, None, first:], out=scratch)
+                slab = scratch[:n - k]
+                np.equal(a[k:k + step, start:stop, None], b[k:k + step, None, first:], out=slab)
+                ones = slab.view(np.uint8)
+                # one column adds as it is: a sum would copy it first
+                ones = ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=agree.dtype)
             else:
                 ones = table[k][index[k, start:stop], first:]
             agree += ones

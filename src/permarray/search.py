@@ -44,11 +44,16 @@ list is the lowest index of the enumeration order: every coloring, branch,
 node count and witness is the one the enumeration order gives. Python ints
 shrink to their highest set bit, so clearing from the top makes each ``&``
 and ``^`` cheaper as a class fills, and no operand is negative (a negative
-int costs a two's-complement pass per operation). A vertex leaves a set
-through ``bits[v]``, a table of the single-bit ints ``1 << v`` made once per
-search (about m^2 / 16 bytes, half the conflict masks, and counted with
-them against the memory gate), so no coloring or branching step allocates
-a bit of its own. The witness is read off the reversed matrix as rows.
+int costs a two's-complement pass per operation). A vertex v leaves a set
+through its single-bit int ``1 << v``, made once per search (about
+m^2 / 16 bytes, half the conflict masks, and counted with them against the
+memory gate), so no coloring or branching step allocates a bit of its own.
+The branch step reads these ints and the conflict masks in lists indexed
+by vertex; the coloring reads the same ints through lists indexed by
+``bit_length()``, v at v + 1, so the highest candidate's ``bit_length()``
+indexes them as it is, and a colored vertex past 256 (the largest int
+CPython keeps cached) costs one new int, not two. The witness is read off
+the reversed matrix as rows.
 
 Every node prunes whole orbits, in the spirit of orbital branching
 (Ostrowski et al. 2011). The group is one of distance-preserving maps of
@@ -208,12 +213,16 @@ def _greedy_stream(blocks: Iterable[np.ndarray], d: int, deadline: float) -> np.
     return kept
 
 
-def _color_order(cand: int, conflicts: list[int], bits: list[int], kmin: int) -> array:
+def _color_order(cand: int, conflict_at: list[int], bit_at: list[int], kmin: int) -> array:
     """Greedy first-fit coloring of the candidate set in descending index
     order, built one class at a time: each class takes the highest remaining
     vertex, keeps only the vertices in conflict with it, and repeats until
-    nothing is left to add. ``bits[v]`` is ``1 << v``, made once per search,
-    so that taking a vertex out allocates no bit.
+    nothing is left to add.
+
+    Both tables are indexed by ``bit_length()``, vertex v at v + 1, with
+    entry 0 unused: ``conflict_at[v + 1]`` is v's conflict mask and
+    ``bit_at[v + 1]`` is ``1 << v``, made once per search, so a colored
+    vertex costs its ``bit_length()`` and no other int.
 
     Returns the codes ``color << 17 | vertex`` in the order colored, colors
     ascending and vertices descending within a class, leaving out vertices
@@ -227,18 +236,19 @@ def _color_order(cand: int, conflicts: list[int], bits: list[int], kmin: int) ->
         k += 1
         q = cand
         while q:
-            v = q.bit_length() - 1
-            cand ^= bits[v]
-            q &= conflicts[v]
+            b = q.bit_length()
+            cand ^= bit_at[b]
+            q &= conflict_at[b]
     while cand:
         k += 1
-        color = k << 17
+        # (k << 17) - 1 + b is k << 17 | b - 1, the code of vertex b - 1
+        color = (k << 17) - 1
         q = cand
         while q:
-            v = q.bit_length() - 1
-            cand ^= bits[v]
-            q &= conflicts[v]
-            order.append(color | v)
+            b = q.bit_length()
+            cand ^= bit_at[b]
+            q &= conflict_at[b]
+            order.append(color + b)
     return order
 
 
@@ -272,6 +282,8 @@ def _max_clique(
     """
     best = _greedy_clique(conflicts)
     bits = [1 << v for v in range(len(conflicts))]
+    # the same ints, indexed by bit_length() for _color_order
+    conflict_at, bit_at = [0, *conflicts], [0, *bits]
     nodes = 0
     pruned: list[int] = []
     # the open node's candidates and color order are held in cand/order, and
@@ -296,7 +308,7 @@ def _max_clique(
             kmin = len(best) - len(current) + 1
             # too few candidates to beat the incumbent: nothing to color
             cand = sub
-            order = (_color_order(sub, conflicts, bits, kmin) if sub.bit_count() >= kmin
+            order = (_color_order(sub, conflict_at, bit_at, kmin) if sub.bit_count() >= kmin
                      else array("q"))
             sub = 0
             continue
@@ -353,8 +365,9 @@ def _conflict_masks(vectors: Sequence[Sequence[int]] | np.ndarray, d: int) -> li
 def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     """Whether the search must not start: more vertices than nodes allowed,
     no time at all, or a graph too big to hold: conflict masks (m rows of m
-    bits) and the single-bit table (``1 << v`` for each vertex v, about
-    m^2 / 16 bytes)."""
+    bits) and the single-bit ints (``1 << v`` for each vertex v, about
+    m^2 / 16 bytes). The lists that index both by vertex and by
+    ``bit_length()`` share these ints, so they add only references."""
     if limits.max_nodes is not None and m > limits.max_nodes:
         return True
     if m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permarray import constructions
 from permarray.bounds import dv_bound
 from permarray.constructions import (
     BinaryCwCode,
@@ -252,6 +253,36 @@ class TestPermutationArray:
             with pytest.raises(ValueError) as excinfo:
                 PermutationArray(n, np.array(members))
             assert str(excinfo.value) == errors[0]
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from([np.int8, np.int16, np.int32]))
+    def test_both_row_orders_are_lexsorts(self, data, dtype):
+        # entries such as 1 and 256 differ in their low byte in the other
+        # order from their value, so only big-endian keys sort them right
+        top = np.iinfo(dtype).max
+        values = st.sampled_from([0, 1, 2, 127] + [v for v in (255, 256, 257) if v < top] + [top])
+        n = data.draw(st.integers(1, 60))
+        pool = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=8))
+        rows = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)),
+                        dtype=dtype)
+        expected = np.lexsort(rows.T[::-1]).tolist()
+        for points in (1, n + 1):  # the row key, then lexsort
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(constructions, "_ROW_KEY_POINTS", points)
+                assert constructions._row_order(rows).tolist() == expected
+                assert constructions._row_order(np.asfortranarray(rows)).tolist() == expected
+
+    @pytest.mark.parametrize("n", [60, 200, 40_000])  # int8, int16 and int32 rows
+    def test_both_row_orders_drop_duplicates_alike(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        pool = np.array([rng.permutation(n) for _ in range(4)])
+        members = pool[rng.integers(0, 4, 12)]
+        expected = sorted(set(map(tuple, members.tolist())))
+        for points in (1, n + 1):  # the row key, then lexsort
+            monkeypatch.setattr(constructions, "_ROW_KEY_POINTS", points)
+            array = PermutationArray(n, members)
+            assert array.rows.dtype == np.min_scalar_type(-n)
+            assert list(map(tuple, array.rows.tolist())) == expected
 
     def test_a_matrix_of_the_wrong_width_is_rejected(self):
         with pytest.raises(ValueError, match="member of length 4 in an array on 3 points"):

@@ -420,7 +420,7 @@ def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
     for the rule at every depth. ``orbit_masks()[v]`` is v's orbit under the
     whole group."""
     best = _greedy_clique(conflicts)
-    bits = [1 << v for v in range(len(conflicts))]
+    conflict_at, bit_at = _bit_length_tables(conflicts)
     orbit = []
     nodes = 0
     stack = []
@@ -435,7 +435,7 @@ def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
             stack.append((cand, order))
             kmin = len(best) - len(current) + 1
             cand = sub
-            order = (_decoded(_color_order(sub, conflicts, bits, kmin))
+            order = (_decoded(_color_order(sub, conflict_at, bit_at, kmin))
                      if sub.bit_count() >= kmin else [])
             sub = 0
             continue
@@ -462,6 +462,12 @@ def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
 def _decoded(order):
     """(color, vertex) pairs of a color order's codes."""
     return [(code >> 17, code & (1 << 17) - 1) for code in order]
+
+
+def _bit_length_tables(conflicts):
+    """The tables ``_color_order`` reads, indexed by ``bit_length()``:
+    vertex v's conflict mask and ``1 << v`` at v + 1, entry 0 unused."""
+    return [0, *conflicts], [0, *(1 << v for v in range(len(conflicts)))]
 
 
 # A(n,d,w) for n <= 10, w <= n/2 and even d <= 2w, except the five whose
@@ -826,28 +832,37 @@ def _random_graph(draw, m):
 
 
 @st.composite
-def coloring_cases(draw):
-    m = draw(st.integers(0, 64))
+def coloring_cases(draw, least=0, most=64):
+    m = draw(st.integers(least, most))
     adjacency = _random_graph(draw, m)
     cand = draw(st.integers(0, (1 << m) - 1))
     kmin = draw(st.integers(1, m + 2))
     return adjacency, cand, kmin
 
 
+def _assert_first_fit(adjacency, cand, kmin):
+    conflict_at, bit_at = _bit_length_tables(_conflicts_of(adjacency))
+    reference = _reference_color_order(cand, adjacency)
+    full = _color_order(cand, conflict_at, bit_at, 1)
+    assert isinstance(full, array) and full.typecode == "q"
+    assert _decoded(full) == reference
+    assert _decoded(_color_order(cand, conflict_at, bit_at, kmin)) == [
+        (k, v) for k, v in reference if k >= kmin
+    ]
+
+
 class TestColorOrder:
     @settings(deadline=None)
     @given(coloring_cases())
     def test_matches_first_fit_reference(self, case):
-        adjacency, cand, kmin = case
-        conflicts = _conflicts_of(adjacency)
-        bits = [1 << v for v in range(len(adjacency))]
-        reference = _reference_color_order(cand, adjacency)
-        full = _color_order(cand, conflicts, bits, 1)
-        assert isinstance(full, array) and full.typecode == "q"
-        assert _decoded(full) == reference
-        assert _decoded(_color_order(cand, conflicts, bits, kmin)) == [
-            (k, v) for k, v in reference if k >= kmin
-        ]
+        _assert_first_fit(*case)
+
+    @settings(deadline=None, max_examples=20)
+    @given(coloring_cases(257, 700))
+    def test_matches_first_fit_reference_past_256_vertices(self, case):
+        # vertex numbers and bit lengths past 256 are ints of their own, and
+        # each code must still decode to its vertex, not its bit length
+        _assert_first_fit(*case)
 
 
 # The neighbor-mask search, lowest index first, as it was before the graph
@@ -949,6 +964,20 @@ def _childless_root_branch():
     return adjacency, orbit, None
 
 
+def _past_256_vertices():
+    """A random graph on 300 vertices, orbits the residue classes mod 3,
+    capped at 200 nodes: vertex numbers and bit lengths past 256 are ints
+    of their own."""
+    rng = random.Random(300)
+    adjacency = [0] * 300
+    for i, j in itertools.combinations(range(300), 2):
+        if rng.random() < 0.5:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    orbit = [sum(1 << u for u in range(v % 3, 300, 3)) for v in range(300)]
+    return adjacency, orbit, 200
+
+
 class TestSearchTreeIdentity:
     """Highest index first on conflict masks over the reversed vertex list
     walks the same tree as lowest index first on neighbor masks."""
@@ -956,6 +985,7 @@ class TestSearchTreeIdentity:
     @settings(deadline=None, max_examples=300)
     @given(search_cases())
     @example(_childless_root_branch())
+    @example(_past_256_vertices())
     def test_matches_the_neighbor_mask_search(self, case):
         adjacency, orbit, max_nodes = case
         m = len(adjacency)
