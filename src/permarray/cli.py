@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
+from decimal import Decimal
 from pathlib import Path
 from typing import NoReturn
 
@@ -24,7 +26,6 @@ from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds
 from .constructions import (
     BinaryCwCode,
     block_cycle_cwpa,
-    family_distance,
     greedy_partial_steiner,
     known_perfect,
     lift_binary_cw_code,
@@ -52,26 +53,17 @@ _LINES_PER_WRITE = 4096
 _RULE_LETTERS = {"DV": "D", "SP": "S", "ME": "E", "MO-corollary": "O", "MO-exact-A": "O"}
 
 
-def _perfect(family: str):
-    """The builder of a family meeting n!/(d-1)!: it claims the family's
-    distance and no weight."""
-    return lambda param: (perfect_pa(family, param), family_distance(family, param), None)
-
-
-def _steiner_lift(n: int, k: int):
-    return lift_binary_cw_code(greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1
-
-
 # construct family -> (parameter names, builder returning the array, the
-# distance it claims, and its weight or None)
+# distance it claims, and its weight or None); the first five meet n!/(d-1)!
 _FAMILIES = {
-    "cyclic": ("n", _perfect("cyclic")),
-    "symmetric": ("n", _perfect("symmetric")),
-    "alternating": ("n", _perfect("alternating")),
-    "agl": ("p", _perfect("agl")),
-    "pgl2": ("p", _perfect("pgl2")),
+    "cyclic": ("n", lambda n: (perfect_pa("cyclic", n), n, None)),
+    "symmetric": ("n", lambda n: (perfect_pa("symmetric", n), 2, None)),
+    "alternating": ("n", lambda n: (perfect_pa("alternating", n), 3, None)),
+    "agl": ("p", lambda p: (perfect_pa("agl", p), p - 1, None)),
+    "pgl2": ("p", lambda p: (perfect_pa("pgl2", p), p - 1, None)),
     "block-cycle": ("n k", lambda n, k: (block_cycle_cwpa(n, k), 2 * k, k)),
-    "steiner-lift": ("n k", _steiner_lift),
+    "steiner-lift": ("n k", lambda n, k: (
+        lift_binary_cw_code(greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1)),
 }
 
 # search kind -> (oracle, letter of its target); every kind but p takes a
@@ -88,12 +80,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _scientific(value: int) -> str:
-    if value < 10_000_000:
+def _digits(value: int) -> str:
+    """An int's exact decimal digits. ``str`` refuses an int of more digits
+    than ``sys.get_int_max_str_digits()`` (n! passes 4,300 at n = 1,559);
+    ``Decimal`` converts any int exactly and leaves that limit alone."""
+    try:
         return str(value)
-    text = str(value)
-    mantissa = f"{text[0]}.{text[1:4]}"
-    return f"{mantissa}e{len(text) - 1}"
+    except ValueError:
+        return str(Decimal(value))
+
+
+def _json(report: dict) -> str:
+    """``json.dumps`` of a report, writing even an int too long for ``str``
+    as an exact JSON number: on that path each int becomes a marker string,
+    which the dumped text then trades for the int's digits."""
+    try:
+        return json.dumps(report)
+    except ValueError:
+        pass
+    digits = []
+
+    def mark(x):
+        if type(x) is int:  # not bool, which json writes as true or false
+            digits.append(_digits(x))
+            return f"\0{len(digits) - 1}"
+        if isinstance(x, dict):
+            return {key: mark(value) for key, value in x.items()}
+        return list(map(mark, x)) if isinstance(x, list) else x
+
+    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m[1])], json.dumps(mark(report)))
+
+
+def _scientific(value: int) -> str:
+    text = _digits(value)
+    if value < 10_000_000:
+        return text
+    return f"{text[0]}.{text[1:4]}e{len(text) - 1}"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -131,16 +153,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "best": _bound_row(best.derivation[-1], best),
             "tight": tight,
         }
-        print(json.dumps(report))
+        print(_json(report))
         return EXIT_OK
     print(f"upper bounds for P({n},{d}):")
     for name, result in rows:
         if result.applicable:
-            print(f"  {name:3} {result.value}  [{' -> '.join(result.derivation)}]")
+            print(f"  {name:3} {_digits(result.value)}  [{' -> '.join(result.derivation)}]")
         else:
             print(f"  {name:3} not applicable at (n={n}, d={d})")
     note = "  (tight: a known family meets it)" if tight else ""
-    print(f"best: {best.value}  [{' -> '.join(best.derivation)}]{note}")
+    print(f"best: {_digits(best.value)}  [{' -> '.join(best.derivation)}]{note}")
     return EXIT_OK
 
 
@@ -158,9 +180,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.json:
         report = [{"n": n, "d": d, "value": value, "rule": rule}
                   for (n, d), (value, rule) in cells.items()]
-        print(json.dumps({"rules": _RULE_LETTERS, "cells": report}))
+        print(_json({"rules": _RULE_LETTERS, "cells": report}))
         return EXIT_OK
-    render = _scientific if args.scientific else str
+    render = _scientific if args.scientific else _digits
     d_values = range(d_lo, d_hi + 1)
     matrix = [["n\\d"] + [str(d) for d in d_values]]
     for n in range(n_lo, n_hi + 1):
@@ -274,7 +296,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "d": d,
             "ok": not bad,
             "violations": [
-                {"a": list(a), "b": list(b), "distance": dist} for a, b, dist in bad
+                {"a": a, "b": b, "distance": dist} for a, b, dist in bad
             ],
         }
         print(json.dumps(report))

@@ -17,6 +17,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
+from math import isqrt
 
 import numpy as np
 
@@ -172,13 +173,20 @@ class BinaryCwCode:
         """All word pairs at indicator distance below d, in the order of
         ``itertools.combinations``. The indicator vectors' Hamming distance is
         2 * (weight - overlap)."""
-        words = self.words
-        pairs = pairs_below(indicator_rows(self.n, self._supports()), d)
-        return [(words[i], words[j], dist) for i, j, dist in pairs]
+        return _name_pairs(pairs_below(indicator_rows(self.n, self._supports()), d), self.words)
 
     def _supports(self) -> np.ndarray:
         """The words as the rows of an (m, weight) index matrix."""
         return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
+
+
+def _name_pairs(pairs: list, items: Sequence) -> list:
+    """Give each (i, j, distance) triple of ``pairs`` way to (items[i],
+    items[j], distance) in place, so the pairs are never held twice, and
+    return ``pairs``."""
+    for k, (i, j, dist) in enumerate(pairs):
+        pairs[k] = (items[i], items[j], dist)
+    return pairs
 
 
 def indicator_rows(n: int, supports: np.ndarray) -> np.ndarray:
@@ -286,12 +294,11 @@ def _is_prime(p: int) -> bool:
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+    # q's least factor is a prime p; q is a power of p when dividing p out leaves 1
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _cyclic(n: int) -> PermutationArray:
@@ -359,13 +366,13 @@ def _projective(p: int) -> PermutationArray:
     return PermutationArray(p + 1, np.concatenate([affine, affine[:, shifts].reshape(-1, p + 1)]))
 
 
-# family name -> (builder, claimed distance)
+# family name -> builder
 _PERFECT_FAMILIES = {
-    "cyclic": (_cyclic, lambda n: n),
-    "symmetric": (_symmetric, lambda n: 2),
-    "alternating": (_alternating, lambda n: 3),
-    "agl": (_affine, lambda p: p - 1),
-    "pgl2": (_projective, lambda p: p - 1),
+    "cyclic": _cyclic,
+    "symmetric": _symmetric,
+    "alternating": _alternating,
+    "agl": _affine,
+    "pgl2": _projective,
 }
 
 
@@ -380,17 +387,12 @@ def perfect_pa(family: str, param: int) -> PermutationArray:
     "agl" / "pgl2" (param = a prime modulus; composite moduli are rejected,
     prime-power fields are out of scope)."""
     try:
-        builder = _PERFECT_FAMILIES[family][0]
+        builder = _PERFECT_FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}; expected one of {', '.join(_PERFECT_FAMILIES)}"
         ) from None
     return builder(param)
-
-
-def family_distance(family: str, param: int) -> int:
-    """The pairwise distance the family guarantees."""
-    return _PERFECT_FAMILIES[family][1](param)
 
 
 def known_perfect(n: int, d: int) -> bool:
@@ -403,7 +405,7 @@ def known_perfect(n: int, d: int) -> bool:
     """
     if not 1 <= d <= n:
         return False
-    if d == n or d == 2:
+    if d == n or d <= 2:  # S_n meets n!/0! and n!/1!
         return True
     if d == 3 and n >= 3:
         return True

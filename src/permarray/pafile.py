@@ -75,11 +75,6 @@ class PaHeader:
         return f"{self.kind} n={self.n} d={self.d} w={w_text} count={self.count}"
 
 
-def _format_header(kind: str, n: int, d: int, w: int | None, count: int) -> str:
-    """The header line; ``ValueError`` for one the reader would reject."""
-    return str(PaHeader(kind, n, d, w, count))
-
-
 def _format_body(entries: list[int], width: int, count: int) -> str:
     """count lines of width comma-separated entries each, in one format call."""
     return (",".join(["%d"] * width) + "\n") * count % tuple(entries)
@@ -88,14 +83,14 @@ def _format_body(entries: list[int], width: int, count: int) -> str:
 def dump_pa(array: PermutationArray, d: int, w: int | None = None) -> str:
     """Render an array to format text, claiming distance d (and weight w for
     constant-weight arrays); ``ValueError`` for a header out of range."""
-    header = _format_header("pa", array.n, d, w, len(array))
+    header = str(PaHeader("pa", array.n, d, w, len(array)))
     return header + "\n" + _format_body(array.rows.ravel().tolist(), array.n, len(array))
 
 
 def dump_cw(code: BinaryCwCode) -> str:
     """Render a constant-weight binary code to format text; ``ValueError``
     for a header out of range, such as a code of distance 0."""
-    header = _format_header("cw", code.n, code.distance, code.weight, len(code))
+    header = str(PaHeader("cw", code.n, code.distance, code.weight, len(code)))
     supports = list(chain.from_iterable(code))
     return header + "\n" + _format_body(supports, code.weight, len(code))
 

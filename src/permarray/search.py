@@ -100,7 +100,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .constructions import BinaryCwCode, PermutationArray, indicator_rows
+from .bounds import _check_distance
+from .constructions import BinaryCwCode, PermutationArray, _name_pairs, indicator_rows
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
@@ -563,10 +564,7 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
 
     Conjugation and inversion fix the identity and keep weights and
     distances, so the search prunes the orbits of their stabilisers."""
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
-    if not 1 <= d <= n:
-        raise ValueError(f"distance {d} outside valid range 1..{n}")
+    _check_distance(n, d)
     m = factorial(n) - ball_volume(n, d - 1)
     return _solve(m, permutation_rows(n, d), d, limits, _conjugation(n),
                   lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])))
@@ -608,12 +606,6 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:
     """All member pairs at distance below d, in row-major pair order; an empty
     list means the array verifies at distance d."""
-    pairs: list = pairs_below(array.rows, d)
-    if not pairs:
-        return pairs  # the members are not built when there is nothing to report
-    members = array.members
-    # each index triple gives way to its member triple in place, so the
-    # pairs are never held twice
-    for k, (i, j, dist) in enumerate(pairs):
-        pairs[k] = (members[i], members[j], dist)
-    return pairs
+    pairs = pairs_below(array.rows, d)
+    # the members are not built when there is nothing to report
+    return _name_pairs(pairs, array.members) if pairs else pairs

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 
 from permarray import cli, perm
+from permarray.bounds import best_upper_bound
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import BinaryCwCode, lift_binary_cw_code, perfect_families
 from permarray.pafile import dump_pa, load
@@ -46,6 +48,26 @@ class TestBound:
         assert "tight" in out
         _, out, _ = run_cli(capsys, "bound", "6", "5")
         assert "tight" not in out
+        for n in ("1", "2", "3", "5", "8"):  # S_n meets P(n, 1) = n!
+            _, out, _ = run_cli(capsys, "bound", n, "1")
+            assert out.splitlines()[-1].endswith("  (tight: a known family meets it)")
+            _, out, _ = run_cli(capsys, "bound", n, "1", "--json")
+            assert json.loads(out)["tight"] is True
+
+    def test_values_past_the_str_digit_limit(self, capsys):
+        # 1800! has 5,080 digits, past the 4,300 that str() writes
+        digits = str(Decimal(best_upper_bound(1800, 2).value))
+        assert len(digits) > 4300
+        code, out, _ = run_cli(capsys, "bound", "1800", "2")
+        assert code == EXIT_OK
+        assert f"  DV  {digits}  [DV]\n" in out
+        assert f"best: {digits}  [DV]" in out
+        code, out, _ = run_cli(capsys, "bound", "1800", "2", "--json")
+        assert code == EXIT_OK
+        report = json.loads(out, parse_int=Decimal)
+        assert report["best"]["value"] == Decimal(digits)
+        assert [row["value"] for row in report["bounds"]] == [Decimal(digits)] * 2
+        assert report["n"] == 1800 and report["tight"] is True
 
     def test_not_applicable_row_still_prints(self, capsys):
         _, out, _ = run_cli(capsys, "bound", "5", "5")
@@ -127,6 +149,22 @@ class TestTable:
         _, out, _ = run_cli(capsys, "table", "20", "8", "--json", "--scientific")
         report = json.loads(out)
         assert report["cells"][0]["value"] == 217378664061529
+
+    def test_values_past_the_str_digit_limit(self, capsys):
+        # 1600! has 4,434 digits, past the 4,300 that str() writes
+        digits = str(Decimal(best_upper_bound(1600, 2).value))
+        assert len(digits) > 4300
+        code, out, _ = run_cli(capsys, "table", "1600", "2")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].split() == ["1600", f"{digits}(D)"]
+        code, out, _ = run_cli(capsys, "table", "1600", "2", "--scientific")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].split() == ["1600", f"{digits[0]}.{digits[1:4]}e4433(D)"]
+        code, out, _ = run_cli(capsys, "table", "1600", "2", "--json")
+        assert code == EXIT_OK
+        report = json.loads(out, parse_int=Decimal)
+        assert report["cells"] == [{"n": 1600, "d": 2, "value": Decimal(digits), "rule": "D"}]
+        assert report["rules"] == cli._RULE_LETTERS
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "6:4", "2")
@@ -421,31 +459,38 @@ class TestUsage:
         assert excinfo.value.code == EXIT_USAGE
 
 
-# small parameters for each family `construct` lists
+# small parameters for each family `construct` lists, each giving at least
+# two members; p = 2 is left out, since AGL(1, 2) and PGL(2, 2) are S_2 and
+# S_3, at distance 2 where p - 1 claims 1
 SMALL_PARAMS = {
-    "cyclic": ["5"],
-    "symmetric": ["4"],
-    "alternating": ["4"],
-    "agl": ["5"],
-    "pgl2": ["5"],
-    "block-cycle": ["7", "3"],
-    "steiner-lift": ["9", "2"],
+    "cyclic": ["5", "2", "7"],
+    "symmetric": ["4", "2", "5"],
+    "alternating": ["4", "3", "6"],
+    "agl": ["5", "3", "7"],
+    "pgl2": ["5", "3", "7"],
+    "block-cycle": ["7 3", "4 2", "10 5"],
+    "steiner-lift": ["9 2", "7 2", "13 3"],
 }
 
 
 class TestFamilies:
     def test_every_family_writes_a_file_that_verifies(self, capsys, tmp_path):
         assert set(SMALL_PARAMS) == set(cli._FAMILIES) >= set(perfect_families())
-        for family, params in SMALL_PARAMS.items():
-            path = tmp_path / f"{family}.pa"
-            code, _, _ = run_cli(capsys, "construct", family, *params, "--out", str(path))
-            assert code == EXIT_OK, family
-            header, array = load(path)
-            code, out, _ = run_cli(capsys, "verify", str(path), str(header.d))
-            assert (code, out) == (EXIT_OK, f"OK: {len(array)} permutations on {array.n} "
-                                            f"points, pairwise distance >= {header.d}\n")
-            if header.w is not None:
-                assert {sum(i != v for i, v in enumerate(p)) for p in array} == {header.w}
+        for family, param_lists in SMALL_PARAMS.items():
+            for params in param_lists:
+                path = tmp_path / f"{family}.pa"
+                code, _, _ = run_cli(capsys, "construct", family, *params.split(),
+                                     "--out", str(path))
+                assert code == EXIT_OK, (family, params)
+                header, array = load(path)
+                code, out, _ = run_cli(capsys, "verify", str(path), str(header.d))
+                assert (code, out) == (EXIT_OK, f"OK: {len(array)} permutations on {array.n} "
+                                                f"points, pairwise distance >= {header.d}\n")
+                # verify checks only that distances reach the claim, which a
+                # claim drifted low would pass too
+                assert header.d == array.min_distance(), (family, params)
+                if header.w is not None:
+                    assert {sum(i != v for i, v in enumerate(p)) for p in array} == {header.w}
 
     def test_help_names_exactly_the_table_families(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside the family help

@@ -14,7 +14,6 @@ from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
     block_cycle_cwpa,
-    family_distance,
     greedy_partial_steiner,
     known_perfect,
     lift_binary_cw_code,
@@ -494,7 +493,7 @@ class TestPerfectFamilies:
         array = perfect_pa("cyclic", n)
         assert len(array) == array.n == n
         if n >= 2:
-            assert array.min_distance() == family_distance("cyclic", n) == n
+            assert array.min_distance() == n
         assert len(array) == dv_bound(n, n).value
         assert array == reference_cyclic(n)
 
@@ -568,6 +567,18 @@ class TestKnownPerfect:
         assert known_perfect(9, 8)  # prime power 9, sharply 2-transitive
         assert known_perfect(11, 8)  # sporadic
         assert known_perfect(12, 8)  # sporadic
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_distance_one_is_met_by_the_symmetric_group(self, n):
+        # P(n, 1) = n! = n!/0!, for every n and not only where a prime-power
+        # rule happens to match
+        assert known_perfect(n, 1)
+        assert perfect_size(n, 1) == factorial(n)
+
+    def test_is_prime_power_matches_brute_force(self):
+        primes = [p for p in range(2, 5000) if all(p % f for f in range(2, p))]
+        powers = {p ** k for p in primes for k in range(1, 13) if p ** k < 5000}
+        assert [q for q in range(-2, 5000) if constructions._is_prime_power(q)] == sorted(powers)
 
     def test_negative_cases(self):
         assert not known_perfect(6, 5)  # 6 is not a prime power

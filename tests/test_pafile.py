@@ -35,13 +35,13 @@ from permarray.perm import Permutation
 
 def reference_dump_pa(array, d, w=None):
     """The writer as it was before one-call formatting: one line per member."""
-    lines = [pafile._format_header("pa", array.n, d, w, len(array))]
+    lines = [str(pafile.PaHeader("pa", array.n, d, w, len(array)))]
     lines.extend(",".join(str(v) for v in p) for p in array)
     return "\n".join(lines) + "\n"
 
 
 def reference_dump_cw(code):
-    lines = [pafile._format_header("cw", code.n, code.distance, code.weight, len(code))]
+    lines = [str(pafile.PaHeader("cw", code.n, code.distance, code.weight, len(code)))]
     lines.extend(",".join(str(v) for v in word) for word in code)
     return "\n".join(lines) + "\n"
 
@@ -263,10 +263,10 @@ class TestWriters:
             parsed = _parse_header(line, 1)
         except PaFormatError as exc:
             with pytest.raises(ValueError) as excinfo:
-                pafile._format_header(kind, n, d, w, count)
+                str(pafile.PaHeader(kind, n, d, w, count))
             assert str(exc) == f"line 1: {excinfo.value}"
         else:
-            assert pafile._format_header(kind, n, d, w, count) == line
+            assert str(pafile.PaHeader(kind, n, d, w, count)) == line
             assert parsed == pafile.PaHeader(kind, n, d, w, count)
 
     @pytest.mark.parametrize("write, message", [
