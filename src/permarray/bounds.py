@@ -41,6 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exactmath import ball_volume, binomial, derangement_count, factorial
+from .perm import _check_points, _check_weight
 
 KIND_EXACT = "exact"
 KIND_UPPER = "upper"
@@ -85,10 +86,28 @@ def _not_applicable(*tags: str) -> BoundResult:
 
 
 def _check_distance(n: int, d: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
+    """The P(n, d) rule: n >= 1, then 1 <= d <= n."""
+    _check_points(n)
     if not 1 <= d <= n:
         raise ValueError(f"distance {d} outside valid range 1..{n}")
+
+
+def _check_cw_pa(n: int, d: int, w: int) -> None:
+    """The P(n, d, w) rule: n >= 1, then d >= 1, then the permutation-weight
+    rule (w in 0..n and never 1)."""
+    _check_points(n)
+    if d < 1:
+        raise ValueError(f"distance must be positive: {d}")
+    _check_weight(n, w)
+
+
+def _check_cw_code(n: int, d: int, w: int) -> None:
+    """The A(n, d, w) rule: n >= 1, then d positive and even (the distance
+    between two words of one weight always is), then 0 <= w <= n."""
+    _check_points(n)
+    if d <= 0 or d % 2 != 0:
+        raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
+    _check_weight(n, w, moved=False)
 
 
 def dv_ratio(n: int, d: int) -> Fraction:
@@ -227,16 +246,14 @@ def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> B
     """Upper bound (exact where an identity applies) on A(n, d, w), the
     maximum binary code of length n, constant weight w, minimum distance d.
 
-    Only even distances occur for constant-weight words, so odd d is
-    rejected. Dispatch: d > 2w forces a single word; d = 2w means pairwise
+    Arguments follow the A(n, d, w) rule, ``_check_cw_code``: only even
+    distances occur for constant-weight words, so odd d is rejected.
+    Dispatch: d > 2w forces a single word; d = 2w means pairwise
     disjoint supports, giving exactly floor(n/w); d = 2k with w = k+1 gives
     the Johnson ceiling; anything else is answered from ``table`` or
     reported not-applicable.
     """
-    if d <= 0 or d % 2 != 0:
-        raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    _check_cw_code(n, d, w)
     if d > 2 * w:
         return _exact(1, "cw-binary-spread")
     if d == 2 * w:
@@ -256,22 +273,19 @@ def cw_pa_bound(n: int, d: int, w: int) -> BoundResult:
     array of n points with pairwise distance >= d and every member of weight
     exactly w.
 
-    Weight 1 is impossible and rejected. Rules, tried in order:
+    Arguments follow the P(n, d, w) rule, ``_check_cw_pa``, so weight 1,
+    which no permutation has, is rejected. Rules, tried in order:
 
     - II:  d > 2w forces a single member (w != 1).
     - III: (d, w) = (2k, k) with 2 <= k <= floor(n/2) gives exactly
            floor(n/k), met by disjoint k-cycles.
     - IV:  (d, w) = (2k+1, k+1) with k <= floor((n-1)/2) equals
-           A(n, 2k, k+1); the kind mirrors the constant-weight answer.
+           A(n, 2k, k+1), which the Johnson rule always answers; the kind
+           mirrors the constant-weight answer.
     - VI:  (d, w) = (4, 3) with n >= 4 gives floor(2 * C(n, 2) / 3).
     - I:   d > w gives P(n, d, w) <= A(n, 2d - 2w, w).
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
-    if w == 1:
-        raise ValueError("weight 1 is impossible for a permutation")
-    if d < 1:
-        raise ValueError(f"distance must be positive: {d}")
+    _check_cw_pa(n, d, w)
     if d > 2 * w:
         return _exact(1, "cw-pa-II")
     if d % 2 == 0:
@@ -282,8 +296,6 @@ def cw_pa_bound(n: int, d: int, w: int) -> BoundResult:
         k = (d - 1) // 2
         if w == k + 1 and 1 <= k <= (n - 1) // 2:
             inner = cw_binary_bound(n, 2 * k, k + 1)
-            if not inner.applicable:
-                return _not_applicable("cw-pa-IV")
             return BoundResult(inner.value, inner.kind, ("cw-pa-IV", *inner.derivation))
     if (d, w) == (4, 3) and n >= 4:
         return _upper(2 * binomial(n, 2) // 3, "cw-pa-VI")
@@ -355,8 +367,8 @@ class CwTable:
     def insert(self, n: int, d: int, w: int, value: int, kind: str) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown bound kind: {kind!r}")
-        # what the identities alone say about A(n, d, w); this also rejects
-        # odd distances and out-of-range weights
+        # what the identities alone say about A(n, d, w); this also applies
+        # the A(n, d, w) argument rule
         known = cw_binary_bound(n, d, w)
         if value < 1:
             raise ValueError(f"a constant-weight code always has at least one word: {value}")

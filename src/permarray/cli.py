@@ -54,13 +54,14 @@ _RULE_LETTERS = {"DV": "D", "SP": "S", "ME": "E", "MO-corollary": "O", "MO-exact
 
 
 # construct family -> (parameter names, builder returning the array, the
-# distance it claims, and its weight or None); the first five meet n!/(d-1)!
+# distance it claims, and its weight or None); the first five meet n!/(d-1)!.
+# AGL(1,2) is S_2 and PGL(2,2) is S_3, so at p = 2 both are at distance 2
 _FAMILIES = {
     "cyclic": ("n", lambda n: (perfect_pa("cyclic", n), n, None)),
     "symmetric": ("n", lambda n: (perfect_pa("symmetric", n), 2, None)),
     "alternating": ("n", lambda n: (perfect_pa("alternating", n), 3, None)),
-    "agl": ("p", lambda p: (perfect_pa("agl", p), p - 1, None)),
-    "pgl2": ("p", lambda p: (perfect_pa("pgl2", p), p - 1, None)),
+    "agl": ("p", lambda p: (perfect_pa("agl", p), max(p - 1, 2), None)),
+    "pgl2": ("p", lambda p: (perfect_pa("pgl2", p), max(p - 1, 2), None)),
     "block-cycle": ("n k", lambda n, k: (block_cycle_cwpa(n, k), 2 * k, k)),
     "steiner-lift": ("n k", lambda n, k: (
         lift_binary_cw_code(greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1)),

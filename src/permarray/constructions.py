@@ -22,7 +22,8 @@ from math import isqrt
 import numpy as np
 
 from .exactmath import factorial
-from .perm import Permutation, _row_dtype, distance_blocks, pairs_below, permutation_rows
+from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pairs_below,
+                   permutation_rows)
 
 
 # Points from which _row_order sorts by one key per row instead of one per
@@ -206,6 +207,14 @@ def _cycle_rows(n: int, supports: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _check_block(n: int, k: int) -> None:
+    """The rule on blocks of k of n points: 2 <= k <= n."""
+    if k < 2:
+        raise ValueError(f"block size must be at least 2: {k}")
+    if n < k:
+        raise ValueError(f"need n >= block size; got n={n}, block size={k}")
+
+
 def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
     """The floor(n/k) permutations of n points that each cycle one block
     [ik, ik + k - 1] of k consecutive points and fix everything else.
@@ -214,10 +223,7 @@ def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
     is exactly 2k; every member has weight exactly k. Meets the exact value
     floor(n/k) for weight-k arrays at distance 2k.
     """
-    if k < 2:
-        raise ValueError(f"block size must be at least 2: {k}")
-    if n < k:
-        raise ValueError(f"need n >= k; got n={n}, k={k}")
+    _check_block(n, k)
     return PermutationArray(n, _cycle_rows(n, np.arange(n // k * k).reshape(n // k, k)))
 
 
@@ -237,10 +243,7 @@ def greedy_partial_steiner(n: int, blocksize: int) -> BinaryCwCode:
     2 * (blocksize - 1). Greedy is not always maximum, but at (7, 3) it does
     reach the full 7-block packing.
     """
-    if blocksize < 2:
-        raise ValueError(f"block size must be at least 2: {blocksize}")
-    if n < blocksize:
-        raise ValueError(f"need n >= blocksize; got n={n}, blocksize={blocksize}")
+    _check_block(n, blocksize)
     covered = [0] * n
     words = []
     for block in combinations(range(n), blocksize):
@@ -280,43 +283,34 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
     return PermutationArray(code.n, _cycle_rows(code.n, code._supports()))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+def _least_factor(q: int) -> int | None:
+    """The least factor above 1 of q, which is prime, or None when q < 2;
+    so q is prime when it is its own least factor."""
+    if q < 2:
+        return None
+    return next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
 
 
 def _is_prime_power(q: int) -> bool:
-    if q < 2:
+    # q is a power of its least factor p when dividing p out leaves 1
+    p = _least_factor(q)
+    if p is None:
         return False
-    # q's least factor is a prime p; q is a power of p when dividing p out leaves 1
-    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
     while q % p == 0:
         q //= p
     return q == 1
 
 
 def _cyclic(n: int) -> PermutationArray:
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
     x = np.arange(n)
     return PermutationArray(n, (x + x[:, None]) % n)
 
 
 def _symmetric(n: int) -> PermutationArray:
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
     return PermutationArray(n, np.concatenate(list(permutation_rows(n, 0))))
 
 
 def _alternating(n: int) -> PermutationArray:
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
     # a permutation is even when its inversions, the pairs i < j with
     # p(i) > p(j), are even in number
     i, j = np.triu_indices(n, 1)
@@ -336,7 +330,7 @@ def _affine(p: int) -> PermutationArray:
     """All maps x -> ax + b over the field of prime order p: p(p-1)
     permutations, pairwise distance p - 1 (two distinct affine maps agree on
     at most one point)."""
-    if not _is_prime(p):
+    if _least_factor(p) != p:
         raise ValueError(f"affine family needs a prime modulus: {p}")
     return PermutationArray(p, _affine_rows(p))
 
@@ -354,7 +348,7 @@ def _projective(p: int) -> PermutationArray:
     -d to inf and inf to 0. So each c = 1 map is an affine row read at the
     points 1/(x + d), one shift per d.
     """
-    if not _is_prime(p):
+    if _least_factor(p) != p:
         raise ValueError(f"projective family needs a prime modulus: {p}")
     # the affine maps fix inf; narrowed first, as the shifts copy them p times
     affine = np.c_[_affine_rows(p), np.full(p * (p - 1), p)].astype(_row_dtype(p + 1))
@@ -383,15 +377,17 @@ def perfect_families() -> tuple[str, ...]:
 
 def perfect_pa(family: str, param: int) -> PermutationArray:
     """Build a member of one of the distance-optimal families by name:
-    "cyclic", "symmetric" or "alternating" (param = number of points), or
-    "agl" / "pgl2" (param = a prime modulus; composite moduli are rejected,
-    prime-power fields are out of scope)."""
+    "cyclic", "symmetric" or "alternating" (param = number of points, at
+    least 1), or "agl" / "pgl2" (param = a prime modulus; composite moduli
+    are rejected, prime-power fields are out of scope)."""
     try:
         builder = _PERFECT_FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}; expected one of {', '.join(_PERFECT_FAMILIES)}"
         ) from None
+    if builder not in (_affine, _projective):
+        _check_points(param)
     return builder(param)
 
 

@@ -6,7 +6,7 @@ kernel reads any (m, n) integer matrix or sequence of equal-length vectors;
 The distance between two permutations is the number of positions where their
 images differ; the weight of a permutation is its distance from the identity,
 i.e. the number of points it moves. Distinct permutations always differ in at
-least two positions, so weight 1 is impossible.
+least two positions, so no permutation has weight 1.
 
 The enumeration streams list permutations as the rows of small-integer
 matrices, a block at a time, with no per-member objects; the search reads
@@ -123,6 +123,22 @@ def cycle_type(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def _check_points(n: int) -> None:
+    """The rule on n, the number of points, that every bound, oracle and
+    family on n points shares: n >= 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1: {n}")
+
+
+def _check_weight(n: int, w: int, moved: bool = True) -> None:
+    """The weight rule on n points: w lies in 0..n, and when it counts the
+    points a permutation moves (``moved``) it is never 1."""
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    if moved and w == 1:
+        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
+
+
 def _row_dtype(n: int) -> np.dtype:
     """The smallest signed dtype that holds 0..n-1: int8 up to 128 points."""
     return np.min_scalar_type(-max(n, 1))
@@ -152,17 +168,14 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
     first: supports in lexicographic order, then each support's derangements
     in lexicographic image order. They come as the rows of consecutive
     integer matrices of at most ``_LIST_ROWS`` rows each, or one support's
-    at a time when its derangements outnumber that. Weight 1 is impossible
-    for a permutation and is rejected, as is a weight outside 0..n.
+    at a time when its derangements outnumber that. A weight that
+    ``_check_weight`` refuses raises ``ValueError``.
 
     A block is built by index arithmetic: each support's derangements are
     the derangements of 0..w-1, listed once, read as indices into the
     support's points. The stream yields at least one block.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
-    if w == 1:
-        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
+    _check_weight(n, w)
     dtype = _row_dtype(n)
     if w == 0:
         yield np.arange(n, dtype=dtype)[None]
@@ -181,12 +194,21 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
             yield rows.reshape(-1, n)
 
 
-def _columns(*matrices: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
-    """The least and greatest entry of all the matrices, and their columns,
-    as contiguous rows, in the narrowest integer dtype that holds every
-    entry (int8 compares faster than int16, and int16 up to twice as fast
-    as int64), else object: a narrower copy, or a float one such as
-    ``np.result_type(int64, uint64)``, could make unequal entries equal."""
+def _columns(*sets: Sequence[Sequence[int]]) -> tuple[int, int, list[np.ndarray]]:
+    """The least and greatest entry of all the sets of vectors, and their
+    columns, as contiguous rows, in the narrowest integer dtype that holds
+    every entry (int8 compares faster than int16, and int16 up to twice as
+    fast as int64), else object: a narrower copy, or a float one such as
+    ``np.result_type(int64, uint64)``, could make unequal entries equal.
+
+    It holds the kernel's one input rule: each set is an integer matrix or
+    a sequence of vectors, every vector of one length, else ``ValueError``."""
+    try:
+        matrices = [np.asarray(vectors) for vectors in sets]
+    except ValueError:  # numpy refuses ragged nesting
+        matrices = [np.empty(0)]
+    if any(m.ndim != 2 for m in matrices) or len({m.shape[1] for m in matrices}) > 1:
+        raise ValueError("vectors must share a common length")
     filled = [matrix for matrix in matrices if matrix.size]
     low = min((int(matrix.min()) for matrix in filled), default=0)
     high = max((int(matrix.max()) for matrix in filled), default=0)
@@ -196,10 +218,10 @@ def _columns(*matrices: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
 
 
 def _distance_rows(
-    matrices: tuple[np.ndarray, ...], spans: Iterable[tuple[int, int, int]]
+    sets: tuple[Sequence[Sequence[int]], ...], spans: Iterable[tuple[int, int, int]]
 ) -> Iterator[np.ndarray]:
     """For each span (start, stop, first), the distances between the rows
-    start..stop-1 of a and the rows from first on of b, where matrices is
+    start..stop-1 of a and the rows from first on of b, where sets is
     (a, b), or (a,) for b = a, each a fresh array in the smallest unsigned
     dtype that holds the vector length.
 
@@ -212,7 +234,7 @@ def _distance_rows(
     x columns x slab within ``_BLOCK_BYTES`` (one for a full block), into a
     bool scratch read through a uint8 view, and adds the slab's sum in the
     counts' dtype, so no add needs a cast."""
-    low, high, columns = _columns(*matrices)
+    low, high, columns = _columns(*sets)
     a, b = columns[0], columns[-1]
     n = len(a)
     table = index = None
@@ -245,9 +267,6 @@ def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndar
     """The kernel's cross form: the (len(a), len(b)) Hamming distances
     between the vectors of a and of b, each an integer matrix or a sequence
     of vectors, all of one length, as one block."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("vectors must share a common length")
     block, = _distance_rows((a, b), [(0, len(a), 0)])
     return block
 
@@ -270,13 +289,10 @@ def distance_blocks(
     m = len(vectors)
     if m == 0:
         return
-    arr = np.asarray(vectors)
-    if arr.ndim != 2:
-        raise ValueError("vectors must share a common length")
     rows = max(1, _BLOCK_BYTES // m)
     spans = [(start, min(start + rows, m), start if upper else 0)
              for start in range(0, m, rows)]
-    for (start, _, first), block in zip(spans, _distance_rows((arr,), spans)):
+    for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):
         yield start, first, block
 
 

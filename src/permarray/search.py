@@ -100,7 +100,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .bounds import _check_distance
+from .bounds import _check_cw_code, _check_cw_pa, _check_distance
 from .constructions import BinaryCwCode, PermutationArray, _name_pairs, indicator_rows
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
@@ -575,13 +575,9 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     distance >= d and every member of weight exactly w. The identity is not a
     member (its weight is 0), so the clique runs over all the weight-w
     permutations. Conjugation and inversion keep weights and distances, so
-    the search prunes the orbits of their stabilisers."""
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
-    if d < 1:
-        raise ValueError(f"distance must be positive: {d}")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    the search prunes the orbits of their stabilisers. The arguments follow
+    the P(n, d, w) rule that ``bounds.cw_pa_bound`` applies."""
+    _check_cw_pa(n, d, w)
     m = binomial(n, w) * derangement_count(w)
     return _solve(m, weight_rows(n, w), d, limits, _conjugation(n), partial(PermutationArray, n))
 
@@ -591,13 +587,10 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     minimum distance d (even: distances between equal-weight words are always
     even). Permuting coordinates keeps distances and takes any word to any
     other, so the search needs one root branch, and below it prunes the
-    orbits of the Young subgroups that fix the words chosen so far."""
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
-    if d <= 0 or d % 2 != 0:
-        raise ValueError(f"constant-weight distance must be a positive even integer: {d}")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    orbits of the Young subgroups that fix the words chosen so far. The
+    arguments follow the A(n, d, w) rule that ``bounds.cw_binary_bound``
+    applies."""
+    _check_cw_code(n, d, w)
     return _solve(binomial(n, w), _word_rows(n, w), d, limits, _Young,
                   lambda chosen: BinaryCwCode(
                       n, w, tuple(tuple(np.flatnonzero(row).tolist()) for row in chosen), d))

@@ -110,6 +110,9 @@ class TestEvenDistanceBound:
             result = me_bound(n, k)
             assert not result.applicable
             assert result.value is None
+            # the pre-floor ratio refuses what the bound reports not applicable
+            with pytest.raises(ValueError, match=f"^k={k} outside valid range 2..{n // 2}$"):
+                me_ratio(n, k)
 
     def test_trace(self):
         assert me_bound(20, 4).derivation == ("ME",)
@@ -144,6 +147,11 @@ class TestOddDistanceBound:
         assert not mo_bound(12, 4).applicable  # needs n >= 3k+1 = 13
         assert mo_bound(13, 4).applicable
         assert not mo_bound(10, 1).applicable
+        # the pre-floor ratio refuses what the bound reports not applicable
+        for n, k in [(12, 4), (10, 1)]:
+            with pytest.raises(ValueError, match=r"^odd-distance bound needs k >= 2 and "
+                                                 rf"n >= 3k\+1; got n={n}, k={k}$"):
+                mo_ratio(n, k)
 
     def test_share_clamps_at_zero(self):
         # at (40, 2) the weight-3 shell is outgrown and the share would be
@@ -201,6 +209,8 @@ class TestSubsetBound:
             subset_bound(5, 3, factorial(5) + 1, 1)
         with pytest.raises(ValueError):
             subset_bound(5, 6, 10, 1)
+        with pytest.raises(ValueError, match="^negative member count: -1$"):
+            subset_bound(5, 3, 10, -1)
 
 
 class TestRecursiveBound:
@@ -227,6 +237,8 @@ class TestRecursiveBound:
             recursive_bound(6, 4, 5, me_bound(5, 1))  # not applicable
         with pytest.raises(ValueError, match="distance 0 outside valid range"):
             recursive_bound(6, 0, 5, dv_bound(5, 4))  # d < 1, refused by subset_bound
+        with pytest.raises(ValueError, match="^cannot lift a lower bound through an upper"):
+            recursive_bound(6, 4, 5, BoundResult(20, "lower", ("search",)))
 
     def test_dominance_over_direct_bounds(self):
         # lifting SP from any m never beats both direct bounds at n
@@ -249,16 +261,34 @@ class TestConstantWeightBinary:
         assert (result.value, result.kind) == (5, "exact")
         assert result.derivation == ("cw-binary-partition",)
         assert cw_binary_bound(12, 8, 4).value == 3
+        # a word, unlike a permutation, may have weight 1
+        assert cw_binary_bound(4, 2, 1).value == 4
 
     def test_johnson_ceiling_case(self):
         result = cw_binary_bound(20, 8, 5)
         assert (result.value, result.kind) == (16, "upper")
         assert result.derivation == ("cw-binary-johnson",)
         assert cw_binary_bound(10, 6, 4).value == johnson_ceiling(10, 3) == 7
+        for m, k in [(10, 0), (10, -1), (-1, 2)]:
+            with pytest.raises(ValueError, match=f"^invalid Johnson ceiling arguments "
+                                                 f"m={m}, k={k}$"):
+                johnson_ceiling(m, k)
 
     def test_odd_distance_rejected(self):
         with pytest.raises(ValueError):
             cw_binary_bound(10, 5, 3)
+
+    @pytest.mark.parametrize("n, d, w, message", [
+        (0, 2, 0, "need n >= 1: 0"),
+        (-3, 3, 7, "need n >= 1: -3"),
+        (4, 3, 5, "constant-weight distance must be a positive even integer: 3"),
+        (4, 2, 5, "weight 5 outside valid range 0..4"),
+    ])
+    def test_argument_rule(self, n, d, w, message):
+        # n, then the distance, then the weight
+        with pytest.raises(ValueError) as excinfo:
+            cw_binary_bound(n, d, w)
+        assert str(excinfo.value) == message
 
     def test_table_fallback_then_not_applicable(self):
         assert not cw_binary_bound(10, 6, 5).applicable
@@ -278,8 +308,21 @@ class TestConstantWeightPa:
         assert cw_pa_bound(10, 4, 3).derivation == ("cw-pa-VI",)
 
     def test_weight_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^weight 1 is impossible: a single moved point "
+                                             "has nowhere to go$"):
             cw_pa_bound(10, 2, 1)
+
+    @pytest.mark.parametrize("n, d, w, message", [
+        (0, 2, 0, "need n >= 1: 0"),
+        (-3, 2, 0, "need n >= 1: -3"),
+        (4, 0, 1, "distance must be positive: 0"),
+        (4, 2, 5, "weight 5 outside valid range 0..4"),
+    ])
+    def test_argument_rule(self, n, d, w, message):
+        # n, then the distance, then the weight
+        with pytest.raises(ValueError) as excinfo:
+            cw_pa_bound(n, d, w)
+        assert str(excinfo.value) == message
 
     def test_odd_distance_mirrors_binary_code_bound(self):
         result = cw_pa_bound(7, 5, 3)
@@ -287,6 +330,12 @@ class TestConstantWeightPa:
         assert result.value == inner.value == 7
         assert result.kind == inner.kind == "upper"
         assert result.derivation == ("cw-pa-IV", "cw-binary-johnson")
+        # rule IV always lands on the Johnson rule, which always applies
+        for n in range(1, 30):
+            for k in range(1, (n - 1) // 2 + 1):
+                inner = cw_binary_bound(n, 2 * k, k + 1)
+                assert cw_pa_bound(n, 2 * k + 1, k + 1) == BoundResult(
+                    inner.value, "upper", ("cw-pa-IV", "cw-binary-johnson"))
 
     def test_general_reduction_to_binary(self):
         # (5, 8, 4): distance above length, handled by the reduction to
@@ -399,3 +448,6 @@ class TestCwTable:
             CwTable.loads("6 4 3 4 exact\n6 4 3 4\n")
         with pytest.raises(ValueError, match="line 1"):
             CwTable.loads("6 4 x 4 exact\n")
+        # an entry that parses but that insert refuses
+        with pytest.raises(ValueError, match="^line 3: unknown bound kind: 'maybe'$"):
+            CwTable.loads("# A(6,4,3)\n6 4 3 4 exact\n6 4 2 3 maybe\n")

@@ -171,6 +171,21 @@ class TestTable:
         assert code == EXIT_USAGE
         assert "range" in err
 
+    @pytest.mark.parametrize("n_range, d_range, message", [
+        ("4:x", "2", "range must be N or LO:HI, got '4:x'"),
+        ("4", "", "range must be N or LO:HI, got ''"),
+        ("0:4", "2", "table ranges must start at 1 or above"),
+        ("4", "-1:2", "table ranges must start at 1 or above"),
+    ])
+    def test_malformed_or_low_range_is_refused(self, capsys, n_range, d_range, message):
+        code, out, err = run_cli(capsys, "table", "--", n_range, d_range)
+        assert (code, out, err) == (EXIT_USAGE, "", f"permarray: error: {message}\n")
+
+    def test_scientific_prints_a_cell_below_ten_million_in_full(self, capsys):
+        # P(10,2) <= 10! = 3,628,800 is below 10^7, P(11,2) <= 11! is not
+        _, out, _ = run_cli(capsys, "table", "10:11", "2", "--scientific")
+        assert out.splitlines()[2:] == [" 10  3628800(D)", " 11  3.991e7(D)"]
+
 
 class TestConstruct:
     def test_writes_file_that_verifies(self, capsys, tmp_path):
@@ -442,6 +457,40 @@ class TestVerify:
         assert code == EXIT_VERIFY and out
 
 
+class TestVerifyCodes:
+    """``verify`` of a ``cw`` file, which counts words, not permutations."""
+
+    @pytest.fixture
+    def code_file(self, tmp_path):
+        path = tmp_path / "code.cw"
+        path.write_text("cw n=6 d=4 w=3 count=3\n0,1,2\n0,1,3\n3,4,5\n", encoding="utf-8")
+        return str(path)
+
+    def test_a_passing_code(self, capsys, code_file):
+        code, out, _ = run_cli(capsys, "verify", code_file, "2")
+        assert (code, out) == (EXIT_OK, "OK: 3 words on 6 points, pairwise distance >= 2\n")
+        code, out, _ = run_cli(capsys, "verify", code_file, "2", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"path": code_file, "n": 6, "count": 3, "d": 2,
+                                   "ok": True, "violations": []}
+
+    def test_a_failing_code(self, capsys, code_file):
+        # (0,1,2) and (0,1,3) share two points: indicator distance 2 < 4
+        code, out, _ = run_cli(capsys, "verify", code_file)
+        assert (code, out) == (EXIT_VERIFY, "FAIL: 1 pair(s) below distance 4:\n"
+                                            "  0,1,2 <-> 0,1,3 distance 2\n")
+        code, out, _ = run_cli(capsys, "verify", code_file, "--json")
+        assert code == EXIT_VERIFY
+        assert json.loads(out) == {
+            "path": code_file, "n": 6, "count": 3, "d": 4, "ok": False,
+            "violations": [{"a": [0, 1, 2], "b": [0, 1, 3], "distance": 2}]}
+        # (0,1,2) and (3,4,5) are at 6, (0,1,3) and (3,4,5) at 4
+        code, out, _ = run_cli(capsys, "verify", code_file, "6")
+        assert (code, out) == (EXIT_VERIFY, "FAIL: 2 pair(s) below distance 6:\n"
+                                            "  0,1,2 <-> 0,1,3 distance 2\n"
+                                            "  0,1,3 <-> 3,4,5 distance 4\n")
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -466,8 +515,8 @@ SMALL_PARAMS = {
     "cyclic": ["5", "2", "7"],
     "symmetric": ["4", "2", "5"],
     "alternating": ["4", "3", "6"],
-    "agl": ["5", "3", "7"],
-    "pgl2": ["5", "3", "7"],
+    "agl": ["5", "3", "7", "2"],
+    "pgl2": ["5", "3", "7", "2"],
     "block-cycle": ["7 3", "4 2", "10 5"],
     "steiner-lift": ["9 2", "7 2", "13 3"],
 }

@@ -394,9 +394,9 @@ class TestBlockCycles:
         assert len(array) == 1
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^block size must be at least 2: 1$"):
             block_cycle_cwpa(4, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need n >= block size; got n=4, block size=5$"):
             block_cycle_cwpa(4, 5)
 
 
@@ -425,9 +425,9 @@ class TestGreedyPartialSteiner:
         assert len(greedy_partial_steiner(3, 3).words) == 1
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^block size must be at least 2: 1$"):
             greedy_partial_steiner(4, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need n >= block size; got n=3, block size=4$"):
             greedy_partial_steiner(3, 4)
 
 
@@ -457,6 +457,11 @@ class TestSupportLifting:
     def test_matches_the_list_reference(self, n, k):
         for code in (greedy_partial_steiner(n, k + 1), BinaryCwCode(n, k + 1, (), 2 * k)):
             assert lift_binary_cw_code(code, k) == reference_lift(code)
+
+    def test_k_below_1_rejected(self):
+        code = BinaryCwCode(5, 1, ((0,), (1,)), 2)
+        with pytest.raises(ValueError, match="^need k >= 1: 0$"):
+            lift_binary_cw_code(code, 0)
 
     def test_weight_mismatch_rejected(self):
         code = BinaryCwCode(5, 2, ((0, 1), (2, 3)), 4)
@@ -552,6 +557,18 @@ class TestPerfectFamilies:
         with pytest.raises(ValueError):
             perfect_pa("agl", 1)
 
+    @pytest.mark.parametrize("family, param, message", [
+        *[(family, param, f"need n >= 1: {param}")
+          for family in ("cyclic", "symmetric", "alternating") for param in (0, -1)],
+        *[(family, param, f"{name} family needs a prime modulus: {param}")
+          for family, name in (("agl", "affine"), ("pgl2", "projective"))
+          for param in (-2, 0, 1, 9)],
+    ])
+    def test_parameter_messages(self, family, param, message):
+        with pytest.raises(ValueError) as excinfo:
+            perfect_pa(family, param)
+        assert str(excinfo.value) == message
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             perfect_pa("dihedral", 5)
@@ -579,6 +596,10 @@ class TestKnownPerfect:
         primes = [p for p in range(2, 5000) if all(p % f for f in range(2, p))]
         powers = {p ** k for p in primes for k in range(1, 13) if p ** k < 5000}
         assert [q for q in range(-2, 5000) if constructions._is_prime_power(q)] == sorted(powers)
+
+    def test_a_prime_is_its_own_least_factor(self):
+        primes = [p for p in range(2, 5000) if all(p % f for f in range(2, p))]
+        assert [q for q in range(-2, 5000) if constructions._least_factor(q) == q] == primes
 
     def test_negative_cases(self):
         assert not known_perfect(6, 5)  # 6 is not a prime power

@@ -126,3 +126,6 @@ def test_ball_volume_rejects_bad_radius():
         ball_volume(5, 6)
     with pytest.raises(ValueError):
         ball_volume(5, -1)
+    # n is checked before the radius
+    with pytest.raises(ValueError, match="^ball volume undefined for negative n: -1$"):
+        ball_volume(-1, 0)

@@ -463,6 +463,9 @@ class TestRejections:
         # n and count are checked first
         ("pa n=-1 d=-1 w=- count=0", "negative n=-1"),
         ("pa n=3 d=0 w=- count=-1", "negative count=-1"),
+        # a field the format does not define, and one without '='
+        ("pa n=3 d=2 w=- count=0 x=1", "bad header field 'x=1'"),
+        ("pa n=3 d=2 w=- count=0 7", "bad header field '7'"),
     ])
     def test_header_value_out_of_range(self, header, message):
         # on line 1 the C reader parses the header, after a comment the general one

@@ -319,6 +319,13 @@ class TestDistanceBlocks:
             distances([[0, 1]], [[0, 1, 2]])
         with pytest.raises(ValueError):
             distances([0, 1], [[0, 1]])
+        # ragged vectors raise the kernel's message in every form, not numpy's
+        for call in (lambda: distances([[0, 1], [1]], [[0, 1]]),
+                     lambda: distances([[0, 1]], [[0, 1], [0, 1, 2]]),
+                     lambda: list(distance_blocks([[0, 1], [0, 1, 2]])),
+                     lambda: pairs_below([[0, 1], [0, 1, 2]], 2)):
+            with pytest.raises(ValueError, match="^vectors must share a common length$"):
+                call()
 
     def test_cross_form_does_not_compare_in_floats(self):
         # 2^63 and 2^63 - 1 are one float64, the type that uint64 and int64

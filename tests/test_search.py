@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarray import search
+from permarray.bounds import cw_binary_bound, cw_pa_bound
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
@@ -1094,3 +1095,26 @@ class TestVerification:
     def test_default_limits_are_generous(self):
         assert DEFAULT_LIMITS.max_nodes == 100_000_000
         assert DEFAULT_LIMITS.max_seconds == 300.0
+
+
+def _refusal(call, *args):
+    """The message of the ``ValueError`` that ``call(*args)`` raises, or
+    None when it returns."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("n", range(-2, 5))
+    def test_each_bound_and_its_oracle_share_one_rule(self, n):
+        # no search node, so each accepted point costs a greedy pass at most
+        limits = SearchLimits(max_nodes=0)
+        for d, w in itertools.product(range(-1, n + 3), range(-1, n + 2)):
+            for bound, oracle in ((cw_pa_bound, exact_p_cw), (cw_binary_bound, exact_a_cw)):
+                message = _refusal(bound, n, d, w)
+                assert _refusal(oracle, n, d, w, limits) == message, (bound, n, d, w)
+                if n < 1:
+                    assert message == f"need n >= 1: {n}", (bound, n, d, w)
