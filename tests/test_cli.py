@@ -580,3 +580,27 @@ class TestEntryPoint:
         done = self.run_module("search", "p", "6", "5", "--limit-nodes", "10", cwd=tmp_path)
         assert done.returncode == EXIT_LIMITS
         assert done.stdout.startswith("P(6,5) >= ")
+
+    def test_one_parser_per_process_leaks_no_state(self, capsys, monkeypatch, tmp_path):
+        # the parser is built once; each call through it prints and exits as
+        # a fresh process does, whatever ran before it
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "far.pa").write_text("pa n=4 d=2 w=- count=2\n0,1,2,3\n1,0,2,3\n",
+                                         encoding="utf-8")
+        (tmp_path / "close.pa").write_text("pa n=4 d=3 w=- count=2\n0,1,2,3\n1,0,2,3\n",
+                                           encoding="utf-8")
+        codes = []
+        for argv in (["verify", "far.pa"], ["verify", "close.pa"], ["bound", "20", "8", "--json"],
+                     ["bound", "x", "3"], ["table", "4:6", "2:6"],
+                     ["verify", "close.pa", "--json"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            done = self.run_module(*argv, cwd=tmp_path)
+            assert (code, out, err) == (done.returncode, done.stdout, done.stderr), argv
+            codes.append(code)
+        assert codes == [EXIT_OK, EXIT_VERIFY, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_VERIFY]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permarray import perm
-from permarray.constructions import BinaryCwCode, PermutationArray
+from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
@@ -244,20 +244,19 @@ def cw_codes(draw):
 
 
 def _on_both_kernel_paths(cls):
-    """Run each test of cls twice: with the kernel's agreement table allowed
-    for any int8 input, then refused, so that every input takes the
-    broadcast compare. The test keeps its name; a failure notes the path."""
+    """Run each test of cls twice, with the kernel's path rule forced to
+    the agreement table for any int8 input, then to the broadcast compare
+    for every input. The test keeps its name; a failure names the path."""
     def twice(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
-            for path, table_bytes in (("table", 1 << 40), ("compare", 0)):
+            for path, table in (("table", True), ("compare", False)):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(perm, "_TABLE_BYTES", table_bytes)
+                    mp.setattr(perm, "_takes_table", lambda *_, table=table: table)
                     try:
                         test(*args, **kwargs)
                     except Exception as exc:
-                        exc.add_note(f"on the {path} path")
-                        raise
+                        raise AssertionError(f"on the {path} path") from exc
         return run
 
     for name, test in list(vars(cls).items()):
@@ -404,3 +403,72 @@ class TestDistanceBlocks:
         assert distances(array.rows[:1], array.rows).tolist() == [[0, 2]]
         assert distances(array.rows[1:].astype(np.uint32), array.rows[:1]).tolist() == [[2]]
         assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_short_and_odd_lengths(self, monkeypatch, n):
+        # one column is a single gather or compare, and length 0 puts every
+        # pair at distance 0
+        rng = random.Random(n)
+        vectors = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(9)]
+        vectors += vectors[:2]
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 8)
+        _assert_blocks_match(vectors, upper=False)
+        _assert_blocks_match(vectors, upper=True)
+        _assert_cross_matches(vectors[:4], vectors[3:])
+        _assert_cross_matches(vectors[:1], vectors)
+        assert pairs_below(vectors, n + 1) == [
+            (i, j, hamming_distance(vectors[i], vectors[j]))
+            for i, j in itertools.combinations(range(len(vectors)), 2)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_full_int8_range(self, monkeypatch, n):
+        # all 256 values, so the table has 256 rows per column; the row of
+        # 127 is the last, index 255
+        rng = random.Random(n)
+        values = list(range(-128, 128))
+        vectors = [[values[(i + 37 * k) % 256] for k in range(n)] for i in range(256)]
+        vectors += [[127] * n, [-128] * n, [127, -128, 0][:n], [127] * n]
+        rng.shuffle(vectors)
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 1 << 12)
+        _assert_blocks_match(vectors, upper=True)
+        _assert_cross_matches(vectors[:40], vectors)
+        _assert_cross_matches(np.array(vectors[200:]), np.array(vectors[:9], dtype=np.int16))
+        assert pairs_below(vectors, 1) == [
+            (i, j, 0) for i, j in itertools.combinations(range(len(vectors)), 2)
+            if vectors[i] == vectors[j]]
+
+    @pytest.mark.parametrize("bad", [[[0.5]], [[1.5, 2], [1.0, 2]], [[1j]], [["a"]],
+                                     [[1, None]], [[2**70, 0.5]]])
+    def test_entries_must_be_integers(self, bad):
+        # numpy would truncate floats and complex numbers, or refuse strings
+        # with an error of its own
+        for call in (lambda: distances(bad, [[0] * len(bad[0])]),
+                     lambda: distances([[0] * len(bad[0])], bad),
+                     lambda: list(distance_blocks(bad)),
+                     lambda: pairs_below(bad, 1)):
+            with pytest.raises(ValueError, match="^vector entries must be integers$"):
+                call()
+
+    def test_bools_and_ints_past_int64_are_entries(self):
+        assert distances([[True, False]], [[1, 1], [1, 0]]).tolist() == [[1, 0]]
+        assert distances(np.array([[np.True_, 2]], dtype=object), [[1, 2], [0, 2]]).tolist() == [
+            [0, 1]]
+        assert distances([[2**70, 1]], [[2**70, 2], [2**70 + 1, 1]]).tolist() == [[1, 1]]
+        assert pairs_below(np.array([[2**70, 3], [np.int64(2), 3]], dtype=object), 2) == [
+            (0, 1, 1)]
+
+
+def test_the_path_rule_picks_by_input(monkeypatch):
+    # the table for pgl2 11 (1,320 rows, 12 values) and for 2,000 rows on
+    # 45 points, the compare for 250 rows on 127 points, where building the
+    # table costs more than the compare
+    chosen = []
+    rule = perm._takes_table
+    monkeypatch.setattr(perm, "_takes_table", lambda *args: chosen.append(rule(*args)) or chosen[-1])
+    rng = np.random.default_rng(20261019)
+    for vectors, table in ((perfect_pa("pgl2", 11).rows, True),
+                           (np.argsort(rng.random((2000, 45)), axis=1), True),
+                           (np.argsort(rng.random((250, 127)), axis=1), False)):
+        next(distance_blocks(vectors, upper=True))
+        assert chosen.pop() is table
+    assert not chosen
