@@ -26,28 +26,6 @@ from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pair
                    permutation_rows)
 
 
-# Points from which _row_order sorts by one key per row instead of one per
-# point. Best of 5 on a 2-core Xeon, random rows, np.lexsort against the
-# row key, in ms: 1,000 rows 0.08 / 0.19 on 12 points (pgl2 11's width),
-# 0.18 / 0.21 on 32, 0.25 / 0.19 on 48, 0.61 / 0.24 on 100; 40,000 rows
-# 2.6 / 12.0 on 8 (S_8's shape), 6.6 / 11.2 on 32, 14.8 / 14.2 on 48,
-# 31.4 / 16.8 on 100, 89 / 22 on 200 (int16).
-_ROW_KEY_POINTS = 48
-
-
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """The stable order that sorts the rows of a non-negative integer matrix
-    lexicographically: ``np.lexsort``'s, which costs one pass per column,
-    on fewer than ``_ROW_KEY_POINTS`` columns, else a stable argsort of
-    each row's big-endian bytes as one ``np.void`` key, whose comparisons
-    stop at the first differing byte."""
-    if rows.shape[1] < _ROW_KEY_POINTS:
-        return np.lexsort(rows.T[::-1])
-    # the big-endian bytes of non-negative integers compare as the integers
-    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return np.argsort(big.view(np.dtype((np.void, big.strides[0]))).ravel(), kind="stable")
-
-
 class PermutationArray:
     """A set of distinct permutations of a common length, kept sorted in
     lexicographic image order as ``rows``, the read-only (m, n) integer
@@ -90,7 +68,7 @@ class PermutationArray:
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
         rows = rows.astype(_row_dtype(n))  # the narrowest rows sort fastest
         if n > 0:  # a sort needs a key; with none, every row is the empty one
-            rows = rows[_row_order(rows)]
+            rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         self.n = n

@@ -23,12 +23,12 @@ distances of one set in row blocks of bounded size, and a cross form,
 another. A distance is the length minus the positions that agree. Both
 forms narrow the columns to one dtype, int8 when every entry fits in 8
 bits, int16 when in 16, and run one column loop, which adds the columns'
-0/1 agreements to the counts. For int8 columns one rule, ``_takes_table``,
-picks the path: a column's agreements are rows gathered from a 0/1 table
-built once per call, one row per entry value, or the compare takes a slab
-of columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``, so
-that long vectors in few rows take few steps. Every other input takes the
-compare.
+0/1 agreements to the counts. The path follows the entry width and the
+table size: with int8 columns whose table fits ``_TABLE_BYTES``, a
+column's agreements are rows gathered from a 0/1 table built once per
+call, one row per entry value; every other input compares a slab of
+columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``, so that
+long vectors in few rows take few steps.
 """
 
 from __future__ import annotations
@@ -53,21 +53,13 @@ from .exactmath import derangement_count
 _BLOCK_BYTES = 1 << 18
 
 # Bytes of the agreement table that _distance_rows builds from int8 columns
-# (one per column, entry value and vector); larger tables take the compare.
+# (one per column, entry value and vector): the table is built whenever it
+# fits, and wider entries or larger tables take the compare.
 # Best of 3 on a 2-core Xeon (2 MiB L2 per core), upper blocks, compare ->
 # table: S_8 (a 2.6 MB table) 889 -> 772 ms, 2,000 random 45-point vectors
 # (4 MB) 19.7 -> 14.4 ms; past the bound, 2,048 64-point vectors (8 MB)
 # 18.2 -> 20.3 ms.
 _TABLE_BYTES = 1 << 22
-
-# The table is built only when its alpha rows per column number at most a
-# quarter of the vectors gathered: building it costs about as much as
-# gathering that many rows. Medians of interleaved runs on a 2-core Xeon,
-# upper blocks, compare / table: S_7 18.0 / 12.1 ms; pgl2 11 (1,320 rows,
-# 12 values) 3.0 / 1.85 ms; 2,000 random 45-point vectors 21.9 / 14.5 ms;
-# 246 45-point lifted Steiner rows 0.80 / 0.75 ms; past a quarter, 250
-# random 127-point vectors 2.1 / 3.0 ms and 128 45-point ones 0.27 / 0.48.
-_TABLE_ROWS = 4
 
 # Permutations read per block by permutation_rows, and rows per block of
 # weight_rows at most: blocks of a few KiB, so a caller that stops early has
@@ -225,20 +217,13 @@ def _columns(*sets: Sequence[Sequence[int]]) -> tuple[int, int, list[np.ndarray]
             isinstance(v, (numbers.Integral, np.bool_)) for v in matrix.flat))
             for matrix in filled):
         raise ValueError("vector entries must be integers")
-    low = min((int(matrix.min()) for matrix in filled), default=0)
-    high = max((int(matrix.max()) for matrix in filled), default=0)
+    # numpy compares np.True_ with an int past int64 as a C long: Python ints only
+    matrices = [np.frompyfunc(int, 1, 1)(m) if m.dtype == object else m for m in matrices]
+    low = min((int(matrix.min()) for matrix in matrices if matrix.size), default=0)
+    high = max((int(matrix.max()) for matrix in matrices if matrix.size), default=0)
     dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64, np.uint64)
                   if np.iinfo(t).min <= low and high <= np.iinfo(t).max), object)
     return low, high, [np.ascontiguousarray(matrix.T, dtype=dtype) for matrix in matrices]
-
-
-def _takes_table(alpha: int, n: int, rows: int, columns: int) -> bool:
-    """The kernel's one path rule, for n int8 columns with ``alpha`` entry
-    values, ``rows`` vectors gathered and ``columns`` vectors tabled: the
-    table when its alpha rows per column are at most ``rows / _TABLE_ROWS``
-    and its n * alpha * columns bytes fit ``_TABLE_BYTES``, else the
-    compare."""
-    return _TABLE_ROWS * alpha <= rows and n * alpha * columns <= _TABLE_BYTES
 
 
 def _distance_rows(
@@ -250,7 +235,7 @@ def _distance_rows(
     dtype that holds the vector length.
 
     One column loop adds the columns' 0/1 agreements to the counts. When
-    the entries fit in int8 and ``_takes_table`` says so, a column's
+    the entries fit in int8 and the table fits ``_TABLE_BYTES``, a column's
     agreements are a row gather from a table built once from b:
     ``table[k][s, j]`` is 1 when ``b[j, k]`` is ``low + s``, so row
     ``a[i, k] - low`` holds row i's agreements in column k. Otherwise each
@@ -263,7 +248,7 @@ def _distance_rows(
     n = len(a)
     table = index = None
     step = 1
-    if b.dtype == np.int8 and _takes_table(high - low + 1, n, a.shape[1], b.shape[1]):
+    if b.dtype == np.int8 and b.size * (high - low + 1) <= _TABLE_BYTES:
         values = np.arange(low, high + 1).astype(np.int8)
         table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
         # a - low mod 256 is a - low, which lies in 0..255: a narrow index

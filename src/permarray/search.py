@@ -48,12 +48,11 @@ int costs a two's-complement pass per operation). A vertex v leaves a set
 through its single-bit int ``1 << v``, made once per search (about
 m^2 / 16 bytes, half the conflict masks, and counted with them against the
 memory gate), so no coloring or branching step allocates a bit of its own.
-The branch step reads these ints and the conflict masks in lists indexed
-by vertex; the coloring reads the same ints through lists indexed by
-``bit_length()``, v at v + 1, so the highest candidate's ``bit_length()``
-indexes them as it is, and a colored vertex past 256 (the largest int
-CPython keeps cached) costs one new int, not two. The witness is read off
-the reversed matrix as rows.
+The coloring and the branch step read these ints and the conflict masks
+in lists indexed by ``bit_length()``, v at v + 1, so the highest
+candidate's ``bit_length()`` indexes them as it is, and a colored vertex
+past 256 (the largest int CPython keeps cached) costs one new int, not
+two. The witness is read off the reversed matrix as rows.
 
 Every node prunes whole orbits, in the spirit of orbital branching
 (Ostrowski et al. 2011). The group is one of distance-preserving maps of
@@ -282,9 +281,8 @@ def _max_clique(
     found so far is returned with exhausted False.
     """
     best = _greedy_clique(conflicts)
-    bits = [1 << v for v in range(len(conflicts))]
-    # the same ints, indexed by bit_length() for _color_order
-    conflict_at, bit_at = [0, *conflicts], [0, *bits]
+    # indexed by bit_length(), vertex v at v + 1: v's conflict mask and 1 << v
+    conflict_at, bit_at = [0, *conflicts], [0, *(1 << v for v in range(len(conflicts)))]
     nodes = 0
     pruned: list[int] = []
     # the open node's candidates and color order are held in cand/order, and
@@ -317,9 +315,9 @@ def _max_clique(
         # cannot beat the incumbent once the check fails
         if order and len(current) + (order[-1] >> 17) > len(best):
             v = order.pop() & _VERTEX
-            cand ^= bits[v]
+            cand ^= bit_at[v + 1]
             current.append(v)
-            sub = cand ^ (cand & conflicts[v])
+            sub = cand ^ (cand & conflict_at[v + 1])
             if sub:
                 continue
             if len(current) > len(best):
@@ -367,8 +365,8 @@ def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
     """Whether the search must not start: more vertices than nodes allowed,
     no time at all, or a graph too big to hold: conflict masks (m rows of m
     bits) and the single-bit ints (``1 << v`` for each vertex v, about
-    m^2 / 16 bytes). The lists that index both by vertex and by
-    ``bit_length()`` share these ints, so they add only references."""
+    m^2 / 16 bytes). The two lists that index them by ``bit_length()``
+    hold these same ints, so they add only references."""
     if limits.max_nodes is not None and m > limits.max_nodes:
         return True
     if m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES:

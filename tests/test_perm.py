@@ -23,7 +23,7 @@ from permarray.perm import (
     support,
     weight,
 )
-from permarray.search import _conflict_masks, _greedy_stream, verify_pa
+from permarray.search import SearchLimits, _conflict_masks, _greedy_stream, exact_p, verify_pa
 
 
 def _compose(a, b):
@@ -244,15 +244,15 @@ def cw_codes(draw):
 
 
 def _on_both_kernel_paths(cls):
-    """Run each test of cls twice, with the kernel's path rule forced to
-    the agreement table for any int8 input, then to the broadcast compare
-    for every input. The test keeps its name; a failure names the path."""
+    """Run each test of cls twice: with the kernel's agreement table allowed
+    for any int8 input, then refused, so that every input takes the
+    broadcast compare. The test keeps its name; a failure names the path."""
     def twice(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
-            for path, table in (("table", True), ("compare", False)):
+            for path, table_bytes in (("table", 1 << 40), ("compare", 0)):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(perm, "_takes_table", lambda *_, table=table: table)
+                    mp.setattr(perm, "_TABLE_BYTES", table_bytes)
                     try:
                         test(*args, **kwargs)
                     except Exception as exc:
@@ -456,19 +456,27 @@ class TestDistanceBlocks:
         assert distances([[2**70, 1]], [[2**70, 2], [2**70 + 1, 1]]).tolist() == [[1, 1]]
         assert pairs_below(np.array([[2**70, 3], [np.int64(2), 3]], dtype=object), 2) == [
             (0, 1, 1)]
+        # np.True_ beside an int past int64, which numpy compares as a C long
+        assert distances(np.array([[np.True_, 2**70]], dtype=object), [[1, 2**70]]).tolist() == [
+            [0]]
+        assert pairs_below(np.array([[np.True_, 2**70], [1, 2**70]], dtype=object), 1) == [
+            (0, 1, 0)]
 
 
 def test_the_path_rule_picks_by_input(monkeypatch):
-    # the table for pgl2 11 (1,320 rows, 12 values) and for 2,000 rows on
-    # 45 points, the compare for 250 rows on 127 points, where building the
-    # table costs more than the compare
-    chosen = []
-    rule = perm._takes_table
-    monkeypatch.setattr(perm, "_takes_table", lambda *args: chosen.append(rule(*args)) or chosen[-1])
+    # int8 columns take the table whenever it fits _TABLE_BYTES: pgl2 11
+    # (1,320 rows, 12 values), 2,000 rows on 45 points, and the 16-row,
+    # 6-point witness of P(6,5) capped at 3,000 nodes. The table path calls
+    # np.equal once, to build the table; the compare calls it with out=.
+    paths = []
+    equal = np.equal
     rng = np.random.default_rng(20261019)
-    for vectors, table in ((perfect_pa("pgl2", 11).rows, True),
-                           (np.argsort(rng.random((2000, 45)), axis=1), True),
-                           (np.argsort(rng.random((250, 127)), axis=1), False)):
+    witness = exact_p(6, 5, SearchLimits(max_nodes=3000)).witness.rows
+    assert witness.shape == (16, 6)
+    monkeypatch.setattr(np, "equal", lambda *args, **kwargs: paths.append(
+        "compare" if "out" in kwargs else "table") or equal(*args, **kwargs))
+    for vectors in (perfect_pa("pgl2", 11).rows, np.argsort(rng.random((2000, 45)), axis=1),
+                    witness):
         next(distance_blocks(vectors, upper=True))
-        assert chosen.pop() is table
-    assert not chosen
+        assert paths == ["table"]
+        paths.clear()

@@ -1,11 +1,15 @@
 """README.md as tests: every `$ permarray ...` transcript gives the stdout it
-shows, and the `>>>` examples run as doctests."""
+shows, the `>>>` examples run as doctests, and every private name it cites
+exists."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import permarray
 from permarray.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +36,15 @@ def test_doctest_examples():
     runner = doctest.DocTestRunner()
     runner.run(test)
     assert runner.summarize(verbose=False) == doctest.TestResults(0, 5)
+
+
+def test_private_names_are_attributes_of_the_package():
+    # a backticked private name, bare (`_columns`) or with its module
+    # (`perm._check_points`), is an attribute of a permarray module
+    modules = {info.name: importlib.import_module(f"permarray.{info.name}")
+               for info in pkgutil.iter_modules(permarray.__path__)}
+    names = re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`", README.read_text(encoding="utf-8"))
+    assert names
+    for module, name in names:
+        owners = [modules.get(module)] if module else list(modules.values())
+        assert any(hasattr(owner, name) for owner in owners), f"{module}.{name}"
