@@ -6,7 +6,9 @@ whitespace-separated: a kind token ("pa" for permutation arrays, "cw" for
 constant-weight binary codes) and key=value fields n, d, w, count, where w is
 "-" for arrays without a fixed weight. Body lines are comma-separated
 integers: the image tuple of a permutation, or the sorted support of a word.
-Blank lines and '#' comments are ignored. Example::
+Blank lines and '#' comments are ignored, except in a body of width 0 (an
+array on 0 points, or a code of weight 0), where the one possible member,
+the empty tuple, is written as a blank line. Example::
 
     pa n=4 d=4 w=- count=4
     0,1,2,3
@@ -25,9 +27,10 @@ readers that give the same result, payload or error, on every text. Both
 take their lines from ``str.splitlines``. A text that is ASCII, whose first
 line is the header, and that holds no \x1f (the guard) has its body read by
 numpy's C text reader; so is every text the writers make, and each of
-them with CRLF line ends. Any other text, and any body that reader rejects
-or shapes otherwise than the header promises, goes to the general reader,
-the source of every error message about the body.
+them with CRLF line ends, except a body of width 0, which that reader
+warns on. Any other text, and any body that reader rejects or shapes
+otherwise than the header promises, goes to the general reader, the source
+of every error message about the body.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _ints(lineno: int, line: str) -> list[int]:
     try:
-        return list(map(int, line.split(",")))
+        return list(map(int, line.split(","))) if line else []
     except ValueError as exc:
         raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
 
@@ -217,8 +220,8 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     line is the header, and it holds no \x1f, which ``loadtxt`` strips
     around an entry and ``int()`` rejects. numpy's ``loadtxt`` reads the
     lines after the header that ``str.splitlines`` finds into one int64
-    matrix; an entry it accepts
-    is one ``int()`` accepts, with the same value, as
+    matrix (it warns on a body of width 0, which has no entries); an entry
+    it accepts is one ``int()`` accepts, with the same value, as
     ``test_loadtxt_reads_an_entry_by_int_rules`` checks. When the matrix has
     the header's count of rows and n entries each (the weight, for a code),
     the payload is built from it as below. Any other text, any body the C
@@ -228,9 +231,10 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
 
     The general reader reads each body line with ``int()`` (surrounding
     spaces, a sign, digit underscores and Unicode digits are accepted, and
-    no entry is too large). Errors come in line order: the first
-    non-integer entry, then the member count, then the first line that is
-    not a bijection on its own entries or does not have n of them.
+    no entry is too large); in a body of width 0 each blank line is an
+    empty member, as the writers write one. Errors come in line order: the
+    first non-integer entry, then the member count, then the first line
+    that is not a bijection on its own entries or does not have n of them.
 
     Either way a permutation body goes to ``PermutationArray``, an int64
     matrix from the C reader or lists from the general one, and is checked
@@ -246,7 +250,13 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     lines = _content_lines(text)
     if not lines:
         raise PaFormatError("empty file")
-    header = _parse_header(lines[0][1], lines[0][0])
+    start, line = lines[0]
+    header = _parse_header(line, start)
+    if (header.n if header.kind == "pa" else header.w) == 0:
+        # the writers write a member with no entries as a blank line
+        blank = [(lineno, "") for lineno, raw in enumerate(text.splitlines()[start:], start + 1)
+                 if not raw.strip()]
+        lines = sorted(lines + blank)
     rows = [_ints(lineno, line) for lineno, line in lines[1:]]
     if len(rows) != header.count:
         raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")

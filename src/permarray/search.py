@@ -67,10 +67,12 @@ case C = {} (for full arrays, C = {identity}). This is sound because a
 node's candidates are always a union of its stabiliser's orbits: a clique
 among them that meets v's orbit is mapped by the stabiliser onto a clique
 of the same size through v, still among them, which v's branch has
-searched. Each stabiliser is worked out on the first return to its node,
-so a node's first branch is always unpruned, a run that stops before
-returning to a node never computes its group, and once a stabiliser is
-trivial the nodes below it cost nothing extra. S_n is listed as a matrix
+searched. Each stabiliser is worked out from its parent's on the first
+return to its node, so a node's first branch is always unpruned and a run
+that stops before returning to a node never computes its group; the search
+keeps None for a trivial stabiliser, and below it asks the group nothing
+more. Symmetries share one base class, ``_Symmetry``, whose ``fix`` gives
+the trivial subgroup unless a group knows better. S_n is listed as a matrix
 up to 8 points; past that, only the whole group's orbits are used. A
 constant-weight search needs one root branch; the stabiliser of its words
 is the Young subgroup of the atoms their supports cut the coordinates into.
@@ -95,7 +97,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, islice
-from typing import Protocol
 
 import numpy as np
 
@@ -268,11 +269,11 @@ def _max_clique(
     among them that meets v's orbit maps onto one through v, which v's
     branch has covered; a child's candidates, the parent's that avoid v's
     conflicts, are then a union of orbits of the smaller stabiliser that
-    also fixes v. Each open node's stabiliser waits on a stack beside the
-    node and is worked out on the first return to the node, from the
-    nearest ancestor's; a search that stops before it returns to a node
-    never computes that node's group. Once a stabiliser is trivial, every
-    node below it costs O(1) and asks the group nothing.
+    also fixes v. Each open node's stabiliser waits in a list beside the
+    node, None when it is trivial, and is worked out on the first return to
+    the node from its parent's (None below None); a search that stops before
+    it returns to a node never computes that node's group, and nodes below a
+    trivial stabiliser ask the group nothing.
 
     Returns (vertex indices in the order they were added, exhausted, nodes,
     pruned), where ``pruned[k]`` counts the vertices that orbits removed
@@ -288,13 +289,10 @@ def _max_clique(
     # the open node's candidates and color order are held in cand/order, and
     # each open ancestor's pair waits on the stack above the empty pair the
     # root pushed, so len(stack) == len(current) + 1 while a node is open;
-    # stabs[k] is the stabiliser of the open node at depth k, and the list
-    # stops short at nodes not yet returned to and at ``trivial``, the depth
-    # of the first trivial stabiliser on the path (``never`` if none is
-    # known), below which every stabiliser is trivial
+    # stabs[k] is the stabiliser of the open node at depth k, None when it is
+    # trivial, and the list stops short at nodes not yet returned to
     stack: list[tuple[int, array]] = []
     stabs: list = []
-    never = trivial = len(conflicts) + 1
     current: list[int] = []
     cand, order = 0, array("q")
     sub = (1 << len(conflicts)) - 1
@@ -329,23 +327,20 @@ def _max_clique(
         # a leaf or a finished node: back at its parent, drop its vertex's orbit
         v = current.pop()
         depth = len(current)
-        if depth < trivial:
-            # any trivial stabiliser on the path was deeper, at a closed node
-            trivial = never
-            del stabs[depth + 1:]
-            while len(stabs) <= depth:
-                stab = group.fix(stabs[-1], current[len(stabs) - 1]) if stabs else group.whole()
-                if stab is None:
-                    trivial = len(stabs)
-                    break
-                stabs.append(stab)
-            else:
-                gone = cand & group.orbit(stabs[depth], v)
-                if gone:
-                    cand ^= gone
-                    pruned.extend([0] * (depth + 1 - len(pruned)))
-                    pruned[depth] += gone.bit_count()
-                    order = array("q", [c for c in order if cand >> (c & _VERTEX) & 1])
+        # entries past depth belong to closed nodes, and below None all is None
+        if not stabs:
+            stabs.append(group.whole())
+        del stabs[depth + 1:]
+        while len(stabs) <= depth:
+            parent = stabs[-1]
+            stabs.append(None if parent is None else group.fix(parent, current[len(stabs) - 1]))
+        if stabs[depth] is not None:
+            gone = cand & group.orbit(stabs[depth], v)
+            if gone:
+                cand ^= gone
+                pruned.extend([0] * (depth + 1 - len(pruned)))
+                pruned[depth] += gone.bit_count()
+                order = array("q", [c for c in order if cand >> (c & _VERTEX) & 1])
 
 
 def _conflict_masks(vectors: Sequence[Sequence[int]] | np.ndarray, d: int) -> list[int]:
@@ -379,18 +374,24 @@ def _mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-class _Symmetry(Protocol):
+class _Symmetry:
     """A group of distance-preserving maps of a vertex set onto itself, and
-    its subgroups, for ``_max_clique``. A group is whatever object the
-    implementation chooses, or None for the trivial group, below which the
-    search asks nothing more; ``fix`` may return any subgroup of the
-    stabiliser, since the trivial one is always sound."""
+    its subgroups, for ``_max_clique``; ``rows`` holds the vertices in
+    search order. A group is whatever object the subclass chooses, or None
+    for the trivial group, below which the search asks nothing more. Each
+    subclass gives ``whole`` and ``orbit``; ``fix`` may return any subgroup
+    of the stabiliser, since the trivial one is always sound, and returns
+    that one unless a subclass knows better."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
 
     def whole(self) -> object | None:
         """The whole group."""
 
     def fix(self, group: object, v: int) -> object | None:
         """The subgroup of ``group`` that fixes vertex v."""
+        return None
 
     def orbit(self, group: object, v: int) -> int:
         """The bitmask of v's orbit under ``group``."""
@@ -410,7 +411,7 @@ def _symmetric_group(n: int) -> np.ndarray:
     return g
 
 
-class _Conjugation:
+class _Conjugation(_Symmetry):
     """The maps x -> g x g^-1 and x -> g x^-1 g^-1 of S_n, on a vertex set of
     permutations that is closed under them (every set of the permutations of
     given weights is): they keep weights and distances and fix the identity.
@@ -418,9 +419,6 @@ class _Conjugation:
     when every vertex is an involution, inversion acts as the identity and
     the second kind is left out. A vertex's images are found by integer
     code, the base-n number its images spell."""
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
 
     def whole(self) -> object | None:
         m, n = self.rows.shape
@@ -458,20 +456,14 @@ class _Conjugation:
         return None if len(plain) + len(flipped) <= 1 else (plain, flipped)
 
 
-class _CycleTypes:
+class _CycleTypes(_Symmetry):
     """Conjugation on permutations of more than ``_LISTED_DEGREE`` points,
     whose S_n is too big to list: the whole group's orbits are the cycle
     types, and no stabiliser below it is kept."""
 
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
-
     def whole(self) -> object | None:
         labels: dict[tuple[int, ...], int] = {}
         return np.array([labels.setdefault(cycle_type(x), len(labels)) for x in self.rows.tolist()])
-
-    def fix(self, group: object, v: int) -> object | None:
-        return None
 
     def orbit(self, group: object, v: int) -> int:
         return _mask(group == group[v])
@@ -482,16 +474,13 @@ def _conjugation(n: int) -> Callable[[np.ndarray], _Symmetry]:
     return _Conjugation if n <= _LISTED_DEGREE else _CycleTypes
 
 
-class _Young:
+class _Young(_Symmetry):
     """Coordinate permutations acting on 0/1 words of one weight. The words
     a permutation fixes are those whose supports it maps onto themselves, so
     the pointwise stabiliser of a set of words is the Young subgroup of the
     atoms their supports cut the coordinates into, and a word's orbit under
     it is every word with the same number of ones in each atom. A group is
     (atom of each coordinate, each word's count of ones per atom)."""
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
 
     def whole(self) -> object | None:
         return self._group(np.zeros(self.rows.shape[1], dtype=np.intp))

@@ -490,6 +490,22 @@ class TestVerifyCodes:
                                             "  0,1,2 <-> 0,1,3 distance 2\n"
                                             "  0,1,3 <-> 3,4,5 distance 4\n")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_a_width_0_witness_round_trips(self, capsys, tmp_path, json_flag):
+        # the one word of weight 0 is written as a blank body line, which
+        # verify reads back as that word
+        path = str(tmp_path / "a520.cw")
+        code, _, _ = run_cli(capsys, "search", "acw", "5", "2", "0", *json_flag, "--out", path)
+        assert code == EXIT_OK
+        assert Path(path).read_text(encoding="utf-8") == "cw n=5 d=2 w=0 count=1\n\n"
+        code, out, err = run_cli(capsys, "verify", *json_flag, path)
+        assert (code, err) == (EXIT_OK, "")
+        if json_flag:
+            assert json.loads(out) == {"path": path, "n": 5, "count": 1, "d": 2,
+                                       "ok": True, "violations": []}
+        else:
+            assert out == "OK: 1 words on 5 points, pairwise distance >= 2\n"
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -53,10 +53,15 @@ def reference_loads(text):
     if not lines:
         raise PaFormatError("empty file")
     header = _parse_header(lines[0][1], lines[0][0])
+    if (header.n if header.kind == "pa" else header.w) == 0:
+        # a blank line in a body of width 0 is a member with no entries
+        raw = text.splitlines()
+        lines += [(i + 1, "") for i in range(lines[0][0], len(raw)) if not raw[i].strip()]
+        lines.sort()
     rows = []
     for lineno, line in lines[1:]:
         try:
-            rows.append(tuple(int(v) for v in line.split(",")))
+            rows.append(tuple(int(v) for v in line.split(",")) if line else ())
         except ValueError as exc:
             raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
     if len(rows) != header.count:
@@ -207,6 +212,19 @@ class TestRoundTrips:
         write_cw(code, path)
         _, back = load(path)
         assert back == code
+
+    @pytest.mark.parametrize("payload", [
+        BinaryCwCode(5, 0, (), 2), BinaryCwCode(5, 0, ((),), 2), BinaryCwCode(0, 0, ((),), 1),
+        PermutationArray(0, []), PermutationArray(0, [()])])
+    def test_width_0_round_trip(self, payload):
+        # the empty member is a blank body line; the C reader warns on such a
+        # body, so the general reader reads it
+        text = dump_cw(payload) if isinstance(payload, BinaryCwCode) else dump_pa(payload, 1)
+        assert text.endswith("count=1\n\n" if len(payload) else "count=0\n")
+        assert _canonical_body(text) is None
+        assert loads(text)[1] == payload
+        assert loads(text.replace("\n", "\r\n"))[1] == payload
+        assert loads(text.replace("\n", "\n# note\n", 1))[1] == payload
 
     def test_comments_and_blank_lines_ignored(self):
         text = (
@@ -426,6 +444,18 @@ class TestAgainstReference:
 
 
 class TestRejections:
+    @pytest.mark.parametrize("text, message", [
+        ("cw n=5 d=2 w=0 count=2\n\n", "header promises 2 members, found 1"),
+        ("cw n=5 d=2 w=0 count=2\n\n\n", "duplicate word ()"),
+        ("pa n=0 d=2 w=- count=2\n\n\n", "duplicate members in body"),
+        ("cw n=5 d=2 w=0 count=1\n", "header promises 1 members, found 0"),
+        ("cw n=5 d=2 w=0 count=1\n1\n", "word (1,) does not have weight 0"),
+    ])
+    def test_width_0_body_rejections(self, text, message):
+        for loader in (loads, reference_loads):
+            with pytest.raises(PaFormatError, match=f"^{re.escape(message)}$"):
+                loader(text)
+
     def test_empty_input(self):
         with pytest.raises(PaFormatError):
             loads("")

@@ -1,7 +1,8 @@
 """README.md as tests: every `$ permarray ...` transcript gives the stdout it
-shows, the `>>>` examples run as doctests, and every private name it cites
-exists."""
+shows, the `>>>` examples run as doctests, every private name it cites
+exists, and the sources keep to the grammar of the oldest Python it names."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -12,7 +13,8 @@ from pathlib import Path
 import permarray
 from permarray.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(encoding="utf-8"),
                     re.MULTILINE | re.DOTALL)
 
@@ -48,3 +50,13 @@ def test_private_names_are_attributes_of_the_package():
     for module, name in names:
         owners = [modules.get(module)] if module else list(modules.values())
         assert any(hasattr(owner, name) for owner in owners), f"{module}.{name}"
+
+
+def test_sources_parse_as_python_3_10():
+    # README promises Python 3.10; this checks the grammar (no ``except*``,
+    # no 3.12 type statement), not the standard library a file calls
+    assert "Python 3.10 or newer" in README.read_text(encoding="utf-8")
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -668,6 +668,39 @@ class TestOrbitPruning:
         exact_p_cw(6, 4, 2)
         assert [name for name, _ in recorded[-1].calls] == ["whole", "orbit"]
 
+    @pytest.mark.parametrize("oracle, args, kind, calls", [
+        (exact_p, (6, 4, SearchLimits(700, None)), "_Conjugation", (1, 5, 0)),
+        (exact_p, (6, 5, SearchLimits(3000, None)), "_Conjugation", (1, 3, 0)),
+        (exact_p, (6, 5, SearchLimits(20000, None)), "_Conjugation", (1, 4, 1)),
+        (exact_p, (5, 4), "_Conjugation", (1, 3, 3)),
+        (exact_a_cw, (11, 6, 4), "_Young", (1, 3, 5)),
+        (exact_a_cw, (10, 4, 3), "_Young", (1, 46, 105)),
+        (exact_a_cw, (12, 6, 5), "_Young", (1, 310, 758)),
+        (exact_p_cw, (6, 4, 2), "_Conjugation", (1, 0, 1)),
+        (exact_p_cw, (9, 6, 3), "_CycleTypes", (1, 0, 1)),
+    ])
+    def test_group_calls_are_pinned(self, monkeypatch, oracle, args, kind, calls):
+        # how often a search asks its group for the whole group, a
+        # stabiliser and an orbit: the whole group once, on the first
+        # return, a stabiliser on the first return to a node below a
+        # non-trivial one, and an orbit on each return to a node whose
+        # stabiliser is not trivial
+        recorded = []
+
+        def recording(symmetry):
+            def build(rows):
+                recorded.append(_Recording(symmetry(rows)))
+                return recorded[-1]
+            return build
+
+        conjugation = search._conjugation
+        monkeypatch.setattr(search, "_conjugation", lambda n: recording(conjugation(n)))
+        monkeypatch.setattr(search, "_Young", recording(search._Young))
+        oracle(*args)
+        names = [name for name, _ in recorded[-1].calls]
+        assert type(recorded[-1].group).__name__ == kind
+        assert (names.count("whole"), names.count("fix"), names.count("orbit")) == calls
+
     @settings(deadline=None)
     @given(shift_invariant_graphs())
     def test_trivial_stabilisers_cost_nothing(self, case):
