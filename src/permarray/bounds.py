@@ -418,5 +418,6 @@ class CwTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "CwTable":
-        """Read a table from a file in the ``loads`` format."""
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a table from a file in the ``loads`` format; a leading
+        byte-order mark is dropped."""
+        return cls.loads(Path(path).read_text(encoding="utf-8-sig"))

@@ -185,6 +185,28 @@ def _cycle_rows(n: int, supports: np.ndarray) -> np.ndarray:
     return rows
 
 
+# The most entries, members times points, that a gated builder makes. The
+# largest array each family admits peaks at 1.07-1.12 GB where the builder
+# holds int64 intermediates (cyclic 8192, agl 401, block-cycle 11585 2:
+# about 16 bytes an entry) and at 0.1-0.2 GB where it lists int8 rows
+# (symmetric and alternating 10, pgl2 89), each measured as one process's
+# peak RSS.
+_BUILD_ENTRIES = 1 << 26
+
+
+def _check_size(points: int, factors: Iterable[int]) -> None:
+    """The size rule the named families and block cycles apply before they
+    allocate: the member count, the product of ``factors``, times
+    ``points`` is at most ``_BUILD_ENTRIES``. The product stops once past
+    it, so n! is never worked out for a large n."""
+    entries = points
+    for factor in factors:
+        entries *= factor
+        if entries > _BUILD_ENTRIES:
+            raise ValueError(f"array too large to build: more than {_BUILD_ENTRIES:,} "
+                             f"entries (members x points)")
+
+
 def _check_block(n: int, k: int) -> None:
     """The rule on blocks of k of n points: 2 <= k <= n."""
     if k < 2:
@@ -202,6 +224,7 @@ def block_cycle_cwpa(n: int, k: int) -> PermutationArray:
     floor(n/k) for weight-k arrays at distance 2k.
     """
     _check_block(n, k)
+    _check_size(n, (n // k,))
     return PermutationArray(n, _cycle_rows(n, np.arange(n // k * k).reshape(n // k, k)))
 
 
@@ -280,15 +303,18 @@ def _is_prime_power(q: int) -> bool:
 
 
 def _cyclic(n: int) -> PermutationArray:
+    _check_size(n, (n,))
     x = np.arange(n)
     return PermutationArray(n, (x + x[:, None]) % n)
 
 
 def _symmetric(n: int) -> PermutationArray:
+    _check_size(n, range(2, n + 1))
     return PermutationArray(n, np.concatenate(list(permutation_rows(n, 0))))
 
 
 def _alternating(n: int) -> PermutationArray:
+    _check_size(n, range(3, n + 1))  # n!/2 members, one for n < 3
     # a permutation is even when its inversions, the pairs i < j with
     # p(i) > p(j), are even in number
     i, j = np.triu_indices(n, 1)
@@ -310,6 +336,7 @@ def _affine(p: int) -> PermutationArray:
     at most one point)."""
     if _least_factor(p) != p:
         raise ValueError(f"affine family needs a prime modulus: {p}")
+    _check_size(p, (p, p - 1))
     return PermutationArray(p, _affine_rows(p))
 
 
@@ -328,6 +355,7 @@ def _projective(p: int) -> PermutationArray:
     """
     if _least_factor(p) != p:
         raise ValueError(f"projective family needs a prime modulus: {p}")
+    _check_size(p + 1, (p + 1, p, p - 1))
     # the affine maps fix inf; narrowed first, as the shifts copy them p times
     affine = np.c_[_affine_rows(p), np.full(p * (p - 1), p)].astype(_row_dtype(p + 1))
     x = np.arange(p)

@@ -22,15 +22,17 @@ w, when given, must lie in 0..n: every member of a "pa" body with a w moves
 exactly w points. ``PaHeader`` holds that range rule; the writers raise
 ``ValueError`` rather than write a header the reader would refuse.
 
-Writers render the whole body with one format call. ``loads`` has two
-readers that give the same result, payload or error, on every text. Both
-take their lines from ``str.splitlines``. A text that is ASCII, whose first
-line is the header, and that holds no \x1f (the guard) has its body read by
-numpy's C text reader; so is every text the writers make, and each of
-them with CRLF line ends, except a body of width 0, which that reader
-warns on. Any other text, and any body that reader rejects or shapes
-otherwise than the header promises, goes to the general reader, the source
-of every error message about the body.
+Writers render the whole body with one format call. ``loads`` finds the
+header once, as the first line with content, and has two readers for the
+lines after it that give the same result, payload or error, on every text.
+Both take their lines from ``str.splitlines``. A text that is ASCII and
+holds no \x1f (the guard) has its body read by numpy's C text reader; so
+is every text the writers make, and each of them with CRLF line ends or
+with comment and blank lines above the header, except a body of width 0,
+which that reader warns on. Any other text, and any body that reader
+rejects or shapes otherwise than the header promises, goes to the general
+reader, which reads it in one pass and is the source of every error
+message about the body. ``load`` drops a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -138,67 +140,66 @@ def _parse_header(line: str, lineno: int) -> PaHeader:
 _UNGUARDED = "\x1f"
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
-
-
-def _ints(lineno: int, line: str) -> list[int]:
-    try:
-        return list(map(int, line.split(","))) if line else []
-    except ValueError as exc:
-        raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
-
-
-def _canonical_body(text: str) -> tuple[PaHeader, np.ndarray] | None:
-    """The header and the body as one (count, width) int64 matrix, read by
-    numpy's C text reader; None when the text fails the guard or the reader
-    rejects the body or shapes it otherwise than the header promises."""
+def _c_reader(text: str, header: PaHeader, body: list[str]) -> np.ndarray | list | None:
+    """The body lines as one (count, width) int64 matrix read by numpy's C
+    text reader, as lists for a code; None when the text fails the guard or
+    the reader rejects the body or shapes it otherwise than the header
+    promises."""
     if not text.isascii() or _UNGUARDED in text:
         return None
-    lines = text.splitlines()
-    line = lines[0].split("#", 1)[0].strip() if lines else ""
-    if not line:
-        return None
-    header = _parse_header(line, 1)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a body without rows
-            matrix = np.loadtxt(lines[1:], dtype=np.int64, delimiter=",",
-                                comments="#", ndmin=2)
+            matrix = np.loadtxt(body, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
     except (ValueError, OverflowError, Warning):
         return None
-    width = header.n if header.kind == "pa" else header.w
-    if matrix.shape != (header.count, width):
+    if matrix.shape != (header.count, header.n if header.kind == "pa" else header.w):
         return None
-    return header, matrix
+    return matrix if header.kind == "pa" else matrix.tolist()
 
 
-def _code(header: PaHeader, words: tuple[tuple[int, ...], ...]) -> BinaryCwCode:
+def _general_reader(header: PaHeader, body: list[str], start: int) -> list[list[int]]:
+    """The body lines, the first of them line start + 1, read in one pass
+    with int(); raises the reader's errors about the body in their order."""
+    width = header.n if header.kind == "pa" else header.w
+    rows: list[list[int]] = []
+    ragged = None  # the index of the first row that does not hold width entries
+    for lineno, raw in enumerate(body, start + 1):
+        line = raw.split("#", 1)[0].strip()
+        # the writers write a member with no entries as a blank line
+        if line or (width == 0 and not raw.strip()):
+            try:
+                rows.append(list(map(int, line.split(","))) if line else [])
+            except ValueError as exc:
+                raise PaFormatError(f"line {lineno}: non-integer entry in {line!r}") from exc
+            if ragged is None and len(rows[-1]) != width:
+                ragged = len(rows) - 1
+    if len(rows) != header.count:
+        raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
+    if header.kind == "pa" and ragged is not None:
+        try:
+            PermutationArray(header.n, rows[:ragged])
+            Permutation(rows[ragged])  # a non-bijection reports that before its length
+        except ValueError as exc:
+            raise PaFormatError(str(exc)) from exc
+        raise PaFormatError(f"member {tuple(rows[ragged])!r} does not have length {header.n}")
+    return rows
+
+
+def _code(header: PaHeader, rows: list[list[int]]) -> BinaryCwCode:
     try:
-        return BinaryCwCode(header.n, header.w, words, header.d)
+        return BinaryCwCode(header.n, header.w, tuple(map(tuple, rows)), header.d)
     except ValueError as exc:
         raise PaFormatError(str(exc)) from exc
 
 
-def _array(header: PaHeader, rows: np.ndarray | list[list[int]],
-           misfit: tuple[int, ...] | None = None) -> PermutationArray:
-    """The array of the body's rows, an int64 matrix or lists of ints; misfit
-    is the first body line that does not hold n entries, if any, and rows
-    holds the lines before it. With a header weight, every member must move
-    that many points."""
+def _array(header: PaHeader, rows: np.ndarray | list[list[int]]) -> PermutationArray:
+    """The array of the body's rows, an int64 matrix or lists of n ints.
+    With a header weight, every member must move that many points."""
     try:
         array = PermutationArray(header.n, rows)
-        if misfit is not None:
-            Permutation(misfit)  # a non-bijection reports that before its length
     except ValueError as exc:
         raise PaFormatError(str(exc)) from exc
-    if misfit is not None:
-        raise PaFormatError(f"member {misfit!r} does not have length {header.n}")
     if len(array) != header.count:
         raise PaFormatError("duplicate members in body")
     if header.w is not None:
@@ -214,14 +215,16 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     count, (for permutations) bijectivity and the weight the header gives.
     The claimed distance is parsed but not checked here.
 
-    Two readers give the same result, payload or error, on every text.
+    The lines are those ``str.splitlines`` finds, and the header is the
+    first of them with content, whatever comment or blank lines come
+    before it. Two readers then read the lines after it, the body, and
+    give the same result, payload or error, on every text.
 
-    The C reader takes a text that passes the guard: it is ASCII, its first
-    line is the header, and it holds no \x1f, which ``loadtxt`` strips
-    around an entry and ``int()`` rejects. numpy's ``loadtxt`` reads the
-    lines after the header that ``str.splitlines`` finds into one int64
-    matrix (it warns on a body of width 0, which has no entries); an entry
-    it accepts is one ``int()`` accepts, with the same value, as
+    The C reader takes a text that passes the guard: it is ASCII and holds
+    no \x1f, which ``loadtxt`` strips around an entry and ``int()``
+    rejects. numpy's ``loadtxt`` reads the body into one int64 matrix (it
+    warns on a body of width 0, which has no entries); an entry it accepts
+    is one ``int()`` accepts, with the same value, as
     ``test_loadtxt_reads_an_entry_by_int_rules`` checks. When the matrix has
     the header's count of rows and n entries each (the weight, for a code),
     the payload is built from it as below. Any other text, any body the C
@@ -229,45 +232,34 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     unequal width, a whitespace-only line, no rows) and any other shape goes
     to the general reader.
 
-    The general reader reads each body line with ``int()`` (surrounding
-    spaces, a sign, digit underscores and Unicode digits are accepted, and
-    no entry is too large); in a body of width 0 each blank line is an
-    empty member, as the writers write one. Errors come in line order: the
-    first non-integer entry, then the member count, then the first line
-    that is not a bijection on its own entries or does not have n of them.
+    The general reader reads the body in one pass, each line with ``int()``
+    (surrounding spaces, a sign, digit underscores and Unicode digits are
+    accepted, and no entry is too large); in a body of width 0 each blank
+    line is an empty member, as the writers write one. Errors come in line
+    order: the first non-integer entry, then the member count, then the
+    first line that is not a bijection on its own entries or does not have
+    n of them.
 
     Either way a permutation body goes to ``PermutationArray``, an int64
     matrix from the C reader or lists from the general one, and is checked
     all at once; last, when the header gives a weight, the first member in
     sorted order that does not move that many points is an error. A code
     body goes to ``BinaryCwCode`` as tuples."""
-    canonical = _canonical_body(text)
-    if canonical is not None:
-        header, matrix = canonical
-        if header.kind == "cw":
-            return header, _code(header, tuple(map(tuple, matrix.tolist())))
-        return header, _array(header, matrix)
-    lines = _content_lines(text)
-    if not lines:
+    lines = text.splitlines()
+    for start, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            break
+    else:
         raise PaFormatError("empty file")
-    start, line = lines[0]
     header = _parse_header(line, start)
-    if (header.n if header.kind == "pa" else header.w) == 0:
-        # the writers write a member with no entries as a blank line
-        blank = [(lineno, "") for lineno, raw in enumerate(text.splitlines()[start:], start + 1)
-                 if not raw.strip()]
-        lines = sorted(lines + blank)
-    rows = [_ints(lineno, line) for lineno, line in lines[1:]]
-    if len(rows) != header.count:
-        raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
-    if header.kind == "cw":
-        return header, _code(header, tuple(map(tuple, rows)))
-    # the lines before the first one of the wrong length hold n entries each
-    k = next((i for i, row in enumerate(rows) if len(row) != header.n), len(rows))
-    misfit = tuple(rows[k]) if k < len(rows) else None
-    return header, _array(header, rows[:k], misfit)
+    rows = _c_reader(text, header, lines[start:])
+    if rows is None:
+        rows = _general_reader(header, lines[start:], start)
+    return header, _code(header, rows) if header.kind == "cw" else _array(header, rows)
 
 
 def load(path: str | Path) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
-    """Read and parse a file in this format."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a file in this format; a leading byte-order mark is
+    dropped."""
+    return loads(Path(path).read_text(encoding="utf-8-sig"))

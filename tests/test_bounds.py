@@ -415,6 +415,13 @@ class TestCwTable:
         path.write_text("6 4 3 4 exact\n", encoding="utf-8")
         assert CwTable.load(path).get(6, 4, 3).value == 4
 
+    def test_load_drops_a_byte_order_mark(self, tmp_path):
+        text = "# A(6,4,3)\n6 4 3 4 exact\n20 8 5 16 exact\n"
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert list(CwTable.load(path)) == list(CwTable.loads(text))
+
     def test_insert_checks_identities(self):
         table = CwTable()
         with pytest.raises(ValueError):

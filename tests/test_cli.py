@@ -597,6 +597,26 @@ class TestEntryPoint:
         assert done.returncode == EXIT_LIMITS
         assert done.stdout.startswith("P(6,5) >= ")
 
+    @pytest.mark.parametrize("argv", [
+        ("symmetric", "12"), ("symmetric", "1000000000"), ("cyclic", "100000"),
+        ("agl", "10007"), ("block-cycle", "200000", "2")], ids=" ".join)
+    def test_construct_refuses_an_array_too_large_to_build(self, argv, tmp_path):
+        # under a 1 GiB address-space limit, so that a builder that
+        # allocates first fails with MemoryError instead of taking the
+        # machine's memory; the gate refuses before it allocates. The child
+        # sets the limit itself: a preexec_fn warns in a threaded process
+        limited = ("import resource, runpy, sys; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                   "sys.argv[0] = 'permarray'; "
+                   "runpy.run_module('permarray.cli', run_name='__main__')")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", limited, "construct", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr == ("permarray: error: array too large to build: more than "
+                               "67,108,864 entries (members x points)\n")
+
     def test_one_parser_per_process_leaks_no_state(self, capsys, monkeypatch, tmp_path):
         # the parser is built once; each call through it prints and exits as
         # a fresh process does, whatever ran before it

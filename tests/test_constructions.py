@@ -1,6 +1,7 @@
 """Constructions: explicit arrays, binary codes, the support-lifting map,
 and the group families that meet the quotient bound."""
 
+from functools import partial
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -566,6 +567,41 @@ class TestPerfectFamilies:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             perfect_pa("dihedral", 5)
+
+
+class TestSizeGate:
+    """The five named families and block cycles refuse an array of more
+    than ``_BUILD_ENTRIES`` entries (members x points) before they build
+    anything. Here the budget is 100 entries; the real one is tried on huge
+    inputs in a child process under an address-space limit (test_cli)."""
+
+    GATED = "array too large to build: more than 100 entries (members x points)"
+
+    @pytest.mark.parametrize("build, largest, refused", [
+        (partial(perfect_pa, "cyclic"), 10, 11),  # n x n
+        (partial(perfect_pa, "symmetric"), 4, 5),  # n! x n: 96, 600
+        (partial(perfect_pa, "alternating"), 4, 5),  # n!/2 x n: 48, 300
+        (partial(perfect_pa, "agl"), 5, 7),  # p(p - 1) x p: 100, 294
+        (partial(perfect_pa, "pgl2"), 3, 5),  # (p + 1)p(p - 1) x (p + 1): 96, 720
+        (partial(block_cycle_cwpa, k=2), 14, 15),  # floor(n/2) x n: 98, 105
+    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "block-cycle"])
+    def test_the_largest_array_within_the_budget_builds(self, build, largest, refused,
+                                                         monkeypatch):
+        monkeypatch.setattr(constructions, "_BUILD_ENTRIES", 100)
+        array = build(largest)
+        assert len(array) * array.n <= 100
+        monkeypatch.setattr(constructions, "PermutationArray", None)  # nothing is built
+        with pytest.raises(ValueError) as excinfo:
+            build(refused)
+        assert str(excinfo.value) == self.GATED
+
+    def test_arguments_are_checked_before_the_size(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_BUILD_ENTRIES", 100)
+        for build, message in ((lambda: perfect_pa("agl", 10**4), "needs a prime modulus"),
+                               (lambda: perfect_pa("pgl2", 10**4), "needs a prime modulus"),
+                               (lambda: block_cycle_cwpa(10**4, 1), "at least 2")):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestKnownPerfect:

@@ -20,8 +20,6 @@ from permarray.constructions import (
 )
 from permarray.pafile import (
     PaFormatError,
-    _canonical_body,
-    _content_lines,
     _parse_header,
     dump_cw,
     dump_pa,
@@ -44,6 +42,27 @@ def reference_dump_cw(code):
     lines = [str(pafile.PaHeader("cw", code.n, code.distance, code.weight, len(code)))]
     lines.extend(",".join(str(v) for v in word) for word in code)
     return "\n".join(lines) + "\n"
+
+
+def _content_lines(text):
+    """(line number, content) for each line of text with content left once
+    its '#' comment and surrounding whitespace are cut."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
+def _canonical_body(text):
+    """(header, matrix) when the C reader reads the body of text, else None:
+    the header found as ``loads`` finds it, the body handed to the reader
+    hook."""
+    lines = _content_lines(text)
+    header = _parse_header(lines[0][1], lines[0][0])
+    rows = pafile._c_reader(text, header, text.splitlines()[lines[0][0]:])
+    return None if rows is None else (header, np.array(rows, dtype=np.int64))
 
 
 def reference_loads(text):
@@ -213,6 +232,18 @@ class TestRoundTrips:
         _, back = load(path)
         assert back == code
 
+    @pytest.mark.parametrize("text", [
+        dump_pa(perfect_pa("agl", 5), 4), dump_cw(BinaryCwCode(5, 2, ((0, 1), (2, 3)), 4)),
+        "# lead\n" + dump_pa(block_cycle_cwpa(6, 2), 4, w=2)])
+    def test_load_drops_a_byte_order_mark(self, text, tmp_path):
+        path = tmp_path / "marked.pa"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(path) == loads(text)
+        # a text that is already decoded keeps the mark, as before
+        with pytest.raises(PaFormatError, match="header must start with 'pa' or 'cw'"):
+            loads("\ufeff" + text)
+
     @pytest.mark.parametrize("payload", [
         BinaryCwCode(5, 0, (), 2), BinaryCwCode(5, 0, ((),), 2), BinaryCwCode(0, 0, ((),), 1),
         PermutationArray(0, []), PermutationArray(0, [()])])
@@ -314,10 +345,10 @@ class TestReaders:
         code = BinaryCwCode(6, 3, ((0, 1, 2), (3, 4, 5)), 6)
         pa_text, cw_text = dump_pa(array, 4, w=2), dump_cw(code)
 
-        def general_reader(text):
+        def general_reader(*args):
             raise AssertionError("the general reader ran")
 
-        monkeypatch.setattr(pafile, "_content_lines", general_reader)
+        monkeypatch.setattr(pafile, "_general_reader", general_reader)
         assert loads(pa_text) == (pafile.PaHeader("pa", 8, 4, 2, len(array)), array)
         assert loads(cw_text)[1] == code
 
@@ -332,11 +363,12 @@ class TestReaders:
         with pytest.raises(PaFormatError) as expected:
             reference_loads(text)
         calls = []
-        monkeypatch.setattr(pafile, "_content_lines",
-                            lambda text: calls.append(text) or _content_lines(text))
+        general_reader = pafile._general_reader
+        monkeypatch.setattr(pafile, "_general_reader",
+                            lambda *args: calls.append(args) or general_reader(*args))
         with pytest.raises(PaFormatError) as excinfo:
             loads(text)
-        assert calls == [text]
+        assert len(calls) == 1
         assert str(excinfo.value) == str(expected.value)
 
 
@@ -356,8 +388,34 @@ class TestReaders:
         crlf = text.replace("\n", "\r\n")
         assert _canonical_body(crlf)[1].tolist() == _canonical_body(text)[1].tolist()
         expected = loads(text)
-        monkeypatch.setattr(pafile, "_content_lines", None)  # the general reader fails
+        monkeypatch.setattr(pafile, "_general_reader", None)  # the general reader fails
         assert loads(crlf) == expected
+
+    def test_lines_above_the_header_take_the_c_reader(self, monkeypatch):
+        # the header is the first line with content, and the C reader reads
+        # only the lines after it
+        code = BinaryCwCode(6, 3, ((0, 1, 2), (3, 4, 5)), 6)
+        lead = "# written by hand\n\n   \t\n  # pa n=1 d=1 w=- count=1\n"
+        for text in (dump_pa(perfect_pa("pgl2", 11), 10), dump_cw(code)):
+            for led in (lead + text, (lead + text).replace("\n", "\r\n")):
+                expected = reference_loads(led)
+                assert expected == reference_loads(text)
+                assert _canonical_body(led)[1].tolist() == _canonical_body(text)[1].tolist()
+                with monkeypatch.context() as patch:
+                    patch.setattr(pafile, "_general_reader", None)  # the general reader fails
+                    assert loads(led) == expected
+
+    @pytest.mark.parametrize("text", [
+        dump_pa(perfect_pa("agl", 5), 4), "# lead\n" + dump_pa(perfect_pa("agl", 5), 4),
+        "pa n=3 d=2 w=- count=1\n0,1,\u0662\n", "pa n=0 d=1 w=- count=1\n\n",
+        "# lead\npa n=3 d=2 w=- count=2\n0,1,2\n"])
+    def test_the_header_is_parsed_once(self, text, monkeypatch):
+        calls = []
+        parse_header = pafile._parse_header
+        monkeypatch.setattr(pafile, "_parse_header",
+                            lambda *args: calls.append(args) or parse_header(*args))
+        outcome(loads, text)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("entry", [str(2**63), str(-2**63 - 1), str(10**30)])
     def test_an_entry_past_int64_takes_the_general_reader(self, entry):
