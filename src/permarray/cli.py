@@ -17,10 +17,13 @@ import functools
 import json
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from decimal import Decimal
+from itertools import chain, islice
 from pathlib import Path
 from typing import NoReturn
+
+import numpy as np
 
 from . import pafile
 from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds
@@ -28,10 +31,12 @@ from .constructions import (
     BinaryCwCode,
     block_cycle_cwpa,
     greedy_partial_steiner,
+    indicator_rows,
     known_perfect,
     lift_binary_cw_code,
     perfect_pa,
 )
+from .perm import count_below, pair_blocks
 from .search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -39,7 +44,6 @@ from .search import (
     exact_a_cw,
     exact_p,
     exact_p_cw,
-    verify_pa,
 )
 
 EXIT_OK = 0
@@ -269,13 +273,29 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 class _MemberNames(dict):
-    """Each member's text, made on its first lookup: a bad pair's lines name
-    the same members many times. A dict lookup that hits runs no Python
-    code, so it costs less than a ``functools.cache`` call."""
+    """Each member's text by row index, ``form`` of the row's list of ints,
+    made on its first lookup: a bad pair's lines name the same members many
+    times. A dict lookup that hits runs no Python code, so it costs less
+    than a ``functools.cache`` call."""
 
-    def __missing__(self, member: tuple[int, ...]) -> str:
-        text = self[member] = ",".join(map(str, member))
+    def __init__(self, rows: np.ndarray, form: Callable[[list[int]], str]) -> None:
+        super().__init__()
+        self.rows = rows
+        self.form = form
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = self.form(self.rows[i].tolist())
         return text
+
+
+def _write_joined(texts: Iterable[str], sep: str) -> None:
+    """Write the texts with sep between each two, ``_LINES_PER_WRITE`` at a
+    time, so the text held at once stays bounded however many there are."""
+    texts = iter(texts)
+    lead = ""
+    while chunk := list(islice(texts, _LINES_PER_WRITE)):
+        sys.stdout.write(lead + sep.join(chunk))
+        lead = sep
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -285,32 +305,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
     if isinstance(payload, BinaryCwCode):
-        bad = payload.violations(d)
-        kind = "words"
+        rows = payload._supports()
+        vectors, kind = indicator_rows(payload.n, rows), "words"
     else:
-        bad = verify_pa(payload, d)
+        rows = vectors = payload.rows
         kind = "permutations"
+    # one pass counts and a second writes the pairs block by block, so no
+    # more than one block of them is held, however many fail
+    count = count_below(vectors, d)
+    pairs = chain.from_iterable(zip(*(column.tolist() for column in block))
+                                for block in pair_blocks(vectors, d)) if count else ()
     if args.json:
-        report = {
-            "path": args.path,
-            "n": header.n,
-            "count": header.count,
-            "d": d,
-            "ok": not bad,
-            "violations": [
-                {"a": a, "b": b, "distance": dist} for a, b, dist in bad
-            ],
-        }
-        print(json.dumps(report))
-        return EXIT_OK if not bad else EXIT_VERIFY
-    if not bad:
+        report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
+                  "ok": not count, "violations": []}
+        sys.stdout.write(json.dumps(report)[:-2])  # open at the violations' "["
+        names = _MemberNames(rows, json.dumps)
+        _write_joined((f'{{"a": {names[a]}, "b": {names[b]}, "distance": {dist}}}'
+                       for a, b, dist in pairs), ", ")
+        sys.stdout.write("]}\n")
+        return EXIT_VERIFY if count else EXIT_OK
+    if not count:
         print(f"OK: {header.count} {kind} on {header.n} points, pairwise distance >= {d}")
         return EXIT_OK
-    print(f"FAIL: {len(bad)} pair(s) below distance {d}:")
-    names = _MemberNames()
-    for start in range(0, len(bad), _LINES_PER_WRITE):
-        sys.stdout.write("".join([f"  {names[a]} <-> {names[b]} distance {dist}\n"
-                                  for a, b, dist in bad[start:start + _LINES_PER_WRITE]]))
+    print(f"FAIL: {count} pair(s) below distance {d}:")
+    names = _MemberNames(rows, lambda row: ",".join(map(str, row)))
+    _write_joined((f"  {names[a]} <-> {names[b]} distance {dist}\n" for a, b, dist in pairs), "")
     return EXIT_VERIFY
 
 

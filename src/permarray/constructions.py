@@ -17,13 +17,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
 from .exactmath import factorial
-from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pairs_below,
-                   permutation_rows)
+from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pair_blocks,
+                   pairs_below, permutation_rows)
 
 
 class PermutationArray:
@@ -63,10 +63,15 @@ class PermutationArray:
                     Permutation(p)
                 rows = rows.astype(np.int64)
             rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
+        # the check sorts the rows as given, before they narrow: np.sort of
+        # pgl2 11's 1,320 x 12 rows takes 3.5 times as long in int8 as in
+        # int64, and the builders pass rows already narrow
         bad = (np.sort(rows, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
-        rows = rows.astype(_row_dtype(n))  # the narrowest rows sort fastest
+        # np.lexsort is fastest on the narrowest rows; the selections below
+        # copy, so rows given narrow are not copied here
+        rows = rows.astype(_row_dtype(n), copy=False)
         if n > 0:  # a sort needs a key; with none, every row is the empty one
             rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
@@ -180,25 +185,25 @@ def _cycle_rows(n: int, supports: np.ndarray) -> np.ndarray:
     """The permutations of n points that each cycle the points of one row of
     an (m, w) support matrix, every point to the next in the row and the
     last to the first, and fix everything else."""
-    rows = np.tile(np.arange(n), (len(supports), 1))
+    rows = np.tile(np.arange(n, dtype=_row_dtype(n)), (len(supports), 1))
     np.put_along_axis(rows, supports, np.roll(supports, -1, axis=1), axis=1)
     return rows
 
 
 # The most entries, members times points, that a gated builder makes. The
-# largest array each family admits peaks at 1.07-1.12 GB where the builder
-# holds int64 intermediates (cyclic 8192, agl 401, block-cycle 11585 2:
-# about 16 bytes an entry) and at 0.1-0.2 GB where it lists int8 rows
-# (symmetric and alternating 10, pgl2 89), each measured as one process's
-# peak RSS.
+# largest array each family admits peaks at 0.41-0.58 GB with int16 rows
+# (cyclic 8192 and block-cycle 11585 2 at 0.41 GB, agl 401, whose products
+# need int32, at 0.58 GB) and at 0.1-0.2 GB with int8 rows (symmetric and
+# alternating 10, pgl2 89), each measured as one process's peak RSS.
 _BUILD_ENTRIES = 1 << 26
 
 
 def _check_size(points: int, factors: Iterable[int]) -> None:
-    """The size rule the named families and block cycles apply before they
-    allocate: the member count, the product of ``factors``, times
-    ``points`` is at most ``_BUILD_ENTRIES``. The product stops once past
-    it, so n! is never worked out for a large n."""
+    """The size rule the named families, block cycles and the greedy
+    Steiner packing apply before they allocate: the member count, the
+    product of ``factors``, times ``points`` is at most ``_BUILD_ENTRIES``.
+    The product stops once past it, so n! is never worked out for a large
+    n."""
     entries = points
     for factor in factors:
         entries *= factor
@@ -245,6 +250,9 @@ def greedy_partial_steiner(n: int, blocksize: int) -> BinaryCwCode:
     reach the full 7-block packing.
     """
     _check_block(n, blocksize)
+    # the kept blocks share no pair, so they number at most the packing
+    # bound C(n, 2) / C(blocksize, 2)
+    _check_size(n, (comb(n, 2) // comb(blocksize, 2),))
     covered = [0] * n
     words = []
     for block in combinations(range(n), blocksize):
@@ -273,15 +281,16 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         raise ValueError(f"need k >= 1: {k}")
     if code.weight != k + 1:
         raise ValueError(f"lift needs weight {k + 1} words, code has weight {code.weight}")
+    supports = code._supports()
     # weight-(k+1) supports sharing s points are at indicator distance
-    # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k
-    bad = code.violations(2 * k)
-    if bad:
-        a, b, dist = bad[0]
-        raise ValueError(
-            f"supports {a!r} and {b!r} share {k + 1 - dist // 2} points; at most 1 allowed"
-        )
-    return PermutationArray(code.n, _cycle_rows(code.n, code._supports()))
+    # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k;
+    # the first block that holds one gives the pair to name
+    bad = next(pair_blocks(indicator_rows(code.n, supports), 2 * k), None)
+    if bad is not None:
+        i, j, dist = (int(column[0]) for column in bad)
+        raise ValueError(f"supports {code.words[i]!r} and {code.words[j]!r} share "
+                         f"{k + 1 - dist // 2} points; at most 1 allowed")
+    return PermutationArray(code.n, _cycle_rows(code.n, supports))
 
 
 def _least_factor(q: int) -> int | None:
@@ -304,8 +313,10 @@ def _is_prime_power(q: int) -> bool:
 
 def _cyclic(n: int) -> PermutationArray:
     _check_size(n, (n,))
-    x = np.arange(n)
-    return PermutationArray(n, (x + x[:, None]) % n)
+    x = np.arange(n, dtype=_row_dtype(2 * n))  # sums reach 2n - 2
+    rows = x + x[:, None]
+    rows %= n
+    return PermutationArray(n, rows)
 
 
 def _symmetric(n: int) -> PermutationArray:
@@ -325,9 +336,14 @@ def _alternating(n: int) -> PermutationArray:
 
 def _affine_rows(p: int) -> np.ndarray:
     """The maps x -> ax + b, a != 0, over the field of prime order p, as the
-    rows of a (p(p-1), p) matrix."""
-    a, b = np.divmod(np.arange(p, p * p), p)  # each a in 1..p-1 with each b in 0..p-1
-    return (a[:, None] * np.arange(p) + b[:, None]) % p
+    rows of a (p(p-1), p) matrix, in the narrowest dtype that holds the
+    products ax + b, which stay below p * p."""
+    # each a in 1..p-1 with each b in 0..p-1
+    a, b = np.divmod(np.arange(p, p * p, dtype=_row_dtype(p * p)), p)
+    rows = a[:, None] * np.arange(p, dtype=a.dtype)
+    rows += b[:, None]
+    rows %= p
+    return rows
 
 
 def _affine(p: int) -> PermutationArray:
@@ -357,7 +373,8 @@ def _projective(p: int) -> PermutationArray:
         raise ValueError(f"projective family needs a prime modulus: {p}")
     _check_size(p + 1, (p + 1, p, p - 1))
     # the affine maps fix inf; narrowed first, as the shifts copy them p times
-    affine = np.c_[_affine_rows(p), np.full(p * (p - 1), p)].astype(_row_dtype(p + 1))
+    affine = _affine_rows(p)
+    affine = np.c_[affine, np.full(len(affine), p, dtype=affine.dtype)].astype(_row_dtype(p + 1))
     x = np.arange(p)
     inverses = (np.outer(x, x) % p == 1).argmax(axis=1)  # 0 has none: its entry is 0
     # row d of shifts is y = 1/(x + d) on the line: the pole -d to inf, inf to 0

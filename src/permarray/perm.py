@@ -305,10 +305,29 @@ def distance_blocks(
         yield start, first, block
 
 
-def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int, int]]:
-    """Index pairs (i, j, distance) with i < j and distance below d, in
-    row-major order (the order of ``itertools.combinations``)."""
-    pairs = []
+def count_below(vectors: Sequence[Sequence[int]], d: int) -> int:
+    """The number of index pairs i < j whose vectors lie at distance below
+    d: what ``pair_blocks`` would yield, counted block by block without
+    listing a pair."""
+    count = 0
+    for _, _, block in distance_blocks(vectors, upper=True):
+        # the block's own square holds each pair twice and, below any d
+        # above 0, its zero diagonal once
+        b = len(block)
+        square = np.count_nonzero(block[:, :b] < d) - b * (d > 0)
+        count += square // 2 + np.count_nonzero(block[:, b:] < d)
+    return count
+
+
+def pair_blocks(
+    vectors: Sequence[Sequence[int]], d: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The index pairs (i, j) with i < j whose vectors lie at distance below
+    d, one distance block at a time: for each block of ``distance_blocks``
+    that holds such a pair, the arrays (i, j, distance) of its pairs. Read
+    in turn, the blocks give the pairs in row-major order (the order of
+    ``itertools.combinations``), and no more than one block's pairs are
+    held at once."""
     for start, first, block in distance_blocks(vectors, upper=True):
         close = block < d
         # the block's own square is symmetric with a zero diagonal, so its
@@ -319,7 +338,12 @@ def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int
         hits = np.flatnonzero(close)
         rows, cols = np.divmod(hits, block.shape[1])
         above = first + cols > start + rows
-        rows, cols, hits = rows[above], cols[above], hits[above]
-        pairs.extend(zip((start + rows).tolist(), (first + cols).tolist(),
-                         block.ravel()[hits].tolist()))
-    return pairs
+        yield start + rows[above], first + cols[above], block.ravel()[hits[above]]
+
+
+def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int, int]]:
+    """Index pairs (i, j, distance) with i < j and distance below d, in
+    row-major order (the order of ``itertools.combinations``): the pairs of
+    ``pair_blocks`` as one list of Python ints."""
+    return [pair for block in pair_blocks(vectors, d)
+            for pair in zip(*(column.tolist() for column in block))]

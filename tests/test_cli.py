@@ -3,8 +3,10 @@ agreement between the human and JSON renderings."""
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from itertools import combinations, permutations
 from pathlib import Path
@@ -507,6 +509,109 @@ class TestVerifyCodes:
             assert out == "OK: 1 words on 5 points, pairwise distance >= 2\n"
 
 
+class _Writes:
+    """A stdout that keeps each write apart, or only counts its characters."""
+
+    def __init__(self, keep=True):
+        self.keep, self.chunks, self.size = keep, [], 0
+
+    def write(self, text):
+        if self.keep:
+            self.chunks.append(text)
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _reference_verify(path, n, members, distance, d, kind, as_json):
+    """``verify``'s exit code and stdout by brute force: every pair of the
+    members, in the order ``combinations`` gives, checked one at a time."""
+    bad = [(a, b, distance(a, b)) for a, b in combinations(members, 2) if distance(a, b) < d]
+    code = EXIT_VERIFY if bad else EXIT_OK
+    if as_json:
+        return code, json.dumps({
+            "path": path, "n": n, "count": len(members), "d": d, "ok": not bad,
+            "violations": [{"a": list(a), "b": list(b), "distance": dist}
+                           for a, b, dist in bad]}) + "\n"
+    if not bad:
+        return code, f"OK: {len(members)} {kind} on {n} points, pairwise distance >= {d}\n"
+    return code, "".join([f"FAIL: {len(bad)} pair(s) below distance {d}:\n"] + [
+        f"  {','.join(map(str, a))} <-> {','.join(map(str, b))} distance {dist}\n"
+        for a, b, dist in bad])
+
+
+class TestVerifyStream:
+    """``verify`` counts the bad pairs in one pass over the distance blocks
+    and writes them in a second, ``_LINES_PER_WRITE`` pairs per write, so
+    it never holds them all. Blocks and writes are shrunk here so that the
+    pairs span many of each."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = random.Random(20261019)
+        members = rng.sample(list(permutations(range(6))), 150)
+        pa = tmp_path / "random.pa"
+        pa.write_text("pa n=6 d=3 w=- count=150\n" + "".join(
+            ",".join(map(str, p)) + "\n" for p in members), encoding="utf-8")
+        words = [w for w in combinations(range(9), 3) if rng.random() < 0.6]
+        cw = tmp_path / "random.cw"
+        cw.write_text(f"cw n=9 d=4 w=3 count={len(words)}\n" + "".join(
+            ",".join(map(str, w)) + "\n" for w in words), encoding="utf-8")
+        return {"pa": (str(pa), 6, sorted(members), "permutations",
+                       lambda a, b: sum(x != y for x, y in zip(a, b))),
+                "cw": (str(cw), 9, words, "words",
+                       lambda a, b: 2 * (3 - len(set(a) & set(b))))}
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("kind, d", [("pa", 2), ("pa", 3), ("pa", 5), ("pa", 7),
+                                         ("cw", 2), ("cw", 4), ("cw", 6), ("cw", 7)])
+    @pytest.mark.parametrize("block_bytes", [1, 300, 1 << 18])
+    def test_output_is_the_brute_force_output(self, files, monkeypatch, kind, d, as_json,
+                                              block_bytes):
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
+        path, n, members, noun, distance = files[kind]
+        expected = _reference_verify(path, n, members, distance, d, noun, as_json)
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["verify", path, str(d)] + ["--json"] * as_json)
+        assert (code, "".join(out.chunks)) == expected
+        if as_json:
+            per_write = [chunk.count('{"a": ') for chunk in out.chunks]
+        else:
+            # the FAIL line's count is the number of pair lines written
+            lines = "".join(out.chunks).splitlines()
+            if code == EXIT_VERIFY:
+                assert lines[0] == f"FAIL: {len(lines) - 1} pair(s) below distance {d}:"
+            per_write = [chunk.count(" <-> ") for chunk in out.chunks]
+        assert max(per_write) <= 7
+        # the last write of pairs may be short, every other one is full
+        counts = [c for c in per_write if c]
+        assert all(c == 7 for c in counts[:-1])
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_memory_is_bounded_by_the_array(self, capsys, tmp_path, monkeypatch, as_json):
+        # S_7 at d = 3 fails on 52,920 pairs; holding them all took a
+        # tracemalloc peak of 8.1 MB as text and 21.2 MB as JSON, against
+        # about 3 MB for each when a block of pairs is held at a time
+        path = str(tmp_path / "s7.pa")
+        run_cli(capsys, "construct", "symmetric", "7", "--out", path)
+        out = _Writes(keep=False)
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            code = main(["verify", path, "3"] + ["--json"] * as_json)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VERIFY
+        # every pair was written: 52,920 lines, or the JSON report (here less its path)
+        assert out.size == (3_863_231 + len(json.dumps(path)) if as_json else 2_381_438)
+        assert peak < 5e6
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -599,7 +704,8 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("argv", [
         ("symmetric", "12"), ("symmetric", "1000000000"), ("cyclic", "100000"),
-        ("agl", "10007"), ("block-cycle", "200000", "2")], ids=" ".join)
+        ("agl", "10007"), ("block-cycle", "200000", "2"), ("steiner-lift", "100000", "1")],
+        ids=" ".join)
     def test_construct_refuses_an_array_too_large_to_build(self, argv, tmp_path):
         # under a 1 GiB address-space limit, so that a builder that
         # allocates first fails with MemoryError instead of taking the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permarray import constructions
+from permarray import constructions, perm
 from permarray.bounds import dv_bound
 from permarray.constructions import (
     BinaryCwCode,
@@ -197,14 +197,22 @@ class TestPermutationArray:
             ([(0, 1, 2), (0, 1, 2**70)], (0, 1, 2**70)),
             ([(0, 1, 2**63)], (0, 1, 2**63)),
             ([(0, 1, 2), (0, 1, "2")], (0, 1, "2")),
+            ([(0, 1, 2), (1, 256, 2)], (1, 256, 2)),  # (1, 0, 2) in 8 bits
+            ([(-254, 0, 1), (0, 1, 2)], (-254, 0, 1)),  # (2, 0, 1) in 8 bits
         ],
-        ids=["repeats", "float", "too-large", "negative", "beyond-int64", "uint64", "string"],
+        ids=["repeats", "float", "too-large", "negative", "beyond-int64", "uint64", "string",
+             "wraps-in-int8", "negative-wraps-in-int8"],
     )
     def test_rejects_non_permutations(self, members, bad):
         # (0,0,0), (1,1,1) used to be accepted and then verify at distance 3
         with pytest.raises(ValueError) as excinfo:
             PermutationArray(3, members)
         assert str(excinfo.value) == _permutation_error(bad)
+        if all(type(v) is int and abs(v) < 2**63 for p in members for v in p):
+            # as an int64 matrix: the range is checked before the rows narrow
+            with pytest.raises(ValueError) as excinfo:
+                PermutationArray(3, np.array(members))
+            assert str(excinfo.value) == _permutation_error(bad)
 
     @settings(deadline=None)
     @given(member_lists())
@@ -335,6 +343,8 @@ class TestBuilders:
             assert len(passed) == 1, name
             assert isinstance(passed[0], np.ndarray) and passed[0].dtype.kind in "iu", name
             assert passed[0].ndim == 2, name
+            # built narrow, not as int64: every intermediate here fits 8 bits
+            assert passed[0].dtype == np.int8, name
 
 
 class TestBinaryCwCode:
@@ -468,6 +478,19 @@ class TestSupportLifting:
         with pytest.raises(ValueError, match=r"\(0, 1, 2\).*\(0, 1, 3\)"):
             lift_binary_cw_code(code, 2)
 
+    def test_a_bad_code_is_refused_at_the_first_block_with_a_pair(self, monkeypatch):
+        # one row per distance block: words 0 and 1 share two points, so the
+        # first block refuses the code and no other block is computed
+        read = []
+        blocks = perm.distance_blocks
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(perm, "distance_blocks", lambda *args, **kwargs: (
+            read.append(block[0]) or block for block in blocks(*args, **kwargs)))
+        words = tuple(combinations(range(12), 3))
+        with pytest.raises(ValueError, match=r"^supports \(0, 1, 2\) and \(0, 1, 3\) share 2 "):
+            lift_binary_cw_code(BinaryCwCode(12, 3, words, 2), 2)
+        assert read == [0]
+
     def test_overlap_violation_reports_the_first_pair_and_its_overlap(self):
         # in pair order the first two words share three points, the first and
         # last share one, and the last two share two
@@ -570,10 +593,11 @@ class TestPerfectFamilies:
 
 
 class TestSizeGate:
-    """The five named families and block cycles refuse an array of more
-    than ``_BUILD_ENTRIES`` entries (members x points) before they build
-    anything. Here the budget is 100 entries; the real one is tried on huge
-    inputs in a child process under an address-space limit (test_cli)."""
+    """The five named families, block cycles and the greedy Steiner packing
+    refuse an array of more than ``_BUILD_ENTRIES`` entries (members x
+    points) before they build anything. Here the budget is 100 entries;
+    the real one is tried on huge inputs in a child process under an
+    address-space limit (test_cli)."""
 
     GATED = "array too large to build: more than 100 entries (members x points)"
 
@@ -584,13 +608,16 @@ class TestSizeGate:
         (partial(perfect_pa, "agl"), 5, 7),  # p(p - 1) x p: 100, 294
         (partial(perfect_pa, "pgl2"), 3, 5),  # (p + 1)p(p - 1) x (p + 1): 96, 720
         (partial(block_cycle_cwpa, k=2), 14, 15),  # floor(n/2) x n: 98, 105
-    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "block-cycle"])
+        # the packing bound C(n, 2) / C(2, 2), times n: 90, 147
+        (partial(greedy_partial_steiner, blocksize=2), 6, 7),
+    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "block-cycle", "steiner"])
     def test_the_largest_array_within_the_budget_builds(self, build, largest, refused,
                                                          monkeypatch):
         monkeypatch.setattr(constructions, "_BUILD_ENTRIES", 100)
         array = build(largest)
         assert len(array) * array.n <= 100
         monkeypatch.setattr(constructions, "PermutationArray", None)  # nothing is built
+        monkeypatch.setattr(constructions, "combinations", None)  # nothing is scanned
         with pytest.raises(ValueError) as excinfo:
             build(refused)
         assert str(excinfo.value) == self.GATED
@@ -599,7 +626,8 @@ class TestSizeGate:
         monkeypatch.setattr(constructions, "_BUILD_ENTRIES", 100)
         for build, message in ((lambda: perfect_pa("agl", 10**4), "needs a prime modulus"),
                                (lambda: perfect_pa("pgl2", 10**4), "needs a prime modulus"),
-                               (lambda: block_cycle_cwpa(10**4, 1), "at least 2")):
+                               (lambda: block_cycle_cwpa(10**4, 1), "at least 2"),
+                               (lambda: greedy_partial_steiner(10**4, 1), "at least 2")):
             with pytest.raises(ValueError, match=message):
                 build()
 

@@ -1,5 +1,6 @@
 """Permutation type, metric, and enumeration streams."""
 
+import bisect
 import functools
 import itertools
 import math
@@ -15,10 +16,12 @@ from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
+    count_below,
     cycle_type,
     distance_blocks,
     distances,
     hamming_distance,
+    pair_blocks,
     pairs_below,
     support,
     weight,
@@ -297,7 +300,9 @@ class TestDistanceBlocks:
                 if all(hamming_distance(member, other) >= d for other in kept):
                     kept.append(member)
             assert _greedy_stream([array.rows], d, math.inf).tolist() == list(map(list, kept))
-            assert verify_pa(array, d) == [pair for pair in pairs if pair[2] < d]
+            bad = verify_pa(array, d)
+            assert type(bad) is list and bad == [pair for pair in pairs if pair[2] < d]
+            assert count_below(array.rows, d) == len(bad)
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
 
@@ -310,8 +315,20 @@ class TestDistanceBlocks:
                     if hamming_distance(rows[i], rows[j]) < 3]
         monkeypatch.setattr(perm, "_BLOCK_BYTES", block_bytes)
         assert len(expected) == 72
-        assert pairs_below(rows, 3) == expected
-        assert all(type(v) is int for pair in pairs_below(rows, 3) for v in pair)
+        pairs = pairs_below(rows, 3)
+        assert type(pairs) is list and pairs == expected
+        assert all(type(v) is int for pair in pairs for v in pair)
+        # the stream: one (i, j, distance) array triple per block with a
+        # pair, each block's pairs from its own rows, read in turn in order
+        blocks = list(pair_blocks(rows, 3))
+        row_blocks = [start for start, _, _ in distance_blocks(rows, upper=True)] + [len(rows)]
+        assert all(len(i) for i, _, _ in blocks)
+        assert [pair for block in blocks for pair in zip(*(a.tolist() for a in block))] == expected
+        for i, _, _ in blocks:
+            k = bisect.bisect_right(row_blocks, i[0]) - 1
+            assert row_blocks[k] <= i.min() and i.max() < row_blocks[k + 1]
+        assert [count_below(rows, d) for d in range(-1, 6)] == [
+            0, 0, 0, 0, 72, 72 + 96, 276]
 
     def test_cross_form_needs_one_length(self):
         with pytest.raises(ValueError):
@@ -345,7 +362,8 @@ class TestDistanceBlocks:
                 expected.append((a, b, dist))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
-            assert code.violations(d) == expected
+            bad = code.violations(d)
+            assert type(bad) is list and bad == expected
 
     def test_long_vectors_do_not_wrap(self, monkeypatch):
         # 255 agreements fill an 8-bit count; 256 and 300 overflow it, so the
@@ -419,6 +437,7 @@ class TestDistanceBlocks:
         assert pairs_below(vectors, n + 1) == [
             (i, j, hamming_distance(vectors[i], vectors[j]))
             for i, j in itertools.combinations(range(len(vectors)), 2)]
+        assert count_below(vectors, n + 1) == math.comb(len(vectors), 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_the_full_int8_range(self, monkeypatch, n):
@@ -436,6 +455,7 @@ class TestDistanceBlocks:
         assert pairs_below(vectors, 1) == [
             (i, j, 0) for i, j in itertools.combinations(range(len(vectors)), 2)
             if vectors[i] == vectors[j]]
+        assert count_below(vectors, 1) == len(pairs_below(vectors, 1)) > 0
 
     @pytest.mark.parametrize("bad", [[[0.5]], [[1.5, 2], [1.0, 2]], [[1j]], [["a"]],
                                      [[1, None]], [[2**70, 0.5]]])
