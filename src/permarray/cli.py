@@ -20,7 +20,6 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from decimal import Decimal
 from itertools import chain, islice
-from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -211,9 +210,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if len(args.params) != len(names.split()):
         raise ValueError(f"family {args.family!r} takes parameters: {names}")
     array, d, w = build(*args.params)
-    text = pafile.dump_pa(array, d, w)
+    text = pafile._pa_pieces(array, d, w)  # the header is checked here
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        pafile._write(args.out, text)
     if args.json:
         report = {
             "family": args.family,
@@ -233,7 +232,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.out:
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     return EXIT_OK
 
 

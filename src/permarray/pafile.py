@@ -22,7 +22,8 @@ w, when given, must lie in 0..n: every member of a "pa" body with a w moves
 exactly w points. ``PaHeader`` holds that range rule; the writers raise
 ``ValueError`` rather than write a header the reader would refuse.
 
-Writers render the whole body with one format call. ``loads`` finds the
+Writers render the body a bounded run of rows at a time, one format call
+per run, and write each run as it is made. ``loads`` finds the
 header once, as the first line with content, and has two readers for the
 lines after it that give the same result, payload or error, on every text.
 Both take their lines from ``str.splitlines``. A text that is ASCII and
@@ -38,8 +39,8 @@ message about the body. ``load`` drops a leading byte-order mark.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,32 +81,61 @@ class PaHeader:
         return f"{self.kind} n={self.n} d={self.d} w={w_text} count={self.count}"
 
 
-def _format_body(entries: list[int], width: int, count: int) -> str:
-    """count lines of width comma-separated entries each, in one format call."""
-    return (",".join(["%d"] * width) + "\n") * count % tuple(entries)
+# Entries a writer turns into text at a time: about 2.5 MB of Python ints
+_WRITE_ENTRIES = 1 << 16
+
+
+def _pieces(header: PaHeader, rows: np.ndarray) -> Iterator[str]:
+    """The format text of a header and an integer matrix of body rows: the
+    header line, then the body, as many whole rows at a time as keep to
+    ``_WRITE_ENTRIES`` entries (at least one), each in one format call."""
+    yield f"{header}\n"
+    count, width = rows.shape
+    step = max(1, _WRITE_ENTRIES // max(width, 1))
+    line = ",".join(["%d"] * width) + "\n"
+    for start in range(0, count, step):
+        chunk = rows[start:start + step]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _pa_pieces(array: PermutationArray, d: int, w: int | None = None) -> Iterator[str]:
+    """``_pieces`` of an array, claiming distance d (and weight w for
+    constant-weight arrays); ``ValueError`` for a header out of range, raised
+    by the call before any text is made."""
+    return _pieces(PaHeader("pa", array.n, d, w, len(array)), array.rows)
+
+
+def _cw_pieces(code: BinaryCwCode) -> Iterator[str]:
+    """``_pieces`` of a constant-weight binary code, its supports as rows;
+    ``ValueError`` for a header out of range, such as a code of distance 0."""
+    return _pieces(PaHeader("cw", code.n, code.distance, code.weight, len(code)), code._supports())
+
+
+def _write(path: str | Path, pieces: Iterator[str]) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(pieces)
 
 
 def dump_pa(array: PermutationArray, d: int, w: int | None = None) -> str:
     """Render an array to format text, claiming distance d (and weight w for
     constant-weight arrays); ``ValueError`` for a header out of range."""
-    header = str(PaHeader("pa", array.n, d, w, len(array)))
-    return header + "\n" + _format_body(array.rows.ravel().tolist(), array.n, len(array))
+    return "".join(_pa_pieces(array, d, w))
 
 
 def dump_cw(code: BinaryCwCode) -> str:
     """Render a constant-weight binary code to format text; ``ValueError``
     for a header out of range, such as a code of distance 0."""
-    header = str(PaHeader("cw", code.n, code.distance, code.weight, len(code)))
-    supports = list(chain.from_iterable(code))
-    return header + "\n" + _format_body(supports, code.weight, len(code))
+    return "".join(_cw_pieces(code))
 
 
 def write_pa(array: PermutationArray, d: int, path: str | Path, w: int | None = None) -> None:
-    Path(path).write_text(dump_pa(array, d, w), encoding="utf-8")
+    """Write ``dump_pa``'s text to path, a bounded piece at a time."""
+    _write(path, _pa_pieces(array, d, w))
 
 
 def write_cw(code: BinaryCwCode, path: str | Path) -> None:
-    Path(path).write_text(dump_cw(code), encoding="utf-8")
+    """Write ``dump_cw``'s text to path, a bounded piece at a time."""
+    _write(path, _cw_pieces(code))
 
 
 def _parse_header(line: str, lineno: int) -> PaHeader:

@@ -17,8 +17,26 @@ the "lower-bound-only" witness is the lowest-index greedy clique, read from
 each block 256 rows at a time: ``_greedy_clique``, the one greedy rule,
 picks among the rows of a slice that ``perm.distances``, the distance
 kernel's cross form, finds far from every row kept so far. Otherwise the
-blocks are joined into one matrix, reversed, and the same greedy clique
-seeds a search that keeps each open node's candidates and color order
+blocks are joined into one matrix, reversed, and the root's symmetry group
+(below) is built up front. One greedy dive starts from the highest-index
+vertex of each of its orbits; the first dive is the plain greedy clique,
+and it seeds the search as its incumbent.
+
+Each oracle passes ``_solve`` an upper bound on its clique: P(n, d) from
+``bounds.best_upper_bound`` less one (the identity is forced in), P(n, d, w)
+from ``bounds.cw_pa_bound`` and A(n, d, w) from ``bounds.cw_binary_bound``,
+or None where the rule does not apply. A witness that reaches it is a
+certificate: when a dive does, the root node is closed without a tree or
+further dives, and the outcome is exact after 1 node (P(5,4), P(6,4), P(7,6),
+A(12,6,4) and P(9,6,3) close so), and a streamed greedy witness that
+does is exact with no node. Otherwise the search runs the same tree from
+the same incumbent as without the dives, and a run cut short returns the
+longest dive where it beats the search's own witness, as a floor (P(7,4)
+after 5,000 nodes: 272 by the search, 298 by a dive). The dive is never
+made the incumbent: a larger one turns capped trees toward costlier
+shallow nodes.
+
+The search keeps each open node's candidates and color order
 (packed as ``color << 17 | vertex`` in an ``array("q")``) on an explicit
 stack instead of recursing; one loop opens and branches every node, the
 root as node 1. At every node the candidates get the
@@ -67,12 +85,13 @@ case C = {} (for full arrays, C = {identity}). This is sound because a
 node's candidates are always a union of its stabiliser's orbits: a clique
 among them that meets v's orbit is mapped by the stabiliser onto a clique
 of the same size through v, still among them, which v's branch has
-searched. Each stabiliser is worked out from its parent's on the first
-return to its node, so a node's first branch is always unpruned and a run
-that stops before returning to a node never computes its group; the search
-keeps None for a trivial stabiliser, and below it asks the group nothing
-more. Symmetries share one base class, ``_Symmetry``, whose ``fix`` gives
-the trivial subgroup unless a group knows better. S_n is listed as a matrix
+searched. The root's group is built up front, for the dives; every other
+stabiliser is worked out from its parent's on the first return to its node,
+so a node's first branch is always unpruned and a run that stops before
+returning to a node never computes its group; the search keeps None for a
+trivial stabiliser, and below it asks the group nothing more. Symmetries
+share one base class, ``_Symmetry``, whose ``fix`` gives the trivial
+subgroup unless a group knows better. S_n is listed as a matrix
 up to 8 points; past that, only the whole group's orbits are used. A
 constant-weight search needs one root branch; the stabiliser of its words
 is the Young subgroup of the atoms their supports cut the coordinates into.
@@ -100,7 +119,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .bounds import _check_cw_code, _check_cw_pa, _check_distance
+from .bounds import best_upper_bound, cw_binary_bound, cw_pa_bound
 from .constructions import BinaryCwCode, PermutationArray, _name_pairs, indicator_rows
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
@@ -153,7 +172,10 @@ class SearchOutcome:
     means the search was interrupted mid-run; "lower-bound-only" means the
     limits, or the memory the adjacency would take, ruled out any search
     node, so only a greedy witness was built).
-    ``witness`` always verifies at the target distance.
+    "exact" comes from a search run to the end, or from a witness that meets
+    the oracle's upper bound: a greedy dive at the root (1 node) or the
+    greedy witness alone (0 nodes). ``witness`` always verifies at the
+    target distance.
 
     ``seconds`` holds the wall time of each phase the call went through:
     "listing" (the vertex matrix), "conflict_masks" and "search" when a
@@ -171,18 +193,20 @@ class SearchOutcome:
         return len(self.witness)
 
 
-def _greedy_clique(conflicts: list[int]) -> list[int]:
-    """Clique built by repeatedly taking the highest-index vertex that
-    conflicts with no vertex taken so far; ``conflicts[v]`` is v's conflict
-    bitmask. On the reversed vertex list this is the lowest-index greedy
-    clique of the listing order."""
+def _greedy_clique(conflicts: list[int], start: int | None = None) -> list[int]:
+    """Clique built by taking ``start`` (by default the highest-index
+    vertex), then repeatedly the highest-index vertex that conflicts with no
+    vertex taken so far; ``conflicts[v]`` is v's conflict bitmask. On the
+    reversed vertex list the default is the lowest-index greedy clique of
+    the listing order."""
     chosen: list[int] = []
     allowed = (1 << len(conflicts)) - 1
+    v = len(conflicts) - 1 if start is None else start
     while allowed:
-        v = allowed.bit_length() - 1
         chosen.append(v)
         allowed ^= 1 << v
         allowed ^= allowed & conflicts[v]
+        v = allowed.bit_length() - 1
     return chosen
 
 
@@ -254,34 +278,55 @@ def _color_order(cand: int, conflict_at: list[int], bit_at: list[int], kmin: int
 
 
 def _max_clique(
-    conflicts: list[int], group: _Symmetry, max_nodes: float, deadline: float
+    conflicts: list[int], group: _Symmetry, max_nodes: float, deadline: float,
+    upper: int | None = None,
 ) -> tuple[list[int], bool, int, tuple[int, ...]]:
     """Largest clique among vertices 0..m-1 with the given conflict bitmasks
     (two vertices are adjacent when neither is in the other's mask).
 
-    One loop opens every node, the root as node 1: it pushes the parent's
-    candidates and color order, colors the new node's candidates, and
-    branches on them in descending color order. ``group`` is a group of
-    automorphisms of the graph. When the loop returns to a node whose
-    clique is C, that node's branch on v is done, and the orbit of v under
-    the pointwise stabiliser of C leaves the node's candidates and color
-    order. The node's candidates stay a union of those orbits, so any clique
-    among them that meets v's orbit maps onto one through v, which v's
-    branch has covered; a child's candidates, the parent's that avoid v's
-    conflicts, are then a union of orbits of the smaller stabiliser that
-    also fixes v. Each open node's stabiliser waits in a list beside the
-    node, None when it is trivial, and is worked out on the first return to
-    the node from its parent's (None below None); a search that stops before
-    it returns to a node never computes that node's group, and nodes below a
-    trivial stabiliser ask the group nothing.
+    ``group`` is a group of automorphisms of the graph, and its whole group
+    is built first, as the root's stabiliser. One greedy dive starts from
+    the highest-index vertex of each of its orbits (a trivial root group
+    gives one dive); the first dive is the plain greedy clique, and it is
+    the incumbent. When a dive reaches ``upper``, an upper bound on the
+    clique size, the root node is closed by that certificate, no more dives
+    are made, and the dive is returned as exact.
+
+    Otherwise one loop opens every node, the root as node 1: it pushes the
+    parent's candidates and color order, colors the new node's candidates,
+    and branches on them in descending color order. When the loop returns
+    to a node whose clique is C, that node's branch on v is done, and the
+    orbit of v under the pointwise stabiliser of C leaves the node's
+    candidates and color order. The node's candidates stay a union of those
+    orbits, so any clique among them that meets v's orbit maps onto one
+    through v, which v's branch has covered; a child's candidates, the
+    parent's that avoid v's conflicts, are then a union of orbits of the
+    smaller stabiliser that also fixes v. Each open node's stabiliser waits
+    in a list beside the node, None when it is trivial, and is worked out on
+    the first return to the node from its parent's (None below None); a
+    search that stops before it returns to a node never computes that
+    node's group, and nodes below a trivial stabiliser ask the group
+    nothing.
 
     Returns (vertex indices in the order they were added, exhausted, nodes,
     pruned), where ``pruned[k]`` counts the vertices that orbits removed
     from nodes whose clique has k vertices. Past ``max_nodes`` nodes, or
     past the deadline (read at nodes 1, 257, 513, ...), the best clique
-    found so far is returned with exhausted False.
+    found so far is returned with exhausted False: the search's own, or the
+    longest dive where that is larger, as a floor.
     """
-    best = _greedy_clique(conflicts)
+    root = group.whole()
+    dives = []
+    rest = (1 << len(conflicts)) - 1
+    while rest:
+        v = rest.bit_length() - 1
+        dive = _greedy_clique(conflicts, v)
+        if upper is not None and len(dive) >= upper:
+            return dive, True, 1, ()
+        dives.append(dive)
+        rest = 0 if root is None else rest ^ (rest & group.orbit(root, v))
+    best = dives[0] if dives else []
+    floor = max(dives, key=len, default=best)
     # indexed by bit_length(), vertex v at v + 1: v's conflict mask and 1 << v
     conflict_at, bit_at = [0, *conflicts], [0, *(1 << v for v in range(len(conflicts)))]
     nodes = 0
@@ -292,7 +337,7 @@ def _max_clique(
     # stabs[k] is the stabiliser of the open node at depth k, None when it is
     # trivial, and the list stops short at nodes not yet returned to
     stack: list[tuple[int, array]] = []
-    stabs: list = []
+    stabs: list = [root]
     current: list[int] = []
     cand, order = 0, array("q")
     sub = (1 << len(conflicts)) - 1
@@ -300,7 +345,7 @@ def _max_clique(
         if sub:
             nodes += 1
             if nodes > max_nodes or (nodes & 255 == 1 and time.monotonic() > deadline):
-                return best, False, nodes, tuple(pruned)
+                return max(best, floor, key=len), False, nodes, tuple(pruned)
             stack.append((cand, order))
             kmin = len(best) - len(current) + 1
             # too few candidates to beat the incumbent: nothing to color
@@ -328,8 +373,6 @@ def _max_clique(
         v = current.pop()
         depth = len(current)
         # entries past depth belong to closed nodes, and below None all is None
-        if not stabs:
-            stabs.append(group.whole())
         del stabs[depth + 1:]
         while len(stabs) <= depth:
             parent = stabs[-1]
@@ -504,18 +547,21 @@ def _solve(
     m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
     symmetry: Callable[[np.ndarray], _Symmetry],
     witness: Callable[[np.ndarray], PermutationArray | BinaryCwCode],
+    upper: int | None = None,
 ) -> SearchOutcome:
     """Largest set of the m vectors that ``blocks`` yields, as the rows of
     one or more integer matrices, with pairwise coordinate-wise distance
     >= d, as the outcome whose witness is ``witness(chosen)``, the chosen
     vectors given as the rows of a matrix. ``symmetry(rows)`` gives a group
     of distance-preserving maps of the vertex set onto itself, given the
-    vectors as the rows of a matrix in search order. The clock starts here
+    vectors as the rows of a matrix in search order, and ``upper``, when not
+    None, bounds how many vectors can be chosen. The clock starts here
     and the gate acts on m before the vertices are read, so listing them
     spends the same time budget as the search. When the budget rules out a
     real search, the greedy clique is streamed, so the vertices are never
-    listed. Otherwise they are listed in reverse, so that the search, which
-    takes the highest index first, walks them in stream order.
+    listed; it is exact when it reaches ``upper``. Otherwise they are listed
+    in reverse, so that the search, which takes the highest index first,
+    walks them in stream order.
     """
     start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
@@ -523,12 +569,15 @@ def _solve(
     if _over_budget_upfront(m, limits):
         kept = _greedy_stream(blocks, d, deadline)
         seconds = {"greedy": time.perf_counter() - start}
-        return SearchOutcome(STATUS_LOWER_BOUND_ONLY, witness(kept), seconds=seconds)
+        met = upper is not None and len(kept) >= upper
+        return SearchOutcome(STATUS_EXACT if met else STATUS_LOWER_BOUND_ONLY, witness(kept),
+                             seconds=seconds)
     rows = np.concatenate(list(blocks))[::-1]
     listed = time.perf_counter()
     conflicts = _conflict_masks(rows, d)
     masked = time.perf_counter()
-    clique, exhausted, nodes, pruned = _max_clique(conflicts, symmetry(rows), max_nodes, deadline)
+    clique, exhausted, nodes, pruned = _max_clique(
+        conflicts, symmetry(rows), max_nodes, deadline, upper)
     seconds = {"listing": listed - start, "conflict_masks": masked - listed,
                "search": time.perf_counter() - masked}
     status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
@@ -551,10 +600,11 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
 
     Conjugation and inversion fix the identity and keep weights and
     distances, so the search prunes the orbits of their stabilisers."""
-    _check_distance(n, d)
+    upper = best_upper_bound(n, d).value - 1  # the identity is forced in
     m = factorial(n) - ball_volume(n, d - 1)
     return _solve(m, permutation_rows(n, d), d, limits, _conjugation(n),
-                  lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])))
+                  lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])),
+                  upper=upper)
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -564,9 +614,10 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     permutations. Conjugation and inversion keep weights and distances, so
     the search prunes the orbits of their stabilisers. The arguments follow
     the P(n, d, w) rule that ``bounds.cw_pa_bound`` applies."""
-    _check_cw_pa(n, d, w)
+    upper = cw_pa_bound(n, d, w).value
     m = binomial(n, w) * derangement_count(w)
-    return _solve(m, weight_rows(n, w), d, limits, _conjugation(n), partial(PermutationArray, n))
+    return _solve(m, weight_rows(n, w), d, limits, _conjugation(n), partial(PermutationArray, n),
+                  upper=upper)
 
 
 def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
@@ -577,10 +628,11 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     orbits of the Young subgroups that fix the words chosen so far. The
     arguments follow the A(n, d, w) rule that ``bounds.cw_binary_bound``
     applies."""
-    _check_cw_code(n, d, w)
+    upper = cw_binary_bound(n, d, w).value
     return _solve(binomial(n, w), _word_rows(n, w), d, limits, _Young,
                   lambda chosen: BinaryCwCode(
-                      n, w, tuple(tuple(np.flatnonzero(row).tolist()) for row in chosen), d))
+                      n, w, tuple(tuple(np.flatnonzero(row).tolist()) for row in chosen), d),
+                  upper=upper)
 
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:

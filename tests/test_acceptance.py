@@ -268,8 +268,13 @@ def test_criterion_7_bounds_bracket_oracle():
 
     # pairs the search cannot certify quickly: the witness it does find must
     # stay below every upper bound
-    for n, d in [(6, 5), (7, 4), (7, 5), (7, 6)]:
+    for n, d in [(6, 5), (7, 4), (7, 5)]:
         partial = exact_p(n, d, SearchLimits(max_nodes=20_000, max_seconds=30.0))
         assert partial.status != STATUS_EXACT, (n, d)
         assert verify_pa(partial.witness, d) == [], (n, d)
         assert partial.value <= best_upper_bound(n, d).value, (n, d)
+    # P(7,6) was among them (26 after 2,000,000 nodes); a greedy dive from
+    # one root orbit now meets the quotient bound 7!/5! = 42 at the root
+    certified = exact_p(7, 6, SearchLimits(max_nodes=20_000, max_seconds=30.0))
+    assert (certified.status, certified.value, certified.nodes) == (STATUS_EXACT, 42, 1)
+    assert verify_pa(certified.witness, 6) == []

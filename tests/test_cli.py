@@ -14,11 +14,17 @@ from pathlib import Path
 import pytest
 
 from test_constructions import reference_greedy_partial_steiner, reference_projective
+from test_pafile import reference_dump_pa
 
-from permarray import cli, perm
+from permarray import cli, pafile, perm
 from permarray.bounds import best_upper_bound
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from permarray.constructions import BinaryCwCode, lift_binary_cw_code, perfect_families
+from permarray.constructions import (
+    BinaryCwCode,
+    lift_binary_cw_code,
+    perfect_families,
+    perfect_pa,
+)
 from permarray.pafile import dump_pa, load
 
 
@@ -203,6 +209,17 @@ class TestConstruct:
         assert code == EXIT_OK
         assert out.startswith("OK")
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_body_written_in_pieces(self, capsys, tmp_path, monkeypatch, rows):
+        # the file and stdout hold the one-call text, whatever the piece size
+        path = tmp_path / "cyclic-12.pa"
+        monkeypatch.setattr(pafile, "_WRITE_ENTRIES", rows * 12)
+        run_cli(capsys, "construct", "cyclic", "12", "--out", str(path))
+        _, out, _ = run_cli(capsys, "construct", "cyclic", "12")
+        text = reference_dump_pa(perfect_pa("cyclic", 12), 12)
+        assert path.read_text(encoding="utf-8") == text
+        assert out.split("\n", 1)[1] == text
+
     def test_stdout_body_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "cyclic", "4")
         assert code == EXIT_OK
@@ -298,9 +315,13 @@ class TestSearch:
         assert "limit must be >= 0" in err
 
     def test_zero_and_infinite_limits_are_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "0")
+        code, out, _ = run_cli(capsys, "search", "p", "5", "4", "--limit-seconds", "0")
         assert code == EXIT_LIMITS
         assert "lower-bound-only" in out
+        # P(5,3)'s greedy witness meets the bound 5!/2! = 60 with no node
+        code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "0")
+        assert code == EXIT_OK
+        assert out == "P(5,3) = 60  [exact, 0 nodes]\n"
         code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "inf")
         assert code == EXIT_OK
         assert "P(5,3) = 60" in out
@@ -312,16 +333,24 @@ class TestSearch:
         assert report["target"] == "P(6,4,2)"
         assert report["status"] == "exact"
         assert report["value"] == 3
-        # the root's one branch leaves the other 14 transpositions, one orbit
-        assert (report["nodes"], report["pruned"]) == (2, [14])
+        # the dive from the transpositions' one orbit meets the bound 6/2,
+        # so the root closes without branching
+        assert (report["nodes"], report["pruned"]) == (1, [])
         assert set(report["seconds"]) == {"listing", "conflict_masks", "search"}
         assert all(seconds >= 0 for seconds in report["seconds"].values())
 
     def test_json_report_of_a_gated_search(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "p", "6", "2", "--limit-nodes", "10", "--json")
+        code, out, _ = run_cli(capsys, "search", "p", "6", "4", "--limit-nodes", "10", "--json")
         report = json.loads(out)
         assert code == EXIT_LIMITS
-        assert report["status"] == "lower-bound-only"
+        assert (report["status"], report["nodes"]) == ("lower-bound-only", 0)
+        assert list(report["seconds"]) == ["greedy"]
+        # every permutation of 6 points joins the greedy witness, which meets
+        # the bound 6! and so is exact
+        code, out, _ = run_cli(capsys, "search", "p", "6", "2", "--limit-nodes", "10", "--json")
+        report = json.loads(out)
+        assert code == EXIT_OK
+        assert (report["status"], report["value"], report["nodes"]) == ("exact", 720, 0)
         assert list(report["seconds"]) == ["greedy"]
 
     def test_binary_code_witness(self, capsys, tmp_path):
@@ -334,11 +363,11 @@ class TestSearch:
         assert payload.violations(4) == []
 
     def test_binary_code_search_certifies_a_12_6_4(self, capsys):
-        # one root branch: every word lies in the same orbit, and each depth
-        # below branches once per orbit of its Young subgroup
+        # every word lies in one orbit, so one dive, and it meets Johnson's
+        # bound 12/4 * 11/3 = 9 at the root
         code, out, _ = run_cli(capsys, "search", "acw", "12", "6", "4")
         assert code == EXIT_OK
-        assert "A(12,6,4) = 9  [exact, 9 nodes]" in out
+        assert "A(12,6,4) = 9  [exact, 1 nodes]" in out
 
     def test_weight_argument_policing(self, capsys):
         code, _, err = run_cli(capsys, "search", "p", "4", "3", "2")

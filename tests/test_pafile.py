@@ -333,6 +333,25 @@ class TestWriters:
             write(path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_files_written_in_pieces_of_whole_rows(self, rows, monkeypatch, tmp_path):
+        # pieces of at most `rows` rows leave every file byte for byte the
+        # one-line-per-member text, also for empty and width-0 bodies
+        path = tmp_path / "out.pa"
+        arrays = [(perfect_pa("pgl2", 5), 4, None), (block_cycle_cwpa(8, 2), 4, 2),
+                  (PermutationArray(3, []), 2, None), (PermutationArray(0, [()]), 2, None)]
+        for array, d, w in arrays:
+            monkeypatch.setattr(pafile, "_WRITE_ENTRIES", rows * array.n)
+            assert len(list(pafile._pa_pieces(array, d, w))) == 1 + -(-len(array) // rows)
+            write_pa(array, d, path, w)
+            assert path.read_bytes() == reference_dump_pa(array, d, w).encode()
+        fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+        for code in (BinaryCwCode(7, 3, fano, 4), BinaryCwCode(4, 0, ((),), 2)):
+            monkeypatch.setattr(pafile, "_WRITE_ENTRIES", rows * code.weight)
+            assert len(list(pafile._cw_pieces(code))) == 1 + -(-len(code) // rows)
+            write_cw(code, path)
+            assert path.read_bytes() == reference_dump_cw(code).encode()
+
     def test_dump_pa_does_not_build_members(self):
         array = block_cycle_cwpa(8, 2)
         dump_pa(array, 4, w=2)

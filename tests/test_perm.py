@@ -485,14 +485,14 @@ class TestDistanceBlocks:
 
 def test_the_path_rule_picks_by_input(monkeypatch):
     # int8 columns take the table whenever it fits _TABLE_BYTES: pgl2 11
-    # (1,320 rows, 12 values), 2,000 rows on 45 points, and the 16-row,
+    # (1,320 rows, 12 values), 2,000 rows on 45 points, and the 17-row,
     # 6-point witness of P(6,5) capped at 3,000 nodes. The table path calls
     # np.equal once, to build the table; the compare calls it with out=.
     paths = []
     equal = np.equal
     rng = np.random.default_rng(20261019)
     witness = exact_p(6, 5, SearchLimits(max_nodes=3000)).witness.rows
-    assert witness.shape == (16, 6)
+    assert witness.shape == (17, 6)
     monkeypatch.setattr(np, "equal", lambda *args, **kwargs: paths.append(
         "compare" if "out" in kwargs else "table") or equal(*args, **kwargs))
     for vectors in (perfect_pa("pgl2", 11).rows, np.argsort(rng.random((2000, 45)), axis=1),

@@ -136,10 +136,16 @@ class TestLimitBehaviour:
         outcome = exact_p(5, 3)  # 76 vertices under default limits is fine
         assert outcome.status == STATUS_EXACT
         gated = exact_p(5, 3, SearchLimits(max_nodes=10, max_seconds=None))
-        assert gated.status == STATUS_LOWER_BOUND_ONLY
-        assert gated.value <= outcome.value
+        # the greedy witness meets the quotient bound 5!/2! = 60, so it is
+        # exact without a search node
+        assert gated.status == STATUS_EXACT
+        assert gated.value == outcome.value
         assert_verified(gated, 3)
         assert gated.nodes == 0
+        # P(5,4)'s greedy witness, 8 members against the bound 20, is not
+        short = exact_p(5, 4, SearchLimits(max_nodes=10, max_seconds=None))
+        assert (short.status, short.value, short.nodes) == (STATUS_LOWER_BOUND_ONLY, 8, 0)
+        assert_verified(short, 4)
         # the gated witness is the greedy clique of the full graph, which
         # takes the highest index first on the reversed vertex list
         vertices = [p for p in itertools.permutations(range(5)) if weight(p) >= 3][::-1]
@@ -188,9 +194,20 @@ class TestLimitBehaviour:
             SearchLimits(*limits)
 
     def test_zero_and_infinite_limits_keep_their_meaning(self):
-        assert exact_p(5, 3, SearchLimits(0, None)).status == STATUS_LOWER_BOUND_ONLY
+        # zero nodes rules out any search node; P(5,3)'s greedy witness
+        # meets its bound and P(5,4)'s does not
+        gated = exact_p(5, 3, SearchLimits(0, None))
+        assert (gated.status, gated.value, gated.nodes) == (STATUS_EXACT, 60, 0)
+        assert exact_p(5, 4, SearchLimits(0, None)).status == STATUS_LOWER_BOUND_ONLY
         outcome = exact_p(5, 3, SearchLimits(math.inf, math.inf))
         assert (outcome.status, outcome.value) == (STATUS_EXACT, 60)
+
+    def test_a_gated_witness_that_meets_the_bound_is_exact(self):
+        # four disjoint 5-sets meet the partition bound A(20,10,5) = 20/5
+        outcome = exact_a_cw(20, 10, 5, SearchLimits(max_nodes=0, max_seconds=None))
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 4, 0)
+        assert outcome.witness.violations(10) == []
+        assert list(outcome.seconds) == ["greedy"]
 
     def test_zero_seconds_is_lower_bound_only(self):
         outcome = exact_p(5, 4, SearchLimits(max_nodes=None, max_seconds=0.0))
@@ -215,10 +232,11 @@ class TestLimitBehaviour:
         # block 1's end; block 2's check against kept rows 0-255, then its
         # end; block 3's checks against kept rows 0-255 and 256-511, then its
         # end. A late check returns what the earlier blocks kept, so the
-        # overrun is one check's work, not a whole block's
+        # overrun is one check's work, not a whole block's. All 719 with the
+        # identity meet the bound 6! = 720, which makes that witness exact
         fake_clock(monkeypatch, steady_reads=steady_reads)
         outcome = exact_p(6, 2, SearchLimits(max_nodes=10, max_seconds=60.0))
-        assert outcome.status == STATUS_LOWER_BOUND_ONLY
+        assert outcome.status == (STATUS_EXACT if kept == 719 else STATUS_LOWER_BOUND_ONLY)
         assert_verified(outcome, 2)
         vertices = [p for p in itertools.permutations(range(6)) if weight(p) >= 2]
         assert outcome.witness == PermutationArray(6, [Permutation(range(6))] + vertices[:kept])
@@ -262,7 +280,7 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, blocks, d, limits, symmetry, witness):
+        def count_only(m, blocks, d, limits, symmetry, witness, upper=None):
             blocks = list(blocks)
             counts.append((m, sum(map(len, blocks))))
             return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
@@ -301,16 +319,56 @@ class TestSearchTree:
     decide which nodes a budget covers and which witness it returns."""
 
     @pytest.mark.parametrize(
-        "n, d, cap, value, digest",
-        [(6, 4, 700, 64, "c0d9a6636555d1c9"), (6, 5, 3000, 16, "761185b37aece395")],
+        "n, d, cap, status, nodes, value, digest",
+        # P(6,4) closes at the root under any cap; P(6,5)'s witness is a
+        # dive's 17, past the 16 its first 3,000 nodes find
+        [(6, 4, 700, STATUS_EXACT, 1, 120, "8a0bb0c71052f2ab"),
+         (6, 5, 3000, STATUS_INCOMPLETE, 3001, 17, "9b707811324b7a92")],
     )
-    def test_capped_run_is_pinned(self, n, d, cap, value, digest):
+    def test_capped_run_is_pinned(self, n, d, cap, status, nodes, value, digest):
         outcome = exact_p(n, d, SearchLimits(max_nodes=cap, max_seconds=None))
-        assert outcome.status == STATUS_INCOMPLETE
-        assert outcome.nodes == cap + 1
-        assert outcome.value == value
+        assert (outcome.status, outcome.nodes, outcome.value) == (status, nodes, value)
+        assert_verified(outcome, d)
         members = repr(outcome.witness.members).encode()
         assert hashlib.sha256(members).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("oracle, args, value", [
+        (exact_p, (5, 4), 20), (exact_p, (6, 4), 120), (exact_p, (7, 6), 42),
+        (exact_a_cw, (12, 6, 4), 9), (exact_p_cw, (9, 6, 3), 3),
+    ])
+    def test_a_dive_that_meets_the_bound_closes_the_root(self, oracle, args, value):
+        # the bounds are 5!/3!, 6!/3! and 7!/5! with the identity, Johnson's
+        # 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the dives these
+        # took 19, 83,574, more than 2,000,000, 9 and 2 nodes
+        outcome = oracle(*args)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, 1)
+        assert outcome.pruned == ()
+        assert_verified(outcome, args[1])
+
+    def test_the_longest_dive_is_a_floor(self):
+        # the search's own witness after 5,000 nodes has 272 members (as
+        # P(6,5)'s after 3,000 has 16, pinned above at a dive's 17); a dive
+        # from a later root orbit finds 298, and is returned instead
+        outcome = exact_p(7, 4, SearchLimits(max_nodes=5000, max_seconds=None))
+        assert (outcome.status, outcome.nodes, outcome.value) == (STATUS_INCOMPLETE, 5001, 298)
+        assert_verified(outcome, 4)
+
+    @pytest.mark.parametrize("oracle, args, value, nodes, pruned", [
+        (exact_a_cw, (11, 6, 4), 6, 6, (329, 173, 53, 15)),
+        (exact_a_cw, (10, 4, 3), 13, 151, (119, 96, 75, 45, 33, 35, 14, 12)),
+        (exact_a_cw, (12, 6, 5), 12, 5191, (791, 543, 354, 262, 380, 419, 30)),
+        (exact_p_cw, (6, 4, 4), 45, 83, (44, 2, 15, 15)),
+        (exact_p_cw, (7, 6, 4), 7, 11, (313, 172)),
+        (exact_p_cw, (9, 7, 4), 3, 183, (1132,)),
+        (exact_p, (6, 5, SearchLimits(20000, None)), 17, 20001, (0, 0, 1)),
+        (exact_p, (7, 5, SearchLimits(20000, None)), 60, 20001, ()),
+    ])
+    def test_dives_leave_the_tree_alone(self, oracle, args, value, nodes, pruned):
+        # the dives that do not meet the bound change no node: the
+        # incumbent is still the first dive, the plain greedy clique
+        outcome = oracle(*args)
+        assert (outcome.value, outcome.nodes, outcome.pruned) == (value, nodes, pruned)
+        assert_verified(outcome, args[1])
 
     def test_orbit_pruned_runs_are_pinned(self):
         # all words share one orbit, so the root branches once, and each
@@ -322,9 +380,11 @@ class TestSearchTree:
         assert outcome.pruned == (329, 173, 53, 15)
         words = repr(outcome.witness.words).encode()
         assert hashlib.sha256(words).hexdigest()[:16] == "3f501d4b975ed080"
+        # P(6,4,2) meets its bound 6/2 with the first dive, so the root
+        # closes without the branch that pruned the other 14 transpositions
         outcome = exact_p_cw(6, 4, 2)
-        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 3, 2)
-        assert outcome.pruned == (14,)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 3, 1)
+        assert outcome.pruned == ()
         members = repr(outcome.witness.members).encode()
         assert hashlib.sha256(members).hexdigest()[:16] == "abdcd152015e27f6"
         # derangements of 6 points have four cycle types, so the root comes
@@ -346,10 +406,11 @@ class _Trivial:
 
 def _one_orbit_per_vertex(monkeypatch, oracle, *args):
     """The oracle's search without orbit pruning: the trivial group, so each
-    node drops only the vertex it branched on."""
+    node drops only the vertex it branched on, and no upper bound, so the
+    tree runs to the end whatever the greedy clique finds."""
     solve = search._solve
 
-    def solve_unpruned(m, vertices, d, limits, symmetry, witness):
+    def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None):
         return solve(m, vertices, d, limits, lambda rows: _Trivial(), witness)
 
     with monkeypatch.context() as patch:
@@ -552,7 +613,7 @@ class TestOrbitPruning:
         vertices."""
         seen = {}
 
-        def capture(m, blocks, d, limits, symmetry, witness):
+        def capture(m, blocks, d, limits, symmetry, witness, upper=None):
             rows = np.concatenate(list(blocks))[::-1]
             seen["vectors"] = [tuple(vector) for vector in rows.tolist()]
             seen["group"] = symmetry(rows)
@@ -649,7 +710,7 @@ class TestOrbitPruning:
                                 if cycle_type(other) == cycle_type(vector))
             assert group.fix(whole, i) is None
 
-    def test_orbit_masks_are_built_on_the_first_return_to_the_root(self, monkeypatch):
+    def test_root_group_and_dive_orbits_come_first(self, monkeypatch):
         recorded = []
 
         def recording(rows):
@@ -657,34 +718,38 @@ class TestOrbitPruning:
             return recorded[-1]
 
         monkeypatch.setattr(search, "_conjugation", lambda n: recording)
-        # all 700 nodes lie inside the first root branch, and every node the
-        # search returns to has a trivial stabiliser: the chain of
-        # stabilisers down to the first trivial one is built once, on the
-        # first return, and no orbit is computed
-        exact_p(6, 4, SearchLimits(max_nodes=700, max_seconds=None))
+        # the root group comes first, then one orbit per dive: P(6,5) has six
+        # root orbits. All 3,000 nodes lie inside the first root branch, and
+        # every node the search returns to has a trivial stabiliser: the
+        # chain of stabilisers down to the first trivial one is built once,
+        # on the first return, and no orbit is computed
+        exact_p(6, 5, SearchLimits(max_nodes=3000, max_seconds=None))
         names = [name for name, _ in recorded[-1].calls]
-        assert names[0] == "whole" and set(names[1:]) == {"fix"} and len(names) <= 6
-        # the root comes back after its first branch and computes one orbit
+        assert names[:7] == ["whole"] + ["orbit"] * 6
+        assert set(names[7:]) == {"fix"} and len(names) <= 12
+        # the first dive meets the bound 6/2 and closes the root: no orbit
         exact_p_cw(6, 4, 2)
-        assert [name for name, _ in recorded[-1].calls] == ["whole", "orbit"]
+        assert [name for name, _ in recorded[-1].calls] == ["whole"]
 
     @pytest.mark.parametrize("oracle, args, kind, calls", [
-        (exact_p, (6, 4, SearchLimits(700, None)), "_Conjugation", (1, 5, 0)),
-        (exact_p, (6, 5, SearchLimits(3000, None)), "_Conjugation", (1, 3, 0)),
-        (exact_p, (6, 5, SearchLimits(20000, None)), "_Conjugation", (1, 4, 1)),
-        (exact_p, (5, 4), "_Conjugation", (1, 3, 3)),
-        (exact_a_cw, (11, 6, 4), "_Young", (1, 3, 5)),
-        (exact_a_cw, (10, 4, 3), "_Young", (1, 46, 105)),
-        (exact_a_cw, (12, 6, 5), "_Young", (1, 310, 758)),
-        (exact_p_cw, (6, 4, 2), "_Conjugation", (1, 0, 1)),
-        (exact_p_cw, (9, 6, 3), "_CycleTypes", (1, 0, 1)),
+        (exact_p, (6, 4, SearchLimits(700, None)), "_Conjugation", (1, 0, 1)),
+        (exact_p, (6, 5, SearchLimits(3000, None)), "_Conjugation", (1, 3, 6)),
+        (exact_p, (6, 5, SearchLimits(20000, None)), "_Conjugation", (1, 4, 7)),
+        (exact_p, (5, 4), "_Conjugation", (1, 0, 1)),
+        (exact_a_cw, (11, 6, 4), "_Young", (1, 3, 6)),
+        (exact_a_cw, (10, 4, 3), "_Young", (1, 46, 106)),
+        (exact_a_cw, (12, 6, 5), "_Young", (1, 310, 759)),
+        (exact_p_cw, (6, 4, 2), "_Conjugation", (1, 0, 0)),
+        (exact_p_cw, (9, 6, 3), "_CycleTypes", (1, 0, 0)),
     ])
     def test_group_calls_are_pinned(self, monkeypatch, oracle, args, kind, calls):
         # how often a search asks its group for the whole group, a
-        # stabiliser and an orbit: the whole group once, on the first
-        # return, a stabiliser on the first return to a node below a
-        # non-trivial one, and an orbit on each return to a node whose
-        # stabiliser is not trivial
+        # stabiliser and an orbit: the whole group once, first, an orbit per
+        # root orbit for the dives, a stabiliser on the first return to a
+        # node below a non-trivial one, and an orbit on each return to a
+        # node whose stabiliser is not trivial. A dive that meets the bound
+        # ends the search, so P(6,4) and P(5,4) close on their second dive,
+        # and P(6,4,2) and P(9,6,3) on their first
         recorded = []
 
         def recording(symmetry):
@@ -705,19 +770,19 @@ class TestOrbitPruning:
     @given(shift_invariant_graphs())
     def test_trivial_stabilisers_cost_nothing(self, case):
         # the shifts fix no vertex, so the root's group is the only one: it is
-        # built on the first return, and every later call is an orbit at the
-        # root or the stabiliser of one root branch, found trivial at once
+        # built first, and every later call is an orbit at the root (for a
+        # dive or a return) or the stabiliser of one root branch, found
+        # trivial at once
         adjacency, group = case
         recording = _Recording(group)
         _, done, _, _ = _max_clique(_conflicts_of(adjacency), recording, math.inf, math.inf)
         assert done
         calls = recording.calls
-        if calls:
-            assert calls[0] == ("whole", None)
-            root = group.whole()
-            assert all(name != "whole" and stab == root for name, stab in calls[1:])
-            names = [name for name, _ in calls]
-            assert names.count("fix") <= names.count("orbit") + 1
+        assert calls[0] == ("whole", None)
+        root = group.whole()
+        assert all(name != "whole" and stab == root for name, stab in calls[1:])
+        names = [name for name, _ in calls]
+        assert names.count("fix") <= names.count("orbit") + 1
 
     def test_one_orbit_per_vertex_prunes_nothing(self, monkeypatch):
         # plain branch and bound takes 4 nodes on P(6,4,2), pruning 2
@@ -762,7 +827,7 @@ def _handed_over(monkeypatch, oracle, *args):
     """The row blocks an oracle hands the search, as the list of their rows."""
     handed = []
 
-    def capture(m, blocks, d, limits, symmetry, witness):
+    def capture(m, blocks, d, limits, symmetry, witness, upper=None):
         blocks = list(blocks)
         assert blocks and all(block.ndim == 2 and block.dtype.kind == "i" for block in blocks)
         handed.extend(np.concatenate(blocks).tolist())
@@ -901,13 +966,14 @@ class TestColorOrder:
 
 # The neighbor-mask search, lowest index first, as it was before the graph
 # was stored as conflict masks: the reference for the search tree.
-def _neighbor_greedy_clique(adjacency):
+def _neighbor_greedy_clique(adjacency, start=0):
     chosen = []
     allowed = (1 << len(adjacency)) - 1
+    v = start
     while allowed:
-        v = (allowed & -allowed).bit_length() - 1
         chosen.append(v)
         allowed &= adjacency[v]
+        v = (allowed & -allowed).bit_length() - 1
     return chosen
 
 
@@ -930,12 +996,21 @@ def _neighbor_color_order(cand, adjacency, kmin):
 
 def _neighbor_max_clique(adjacency, orbit, max_nodes):
     m = len(adjacency)
-    best = _neighbor_greedy_clique(adjacency)
+    # one dive from the lowest-index vertex of each root orbit; the first is
+    # the incumbent, and the longest is returned where it beats a capped run
+    dives = []
+    rest = (1 << m) - 1
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        dives.append(_neighbor_greedy_clique(adjacency, v))
+        rest &= ~orbit[v]
+    best = dives[0] if dives else []
+    floor = max(dives, key=len, default=best)
     if not m:
         return best, True, 0
     nodes = 1
     if nodes > max_nodes:
-        return best, False, nodes
+        return max(best, floor, key=len), False, nodes
     root = (1 << m) - 1
     root_order = _neighbor_color_order(root, adjacency, len(best) + 1) if m > len(best) else []
     while root_order and root_order[-1][0] > len(best):
@@ -948,7 +1023,7 @@ def _neighbor_max_clique(adjacency, orbit, max_nodes):
             if sub:
                 nodes += 1
                 if nodes > max_nodes:
-                    return best, False, nodes
+                    return max(best, floor, key=len), False, nodes
                 stack.append((cand, order))
                 kmin = len(best) - len(current) + 1
                 cand = sub
