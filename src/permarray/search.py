@@ -85,16 +85,23 @@ case C = {} (for full arrays, C = {identity}). This is sound because a
 node's candidates are always a union of its stabiliser's orbits: a clique
 among them that meets v's orbit is mapped by the stabiliser onto a clique
 of the same size through v, still among them, which v's branch has
-searched. The root's group is built up front, for the dives; every other
-stabiliser is worked out from its parent's on the first return to its node,
-so a node's first branch is always unpruned and a run that stops before
-returning to a node never computes its group; the search keeps None for a
-trivial stabiliser, and below it asks the group nothing more. Symmetries
-share one base class, ``_Symmetry``, whose ``fix`` gives the trivial
-subgroup unless a group knows better. S_n is listed as a matrix
-up to 8 points; past that, only the whole group's orbits are used. A
-constant-weight search needs one root branch; the stabiliser of its words
-is the Young subgroup of the atoms their supports cut the coordinates into.
+searched. A group is an object that answers ``fix(v)``, the subgroup that
+fixes vertex v (any subgroup of it is sound), and ``orbit(v)``, v's orbit as
+a bitmask; None stands for the trivial group. The oracle hands ``_solve``
+the root group's class, which takes the vertex matrix: ``_CycleTypes`` for
+permutations and ``_Young`` for words. Both read their orbits as the level
+sets of one invariant row per vertex, computed once in numpy: each point's
+cycle length, sorted (found by one gather per power of every vertex at
+once), or a word's count of ones in each atom. Every other stabiliser is
+worked out from its parent's on the first return to its node, so a node's
+first branch is always unpruned and a run that stops before returning to a
+node never computes its group; the search keeps None for a trivial
+stabiliser, and below it asks nothing more. Below the root, conjugation
+lists the maps that fix the clique (``_Centraliser``, filtered from S_n,
+which is listed as a matrix up to 8 points; past that, the stabiliser is
+taken as trivial). A constant-weight search needs one root branch; the
+stabiliser of its words is the Young subgroup of the atoms their supports
+cut the coordinates into.
 
 The limits are one budget, taken when the search starts, before any vertex
 is listed: a node cap, which is deterministic, and a deadline, which covers
@@ -116,6 +123,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, islice
+from typing import Protocol
 
 import numpy as np
 
@@ -125,7 +133,6 @@ from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
     Permutation,
-    cycle_type,
     distance_blocks,
     distances,
     pairs_below,
@@ -278,19 +285,19 @@ def _color_order(cand: int, conflict_at: list[int], bit_at: list[int], kmin: int
 
 
 def _max_clique(
-    conflicts: list[int], group: _Symmetry, max_nodes: float, deadline: float,
+    conflicts: list[int], root: _Group | None, max_nodes: float, deadline: float,
     upper: int | None = None,
 ) -> tuple[list[int], bool, int, tuple[int, ...]]:
     """Largest clique among vertices 0..m-1 with the given conflict bitmasks
     (two vertices are adjacent when neither is in the other's mask).
 
-    ``group`` is a group of automorphisms of the graph, and its whole group
-    is built first, as the root's stabiliser. One greedy dive starts from
-    the highest-index vertex of each of its orbits (a trivial root group
-    gives one dive); the first dive is the plain greedy clique, and it is
-    the incumbent. When a dive reaches ``upper``, an upper bound on the
-    clique size, the root node is closed by that certificate, no more dives
-    are made, and the dive is returned as exact.
+    ``root`` is a group of automorphisms of the graph (see ``_Group``), or
+    None for the trivial group, and is the root's stabiliser. One greedy
+    dive starts from the highest-index vertex of each of its orbits (a
+    trivial root group gives one dive); the first dive is the plain greedy
+    clique, and it is the incumbent. When a dive reaches ``upper``, an upper
+    bound on the clique size, the root node is closed by that certificate,
+    no more dives are made, and the dive is returned as exact.
 
     Otherwise one loop opens every node, the root as node 1: it pushes the
     parent's candidates and color order, colors the new node's candidates,
@@ -303,10 +310,10 @@ def _max_clique(
     parent's that avoid v's conflicts, are then a union of orbits of the
     smaller stabiliser that also fixes v. Each open node's stabiliser waits
     in a list beside the node, None when it is trivial, and is worked out on
-    the first return to the node from its parent's (None below None); a
-    search that stops before it returns to a node never computes that
-    node's group, and nodes below a trivial stabiliser ask the group
-    nothing.
+    the first return to the node as its parent's ``fix`` (None below None);
+    a search that stops before it returns to a node never computes that
+    node's group, and nodes below a trivial stabiliser ask no group
+    anything.
 
     Returns (vertex indices in the order they were added, exhausted, nodes,
     pruned), where ``pruned[k]`` counts the vertices that orbits removed
@@ -315,7 +322,6 @@ def _max_clique(
     found so far is returned with exhausted False: the search's own, or the
     longest dive where that is larger, as a floor.
     """
-    root = group.whole()
     dives = []
     rest = (1 << len(conflicts)) - 1
     while rest:
@@ -324,7 +330,7 @@ def _max_clique(
         if upper is not None and len(dive) >= upper:
             return dive, True, 1, ()
         dives.append(dive)
-        rest = 0 if root is None else rest ^ (rest & group.orbit(root, v))
+        rest = 0 if root is None else rest ^ (rest & root.orbit(v))
     best = dives[0] if dives else []
     floor = max(dives, key=len, default=best)
     # indexed by bit_length(), vertex v at v + 1: v's conflict mask and 1 << v
@@ -376,9 +382,9 @@ def _max_clique(
         del stabs[depth + 1:]
         while len(stabs) <= depth:
             parent = stabs[-1]
-            stabs.append(None if parent is None else group.fix(parent, current[len(stabs) - 1]))
+            stabs.append(None if parent is None else parent.fix(current[len(stabs) - 1]))
         if stabs[depth] is not None:
-            gone = cand & group.orbit(stabs[depth], v)
+            gone = cand & stabs[depth].orbit(v)
             if gone:
                 cand ^= gone
                 pruned.extend([0] * (depth + 1 - len(pruned)))
@@ -417,27 +423,28 @@ def _mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-class _Symmetry:
-    """A group of distance-preserving maps of a vertex set onto itself, and
-    its subgroups, for ``_max_clique``; ``rows`` holds the vertices in
-    search order. A group is whatever object the subclass chooses, or None
-    for the trivial group, below which the search asks nothing more. Each
-    subclass gives ``whole`` and ``orbit``; ``fix`` may return any subgroup
-    of the stabiliser, since the trivial one is always sound, and returns
-    that one unless a subclass knows better."""
+class _Group(Protocol):
+    """A group of distance-preserving maps of a vertex set onto itself, for
+    ``_max_clique``; None stands for the trivial group, below which the
+    search asks nothing more. ``fix`` may return any subgroup of the
+    stabiliser, since the trivial one is always sound."""
 
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
+    def fix(self, v: int) -> _Group | None: ...  # the subgroup that fixes vertex v
 
-    def whole(self) -> object | None:
-        """The whole group."""
+    def orbit(self, v: int) -> int: ...  # the bitmask of v's orbit
 
-    def fix(self, group: object, v: int) -> object | None:
-        """The subgroup of ``group`` that fixes vertex v."""
-        return None
 
-    def orbit(self, group: object, v: int) -> int:
-        """The bitmask of v's orbit under ``group``."""
+class _LevelSets:
+    """A group whose orbits are the level sets of an invariant row per
+    vertex, given as the rows of ``labels``, a new C-ordered matrix: v's
+    orbit is every vertex whose row equals v's."""
+
+    def __init__(self, labels: np.ndarray) -> None:
+        # each row as one opaque scalar, so that an orbit is one compare
+        self.keys = labels.view(np.dtype((np.void, labels.itemsize * labels.shape[1]))).ravel()
+
+    def orbit(self, v: int) -> int:
+        return _mask(self.keys == self.keys[v])
 
 
 # S_n is listed as an (n!, n) matrix up to n = 8 (40,320 rows, 2.6 MB)
@@ -454,107 +461,109 @@ def _symmetric_group(n: int) -> np.ndarray:
     return g
 
 
-class _Conjugation(_Symmetry):
-    """The maps x -> g x g^-1 and x -> g x^-1 g^-1 of S_n, on a vertex set of
-    permutations that is closed under them (every set of the permutations of
-    given weights is): they keep weights and distances and fix the identity.
-    A group is the pair of (k, n) matrices that list its g of each kind;
-    when every vertex is an involution, inversion acts as the identity and
-    the second kind is left out. A vertex's images are found by integer
-    code, the base-n number its images spell."""
+class _CycleTypes(_LevelSets):
+    """The maps x -> g x g^-1 and x -> g x^-1 g^-1 of S_n, on a vertex set
+    of permutations, ``rows`` in search order, that is closed under them
+    (every set of the permutations of given weights is): they keep weights
+    and distances and fix the identity. Their orbits are the cycle types,
+    whose invariant row is each point's cycle length, sorted. A vertex's
+    stabiliser is a ``_Centraliser`` up to ``_LISTED_DEGREE`` points; past
+    that S_n is too big to list, and the stabiliser is taken as trivial."""
 
-    def whole(self) -> object | None:
-        m, n = self.rows.shape
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        m, n = rows.shape
+        # step[i * n + j] is the flat position of x(j) for the row x = rows[i];
+        # each pass moves every point on by x and counts those not yet home
+        home = np.arange(m * n)
+        step = (rows + home[::n, None]).ravel()
+        lengths = np.zeros(m * n, dtype=np.min_scalar_type(n))
+        at, away = step, np.ones(m * n, dtype=bool)
+        while away.any():
+            lengths += away
+            away &= at != home
+            at = step[at]
+        self.longest = lengths.max(initial=0)
+        super().__init__(np.sort(lengths.reshape(m, n), axis=1))
+
+    def fix(self, v: int) -> _Group | None:
+        return None if self.rows.shape[1] > _LISTED_DEGREE else self._whole.fix(v)
+
+    @cached_property
+    def _whole(self) -> _Centraliser:
+        """The whole group as listed maps, built on the first ``fix``. A
+        vertex's images are found by integer code, the base-n number its
+        images spell: the lookup holds the powers of n, and the vertex
+        codes' sorting order and values."""
+        n = self.rows.shape[1]
+        power = n ** np.arange(n)
+        codes = self.rows @ power
+        sorter = np.argsort(codes)
         g = _symmetric_group(n)
-        involutions = (self.rows[np.arange(m)[:, None], self.rows] == np.arange(n)).all()
-        return self._group(g, g[:0] if involutions else g)
+        # when every vertex is an involution, inversion acts as the identity
+        return _Centraliser(self.rows, (power, sorter, codes[sorter]),
+                            [g, g[:0] if self.longest <= 2 else g])
 
-    def fix(self, group: object, v: int) -> object | None:
+
+class _Centraliser:
+    """The maps of a ``_CycleTypes`` group that fix some vertices: ``maps``
+    lists its g of each kind, x -> g x g^-1 and x -> g x^-1 g^-1, as the
+    rows of two matrices, and ``lookup`` is the root's vertex code lookup."""
+
+    def __init__(self, rows: np.ndarray, lookup: tuple, maps: list[np.ndarray]) -> None:
+        self.rows, self.lookup, self.maps = rows, lookup, maps
+
+    def fix(self, v: int) -> _Group | None:
         x = self.rows[v]
-        plain, flipped = group
         # g x g^-1 = x when g x = x g, and g x^-1 g^-1 = x when g x^-1 = x g
-        return self._group(plain[(plain[:, x] == x[plain]).all(axis=1)],
-                           flipped[(flipped[:, np.argsort(x)] == x[flipped]).all(axis=1)])
+        maps = [g[(g[:, p] == x[g]).all(axis=1)] for g, p in zip(self.maps, (x, np.argsort(x)))]
+        return None if sum(map(len, maps)) <= 1 else _Centraliser(self.rows, self.lookup, maps)
 
-    def orbit(self, group: object, v: int) -> int:
-        power, sorter, codes = self._lookup
+    def orbit(self, v: int) -> int:
+        power, sorter, codes = self.lookup
         x = self.rows[v]
         # the image y = g x g^-1 has y[g[j]] = g[x[j]], so its code is the
         # sum over j of g[x[j]] * n^g[j]; likewise with x^-1 for flipped g
-        images = [(g[:, p] * power[g]).sum(axis=1) for g, p in zip(group, (x, np.argsort(x)))]
+        images = [(g[:, p] * power[g]).sum(axis=1) for g, p in zip(self.maps, (x, np.argsort(x)))]
         bits = np.zeros(len(self.rows), dtype=bool)
         bits[sorter[np.searchsorted(codes, np.concatenate(images))]] = True
         return _mask(bits)
 
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The powers of n, and the vertex codes' sorting order and values."""
-        power = self.rows.shape[1] ** np.arange(self.rows.shape[1])
-        codes = self.rows @ power
-        sorter = np.argsort(codes)
-        return power, sorter, codes[sorter]
 
-    @staticmethod
-    def _group(plain: np.ndarray, flipped: np.ndarray) -> object | None:
-        return None if len(plain) + len(flipped) <= 1 else (plain, flipped)
+class _Young(_LevelSets):
+    """Coordinate permutations acting on 0/1 words of one weight, ``rows``
+    in search order: the Young subgroup of ``atoms``, each coordinate's atom
+    (by default one atom, so all of S_n, which takes any word to any
+    other). The words a permutation fixes are those whose supports it maps
+    onto themselves, so the pointwise stabiliser of a set of words is the
+    Young subgroup of the atoms their supports cut the coordinates into, and
+    a word's orbit under it is every word with the same number of ones in
+    each atom: that count per atom is its invariant row."""
 
+    def __init__(self, rows: np.ndarray, atoms: np.ndarray | None = None) -> None:
+        self.rows = rows
+        self.atoms = np.zeros(rows.shape[1], dtype=np.intp) if atoms is None else atoms
+        super().__init__(rows @ (self.atoms[:, None] == np.arange(self.atoms.max(initial=-1) + 1)))
 
-class _CycleTypes(_Symmetry):
-    """Conjugation on permutations of more than ``_LISTED_DEGREE`` points,
-    whose S_n is too big to list: the whole group's orbits are the cycle
-    types, and no stabiliser below it is kept."""
-
-    def whole(self) -> object | None:
-        labels: dict[tuple[int, ...], int] = {}
-        return np.array([labels.setdefault(cycle_type(x), len(labels)) for x in self.rows.tolist()])
-
-    def orbit(self, group: object, v: int) -> int:
-        return _mask(group == group[v])
-
-
-def _conjugation(n: int) -> Callable[[np.ndarray], _Symmetry]:
-    """The conjugation group of permutations of n points."""
-    return _Conjugation if n <= _LISTED_DEGREE else _CycleTypes
-
-
-class _Young(_Symmetry):
-    """Coordinate permutations acting on 0/1 words of one weight. The words
-    a permutation fixes are those whose supports it maps onto themselves, so
-    the pointwise stabiliser of a set of words is the Young subgroup of the
-    atoms their supports cut the coordinates into, and a word's orbit under
-    it is every word with the same number of ones in each atom. A group is
-    (atom of each coordinate, each word's count of ones per atom)."""
-
-    def whole(self) -> object | None:
-        return self._group(np.zeros(self.rows.shape[1], dtype=np.intp))
-
-    def fix(self, group: object, v: int) -> object | None:
-        _, atoms = np.unique(group[0] * 2 + self.rows[v], return_inverse=True)
-        return self._group(atoms)
-
-    def orbit(self, group: object, v: int) -> int:
-        counts = group[1]
-        return _mask((counts == counts[v]).all(axis=1))
-
-    def _group(self, atoms: np.ndarray) -> object | None:
-        k = atoms.max(initial=-1) + 1
-        if k == len(atoms):  # every atom is one coordinate
-            return None
-        return atoms, self.rows @ (atoms[:, None] == np.arange(k))
+    def fix(self, v: int) -> _Group | None:
+        _, atoms = np.unique(self.atoms * 2 + self.rows[v], return_inverse=True)
+        # every atom is one coordinate: the trivial group
+        return None if atoms.max(initial=-1) + 1 == len(atoms) else _Young(self.rows, atoms)
 
 
 def _solve(
     m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
-    symmetry: Callable[[np.ndarray], _Symmetry],
+    symmetry: Callable[[np.ndarray], _Group | None],
     witness: Callable[[np.ndarray], PermutationArray | BinaryCwCode],
     upper: int | None = None,
 ) -> SearchOutcome:
     """Largest set of the m vectors that ``blocks`` yields, as the rows of
     one or more integer matrices, with pairwise coordinate-wise distance
     >= d, as the outcome whose witness is ``witness(chosen)``, the chosen
-    vectors given as the rows of a matrix. ``symmetry(rows)`` gives a group
-    of distance-preserving maps of the vertex set onto itself, given the
-    vectors as the rows of a matrix in search order, and ``upper``, when not
+    vectors given as the rows of a matrix. ``symmetry(rows)`` gives the
+    root's group of distance-preserving maps of the vertex set onto itself
+    (a ``_Group``, or None for the trivial group), given the vectors as the
+    rows of a matrix in search order, and ``upper``, when not
     None, bounds how many vectors can be chosen. The clock starts here
     and the gate acts on m before the vertices are read, so listing them
     spends the same time budget as the search. When the budget rules out a
@@ -602,7 +611,7 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     distances, so the search prunes the orbits of their stabilisers."""
     upper = best_upper_bound(n, d).value - 1  # the identity is forced in
     m = factorial(n) - ball_volume(n, d - 1)
-    return _solve(m, permutation_rows(n, d), d, limits, _conjugation(n),
+    return _solve(m, permutation_rows(n, d), d, limits, _CycleTypes,
                   lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])),
                   upper=upper)
 
@@ -616,7 +625,7 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
     the P(n, d, w) rule that ``bounds.cw_pa_bound`` applies."""
     upper = cw_pa_bound(n, d, w).value
     m = binomial(n, w) * derangement_count(w)
-    return _solve(m, weight_rows(n, w), d, limits, _conjugation(n), partial(PermutationArray, n),
+    return _solve(m, weight_rows(n, w), d, limits, _CycleTypes, partial(PermutationArray, n),
                   upper=upper)
 
 

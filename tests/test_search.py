@@ -30,6 +30,7 @@ from permarray.perm import (
     permutation_rows,
     support,
     weight,
+    weight_rows,
 )
 from permarray.search import (
     DEFAULT_LIMITS,
@@ -397,21 +398,14 @@ class TestSearchTree:
         assert hashlib.sha256(members).hexdigest()[:16] == "f91577237e20af4b"
 
 
-class _Trivial:
-    """The trivial group: the search prunes nothing."""
-
-    def whole(self):
-        return None
-
-
 def _one_orbit_per_vertex(monkeypatch, oracle, *args):
-    """The oracle's search without orbit pruning: the trivial group, so each
-    node drops only the vertex it branched on, and no upper bound, so the
-    tree runs to the end whatever the greedy clique finds."""
+    """The oracle's search without orbit pruning: the trivial group (None),
+    so each node drops only the vertex it branched on, and no upper bound,
+    so the tree runs to the end whatever the greedy clique finds."""
     solve = search._solve
 
     def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None):
-        return solve(m, vertices, d, limits, lambda rows: _Trivial(), witness)
+        return solve(m, vertices, d, limits, lambda rows: None, witness)
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_solve", solve_unpruned)
@@ -426,55 +420,65 @@ class _RootOnly:
     def __init__(self, orbit):
         self.masks = orbit
 
-    def whole(self):
-        return self.masks
-
-    def fix(self, group, v):
+    def fix(self, v):
         return None
 
-    def orbit(self, group, v):
-        return group[v]
+    def orbit(self, v):
+        return self.masks[v]
 
 
 class _Affine:
-    """The maps x -> s*x + t of Z_m, for s in ``signs`` and t a multiple of r
-    (r divides m); a group is the list of its (s, t) pairs."""
+    """The maps x -> s*x + t of Z_m listed in ``maps`` as (s, t) pairs."""
 
-    def __init__(self, m, r, signs):
-        self.m, self.r, self.signs = m, r, signs
+    def __init__(self, m, maps):
+        self.m, self.maps = m, maps
 
-    def whole(self):
-        return self._group([(s, t) for s in self.signs for t in range(0, self.m, self.r)])
+    @classmethod
+    def of(cls, m, maps):
+        """The group of the given maps, or None when it is trivial."""
+        return cls(m, maps) if len(maps) > 1 else None
 
-    def fix(self, group, v):
-        return self._group([(s, t) for s, t in group if (s * v + t) % self.m == v])
+    def fix(self, v):
+        return self.of(self.m, [(s, t) for s, t in self.maps if (s * v + t) % self.m == v])
 
-    def orbit(self, group, v):
-        return sum(1 << u for u in {(s * v + t) % self.m for s, t in group})
-
-    @staticmethod
-    def _group(maps):
-        return maps if len(maps) > 1 else None
+    def orbit(self, v):
+        return sum(1 << u for u in {(s * v + t) % self.m for s, t in self.maps})
 
 
 class _Recording:
-    """A group that logs each call the search makes: its name and the group
-    it was given."""
+    """A group that logs each call the search makes to it, and to the
+    subgroups it hands out, in one shared list: the call's name and the
+    group that answered it."""
 
-    def __init__(self, group):
-        self.group, self.calls = group, []
+    def __init__(self, group, calls):
+        self.group, self.calls = group, calls
 
-    def whole(self):
-        self.calls.append(("whole", None))
-        return self.group.whole()
+    def fix(self, v):
+        self.calls.append(("fix", self.group))
+        child = self.group.fix(v)
+        return None if child is None else _Recording(child, self.calls)
 
-    def fix(self, group, v):
-        self.calls.append(("fix", group))
-        return self.group.fix(group, v)
+    def orbit(self, v):
+        self.calls.append(("orbit", self.group))
+        return self.group.orbit(v)
 
-    def orbit(self, group, v):
-        self.calls.append(("orbit", group))
-        return self.group.orbit(group, v)
+
+def _recorded(monkeypatch, oracle, *args):
+    """The oracle's root group, wrapped in a ``_Recording`` as the search
+    gets it. The wrapper goes round ``_solve``'s group factory, since a
+    patched class name would also wrap the subgroups the class builds."""
+    solve, recorded = search._solve, []
+
+    def recording_solve(m, blocks, d, limits, symmetry, witness, upper=None):
+        def build(rows):
+            recorded.append(_Recording(symmetry(rows), []))
+            return recorded[-1]
+        return solve(m, blocks, d, limits, build, witness, upper)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve", recording_solve)
+        oracle(*args)
+    return recorded[-1]
 
 
 def _root_only_max_clique(conflicts, orbit_masks, max_nodes, deadline):
@@ -559,19 +563,19 @@ _P_CASES = [(n, d) for n in range(1, 6) for d in range(1, n + 1)] + [(6, 2), (6,
 def shift_invariant_graphs(draw, signs=((1,),)):
     """A random graph on Z_m with the maps x -> s*x + t (s in one of the sign
     sets ``signs``, t a multiple of r, r dividing m) among its automorphisms,
-    and that group."""
+    and that group (None when it is trivial)."""
     r = draw(st.integers(1, 8))
     m = r * draw(st.integers(1, 40 // r))
-    group = _Affine(m, r, draw(st.sampled_from(signs)))
+    maps = [(s, t) for s in draw(st.sampled_from(signs)) for t in range(0, m, r)]
     adjacency = [0] * m
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                               max_size=4 * m)):
-        for s, t in group.whole() or [(1, 0)]:
+        for s, t in maps:
             a, b = (s * i + t) % m, (s * j + t) % m
             if a != b:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    return adjacency, group
+    return adjacency, _Affine.of(m, maps)
 
 
 def _assert_clique(adjacency, clique):
@@ -654,10 +658,9 @@ class TestOrbitPruning:
         # oracle names: conjugation by S_n and inversion, or permuting the
         # coordinates
         group, vectors = self._capture(monkeypatch, oracle, args)
-        whole = group.whole()
         images = self._act(act, args[0])
         for i, vector in enumerate(vectors):
-            orbit = group.orbit(whole, i) if whole is not None else 1 << i
+            orbit = group.orbit(i)
             assert {vectors[u] for u in range(len(vectors)) if orbit >> u & 1} == images(vector)
 
     @pytest.mark.parametrize(
@@ -687,15 +690,15 @@ class TestOrbitPruning:
 
         rng = random.Random(repr(args))
         for _ in range(4):
-            stab, fixing = group.whole(), maps
+            stab, fixing = group, maps
             for v in rng.sample(range(len(vectors)), min(4, len(vectors))):
-                stab = None if stab is None else group.fix(stab, v)
+                stab = None if stab is None else stab.fix(v)
                 fixing = [f for f in fixing if image(f, vectors[v]) == vectors[v]]
                 moved = False
                 for u, vector in enumerate(vectors):
                     expected = {image(f, vector) for f in fixing}
                     moved |= len(expected) > 1
-                    orbit = 1 << u if stab is None else group.orbit(stab, u)
+                    orbit = 1 << u if stab is None else stab.orbit(u)
                     assert {vectors[k] for k in range(len(vectors)) if orbit >> k & 1} == expected
                 assert (stab is not None) == moved
 
@@ -703,84 +706,86 @@ class TestOrbitPruning:
         # S_9 is not listed: the whole group's orbits are the cycle types,
         # and the stabilisers below it are taken as trivial
         group, vectors = self._capture(monkeypatch, exact_p_cw, (9, 2, 4))
-        whole = group.whole()
-        for i, vector in enumerate(vectors[:50]):
-            orbit = group.orbit(whole, i)
-            assert orbit == sum(1 << u for u, other in enumerate(vectors)
-                                if cycle_type(other) == cycle_type(vector))
-            assert group.fix(whole, i) is None
+        types = [cycle_type(vector) for vector in vectors]
+        classes = {}
+        for u, shape in enumerate(types):
+            classes[shape] = classes.get(shape, 0) | 1 << u
+        for i, shape in enumerate(types):
+            assert group.orbit(i) == classes[shape]
+            assert group.fix(i) is None
+
+    @pytest.mark.parametrize("n, w", [(n, None) for n in range(1, 9)] + [(9, 4), (12, 5), (30, 3)])
+    def test_root_orbits_are_the_cycle_types(self, n, w):
+        # the root's orbits, read from each point's cycle length, partition
+        # S_n or a weight class as ``perm.cycle_type`` does: each type's
+        # vertices are the level set of any one of them
+        rows = np.concatenate(list(permutation_rows(n, 0) if w is None else weight_rows(n, w)))
+        root = search._CycleTypes(rows)
+        classes = {}
+        for u, vector in enumerate(rows.tolist()):
+            classes.setdefault(cycle_type(vector), []).append(u)
+        for members in classes.values():
+            assert root.orbit(members[-1]) == sum(1 << u for u in members)
 
     def test_root_group_and_dive_orbits_come_first(self, monkeypatch):
-        recorded = []
-
-        def recording(rows):
-            recorded.append(_Recording(search._Conjugation(rows)))
-            return recorded[-1]
-
-        monkeypatch.setattr(search, "_conjugation", lambda n: recording)
-        # the root group comes first, then one orbit per dive: P(6,5) has six
-        # root orbits. All 3,000 nodes lie inside the first root branch, and
-        # every node the search returns to has a trivial stabiliser: the
-        # chain of stabilisers down to the first trivial one is built once,
-        # on the first return, and no orbit is computed
-        exact_p(6, 5, SearchLimits(max_nodes=3000, max_seconds=None))
-        names = [name for name, _ in recorded[-1].calls]
-        assert names[:7] == ["whole"] + ["orbit"] * 6
-        assert set(names[7:]) == {"fix"} and len(names) <= 12
-        # the first dive meets the bound 6/2 and closes the root: no orbit
-        exact_p_cw(6, 4, 2)
-        assert [name for name, _ in recorded[-1].calls] == ["whole"]
+        # one orbit per dive comes first: P(6,5) has six root orbits. All
+        # 3,000 nodes lie inside the first root branch, and every node the
+        # search returns to has a trivial stabiliser: the chain of
+        # stabilisers down to the first trivial one is built once, on the
+        # first return, and no orbit is computed
+        root = _recorded(monkeypatch, exact_p, 6, 5, SearchLimits(max_nodes=3000, max_seconds=None))
+        names = [name for name, _ in root.calls]
+        assert names[:6] == ["orbit"] * 6
+        assert set(names[6:]) == {"fix"} and len(names) <= 11
+        # the first dive meets the bound 6/2 and closes the root: no call
+        assert _recorded(monkeypatch, exact_p_cw, 6, 4, 2).calls == []
 
     @pytest.mark.parametrize("oracle, args, kind, calls", [
-        (exact_p, (6, 4, SearchLimits(700, None)), "_Conjugation", (1, 0, 1)),
-        (exact_p, (6, 5, SearchLimits(3000, None)), "_Conjugation", (1, 3, 6)),
-        (exact_p, (6, 5, SearchLimits(20000, None)), "_Conjugation", (1, 4, 7)),
-        (exact_p, (5, 4), "_Conjugation", (1, 0, 1)),
-        (exact_a_cw, (11, 6, 4), "_Young", (1, 3, 6)),
-        (exact_a_cw, (10, 4, 3), "_Young", (1, 46, 106)),
-        (exact_a_cw, (12, 6, 5), "_Young", (1, 310, 759)),
-        (exact_p_cw, (6, 4, 2), "_Conjugation", (1, 0, 0)),
-        (exact_p_cw, (9, 6, 3), "_CycleTypes", (1, 0, 0)),
+        (exact_p, (6, 4, SearchLimits(700, None)), "_CycleTypes", (0, 1, 1)),
+        (exact_p, (6, 5, SearchLimits(3000, None)), "_CycleTypes", (3, 6, 6)),
+        (exact_p, (6, 5, SearchLimits(20000, None)), "_CycleTypes", (4, 7, 6)),
+        (exact_p, (5, 4), "_CycleTypes", (0, 1, 1)),
+        (exact_a_cw, (11, 6, 4), "_Young", (3, 6, 2)),
+        (exact_a_cw, (10, 4, 3), "_Young", (46, 106, 2)),
+        (exact_a_cw, (12, 6, 5), "_Young", (310, 759, 2)),
+        (exact_p_cw, (6, 4, 2), "_CycleTypes", (0, 0, 0)),
+        (exact_p_cw, (9, 6, 3), "_CycleTypes", (0, 0, 0)),
+        (exact_p_cw, (6, 4, 6), "_CycleTypes", (56, 133, 8)),
     ])
     def test_group_calls_are_pinned(self, monkeypatch, oracle, args, kind, calls):
-        # how often a search asks its group for the whole group, a
-        # stabiliser and an orbit: the whole group once, first, an orbit per
-        # root orbit for the dives, a stabiliser on the first return to a
-        # node below a non-trivial one, and an orbit on each return to a
-        # node whose stabiliser is not trivial. A dive that meets the bound
-        # ends the search, so P(6,4) and P(5,4) close on their second dive,
-        # and P(6,4,2) and P(9,6,3) on their first
-        recorded = []
-
-        def recording(symmetry):
-            def build(rows):
-                recorded.append(_Recording(symmetry(rows)))
-                return recorded[-1]
-            return build
-
-        conjugation = search._conjugation
-        monkeypatch.setattr(search, "_conjugation", lambda n: recording(conjugation(n)))
-        monkeypatch.setattr(search, "_Young", recording(search._Young))
-        oracle(*args)
-        names = [name for name, _ in recorded[-1].calls]
-        assert type(recorded[-1].group).__name__ == kind
-        assert (names.count("whole"), names.count("fix"), names.count("orbit")) == calls
+        # how often a search asks for a stabiliser and an orbit, and how
+        # many of the orbits its root group answers: an orbit per root
+        # orbit for the dives, a stabiliser on the first return to a node
+        # below a non-trivial one, and an orbit on each return to a node
+        # whose stabiliser is not trivial. A dive that meets the bound ends
+        # the search, so P(6,4) and P(5,4) close on their second dive, and
+        # P(6,4,2) and P(9,6,3) on their first. The dives' and the root
+        # returns' orbits are the root group's, read from its invariant
+        # rows; only deeper orbits map vertices under S_n. The capped P(6,5)
+        # runs never leave the first root branch, the words' one root orbit
+        # is asked by the dive and on the one return to the root, and
+        # P(6,4,6) makes four dives and returns to the root four times
+        root = _recorded(monkeypatch, oracle, *args)
+        names = [name for name, _ in root.calls]
+        assert type(root.group).__name__ == kind
+        answered = [group for name, group in root.calls if name == "orbit"]
+        at_root = sum(group is root.group for group in answered)
+        assert (names.count("fix"), names.count("orbit"), at_root) == calls
+        assert all(type(group).__name__ == ("_Young" if kind == "_Young" else "_Centraliser")
+                   for group in answered if group is not root.group)
 
     @settings(deadline=None)
     @given(shift_invariant_graphs())
     def test_trivial_stabilisers_cost_nothing(self, case):
-        # the shifts fix no vertex, so the root's group is the only one: it is
-        # built first, and every later call is an orbit at the root (for a
-        # dive or a return) or the stabiliser of one root branch, found
-        # trivial at once
+        # the shifts fix no vertex, so the root's group is the only one:
+        # every call is an orbit at the root (for a dive or a return) or the
+        # stabiliser of one root branch, found trivial at once
         adjacency, group = case
-        recording = _Recording(group)
-        _, done, _, _ = _max_clique(_conflicts_of(adjacency), recording, math.inf, math.inf)
+        calls = []
+        root = None if group is None else _Recording(group, calls)
+        _, done, _, _ = _max_clique(_conflicts_of(adjacency), root, math.inf, math.inf)
         assert done
-        calls = recording.calls
-        assert calls[0] == ("whole", None)
-        root = group.whole()
-        assert all(name != "whole" and stab == root for name, stab in calls[1:])
+        assert all(stab is group for _, stab in calls)
         names = [name for name, _ in calls]
         assert names.count("fix") <= names.count("orbit") + 1
 
@@ -794,7 +799,7 @@ class TestOrbitPruning:
         adjacency, group = case
         conflicts = _conflicts_of(adjacency)
         pruned, done, _, _ = _max_clique(conflicts, group, math.inf, math.inf)
-        unpruned, done_too, _, nothing = _max_clique(conflicts, _Trivial(), math.inf, math.inf)
+        unpruned, done_too, _, nothing = _max_clique(conflicts, None, math.inf, math.inf)
         assert done and done_too
         assert nothing == ()
         assert len(pruned) == len(unpruned)
@@ -809,8 +814,7 @@ class TestOrbitPruning:
         adjacency, group = case
         m = len(adjacency)
         conflicts = _conflicts_of(adjacency)
-        whole = group.whole()
-        masks = [1 << v if whole is None else group.orbit(whole, v) for v in range(m)]
+        masks = [1 << v if group is None else group.orbit(v) for v in range(m)]
         pruned, done, _, counts = _max_clique(conflicts, group, math.inf, math.inf)
         reference, done_too, _ = _root_only_max_clique(
             conflicts, lambda: masks, math.inf, math.inf)
