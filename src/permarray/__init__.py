@@ -10,6 +10,7 @@ from .bounds import (
     cw_binary_bound,
     cw_pa_bound,
     dv_bound,
+    johnson_1962,
     johnson_ceiling,
     me_bound,
     mo_bound,
@@ -49,6 +50,7 @@ __all__ = [
     "cw_binary_bound",
     "cw_pa_bound",
     "dv_bound",
+    "johnson_1962",
     "johnson_ceiling",
     "me_bound",
     "mo_bound",

@@ -10,27 +10,29 @@ intermediate quantities would break the gap inequalities the test suite
 checks. Each result carries a derivation trace naming the rules that
 produced it:
 
-==================  =========================================================
-tag                 rule
-==================  =========================================================
-DV                  quotient bound n! / (d-1)!
-SP                  sphere packing: floor(n! / V(n, floor((d-1)/2)))
-ME                  even-distance refinement of SP for d = 2k
-MO-corollary        odd-distance refinement of SP for d = 2k+1, constant-
-                    weight sizes estimated by the Johnson-style ceiling
-MO-exact-A          same, but at least one size came from a table of exact
-                    constant-weight code values
-subset-average      averaging over a subset of the symmetric group
-recursive(m=..)     lifting a bound from m points to n points
-cw-binary-spread    A(n, d, w) = 1 when d > 2w
-cw-binary-partition A(n, 2w, w) = floor(n/w)
-cw-binary-johnson   A(n, 2k, k+1) <= floor(n/(k+1) * floor((n-1)/k))
-cw-table            value taken from a user-supplied table
-cw-pa-I .. cw-pa-VI constant-weight permutation-array rules (the roman
-                    labels skip V; there is no rule V)
-d1-as-d2            distance 1 rewritten as distance 2 (distinct
-                    permutations always differ in >= 2 positions)
-==================  =========================================================
+======================  =====================================================
+tag                     rule
+======================  =====================================================
+DV                      quotient bound n! / (d-1)!
+SP                      sphere packing: floor(n! / V(n, floor((d-1)/2)))
+ME                      even-distance refinement of SP for d = 2k
+MO-corollary            odd-distance refinement of SP for d = 2k+1, constant-
+                        weight sizes estimated by the paper's Johnson ceiling
+MO-exact-A              same, but at least one size came from a table of exact
+                        constant-weight code values
+subset-average          averaging over a subset of the symmetric group
+recursive(m=..)         lifting a bound from m points to n points
+cw-binary-spread        A(n, d, w) = 1 when d > 2w
+cw-binary-partition     A(n, 2w, w) = floor(n/w)
+cw-binary-johnson       A(n, 2k, k+1) <= floor(n/(k+1) * floor((n-1)/k))
+cw-binary-johnson-1962  A(n, 2k, k+1) <= floor(kn / ((k+1)^2 - n)) when
+                        n < (k+1)^2 (Johnson 1962), where it is smaller
+cw-table                value taken from a user-supplied table
+cw-pa-I .. cw-pa-VI     constant-weight permutation-array rules (the roman
+                        labels skip V; there is no rule V)
+d1-as-d2                distance 1 rewritten as distance 2 (distinct
+                        permutations always differ in >= 2 positions)
+======================  =====================================================
 """
 
 from __future__ import annotations
@@ -164,9 +166,25 @@ def johnson_ceiling(m: int, k: int) -> int:
     return math.floor(Fraction(m, k + 1) * ((m - 1) // k))
 
 
+def johnson_1962(m: int, k: int) -> int | None:
+    """Johnson's 1962 bound floor(k*m / ((k+1)^2 - m)) on the size of a
+    binary code of length m, weight k+1, minimum distance 2k: the case
+    delta = k, w = k+1 of A(m, 2*delta, w) <= floor(delta*m / (w^2 - w*m +
+    delta*m)) (S. M. Johnson, IRE Trans. Inform. Theory 1962; MacWilliams
+    and Sloane, ch. 17). None when m >= (k+1)^2, where the denominator is
+    not positive and the bound says nothing."""
+    if m < 0 or k < 1:
+        raise ValueError(f"invalid Johnson bound arguments m={m}, k={k}")
+    denominator = (k + 1) ** 2 - m
+    return k * m // denominator if denominator > 0 else None
+
+
 def _cw_size_estimate(m: int, k: int, table: "CwTable | None") -> tuple[int, bool]:
     """Best available upper value for A(m, 2k, k+1): an exact table entry if
-    one exists, else the Johnson ceiling. Returns (value, came_from_table)."""
+    one exists, else the Johnson ceiling, the paper's estimate. MO keeps it
+    rather than ``cw_binary_bound``'s smaller value until ROADMAP item 19,
+    since that value lowers 260 odd-distance ``table`` cells with n <= 120.
+    Returns (value, came_from_table)."""
     if table is not None:
         entry = table.get(m, 2 * k, k + 1)
         if entry is not None and entry.kind == KIND_EXACT:
@@ -250,8 +268,11 @@ def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> B
     distances occur for constant-weight words, so odd d is rejected.
     Dispatch: d > 2w forces a single word; d = 2w means pairwise
     disjoint supports, giving exactly floor(n/w); d = 2k with w = k+1 gives
-    the Johnson ceiling; anything else is answered from ``table`` or
-    reported not-applicable.
+    the smaller of the Johnson ceiling and, when n < (k+1)^2, Johnson's
+    1962 bound, tagged with the rule that gave it (the ceiling on a tie);
+    the 1962 bound is the certified value of A(m, 6, 4) for m = 7 and
+    9..13, which lets ``search.exact_a_cw`` stop once its incumbent meets
+    it. Anything else is answered from ``table`` or reported not-applicable.
     """
     _check_cw_code(n, d, w)
     if d > 2 * w:
@@ -260,7 +281,10 @@ def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> B
         return _exact(n // w, "cw-binary-partition")
     k = d // 2
     if w == k + 1:
-        return _upper(johnson_ceiling(n, k), "cw-binary-johnson")
+        ceiling, quotient = johnson_ceiling(n, k), johnson_1962(n, k)
+        if quotient is not None and quotient < ceiling:
+            return _upper(quotient, "cw-binary-johnson-1962")
+        return _upper(ceiling, "cw-binary-johnson")
     if table is not None:
         entry = table.get(n, d, w)
         if entry is not None:
@@ -280,8 +304,8 @@ def cw_pa_bound(n: int, d: int, w: int) -> BoundResult:
     - III: (d, w) = (2k, k) with 2 <= k <= floor(n/2) gives exactly
            floor(n/k), met by disjoint k-cycles.
     - IV:  (d, w) = (2k+1, k+1) with k <= floor((n-1)/2) equals
-           A(n, 2k, k+1), which the Johnson rule always answers; the kind
-           mirrors the constant-weight answer.
+           A(n, 2k, k+1), which the Johnson rules always answer; the kind
+           and the inner tag mirror the constant-weight answer.
     - VI:  (d, w) = (4, 3) with n >= 4 gives floor(2 * C(n, 2) / 3).
     - I:   d > w gives P(n, d, w) <= A(n, 2d - 2w, w).
     """
@@ -349,7 +373,7 @@ class CwTable:
     ``cw_binary_bound`` answers them without a table, so a stored value can
     never contradict them: when d > 2w the only code is a single word, when
     d = 2w the maximum is exactly floor(n/w), and when d = 2k, w = k+1
-    nothing exceeds the Johnson ceiling.
+    nothing exceeds the Johnson bound (the smaller of the two rules).
     """
 
     def __init__(self) -> None:
@@ -389,7 +413,7 @@ class CwTable:
                 )
         elif known.applicable and kind != KIND_UPPER and value > known.value:
             raise ValueError(
-                f"entry ({n},{d},{w})={value} exceeds the Johnson ceiling {known.value}"
+                f"entry ({n},{d},{w})={value} exceeds the Johnson bound {known.value}"
             )
         self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
 

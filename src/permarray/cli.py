@@ -35,7 +35,7 @@ from .constructions import (
     lift_binary_cw_code,
     perfect_pa,
 )
-from .perm import count_below, pair_blocks
+from .perm import block_counts, pair_blocks
 from .search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -309,11 +309,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = vectors = payload.rows
         kind = "permutations"
-    # one pass counts and a second writes the pairs block by block, so no
-    # more than one block of them is held, however many fail
-    count = count_below(vectors, d)
+    # one pass counts the pairs in each block, and a second recomputes only
+    # the blocks that hold one and writes their pairs, so no more than one
+    # block of them is held, however many fail
+    counts = block_counts(vectors, d)
+    count = sum(found for _, found in counts)
+    hit = [span for span, found in counts if found]
     pairs = chain.from_iterable(zip(*(column.tolist() for column in block))
-                                for block in pair_blocks(vectors, d)) if count else ()
+                                for block in pair_blocks(vectors, d, hit))
     if args.json:
         report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
                   "ok": not count, "violations": []}

@@ -26,6 +26,10 @@ from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pair
                    pairs_below, permutation_rows)
 
 
+# Entries per slab of the bijection check in PermutationArray: 1 MB as int32
+_CHECK_ENTRIES = 1 << 18
+
+
 class PermutationArray:
     """A set of distinct permutations of a common length, kept sorted in
     lexicographic image order as ``rows``, the read-only (m, n) integer
@@ -63,10 +67,17 @@ class PermutationArray:
                     Permutation(p)
                 rows = rows.astype(np.int64)
             rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
-        # the check sorts the rows as given, before they narrow: np.sort of
-        # pgl2 11's 1,320 x 12 rows takes 3.5 times as long in int8 as in
-        # int64, and the builders pass rows already narrow
-        bad = (np.sort(rows, axis=1) != np.arange(n)).any(axis=1)
+        # the check sorts the rows before they narrow, a slab of at most
+        # _CHECK_ENTRIES entries at a time, and widens narrower rows to
+        # int32: np.sort of pgl2 11's 1,320 x 12 rows takes about five times
+        # as long in int8 as in int32, widening included, and the builders
+        # pass rows already narrow; a slab keeps the wide copy small
+        bad = np.empty(len(rows), dtype=bool)
+        step = max(1, _CHECK_ENTRIES // max(n, 1))
+        for start in range(0, len(rows), step):
+            slab = rows[start:start + step]
+            slab = slab.astype(np.int32) if slab.itemsize < 4 else slab
+            bad[start:start + step] = (np.sort(slab, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
         # np.lexsort is fastest on the narrowest rows; the selections below

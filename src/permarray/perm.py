@@ -281,7 +281,8 @@ def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndar
 
 
 def distance_blocks(
-    vectors: Sequence[Sequence[int]], upper: bool = False
+    vectors: Sequence[Sequence[int]], upper: bool = False,
+    spans: list[tuple[int, int, int]] | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The kernel's self form: the pairwise Hamming distances between
     equal-length integer vectors as consecutive row blocks
@@ -294,41 +295,46 @@ def distance_blocks(
     whatever the number of vectors; each block is a fresh array of the
     smallest unsigned dtype that holds the vector length. ``vectors`` may be
     an (m, n) integer matrix or a sequence of equal-length integer vectors.
+    ``spans``, some of the blocks' (start, stop, first_column) in order, as
+    ``block_counts`` gives them, limits the walk to those blocks.
     """
-    m = len(vectors)
-    if m == 0:
-        return
-    rows = max(1, _BLOCK_BYTES // m)
-    spans = [(start, min(start + rows, m), start if upper else 0)
-             for start in range(0, m, rows)]
+    if spans is None:
+        m = len(vectors)
+        rows = max(1, _BLOCK_BYTES // max(1, m))
+        spans = [(start, min(start + rows, m), start if upper else 0)
+                 for start in range(0, m, rows)]
     for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):
         yield start, first, block
 
 
-def count_below(vectors: Sequence[Sequence[int]], d: int) -> int:
-    """The number of index pairs i < j whose vectors lie at distance below
-    d: what ``pair_blocks`` would yield, counted block by block without
-    listing a pair."""
-    count = 0
-    for _, _, block in distance_blocks(vectors, upper=True):
+def block_counts(
+    vectors: Sequence[Sequence[int]], d: int
+) -> list[tuple[tuple[int, int, int], int]]:
+    """For each block of ``distance_blocks(vectors, upper=True)``, its
+    (start, stop, first_column) and the number of index pairs i < j in it
+    whose vectors lie at distance below d, counted without listing a pair."""
+    counts = []
+    for start, first, block in distance_blocks(vectors, upper=True):
         # the block's own square holds each pair twice and, below any d
         # above 0, its zero diagonal once
         b = len(block)
         square = np.count_nonzero(block[:, :b] < d) - b * (d > 0)
-        count += square // 2 + np.count_nonzero(block[:, b:] < d)
-    return count
+        counts.append(((start, start + b, first),
+                       int(square // 2 + np.count_nonzero(block[:, b:] < d))))
+    return counts
 
 
 def pair_blocks(
-    vectors: Sequence[Sequence[int]], d: int
+    vectors: Sequence[Sequence[int]], d: int, spans: list[tuple[int, int, int]] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The index pairs (i, j) with i < j whose vectors lie at distance below
     d, one distance block at a time: for each block of ``distance_blocks``
     that holds such a pair, the arrays (i, j, distance) of its pairs. Read
     in turn, the blocks give the pairs in row-major order (the order of
     ``itertools.combinations``), and no more than one block's pairs are
-    held at once."""
-    for start, first, block in distance_blocks(vectors, upper=True):
+    held at once. ``spans``, as ``distance_blocks`` takes them, limits the
+    blocks computed, for example to those ``block_counts`` found a pair in."""
+    for start, first, block in distance_blocks(vectors, upper=True, spans=spans):
         close = block < d
         # the block's own square is symmetric with a zero diagonal, so its
         # hits are the diagonal alone when none lies above it

@@ -28,13 +28,16 @@ from ``bounds.cw_pa_bound`` and A(n, d, w) from ``bounds.cw_binary_bound``,
 or None where the rule does not apply. A witness that reaches it is a
 certificate: when a dive does, the root node is closed without a tree or
 further dives, and the outcome is exact after 1 node (P(5,4), P(6,4), P(7,6),
-A(12,6,4) and P(9,6,3) close so), and a streamed greedy witness that
-does is exact with no node. Otherwise the search runs the same tree from
-the same incumbent as without the dives, and a run cut short returns the
-longest dive where it beats the search's own witness, as a floor (P(7,4)
-after 5,000 nodes: 272 by the search, 298 by a dive). The dive is never
-made the incumbent: a larger one turns capped trees toward costlier
-shallow nodes.
+A(12,6,4), P(9,6,3), and on Johnson's 1962 bound A(11,6,4) and P(9,7,4),
+close so), and a streamed greedy witness that does is exact with no node.
+Otherwise the search runs the same tree from the same incumbent as without
+the dives, and ends as soon as its incumbent reaches the bound: every later
+incumbent would be larger, and none can pass the bound, so the witness is
+the one the whole tree returns, after fewer nodes (A(10,4,3) 151 -> 13,
+P(9,5,3) 4,005 -> 26). A run cut short returns the longest dive where it
+beats the search's own witness, as a floor (P(7,4) after 5,000 nodes: 272
+by the search, 298 by a dive). The dive is never made the incumbent: a
+larger one turns capped trees toward costlier shallow nodes.
 
 The search keeps each open node's candidates and color order
 (packed as ``color << 17 | vertex`` in an ``array("q")``) on an explicit
@@ -180,7 +183,8 @@ class SearchOutcome:
     limits, or the memory the adjacency would take, ruled out any search
     node, so only a greedy witness was built).
     "exact" comes from a search run to the end, or from a witness that meets
-    the oracle's upper bound: a greedy dive at the root (1 node) or the
+    the oracle's upper bound: a greedy dive at the root (1 node), the
+    search's incumbent at any node, which ends the search there, or the
     greedy witness alone (0 nodes). ``witness`` always verifies at the
     target distance.
 
@@ -297,7 +301,10 @@ def _max_clique(
     trivial root group gives one dive); the first dive is the plain greedy
     clique, and it is the incumbent. When a dive reaches ``upper``, an upper
     bound on the clique size, the root node is closed by that certificate,
-    no more dives are made, and the dive is returned as exact.
+    no more dives are made, and the dive is returned as exact; when a new
+    incumbent reaches it, the search ends there and returns it as exact,
+    the clique the whole tree would return, with the nodes and ``pruned``
+    counted so far.
 
     Otherwise one loop opens every node, the root as node 1: it pushes the
     parent's candidates and color order, colors the new node's candidates,
@@ -322,12 +329,13 @@ def _max_clique(
     found so far is returned with exhausted False: the search's own, or the
     longest dive where that is larger, as a floor.
     """
+    goal = math.inf if upper is None else upper
     dives = []
     rest = (1 << len(conflicts)) - 1
     while rest:
         v = rest.bit_length() - 1
         dive = _greedy_clique(conflicts, v)
-        if upper is not None and len(dive) >= upper:
+        if len(dive) >= goal:
             return dive, True, 1, ()
         dives.append(dive)
         rest = 0 if root is None else rest ^ (rest & root.orbit(v))
@@ -371,6 +379,10 @@ def _max_clique(
                 continue
             if len(current) > len(best):
                 best = current.copy()
+                # every later incumbent would be larger, and none can pass
+                # the bound: the full tree returns this one
+                if len(best) >= goal:
+                    return best, True, nodes, tuple(pruned)
         elif current:
             cand, order = stack.pop()
         else:

@@ -3,6 +3,7 @@ the exact-rational ordering properties between rules."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from permarray.bounds import (
     cw_pa_bound,
     dv_bound,
     dv_ratio,
+    johnson_1962,
     johnson_ceiling,
     me_bound,
     me_ratio,
@@ -265,14 +267,57 @@ class TestConstantWeightBinary:
         assert cw_binary_bound(4, 2, 1).value == 4
 
     def test_johnson_ceiling_case(self):
+        # Johnson's 1962 bound 4*20 / (25 - 20) ties the ceiling, and a tie
+        # keeps the ceiling's tag
         result = cw_binary_bound(20, 8, 5)
         assert (result.value, result.kind) == (16, "upper")
         assert result.derivation == ("cw-binary-johnson",)
-        assert cw_binary_bound(10, 6, 4).value == johnson_ceiling(10, 3) == 7
+        assert johnson_ceiling(10, 3) == 7
+        result = cw_binary_bound(10, 6, 4)
+        assert (result.value, result.derivation) == (5, ("cw-binary-johnson-1962",))
+        assert johnson_1962(10, 3) == 5
         for m, k in [(10, 0), (10, -1), (-1, 2)]:
             with pytest.raises(ValueError, match=f"^invalid Johnson ceiling arguments "
                                                  f"m={m}, k={k}$"):
                 johnson_ceiling(m, k)
+            with pytest.raises(ValueError, match=f"^invalid Johnson bound arguments "
+                                                 f"m={m}, k={k}$"):
+                johnson_1962(m, k)
+
+    def test_johnson_1962_case(self):
+        # A(m, 6, 4) for m = 7..13, against the ceilings 3, 4, 4, 7, 8, 9, 13;
+        # the 1962 bound is the value the search certifies at every m but 8
+        assert [cw_binary_bound(m, 6, 4).value for m in range(7, 14)] == [2, 3, 3, 5, 6, 9, 13]
+        assert [johnson_1962(m, 3) for m in range(7, 17)] == [
+            2, 3, 3, 5, 6, 9, 13, 21, 45, None]
+        # no bound once m reaches (k+1)^2, where the denominator is not positive
+        assert johnson_1962(16, 3) is johnson_1962(17, 3) is None
+        assert cw_binary_bound(16, 6, 4).derivation == ("cw-binary-johnson",)
+
+    @staticmethod
+    def _largest_code(n, k):
+        """A(n, 2k, k+1) by listing every code: the largest set of
+        (k+1)-subsets of n points that pairwise share at most one point,
+        found with no bound."""
+        words = [set(word) for word in combinations(range(n), k + 1)]
+        fits = [sum(1 << u for u, other in enumerate(words) if len(word & other) <= 1) & ~(1 << v)
+                for v, word in enumerate(words)]
+
+        def largest(cand):
+            best = 0
+            while cand:
+                v = cand.bit_length() - 1
+                cand ^= 1 << v
+                best = max(best, 1 + largest(cand & fits[v]))
+            return best
+
+        return largest((1 << len(words)) - 1)
+
+    @pytest.mark.parametrize("n, k", [(n, 2) for n in range(3, 9)] + [(n, 3) for n in range(4, 11)])
+    def test_johnson_1962_against_brute_force(self, n, k):
+        largest = self._largest_code(n, k)
+        assert johnson_1962(n, k) >= largest
+        assert cw_binary_bound(n, 2 * k, k + 1).value >= largest
 
     def test_odd_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -330,12 +375,22 @@ class TestConstantWeightPa:
         assert result.value == inner.value == 7
         assert result.kind == inner.kind == "upper"
         assert result.derivation == ("cw-pa-IV", "cw-binary-johnson")
-        # rule IV always lands on the Johnson rule, which always applies
+        # rule IV always lands on the Johnson rules, which always apply: the
+        # 1962 bound's tag where it is below the ceiling, else the ceiling's
+        below = 0
         for n in range(1, 30):
             for k in range(1, (n - 1) // 2 + 1):
-                inner = cw_binary_bound(n, 2 * k, k + 1)
+                quotient = johnson_1962(n, k)
+                if quotient is not None and quotient < johnson_ceiling(n, k):
+                    value, tag = quotient, "cw-binary-johnson-1962"
+                    below += 1
+                else:
+                    value, tag = johnson_ceiling(n, k), "cw-binary-johnson"
+                assert cw_binary_bound(n, 2 * k, k + 1) == BoundResult(value, "upper", (tag,))
                 assert cw_pa_bound(n, 2 * k + 1, k + 1) == BoundResult(
-                    inner.value, "upper", ("cw-pa-IV", "cw-binary-johnson"))
+                    value, "upper", ("cw-pa-IV", tag))
+        # of the 196 (n, k)
+        assert below == 117
 
     def test_general_reduction_to_binary(self):
         # (5, 8, 4): distance above length, handled by the reduction to

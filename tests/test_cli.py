@@ -621,6 +621,29 @@ class TestVerifyStream:
         assert all(c == 7 for c in counts[:-1])
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_the_second_pass_recomputes_only_the_blocks_with_a_pair(
+            self, capsys, tmp_path, monkeypatch, as_json):
+        # AGL(1,7) is at distance 6; a copy of one member with two images
+        # swapped is at distance 2 from it and at least 4 from the rest, so
+        # at d = 3 one block of one row holds the one bad pair
+        rows = perfect_pa("agl", 7).rows.tolist()
+        swapped = rows[20][1::-1] + rows[20][2:]
+        path = tmp_path / "one-pair.pa"
+        path.write_text("pa n=7 d=3 w=- count=43\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows + [swapped]), encoding="utf-8")
+        computed = []
+        kernel = perm._distance_rows
+        monkeypatch.setattr(perm, "_distance_rows",
+                            lambda sets, spans: kernel(sets, computed.append(len(spans)) or spans))
+        monkeypatch.setattr(perm, "_BLOCK_BYTES", 43)
+        code, out, _ = run_cli(capsys, "verify", str(path), *["--json"] * as_json)
+        assert code == EXIT_VERIFY
+        assert (json.loads(out)["violations"][0]["distance"] if as_json
+                else out.splitlines()[0]) == (2 if as_json else "FAIL: 1 pair(s) below distance 3:")
+        # the count pass computes all 43 blocks, the pair pass one
+        assert computed == [43, 1]
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_memory_is_bounded_by_the_array(self, capsys, tmp_path, monkeypatch, as_json):
         # S_7 at d = 3 fails on 52,920 pairs; holding them all took a
         # tracemalloc peak of 8.1 MB as text and 21.2 MB as JSON, against

@@ -262,6 +262,21 @@ class TestPermutationArray:
                 PermutationArray(n, np.array(members))
             assert str(excinfo.value) == errors[0]
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    @pytest.mark.parametrize("entries", [1, 4, 9, 100])
+    def test_the_check_reads_the_rows_a_slab_at_a_time(self, monkeypatch, dtype, entries):
+        # slabs of one row to all of them: each is checked, and the first
+        # bad row raises, in whichever slab it lies
+        monkeypatch.setattr(constructions, "_CHECK_ENTRIES", entries)
+        rows = np.array(list(permutations(range(4))), dtype=dtype)
+        assert len(PermutationArray(4, rows)) == 24
+        for first in (0, 13, 22, 23):
+            broken = rows.copy()
+            broken[first:, 1] = broken[first:, 0]
+            with pytest.raises(ValueError) as excinfo:
+                PermutationArray(4, broken)
+            assert str(excinfo.value) == _permutation_error(broken[first].tolist())
+
     @settings(deadline=None)
     @given(st.data(), st.sampled_from([np.int8, np.int16, np.int32]))
     def test_both_row_orders_are_lexsorts(self, data, dtype):

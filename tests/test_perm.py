@@ -16,7 +16,7 @@ from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
-    count_below,
+    block_counts,
     cycle_type,
     distance_blocks,
     distances,
@@ -36,6 +36,11 @@ def _compose(a, b):
 
 def _inverse(a):
     return Permutation(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _count_below(vectors, d):
+    """The pairs below d that ``block_counts`` counts in all its blocks."""
+    return sum(count for _, count in block_counts(vectors, d))
 
 
 def _listed(blocks):
@@ -302,7 +307,7 @@ class TestDistanceBlocks:
             assert _greedy_stream([array.rows], d, math.inf).tolist() == list(map(list, kept))
             bad = verify_pa(array, d)
             assert type(bad) is list and bad == [pair for pair in pairs if pair[2] < d]
-            assert count_below(array.rows, d) == len(bad)
+            assert _count_below(array.rows, d) == len(bad)
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
 
@@ -327,8 +332,16 @@ class TestDistanceBlocks:
         for i, _, _ in blocks:
             k = bisect.bisect_right(row_blocks, i[0]) - 1
             assert row_blocks[k] <= i.min() and i.max() < row_blocks[k + 1]
-        assert [count_below(rows, d) for d in range(-1, 6)] == [
+        assert [_count_below(rows, d) for d in range(-1, 6)] == [
             0, 0, 0, 0, 72, 72 + 96, 276]
+        # the counts per block name the blocks, and those spans alone give
+        # the same pairs again
+        counts = block_counts(rows, 3)
+        assert [span for span, _ in counts] == [
+            (start, stop, start) for start, stop in zip(row_blocks, row_blocks[1:])]
+        assert [count for _, count in counts if count] == [len(i) for i, _, _ in blocks]
+        again = pair_blocks(rows, 3, [span for span, count in counts if count])
+        assert [pair for block in again for pair in zip(*(a.tolist() for a in block))] == expected
 
     def test_cross_form_needs_one_length(self):
         with pytest.raises(ValueError):
@@ -437,7 +450,7 @@ class TestDistanceBlocks:
         assert pairs_below(vectors, n + 1) == [
             (i, j, hamming_distance(vectors[i], vectors[j]))
             for i, j in itertools.combinations(range(len(vectors)), 2)]
-        assert count_below(vectors, n + 1) == math.comb(len(vectors), 2)
+        assert _count_below(vectors, n + 1) == math.comb(len(vectors), 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_the_full_int8_range(self, monkeypatch, n):
@@ -455,7 +468,7 @@ class TestDistanceBlocks:
         assert pairs_below(vectors, 1) == [
             (i, j, 0) for i, j in itertools.combinations(range(len(vectors)), 2)
             if vectors[i] == vectors[j]]
-        assert count_below(vectors, 1) == len(pairs_below(vectors, 1)) > 0
+        assert _count_below(vectors, 1) == len(pairs_below(vectors, 1)) > 0
 
     @pytest.mark.parametrize("bad", [[[0.5]], [[1.5, 2], [1.0, 2]], [[1j]], [["a"]],
                                      [[1, None]], [[2**70, 0.5]]])

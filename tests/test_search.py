@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarray import search
-from permarray.bounds import cw_binary_bound, cw_pa_bound
+from permarray.bounds import cw_binary_bound, cw_pa_bound, johnson_1962
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
@@ -355,30 +355,41 @@ class TestSearchTree:
         assert_verified(outcome, 4)
 
     @pytest.mark.parametrize("oracle, args, value, nodes, pruned", [
-        (exact_a_cw, (11, 6, 4), 6, 6, (329, 173, 53, 15)),
-        (exact_a_cw, (10, 4, 3), 13, 151, (119, 96, 75, 45, 33, 35, 14, 12)),
+        (exact_a_cw, (11, 6, 4), 6, 1, ()),
+        (exact_a_cw, (10, 4, 3), 13, 13, ()),
         (exact_a_cw, (12, 6, 5), 12, 5191, (791, 543, 354, 262, 380, 419, 30)),
         (exact_p_cw, (6, 4, 4), 45, 83, (44, 2, 15, 15)),
         (exact_p_cw, (7, 6, 4), 7, 11, (313, 172)),
-        (exact_p_cw, (9, 7, 4), 3, 183, (1132,)),
+        (exact_p_cw, (9, 7, 4), 3, 1, ()),
         (exact_p, (6, 5, SearchLimits(20000, None)), 17, 20001, (0, 0, 1)),
         (exact_p, (7, 5, SearchLimits(20000, None)), 60, 20001, ()),
     ])
     def test_dives_leave_the_tree_alone(self, oracle, args, value, nodes, pruned):
         # the dives that do not meet the bound change no node: the
-        # incumbent is still the first dive, the plain greedy clique
+        # incumbent is still the first dive, the plain greedy clique. A
+        # tree stops where its incumbent meets the bound: A(11,6,4)'s one
+        # dive meets Johnson's 1962 bound 33/5, P(9,7,4)'s first meets
+        # A(9,6,4)'s 27/7, and A(10,4,3) meets the ceiling 10/3 * 4 at node
+        # 13; they took 6, 183 and 151 nodes to the same witnesses without
+        # the stop
         outcome = oracle(*args)
         assert (outcome.value, outcome.nodes, outcome.pruned) == (value, nodes, pruned)
         assert_verified(outcome, args[1])
 
-    def test_orbit_pruned_runs_are_pinned(self):
+    def test_orbit_pruned_runs_are_pinned(self, monkeypatch):
         # all words share one orbit, so the root branches once, and each
         # depth below keeps one word per orbit of the Young subgroup; with
         # root pruning alone the search took 4,616 nodes, with none 315,491,
-        # to the same witness
-        outcome = exact_a_cw(11, 6, 4)
+        # to the same witness. Run without its upper bound, since the dive
+        # meets Johnson's 1962 bound and closes the root at once
+        outcome = _without_bound(monkeypatch, exact_a_cw, 11, 6, 4)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 6, 6)
         assert outcome.pruned == (329, 173, 53, 15)
+        words = repr(outcome.witness.words).encode()
+        assert hashlib.sha256(words).hexdigest()[:16] == "3f501d4b975ed080"
+        outcome = exact_a_cw(11, 6, 4)
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 6, 1)
+        assert outcome.pruned == ()
         words = repr(outcome.witness.words).encode()
         assert hashlib.sha256(words).hexdigest()[:16] == "3f501d4b975ed080"
         # P(6,4,2) meets its bound 6/2 with the first dive, so the root
@@ -396,6 +407,19 @@ class TestSearchTree:
         assert outcome.pruned == (261, 277, 111, 34, 4)
         members = repr(outcome.witness.members).encode()
         assert hashlib.sha256(members).hexdigest()[:16] == "f91577237e20af4b"
+
+
+def _without_bound(monkeypatch, oracle, *args):
+    """The oracle's search with no upper bound: its group, but no dive or
+    incumbent closes the tree before it runs to the end."""
+    solve = search._solve
+
+    def solve_unbounded(m, vertices, d, limits, symmetry, witness, upper=None):
+        return solve(m, vertices, d, limits, symmetry, witness)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve", solve_unbounded)
+        return oracle(*args)
 
 
 def _one_orbit_per_vertex(monkeypatch, oracle, *args):
@@ -745,8 +769,8 @@ class TestOrbitPruning:
         (exact_p, (6, 5, SearchLimits(3000, None)), "_CycleTypes", (3, 6, 6)),
         (exact_p, (6, 5, SearchLimits(20000, None)), "_CycleTypes", (4, 7, 6)),
         (exact_p, (5, 4), "_CycleTypes", (0, 1, 1)),
-        (exact_a_cw, (11, 6, 4), "_Young", (3, 6, 2)),
-        (exact_a_cw, (10, 4, 3), "_Young", (46, 106, 2)),
+        (exact_a_cw, (11, 6, 4), "_Young", (0, 0, 0)),
+        (exact_a_cw, (10, 4, 3), "_Young", (0, 1, 1)),
         (exact_a_cw, (12, 6, 5), "_Young", (310, 759, 2)),
         (exact_p_cw, (6, 4, 2), "_CycleTypes", (0, 0, 0)),
         (exact_p_cw, (9, 6, 3), "_CycleTypes", (0, 0, 0)),
@@ -759,12 +783,14 @@ class TestOrbitPruning:
         # below a non-trivial one, and an orbit on each return to a node
         # whose stabiliser is not trivial. A dive that meets the bound ends
         # the search, so P(6,4) and P(5,4) close on their second dive, and
-        # P(6,4,2) and P(9,6,3) on their first. The dives' and the root
-        # returns' orbits are the root group's, read from its invariant
-        # rows; only deeper orbits map vertices under S_n. The capped P(6,5)
-        # runs never leave the first root branch, the words' one root orbit
-        # is asked by the dive and on the one return to the root, and
-        # P(6,4,6) makes four dives and returns to the root four times
+        # P(6,4,2), P(9,6,3) and A(11,6,4) on their first; A(10,4,3)'s
+        # incumbent meets it at node 13, before any return. The dives' and
+        # the root returns' orbits are the root group's, read from its
+        # invariant rows; only deeper orbits map vertices under S_n. The
+        # capped P(6,5) runs never leave the first root branch, A(12,6,5)'s
+        # one root orbit is asked by the dive and on the one return to the
+        # root, and P(6,4,6) makes four dives and returns to the root four
+        # times
         root = _recorded(monkeypatch, oracle, *args)
         names = [name for name, _ in root.calls]
         assert type(root.group).__name__ == kind
@@ -825,6 +851,70 @@ class TestOrbitPruning:
         # same incumbent size, so it prunes as much as before
         _, _, _, root_counts = _max_clique(conflicts, _RootOnly(masks), math.inf, math.inf)
         assert sum(counts[:1]) == sum(root_counts)
+
+
+def _with_and_without_bound(monkeypatch, oracle, *args):
+    """What ``_max_clique`` returns for the oracle's search on the same
+    conflict masks and root group, without an upper bound and then with the
+    oracle's."""
+    runs = []
+    max_clique = search._max_clique
+
+    def both(conflicts, root, max_nodes, deadline, upper=None):
+        runs.append(max_clique(conflicts, root, max_nodes, deadline))
+        runs.append(max_clique(conflicts, root, max_nodes, deadline, upper))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_max_clique", both)
+        oracle(*args)
+    return runs
+
+
+class TestBoundStop:
+    """A search ends when a dive or its incumbent meets the oracle's upper
+    bound. That changes no answer: a later incumbent could only be larger,
+    and none can pass the bound, so the whole tree returns the same clique,
+    and the stop can only save nodes."""
+
+    @staticmethod
+    def _assert_same_answer(monkeypatch, oracle, *args):
+        """Both runs certify; the bounded one returns the same clique, in
+        no more nodes, and the (bounded, unbounded) node counts."""
+        unbounded, bounded = _with_and_without_bound(monkeypatch, oracle, *args)
+        clique, exhausted, nodes, _ = bounded
+        assert exhausted and unbounded[1]
+        if nodes == 1:
+            # closed at the root by a dive, which may start from a later
+            # root orbit than the incumbent the whole tree grows from
+            assert len(clique) == len(unbounded[0])
+        else:
+            assert sorted(clique) == sorted(unbounded[0])
+        assert nodes <= unbounded[2]
+        return nodes, unbounded[2]
+
+    @pytest.mark.parametrize("oracle, args, nodes", [
+        (exact_a_cw, (8, 4, 3), (14, 16)),
+        (exact_a_cw, (9, 4, 3), (22, 24)),
+        (exact_a_cw, (10, 4, 3), (13, 151)),
+        (exact_p_cw, (8, 5, 3), (34, 51)),
+        (exact_p_cw, (9, 5, 3), (26, 4005)),
+    ])
+    def test_trees_that_stop_mid_way(self, monkeypatch, oracle, args, nodes):
+        # the incumbent meets the Johnson ceiling inside the tree
+        assert self._assert_same_answer(monkeypatch, oracle, *args) == nodes
+
+    @pytest.mark.parametrize("n, d", _P_CASES)
+    def test_exact_p(self, monkeypatch, n, d):
+        self._assert_same_answer(monkeypatch, exact_p, n, d)
+
+    @pytest.mark.parametrize("n, d, w", _PCW_CASES)
+    def test_exact_p_cw(self, monkeypatch, n, d, w):
+        self._assert_same_answer(monkeypatch, exact_p_cw, n, d, w)
+
+    @pytest.mark.parametrize("n, d, w", _ACW_CASES)
+    def test_exact_a_cw(self, monkeypatch, n, d, w):
+        self._assert_same_answer(monkeypatch, exact_a_cw, n, d, w)
 
 
 def _handed_over(monkeypatch, oracle, *args):
@@ -1173,13 +1263,24 @@ class TestExactACw:
 
     @pytest.mark.parametrize(
         "n, d, w, value, nodes",
-        [(12, 6, 5, 12, 5191), (10, 4, 3, 13, 151), (11, 4, 3, 17, 455), (10, 4, 4, 30, 77193)],
+        [(12, 6, 5, 12, 5191), (10, 4, 3, 13, 13), (11, 4, 3, 17, 455), (10, 4, 4, 30, 77193)],
     )
     def test_certifies_past_root_pruning(self, n, d, w, value, nodes):
         # none of these finished in 300,000 nodes when only the root pruned
         outcome = exact_a_cw(n, d, w)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, nodes)
         assert outcome.witness.violations(d) == []
+
+    @pytest.mark.parametrize("n, k", sorted(
+        {(n, d // 2) for n, d, w in _ACW_CASES if w == d // 2 + 1}
+        | {(10, 2), (11, 2), (11, 3), (12, 3)}))
+    def test_johnson_1962_holds_for_certified_values(self, monkeypatch, n, k):
+        # certified with no upper bound, so that the bound under test cannot
+        # end the search that tests it
+        outcome = _without_bound(monkeypatch, exact_a_cw, n, 2 * k, k + 1)
+        assert outcome.status == STATUS_EXACT
+        assert johnson_1962(n, k) is None or johnson_1962(n, k) >= outcome.value
+        assert cw_binary_bound(n, 2 * k, k + 1).value >= outcome.value
 
     def test_lower_bound_only_gate(self):
         outcome = exact_a_cw(10, 4, 5, SearchLimits(max_nodes=3, max_seconds=None))
