@@ -7,8 +7,9 @@ and A(n, d, w) is the analogous maximum for binary constant-weight codes.
 Every bound here is computed in exact integer or rational arithmetic
 (``fractions.Fraction``) with a single floor at the very end; flooring
 intermediate quantities would break the gap inequalities the test suite
-checks. Each result carries a derivation trace naming the rules that
-produced it:
+checks. Each packing rule (DV, SP, ME, MO) computes its exact rational
+once and returns it, before the floor, as the result's ``ratio``. Each
+result carries a derivation trace naming the rules that produced it:
 
 ======================  =====================================================
 tag                     rule
@@ -38,7 +39,7 @@ d1-as-d2                distance 1 rewritten as distance 2 (distinct
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,11 +59,16 @@ class BoundResult:
     A ``value`` of None marks the result not applicable, which is how
     out-of-range requests are reported (callers fall back to other rules
     instead of receiving a silently weakened number).
+
+    ``ratio`` is the exact rational that a packing rule (DV, SP, ME, MO)
+    floors to give ``value``; it is None for every other result, and it
+    takes no part in equality.
     """
 
     value: int | None
     kind: str
     derivation: tuple[str, ...]
+    ratio: Fraction | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -81,6 +87,10 @@ def _exact(value: int, *tags: str) -> BoundResult:
 
 def _upper(value: int, *tags: str) -> BoundResult:
     return BoundResult(value, KIND_UPPER, tags)
+
+
+def _floored(ratio: Fraction, tag: str) -> BoundResult:
+    return BoundResult(math.floor(ratio), KIND_UPPER, (tag,), ratio)
 
 
 def _not_applicable(*tags: str) -> BoundResult:
@@ -112,49 +122,32 @@ def _check_cw_code(n: int, d: int, w: int) -> None:
     _check_weight(n, w, moved=False)
 
 
-def dv_ratio(n: int, d: int) -> Fraction:
-    """The quotient bound n!/(d-1)! as an exact rational (always integral)."""
-    _check_distance(n, d)
-    return Fraction(factorial(n), factorial(d - 1))
-
-
 def dv_bound(n: int, d: int) -> BoundResult:
     """Upper bound P(n, d) <= n!/(d-1)!, from the quotient by a stabilizer
-    chain; the division is always exact."""
-    return _upper(math.floor(dv_ratio(n, d)), "DV")
-
-
-def sp_ratio(n: int, d: int) -> Fraction:
-    """The sphere-packing quantity n! / V(n, floor((d-1)/2)) pre-floor."""
+    chain; the division is always exact, so ``ratio`` is integral."""
     _check_distance(n, d)
-    return Fraction(factorial(n), ball_volume(n, (d - 1) // 2))
+    return _floored(Fraction(factorial(n), factorial(d - 1)), "DV")
 
 
 def sp_bound(n: int, d: int) -> BoundResult:
     """Sphere-packing upper bound: balls of radius floor((d-1)/2) around
     members are disjoint, so P(n, d) <= floor(n! / V(n, r))."""
-    return _upper(math.floor(sp_ratio(n, d)), "SP")
+    _check_distance(n, d)
+    return _floored(Fraction(factorial(n), ball_volume(n, (d - 1) // 2)), "SP")
 
 
-def me_ratio(n: int, k: int) -> Fraction:
-    """Pre-floor value of the even-distance bound on P(n, 2k).
+def me_bound(n: int, k: int) -> BoundResult:
+    """Upper bound on P(n, 2k) for 2 <= k <= floor(n/2); out-of-range k
+    reports not-applicable so callers fall back to DV/SP.
 
     Strengthens sphere packing by charging each member, on top of its
     radius-(k-1) ball, an equal share of the weight-k permutations it can
     see: the denominator grows by C(n, k) * D_k / floor(n/k).
     """
     if not 2 <= k <= n // 2:
-        raise ValueError(f"k={k} outside valid range 2..{n // 2}")
-    shared = Fraction(binomial(n, k) * derangement_count(k), n // k)
-    return Fraction(factorial(n)) / (ball_volume(n, k - 1) + shared)
-
-
-def me_bound(n: int, k: int) -> BoundResult:
-    """Upper bound on P(n, 2k) for 2 <= k <= floor(n/2); out-of-range k
-    reports not-applicable so callers fall back to DV/SP."""
-    if not 2 <= k <= n // 2:
         return _not_applicable("ME")
-    return _upper(math.floor(me_ratio(n, k)), "ME")
+    shared = Fraction(binomial(n, k) * derangement_count(k), n // k)
+    return _floored(Fraction(factorial(n)) / (ball_volume(n, k - 1) + shared), "ME")
 
 
 def johnson_ceiling(m: int, k: int) -> int:
@@ -179,56 +172,37 @@ def johnson_1962(m: int, k: int) -> int | None:
     return k * m // denominator if denominator > 0 else None
 
 
-def _cw_size_estimate(m: int, k: int, table: "CwTable | None") -> tuple[int, bool]:
-    """Best available upper value for A(m, 2k, k+1): an exact table entry if
-    one exists, else the Johnson ceiling, the paper's estimate. MO keeps it
-    rather than ``cw_binary_bound``'s smaller value until ROADMAP item 19,
-    since that value lowers 260 odd-distance ``table`` cells with n <= 120.
-    Returns (value, came_from_table)."""
-    if table is not None:
-        entry = table.get(m, 2 * k, k + 1)
-        if entry is not None and entry.kind == KIND_EXACT:
-            return entry.value, True
-    return johnson_ceiling(m, k), False
-
-
-def mo_ratio(n: int, k: int, table: "CwTable | None" = None) -> Fraction:
-    """Pre-floor value of the odd-distance bound on P(n, 2k+1).
+def mo_bound(n: int, k: int, table: "CwTable | None" = None) -> BoundResult:
+    """Upper bound on P(n, 2k+1) for k >= 2 and n >= 3k+1; out-of-range
+    requests report not-applicable.
 
     Charges each member its radius-k ball plus a share of the weight-(k+1)
     shell; the share T is clamped at zero, so the result never drops below
-    plain sphere packing. Estimating both constant-weight code sizes from
-    above only weakens the bound, so any valid upper estimate keeps it safe.
+    plain sphere packing. The share needs A(m, 2k, k+1) at m = n and
+    m = n - k; estimating both from above only weakens the bound, so any
+    valid upper estimate keeps it safe. Each is an exact ``table`` entry if
+    one exists, and the trace then says "MO-exact-A"; else it is the
+    Johnson ceiling, the paper's estimate. MO keeps the ceiling rather than
+    ``cw_binary_bound``'s smaller value until ROADMAP item 19, since that
+    value lowers 260 odd-distance ``table`` cells with n <= 120.
     """
     if k < 2 or 2 * k > n - k - 1:
-        raise ValueError(f"odd-distance bound needs k >= 2 and n >= 3k+1; got n={n}, k={k}")
-    return _mo(n, k, table)[0]
-
-
-def _mo(n: int, k: int, table: "CwTable | None") -> tuple[Fraction, bool]:
-    """(mo_ratio, whether either constant-weight size came from the table)."""
-    a_full, full_from_table = _cw_size_estimate(n, k, table)
-    a_reduced, reduced_from_table = _cw_size_estimate(n - k, k, table)
+        return _not_applicable("MO-corollary")
+    sizes, tag = [], "MO-corollary"
+    for m in (n, n - k):
+        entry = table.get(m, 2 * k, k + 1) if table is not None else None
+        if entry is not None and entry.kind == KIND_EXACT:
+            sizes.append(entry.value)
+            tag = "MO-exact-A"
+        else:
+            sizes.append(johnson_ceiling(m, k))
+    a_full, a_reduced = sizes
     numerator = (
         binomial(n, k + 1) * derangement_count(k + 1)
         - a_reduced * binomial(n, k) * derangement_count(k)
     )
     share = max(Fraction(0), Fraction(numerator, a_full))
-    ratio = Fraction(factorial(n)) / (ball_volume(n, k) + share)
-    return ratio, full_from_table or reduced_from_table
-
-
-def mo_bound(n: int, k: int, table: "CwTable | None" = None) -> BoundResult:
-    """Upper bound on P(n, 2k+1) for k >= 2 and n >= 3k+1; out-of-range
-    requests report not-applicable.
-
-    With ``table`` entries of kind exact for A(m, 2k, k+1), those values
-    replace the Johnson ceiling and the trace says "MO-exact-A".
-    """
-    if k < 2 or 2 * k > n - k - 1:
-        return _not_applicable("MO-corollary")
-    ratio, from_table = _mo(n, k, table)
-    return _upper(math.floor(ratio), "MO-exact-A" if from_table else "MO-corollary")
+    return _floored(Fraction(factorial(n)) / (ball_volume(n, k) + share), tag)
 
 
 def subset_bound(n: int, d: int, omega_size: int, p_omega: int) -> BoundResult:
@@ -320,7 +294,7 @@ def cw_pa_bound(n: int, d: int, w: int) -> BoundResult:
         k = (d - 1) // 2
         if w == k + 1 and 1 <= k <= (n - 1) // 2:
             inner = cw_binary_bound(n, 2 * k, k + 1)
-            return BoundResult(inner.value, inner.kind, ("cw-pa-IV", *inner.derivation))
+            return replace(inner, derivation=("cw-pa-IV", *inner.derivation))
     if (d, w) == (4, 3) and n >= 4:
         return _upper(2 * binomial(n, 2) // 3, "cw-pa-VI")
     if d > w:
@@ -361,7 +335,7 @@ def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundRes
         (c for _, c in candidate_bounds(n, d, table) if c.applicable), key=lambda c: c.value
     )
     if tags:
-        return BoundResult(best.value, best.kind, tags + best.derivation)
+        return replace(best, derivation=tags + best.derivation)
     return best
 
 

@@ -16,12 +16,9 @@ from permarray.bounds import (
     best_upper_bound,
     dv_bound,
     me_bound,
-    me_ratio,
     mo_bound,
-    mo_ratio,
     recursive_bound,
     sp_bound,
-    sp_ratio,
 )
 from permarray.constructions import known_perfect, perfect_pa, perfect_size
 from permarray.exactmath import (
@@ -164,15 +161,15 @@ def test_criterion_5_rational_property_sweeps():
     # refinement never loosens sphere packing, same target distance
     for n in range(4, 41):
         for k in range(2, n // 2 + 1):
-            assert me_ratio(n, k) <= sp_ratio(n, 2 * k), (n, k)
+            assert me_bound(n, k).ratio <= sp_bound(n, 2 * k).ratio, (n, k)
     for n in range(7, 41):
         for k in range(2, (n - 1) // 3 + 1):
-            assert mo_ratio(n, k) <= sp_ratio(n, 2 * k + 1), (n, k)
+            assert mo_bound(n, k).ratio <= sp_bound(n, 2 * k + 1).ratio, (n, k)
 
     # even-distance gap: SP - ME > 2 (n-k+1)! / (n (k-1))
     for k in range(5, 8):
         for n in range(2 * k, 41):
-            gap = sp_ratio(n, 2 * k) - me_ratio(n, k)
+            gap = sp_bound(n, 2 * k).ratio - me_bound(n, k).ratio
             assert gap > Fraction(2 * factorial(n - k + 1), n * (k - 1)), (n, k)
 
     # odd-distance gap, wherever the right side is positive
@@ -184,7 +181,7 @@ def test_criterion_5_rational_property_sweeps():
             )
             if rhs <= 0:
                 continue
-            assert sp_ratio(n, 2 * k + 1) - mo_ratio(n, k) > rhs, (n, k)
+            assert sp_bound(n, 2 * k + 1).ratio - mo_bound(n, k).ratio > rhs, (n, k)
             odd_checked += 1
     assert odd_checked > 0
 

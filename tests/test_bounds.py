@@ -1,6 +1,9 @@
-"""Bound rules: frozen values, applicability edges, derivation traces, and
-the exact-rational ordering properties between rules."""
+"""Bound rules: frozen values, applicability edges, derivation traces, the
+exact-rational ordering properties between rules, and a digest pinning the
+whole bound grid."""
 
+import functools
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -15,16 +18,12 @@ from permarray.bounds import (
     cw_binary_bound,
     cw_pa_bound,
     dv_bound,
-    dv_ratio,
     johnson_1962,
     johnson_ceiling,
     me_bound,
-    me_ratio,
     mo_bound,
-    mo_ratio,
     recursive_bound,
     sp_bound,
-    sp_ratio,
     subset_bound,
 )
 from permarray.exactmath import ball_volume, factorial
@@ -36,6 +35,12 @@ class TestBoundResult:
             BoundResult(7, "guess", ("DV",))
         with pytest.raises(ValueError):
             BoundResult(7, "upper", ())
+
+    def test_ratio_takes_no_part_in_equality(self):
+        with_ratio = BoundResult(7, "upper", ("SP",), Fraction(15, 2))
+        assert with_ratio == BoundResult(7, "upper", ("SP",))
+        assert hash(with_ratio) == hash(BoundResult(7, "upper", ("SP",)))
+        assert BoundResult(7, "upper", ("SP",)).ratio is None
 
 
 class TestQuotientBound:
@@ -75,7 +80,7 @@ class TestQuotientBound:
     def test_division_is_exact(self):
         for n in range(2, 30):
             for d in range(1, n + 1):
-                assert dv_ratio(n, d).denominator == 1
+                assert dv_bound(n, d).ratio.denominator == 1
 
 
 class TestSpherePacking:
@@ -87,8 +92,8 @@ class TestSpherePacking:
 
     def test_radius_comes_from_distance(self):
         # d = 8 and d = 9 pack radius 3 and 4 balls respectively
-        assert sp_ratio(20, 8) == Fraction(factorial(20), ball_volume(20, 3))
-        assert sp_ratio(20, 9) == Fraction(factorial(20), ball_volume(20, 4))
+        assert sp_bound(20, 8).ratio == Fraction(factorial(20), ball_volume(20, 3))
+        assert sp_bound(20, 9).ratio == Fraction(factorial(20), ball_volume(20, 4))
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -112,9 +117,6 @@ class TestEvenDistanceBound:
             result = me_bound(n, k)
             assert not result.applicable
             assert result.value is None
-            # the pre-floor ratio refuses what the bound reports not applicable
-            with pytest.raises(ValueError, match=f"^k={k} outside valid range 2..{n // 2}$"):
-                me_ratio(n, k)
 
     def test_trace(self):
         assert me_bound(20, 4).derivation == ("ME",)
@@ -123,7 +125,7 @@ class TestEvenDistanceBound:
         # same-distance comparison, exact rationals, all valid (n, k), n <= 40
         for n in range(4, 41):
             for k in range(2, n // 2 + 1):
-                assert me_ratio(n, k) <= sp_ratio(n, 2 * k)
+                assert me_bound(n, k).ratio <= sp_bound(n, 2 * k).ratio
 
 
 class TestOddDistanceBound:
@@ -149,22 +151,17 @@ class TestOddDistanceBound:
         assert not mo_bound(12, 4).applicable  # needs n >= 3k+1 = 13
         assert mo_bound(13, 4).applicable
         assert not mo_bound(10, 1).applicable
-        # the pre-floor ratio refuses what the bound reports not applicable
-        for n, k in [(12, 4), (10, 1)]:
-            with pytest.raises(ValueError, match=r"^odd-distance bound needs k >= 2 and "
-                                                 rf"n >= 3k\+1; got n={n}, k={k}$"):
-                mo_ratio(n, k)
 
     def test_share_clamps_at_zero(self):
         # at (40, 2) the weight-3 shell is outgrown and the share would be
         # negative; the clamp makes the bound coincide with sphere packing
         assert mo_bound(40, 2).value == sp_bound(40, 5).value
-        assert mo_ratio(40, 2) == sp_ratio(40, 5)
+        assert mo_bound(40, 2).ratio == sp_bound(40, 5).ratio
 
     def test_ordering_against_sphere_packing(self):
         for n in range(7, 41):
             for k in range(2, (n - 1) // 3 + 1):
-                assert mo_ratio(n, k) <= sp_ratio(n, 2 * k + 1)
+                assert mo_bound(n, k).ratio <= sp_bound(n, 2 * k + 1).ratio
 
 
 class TestGapInequalities:
@@ -172,7 +169,7 @@ class TestGapInequalities:
         # SP(n, 2k) - ME(n, k) > 2 (n-k+1)! / (n (k-1)), exact rationals
         for k in range(5, 8):
             for n in range(2 * k, 41):
-                gap = sp_ratio(n, 2 * k) - me_ratio(n, k)
+                gap = sp_bound(n, 2 * k).ratio - me_bound(n, k).ratio
                 floor_threshold = Fraction(2 * factorial(n - k + 1), n * (k - 1))
                 assert gap > floor_threshold, (n, k)
 
@@ -187,7 +184,7 @@ class TestGapInequalities:
                 )
                 if rhs <= 0:
                     continue
-                gap = sp_ratio(n, 2 * k + 1) - mo_ratio(n, k)
+                gap = sp_bound(n, 2 * k + 1).ratio - mo_bound(n, k).ratio
                 assert gap > rhs, (n, k)
                 checked += 1
         assert checked > 0
@@ -435,6 +432,10 @@ class TestBestUpperBound:
         assert best.value == 1
         assert best.derivation == ("DV",)
 
+    def test_distance_one_keeps_the_ratio(self):
+        for n in range(2, 21):
+            assert best_upper_bound(n, 1).ratio == best_upper_bound(n, 2).ratio
+
     def test_never_above_component_bounds(self):
         for n in range(4, 26):
             for d in range(2, n + 1):
@@ -513,3 +514,43 @@ class TestCwTable:
         # an entry that parses but that insert refuses
         with pytest.raises(ValueError, match="^line 3: unknown bound kind: 'maybe'$"):
             CwTable.loads("# A(6,4,3)\n6 4 3 4 exact\n6 4 2 3 maybe\n")
+
+
+GRID_TABLE = "20 8 5 16 exact\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(table_text):
+    """(n, d, rule, result) for ``best_upper_bound`` (rule "best") and every
+    ``candidate_bounds`` row, over 1 <= d <= n <= 120."""
+    table = None if table_text is None else CwTable.loads(table_text)
+    rows = []
+    for n in range(1, 121):
+        for d in range(1, n + 1):
+            rows.append((n, d, "best", best_upper_bound(n, d, table)))
+            rows.extend((n, d, rule, result) for rule, result in candidate_bounds(n, d, table))
+    return tuple(rows)
+
+
+class TestBoundGrid:
+    @pytest.mark.parametrize("table_text, digest", [
+        (None, "a4d16b771ea7ff6fc21cd30acabc66bdec647f94b1e855ab8b23edfc3a27c65b"),
+        (GRID_TABLE, "b452dc38adcd4a188e5ca593dc39e778cc75e3ee20b14e0299e8498ecb63ab11"),
+    ], ids=["no-table", "table"])
+    def test_digest(self, table_text, digest):
+        # every value, kind and trace on the grid; a change that moves a cell
+        # on purpose re-pins this digest
+        h = hashlib.sha256()
+        for n, d, _, result in _grid(table_text):
+            h.update(repr((n, d, result.value, result.kind, result.derivation)).encode() + b"\n")
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("table_text", [None, GRID_TABLE], ids=["no-table", "table"])
+    def test_ratio_floors_to_the_value(self, table_text):
+        for n, d, rule, result in _grid(table_text):
+            if result.applicable:
+                assert math.floor(result.ratio) == result.value, (n, d, rule)
+                if rule == "DV":
+                    assert result.ratio.denominator == 1, (n, d)
+            else:
+                assert result.ratio is None, (n, d, rule)

@@ -314,6 +314,7 @@ class TestPermutationArray:
         assert array != PermutationArray(3, [Permutation(range(3)), Permutation((2, 0, 1))])
         assert PermutationArray(2, []) != PermutationArray(3, [])
         assert array.__eq__(members) is NotImplemented
+        assert repr(perfect_pa("agl", 5)) == "PermutationArray(n=5, size=20)"
 
     @pytest.mark.parametrize("make", [
         lambda: PermutationArray(4, [list(p) for p in permutations(range(4))][::-1]),
