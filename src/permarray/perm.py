@@ -41,15 +41,20 @@ import numpy as np
 
 from .exactmath import derangement_count
 
-# Distances per block in distance_blocks, and compares per slab in
-# _distance_rows. Smaller blocks follow the upper triangle more closely:
-# on 1,320 rows they compute 1.00 M distances at 256 KiB against 1.32 M at
-# 1 MiB. With the agreement table, best of two sets of interleaved runs on
-# a 2-core Xeon, 64 / 128 / 256 / 512 KiB: pairs_below on pgl2 11
-# 1.8 / 1.4 / 1.7 / 2.4 ms, S_7 at d = 3 34 / 27 / 25 / 29 ms, P(7,4)
-# conflict masks 31 / 27 / 25 / 38 ms. The whole `verify` of pgl2 11 still
-# favours 256 KiB: the benchmark's tools probe read 6.1-6.4 ms against
-# 6.4-6.5 ms at 128 KiB in 4 alternating pairs.
+# Distances per block in distance_blocks at most, and compares per slab in
+# _distance_rows. distance_blocks sizes its blocks from its input: a whole
+# matrix within a quarter of this is one block, a larger one is cut into
+# blocks of whole rows that hold an eighth of it but no less than that
+# quarter, and no block passes this bound, so memory stays bounded. What sets the small sizes is the C heap, not the
+# cache: glibc serves a request above 128 KiB with fresh pages, and gives
+# the heap's free top back to the OS once it passes twice the largest such
+# request freed, so a call whose blocks and their temporaries pass that
+# faults its pages in again on every call. P(6,4)'s 664 vertices in two
+# 261 KB blocks took about 214 minor faults per exact_p(6, 4) capped at
+# 700 nodes; in seven blocks of 65 KB, none.
+# The bound itself suits the large inputs: best of two sets of interleaved
+# runs on a 2-core Xeon, 64 / 128 / 256 / 512 KiB, S_7 at d = 3 34 / 27 /
+# 25 / 29 ms and P(7,4) conflict masks 31 / 27 / 25 / 38 ms.
 _BLOCK_BYTES = 1 << 18
 
 # Bytes of the agreement table that _distance_rows builds from int8 columns
@@ -291,16 +296,22 @@ def distance_blocks(
 
     Full rows start at column 0; with ``upper`` each block starts at its own
     first row's column, which covers every pair i <= j once at half the work.
-    A block holds about ``_BLOCK_BYTES`` distances, so memory stays bounded
-    whatever the number of vectors; each block is a fresh array of the
-    smallest unsigned dtype that holds the vector length. ``vectors`` may be
-    an (m, n) integer matrix or a sequence of equal-length integer vectors.
+    A block holds at most ``_BLOCK_BYTES`` distances (or one row, where a
+    row holds more), so memory stays bounded whatever the number of
+    vectors. Its rows are sized from the input: one block when the whole
+    matrix fits in a quarter of ``_BLOCK_BYTES``, else about an eighth of
+    the matrix, at least that quarter, so that the blocks and their
+    temporaries of a small set stay on the C heap from call to call
+    instead of going back to the OS and being faulted in again. Each block
+    is a fresh array of the smallest unsigned dtype that holds the vector
+    length. ``vectors`` may be an (m, n) integer matrix or a sequence of
+    equal-length integer vectors.
     ``spans``, some of the blocks' (start, stop, first_column) in order, as
     ``block_counts`` gives them, limits the walk to those blocks.
     """
     if spans is None:
         m = len(vectors)
-        rows = max(1, _BLOCK_BYTES // max(1, m))
+        rows = max(1, min(_BLOCK_BYTES, max(_BLOCK_BYTES // 4, m * m // 8)) // max(1, m))
         spans = [(start, min(start + rows, m), start if upper else 0)
                  for start in range(0, m, rows)]
     for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):

@@ -197,18 +197,68 @@ def test_row_streams_reject_what_the_tuple_streams_reject():
             next(perm.weight_rows(5, w))
 
 
+def _rows_of(blocks):
+    """A row stream's permutations as one matrix, in stream order."""
+    return np.concatenate(list(blocks))
+
+
+# Inputs by size for the kernel's block layouts: 256 of S_6's rows, the
+# vertices of P(6,4), pgl2 11, the vertices of P(7,4), S_7 and the
+# vertices of P(8,6)
+_LAYOUT_INPUTS = {
+    256: lambda: _rows_of(perm.permutation_rows(6, 0))[:256],
+    664: lambda: _rows_of(perm.permutation_rows(6, 4)),
+    1320: lambda: perfect_pa("pgl2", 11).rows,
+    4948: lambda: _rows_of(perm.permutation_rows(7, 4)),
+    5040: lambda: _rows_of(perm.permutation_rows(7, 0)),
+    37085: lambda: _rows_of(perm.permutation_rows(8, 6)),
+}
+
+
 def test_distance_blocks_match_pairwise():
-    perms = _listed(perm.weight_rows(5, 3))
-    dist = {}
-    for start, first, block in distance_blocks(perms):
-        assert first == 0 and block.shape[1] == len(perms)
-        for r, row in enumerate(block):
-            for c, value in enumerate(row):
-                dist[start + r, c] = value
-    for i, x in enumerate(perms):
-        for j, y in enumerate(perms):
-            assert dist[i, j] == hamming_distance(x, y)
+    # one block, then the seven and eight blocks of the mid-size layout
+    for vectors, blocks in [(_rows_of(perm.weight_rows(5, 3)), 1),
+                            (_LAYOUT_INPUTS[664](), 7), (_LAYOUT_INPUTS[1320](), 8)]:
+        full = np.count_nonzero(vectors[:, None] != vectors[None], axis=2)
+        walked = list(distance_blocks(vectors))
+        assert len(walked) == blocks
+        assert [start for start, _, _ in walked] == list(
+            itertools.accumulate([len(block) for _, _, block in walked[:-1]], initial=0))
+        for start, first, block in walked:
+            assert first == 0 and block.shape[1] == len(vectors)
+            assert np.array_equal(block, full[start:start + len(block)])
+        # the reference against the metric: every pair of the small input,
+        # 200 pairs of each larger one
+        m = len(vectors)
+        rng = random.Random(m)
+        pairs = itertools.product(range(m), repeat=2) if m < 100 else (
+            (rng.randrange(m), rng.randrange(m)) for _ in range(200))
+        for i, j in pairs:
+            assert full[i, j] == hamming_distance(vectors[i], vectors[j])
     assert list(distance_blocks([])) == []
+
+
+@pytest.mark.parametrize("m, rows, blocks", [
+    # a whole matrix within a quarter of _BLOCK_BYTES is one block
+    (256, 256, 1),
+    # above it, about eight blocks of at least that quarter
+    (664, 98, 7), (1320, 165, 8),
+    # past eight blocks of _BLOCK_BYTES, blocks of _BLOCK_BYTES // m rows
+    (4948, 52, 96), (5040, 52, 97), (37085, 7, 5298),
+])
+def test_block_layout_follows_the_input(m, rows, blocks):
+    vectors = _LAYOUT_INPUTS[m]()
+    assert len(vectors) == m
+    assert rows * m <= perm._BLOCK_BYTES and -(-m // rows) == blocks
+    if m * m > 8 * perm._BLOCK_BYTES:
+        assert rows == perm._BLOCK_BYTES // m
+    # the first blocks only past 100: P(8,6)'s whole walk takes seconds
+    walked = itertools.islice(distance_blocks(vectors, upper=True), 100)
+    starts = list(range(0, m, rows))
+    for k, (start, first, block) in enumerate(walked):
+        assert start == first == starts[k]
+        assert block.shape == (min(rows, m - start), m - start)
+    assert k == min(blocks, 100) - 1
 
 
 def _assert_blocks_match(vectors, upper):

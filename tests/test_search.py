@@ -335,12 +335,15 @@ class TestSearchTree:
 
     @pytest.mark.parametrize("oracle, args, value", [
         (exact_p, (5, 4), 20), (exact_p, (6, 4), 120), (exact_p, (7, 6), 42),
-        (exact_a_cw, (12, 6, 4), 9), (exact_p_cw, (9, 6, 3), 3),
+        (exact_a_cw, (12, 6, 4), 9), (exact_p_cw, (9, 6, 3), 3), (exact_p, (8, 6), 336),
     ])
     def test_a_dive_that_meets_the_bound_closes_the_root(self, oracle, args, value):
-        # the bounds are 5!/3!, 6!/3! and 7!/5! with the identity, Johnson's
-        # 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the dives these
-        # took 19, 83,574, more than 2,000,000, 9 and 2 nodes
+        # the bounds are 5!/3!, 6!/3!, 7!/5! and 8!/5! with the identity,
+        # Johnson's 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the
+        # dives the first five took 19, 83,574, more than 2,000,000, 9 and 2
+        # nodes. P(8,6), the first certificate on 8 points, spends nearly
+        # all its time on the conflict masks of 37,085 vertices, in the
+        # kernel's largest layout (blocks of 7 rows)
         outcome = oracle(*args)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, 1)
         assert outcome.pruned == ()
