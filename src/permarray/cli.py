@@ -19,7 +19,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from decimal import Decimal
-from itertools import chain, islice
+from itertools import islice
 from typing import NoReturn
 
 import numpy as np
@@ -35,7 +35,7 @@ from .constructions import (
     lift_binary_cw_code,
     perfect_pa,
 )
-from .perm import block_counts, pair_blocks
+from .perm import count_pairs_below
 from .search import (
     DEFAULT_LIMITS,
     STATUS_EXACT,
@@ -309,14 +309,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = vectors = payload.rows
         kind = "permutations"
-    # one pass counts the pairs in each block, and a second recomputes only
-    # the blocks that hold one and writes their pairs, so no more than one
-    # block of them is held, however many fail
-    counts = block_counts(vectors, d)
-    count = sum(found for _, found in counts)
-    hit = [span for span, found in counts if found]
-    pairs = chain.from_iterable(zip(*(column.tolist() for column in block))
-                                for block in pair_blocks(vectors, d, hit))
+    # one pass counts the pairs, and a second recomputes only the blocks
+    # that hold one and writes their pairs, so no more than one block of
+    # them is held, however many fail
+    count, pairs = count_pairs_below(vectors, d)
     if args.json:
         report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
                   "ok": not count, "violations": []}

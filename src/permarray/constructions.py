@@ -22,11 +22,12 @@ from math import comb, isqrt
 import numpy as np
 
 from .exactmath import factorial
-from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pair_blocks,
-                   pairs_below, permutation_rows)
+from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pairs_below,
+                   permutation_rows)
 
 
-# Entries per slab of the bijection check in PermutationArray: 1 MB as int32
+# Entries per slab of the bijection check in PermutationArray: a sorted
+# copy of at most 2 MB, at int64
 _CHECK_ENTRIES = 1 << 18
 
 
@@ -67,16 +68,15 @@ class PermutationArray:
                     Permutation(p)
                 rows = rows.astype(np.int64)
             rows = rows.reshape(len(members), max(n, 0))  # n < 0 comes only with no members
-        # the check sorts the rows before they narrow, a slab of at most
-        # _CHECK_ENTRIES entries at a time, and widens narrower rows to
-        # int32: np.sort of pgl2 11's 1,320 x 12 rows takes about five times
-        # as long in int8 as in int32, widening included, and the builders
-        # pass rows already narrow; a slab keeps the wide copy small
+        # the check sorts the rows in their own dtype before they narrow, a
+        # slab of at most _CHECK_ENTRIES entries at a time: a sort of int8
+        # rows widened to int32 is 0.1-0.2 ms faster for S_7 and pgl2 11,
+        # but the wide copy raises the peak RSS of building S_7 by 128 KB
+        # and of S_8 by 1.5 MB
         bad = np.empty(len(rows), dtype=bool)
         step = max(1, _CHECK_ENTRIES // max(n, 1))
         for start in range(0, len(rows), step):
             slab = rows[start:start + step]
-            slab = slab.astype(np.int32) if slab.itemsize < 4 else slab
             bad[start:start + step] = (np.sort(slab, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             Permutation(rows[bad.argmax()].tolist())  # raises for the first bad row
@@ -168,20 +168,13 @@ class BinaryCwCode:
         """All word pairs at indicator distance below d, in the order of
         ``itertools.combinations``. The indicator vectors' Hamming distance is
         2 * (weight - overlap)."""
-        return _name_pairs(pairs_below(indicator_rows(self.n, self._supports()), d), self.words)
+        words = self.words
+        return [(words[i], words[j], dist)
+                for i, j, dist in pairs_below(indicator_rows(self.n, self._supports()), d)]
 
     def _supports(self) -> np.ndarray:
         """The words as the rows of an (m, weight) index matrix."""
         return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
-
-
-def _name_pairs(pairs: list, items: Sequence) -> list:
-    """Give each (i, j, distance) triple of ``pairs`` way to (items[i],
-    items[j], distance) in place, so the pairs are never held twice, and
-    return ``pairs``."""
-    for k, (i, j, dist) in enumerate(pairs):
-        pairs[k] = (items[i], items[j], dist)
-    return pairs
 
 
 def indicator_rows(n: int, supports: np.ndarray) -> np.ndarray:
@@ -296,9 +289,9 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
     # weight-(k+1) supports sharing s points are at indicator distance
     # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k;
     # the first block that holds one gives the pair to name
-    bad = next(pair_blocks(indicator_rows(code.n, supports), 2 * k), None)
+    bad = next(pairs_below(indicator_rows(code.n, supports), 2 * k), None)
     if bad is not None:
-        i, j, dist = (int(column[0]) for column in bad)
+        i, j, dist = bad
         raise ValueError(f"supports {code.words[i]!r} and {code.words[j]!r} share "
                          f"{k + 1 - dist // 2} points; at most 1 allowed")
     return PermutationArray(code.n, _cycle_rows(code.n, supports))

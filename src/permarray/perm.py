@@ -29,6 +29,12 @@ column's agreements are rows gathered from a 0/1 table built once per
 call, one row per entry value; every other input compares a slab of
 columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``, so that
 long vectors in few rows take few steps.
+
+The pairs of one set closer than a distance d come from the self form's
+upper blocks in two calls: ``pairs_below`` streams them as (i, j,
+distance) triples of Python ints, i < j, in row-major order, computing a
+block as it is read; ``count_pairs_below`` counts them in one pass and
+returns the same stream, which recomputes only the blocks that hold one.
 """
 
 from __future__ import annotations
@@ -45,13 +51,14 @@ from .exactmath import derangement_count
 # _distance_rows. distance_blocks sizes its blocks from its input: a whole
 # matrix within a quarter of this is one block, a larger one is cut into
 # blocks of whole rows that hold an eighth of it but no less than that
-# quarter, and no block passes this bound, so memory stays bounded. What sets the small sizes is the C heap, not the
-# cache: glibc serves a request above 128 KiB with fresh pages, and gives
-# the heap's free top back to the OS once it passes twice the largest such
-# request freed, so a call whose blocks and their temporaries pass that
-# faults its pages in again on every call. P(6,4)'s 664 vertices in two
-# 261 KB blocks took about 214 minor faults per exact_p(6, 4) capped at
-# 700 nodes; in seven blocks of 65 KB, none.
+# quarter, and no block passes this bound, so memory stays bounded. What
+# sets the small sizes is the C heap, not the cache: glibc serves a request
+# above 128 KiB with fresh pages, and gives the heap's free top back to the
+# OS once it passes twice the largest such request freed, so a call whose
+# blocks and their temporaries pass that faults its pages in again on every
+# call. P(6,4)'s 664 vertices in two 261 KB blocks took about 214 minor
+# faults per exact_p(6, 4) capped at 700 nodes; in seven blocks of 65 KB,
+# none.
 # The bound itself suits the large inputs: best of two sets of interleaved
 # runs on a 2-core Xeon, 64 / 128 / 256 / 512 KiB, S_7 at d = 3 34 / 27 /
 # 25 / 29 ms and P(7,4) conflict masks 31 / 27 / 25 / 38 ms.
@@ -285,9 +292,16 @@ def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndar
     return block
 
 
+def _spans(m: int, upper: bool) -> list[tuple[int, int, int]]:
+    """The (start, stop, first_column) of each row block that
+    ``distance_blocks(vectors, upper)`` walks on m vectors, sized as it
+    describes."""
+    rows = max(1, min(_BLOCK_BYTES, max(_BLOCK_BYTES // 4, m * m // 8)) // max(1, m))
+    return [(start, min(start + rows, m), start if upper else 0) for start in range(0, m, rows)]
+
+
 def distance_blocks(
-    vectors: Sequence[Sequence[int]], upper: bool = False,
-    spans: list[tuple[int, int, int]] | None = None,
+    vectors: Sequence[Sequence[int]], upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The kernel's self form: the pairwise Hamming distances between
     equal-length integer vectors as consecutive row blocks
@@ -306,61 +320,61 @@ def distance_blocks(
     is a fresh array of the smallest unsigned dtype that holds the vector
     length. ``vectors`` may be an (m, n) integer matrix or a sequence of
     equal-length integer vectors.
-    ``spans``, some of the blocks' (start, stop, first_column) in order, as
-    ``block_counts`` gives them, limits the walk to those blocks.
     """
-    if spans is None:
-        m = len(vectors)
-        rows = max(1, min(_BLOCK_BYTES, max(_BLOCK_BYTES // 4, m * m // 8)) // max(1, m))
-        spans = [(start, min(start + rows, m), start if upper else 0)
-                 for start in range(0, m, rows)]
+    spans = _spans(len(vectors), upper)
     for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):
         yield start, first, block
 
 
-def block_counts(
+def _pairs(
+    vectors: Sequence[Sequence[int]], d: int, spans: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """The pairs (i, j, distance) with i < j and distance below d that the
+    upper blocks ``spans`` hold, as Python ints in row-major order, one
+    block computed at a time as the stream is read. Each block's pairs are
+    flattened at C speed, one zip of its columns' lists, with no Python
+    step per pair."""
+    def blocks() -> Iterator[Iterator[tuple[int, int, int]]]:
+        for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):
+            close = block < d
+            # the block's own square is symmetric with a zero diagonal, so
+            # its hits are the diagonal alone when none lies above it
+            if np.count_nonzero(close) == len(block):
+                continue
+            # flat indices: a 2-D np.nonzero costs ten times as much per block
+            hits = np.flatnonzero(close)
+            rows, cols = np.divmod(hits, block.shape[1])
+            above = first + cols > start + rows
+            yield zip((start + rows[above]).tolist(), (first + cols[above]).tolist(),
+                      block.ravel()[hits[above]].tolist())
+    return itertools.chain.from_iterable(blocks())
+
+
+def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> Iterator[tuple[int, int, int]]:
+    """The index pairs (i, j, distance) with i < j whose vectors lie at
+    distance below d, as Python ints in row-major order (the order of
+    ``itertools.combinations``): a lazy stream that computes one upper
+    distance block at a time as it is read, so a reader that stops at the
+    first pair computes only the first block that holds one, and no more
+    than one block's pairs are held at once."""
+    return _pairs(vectors, d, _spans(len(vectors), True))
+
+
+def count_pairs_below(
     vectors: Sequence[Sequence[int]], d: int
-) -> list[tuple[tuple[int, int, int], int]]:
-    """For each block of ``distance_blocks(vectors, upper=True)``, its
-    (start, stop, first_column) and the number of index pairs i < j in it
-    whose vectors lie at distance below d, counted without listing a pair."""
-    counts = []
+) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """The number of index pairs i < j whose vectors lie at distance below
+    d, counted in one pass over the upper distance blocks without listing a
+    pair, and the stream of those pairs that ``pairs_below`` gives, which
+    when read recomputes only the blocks that hold one."""
+    count, hit = 0, []
     for start, first, block in distance_blocks(vectors, upper=True):
         # the block's own square holds each pair twice and, below any d
         # above 0, its zero diagonal once
         b = len(block)
-        square = np.count_nonzero(block[:, :b] < d) - b * (d > 0)
-        counts.append(((start, start + b, first),
-                       int(square // 2 + np.count_nonzero(block[:, b:] < d))))
-    return counts
-
-
-def pair_blocks(
-    vectors: Sequence[Sequence[int]], d: int, spans: list[tuple[int, int, int]] | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The index pairs (i, j) with i < j whose vectors lie at distance below
-    d, one distance block at a time: for each block of ``distance_blocks``
-    that holds such a pair, the arrays (i, j, distance) of its pairs. Read
-    in turn, the blocks give the pairs in row-major order (the order of
-    ``itertools.combinations``), and no more than one block's pairs are
-    held at once. ``spans``, as ``distance_blocks`` takes them, limits the
-    blocks computed, for example to those ``block_counts`` found a pair in."""
-    for start, first, block in distance_blocks(vectors, upper=True, spans=spans):
-        close = block < d
-        # the block's own square is symmetric with a zero diagonal, so its
-        # hits are the diagonal alone when none lies above it
-        if np.count_nonzero(close) == len(block):
-            continue
-        # flat indices: a 2-D np.nonzero costs ten times as much per block
-        hits = np.flatnonzero(close)
-        rows, cols = np.divmod(hits, block.shape[1])
-        above = first + cols > start + rows
-        yield start + rows[above], first + cols[above], block.ravel()[hits[above]]
-
-
-def pairs_below(vectors: Sequence[Sequence[int]], d: int) -> list[tuple[int, int, int]]:
-    """Index pairs (i, j, distance) with i < j and distance below d, in
-    row-major order (the order of ``itertools.combinations``): the pairs of
-    ``pair_blocks`` as one list of Python ints."""
-    return [pair for block in pair_blocks(vectors, d)
-            for pair in zip(*(column.tolist() for column in block))]
+        found = int((np.count_nonzero(block[:, :b] < d) - b * (d > 0)) // 2
+                    + np.count_nonzero(block[:, b:] < d))
+        count += found
+        if found:
+            hit.append((start, start + b, first))
+    return count, _pairs(vectors, d, hit)

@@ -497,15 +497,15 @@ class TestSupportLifting:
     def test_a_bad_code_is_refused_at_the_first_block_with_a_pair(self, monkeypatch):
         # one row per distance block: words 0 and 1 share two points, so the
         # first block refuses the code and no other block is computed
-        read = []
-        blocks = perm.distance_blocks
+        computed = []
+        kernel = perm._distance_rows
         monkeypatch.setattr(perm, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(perm, "distance_blocks", lambda *args, **kwargs: (
-            read.append(block[0]) or block for block in blocks(*args, **kwargs)))
+        monkeypatch.setattr(perm, "_distance_rows", lambda sets, spans: kernel(
+            sets, (computed.append(span) or span for span in spans)))
         words = tuple(combinations(range(12), 3))
         with pytest.raises(ValueError, match=r"^supports \(0, 1, 2\) and \(0, 1, 3\) share 2 "):
             lift_binary_cw_code(BinaryCwCode(12, 3, words, 2), 2)
-        assert read == [0]
+        assert computed == [(0, 1, 0)]
 
     def test_overlap_violation_reports_the_first_pair_and_its_overlap(self):
         # in pair order the first two words share three points, the first and

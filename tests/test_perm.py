@@ -16,12 +16,11 @@ from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
-    block_counts,
+    count_pairs_below,
     cycle_type,
     distance_blocks,
     distances,
     hamming_distance,
-    pair_blocks,
     pairs_below,
     support,
     weight,
@@ -39,8 +38,8 @@ def _inverse(a):
 
 
 def _count_below(vectors, d):
-    """The pairs below d that ``block_counts`` counts in all its blocks."""
-    return sum(count for _, count in block_counts(vectors, d))
+    """The pairs below d that ``count_pairs_below`` counts in its one pass."""
+    return count_pairs_below(vectors, d)[0]
 
 
 def _listed(blocks):
@@ -361,6 +360,26 @@ class TestDistanceBlocks:
             if len(members) >= 2:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
 
+    @settings(deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-2, 2) | st.integers(-300, 300), min_size=n, max_size=n),
+                 max_size=25),
+        st.integers(-1, n + 2))), st.integers(1, 64))
+    def test_count_and_stream_match_brute_force(self, case, block_bytes):
+        n, vectors, d = case
+        matrix = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
+        expected = [(i, j, hamming_distance(vectors[i], vectors[j]))
+                    for i, j in itertools.combinations(range(len(vectors)), 2)
+                    if hamming_distance(vectors[i], vectors[j]) < d]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
+            count, again = count_pairs_below(matrix, d)
+            pairs = list(pairs_below(matrix, d))
+            assert count == len(pairs) and pairs == expected
+            assert list(again) == pairs
+            assert type(count) is int and all(type(v) is int for pair in pairs for v in pair)
+
     @pytest.mark.parametrize("block_bytes", [1, 7, 24, 100, 1 << 18])
     def test_pair_order_with_many_hits_across_blocks(self, monkeypatch, block_bytes):
         # S_4 at d = 3 has 72 pairs at distance 2, spread over every block
@@ -370,28 +389,30 @@ class TestDistanceBlocks:
                     if hamming_distance(rows[i], rows[j]) < 3]
         monkeypatch.setattr(perm, "_BLOCK_BYTES", block_bytes)
         assert len(expected) == 72
-        pairs = pairs_below(rows, 3)
-        assert type(pairs) is list and pairs == expected
+        pairs = list(pairs_below(rows, 3))
+        assert pairs == expected
         assert all(type(v) is int for pair in pairs for v in pair)
-        # the stream: one (i, j, distance) array triple per block with a
-        # pair, each block's pairs from its own rows, read in turn in order
-        blocks = list(pair_blocks(rows, 3))
+        # the stream computes one upper block per read that needs one: the
+        # first pair is in the first block, and the blocks read in turn
+        # hold each pair's first row
         row_blocks = [start for start, _, _ in distance_blocks(rows, upper=True)] + [len(rows)]
-        assert all(len(i) for i, _, _ in blocks)
-        assert [pair for block in blocks for pair in zip(*(a.tolist() for a in block))] == expected
-        for i, _, _ in blocks:
-            k = bisect.bisect_right(row_blocks, i[0]) - 1
-            assert row_blocks[k] <= i.min() and i.max() < row_blocks[k + 1]
+        computed = []
+        kernel = perm._distance_rows
+        monkeypatch.setattr(perm, "_distance_rows", lambda sets, spans: kernel(
+            sets, (computed.append(span) or span for span in spans)))
+        stream = pairs_below(rows, 3)
+        assert computed == []
+        for pair in stream:
+            k = bisect.bisect_right(row_blocks, pair[0]) - 1
+            assert computed[-1] == (row_blocks[k], row_blocks[k + 1], row_blocks[k])
+        assert computed == [(start, stop, start) for start, stop in zip(row_blocks, row_blocks[1:])]
+        monkeypatch.setattr(perm, "_distance_rows", kernel)
         assert [_count_below(rows, d) for d in range(-1, 6)] == [
             0, 0, 0, 0, 72, 72 + 96, 276]
-        # the counts per block name the blocks, and those spans alone give
-        # the same pairs again
-        counts = block_counts(rows, 3)
-        assert [span for span, _ in counts] == [
-            (start, stop, start) for start, stop in zip(row_blocks, row_blocks[1:])]
-        assert [count for _, count in counts if count] == [len(i) for i, _, _ in blocks]
-        again = pair_blocks(rows, 3, [span for span, count in counts if count])
-        assert [pair for block in again for pair in zip(*(a.tolist() for a in block))] == expected
+        # the count's stream recomputes the blocks that hold a pair and
+        # gives the same pairs again
+        count, again = count_pairs_below(rows, 3)
+        assert count == 72 and list(again) == expected
 
     def test_cross_form_needs_one_length(self):
         with pytest.raises(ValueError):
@@ -402,7 +423,7 @@ class TestDistanceBlocks:
         for call in (lambda: distances([[0, 1], [1]], [[0, 1]]),
                      lambda: distances([[0, 1]], [[0, 1], [0, 1, 2]]),
                      lambda: list(distance_blocks([[0, 1], [0, 1, 2]])),
-                     lambda: pairs_below([[0, 1], [0, 1, 2]], 2)):
+                     lambda: list(pairs_below([[0, 1], [0, 1, 2]], 2))):
             with pytest.raises(ValueError, match="^vectors must share a common length$"):
                 call()
 
@@ -448,13 +469,13 @@ class TestDistanceBlocks:
             array = PermutationArray(n, vectors)
             assert array.min_distance() == 2
             assert [dist for _, _, dist in verify_pa(array, 3)] == [2]
-            assert pairs_below(vectors, 3) == [(0, 2, 2)]
+            assert list(pairs_below(vectors, 3)) == [(0, 2, 2)]
             # 0/1 words of the same lengths take int8 columns, and past 255
             # entries 16-bit counts
             words = [[v % 2 for v in vector] for vector in vectors]
             _assert_blocks_match(words, upper=True)
             _assert_cross_matches(words[:1], words)
-            assert pairs_below(words, n + 1) == [
+            assert list(pairs_below(words, n + 1)) == [
                 (i, j, hamming_distance(words[i], words[j]))
                 for i, j in itertools.combinations(range(3), 2)]
 
@@ -468,8 +489,8 @@ class TestDistanceBlocks:
         _assert_blocks_match(vectors, upper=True)
         expected = [(i, j, hamming_distance(vectors[i], vectors[j]))
                     for i, j in itertools.combinations(range(5), 2)]
-        assert pairs_below(vectors, 4) == expected
-        assert pairs_below(np.array(vectors), 1) == [(0, 4, 0)]
+        assert list(pairs_below(vectors, 4)) == expected
+        assert list(pairs_below(np.array(vectors), 1)) == [(0, 4, 0)]
         _assert_cross_matches(vectors[:2], vectors[2:])
         _assert_cross_matches(np.array(vectors[3:], dtype=np.int16), np.array(vectors[:3]))
 
@@ -497,7 +518,7 @@ class TestDistanceBlocks:
         _assert_blocks_match(vectors, upper=True)
         _assert_cross_matches(vectors[:4], vectors[3:])
         _assert_cross_matches(vectors[:1], vectors)
-        assert pairs_below(vectors, n + 1) == [
+        assert list(pairs_below(vectors, n + 1)) == [
             (i, j, hamming_distance(vectors[i], vectors[j]))
             for i, j in itertools.combinations(range(len(vectors)), 2)]
         assert _count_below(vectors, n + 1) == math.comb(len(vectors), 2)
@@ -515,10 +536,10 @@ class TestDistanceBlocks:
         _assert_blocks_match(vectors, upper=True)
         _assert_cross_matches(vectors[:40], vectors)
         _assert_cross_matches(np.array(vectors[200:]), np.array(vectors[:9], dtype=np.int16))
-        assert pairs_below(vectors, 1) == [
+        assert list(pairs_below(vectors, 1)) == [
             (i, j, 0) for i, j in itertools.combinations(range(len(vectors)), 2)
             if vectors[i] == vectors[j]]
-        assert _count_below(vectors, 1) == len(pairs_below(vectors, 1)) > 0
+        assert _count_below(vectors, 1) == len(list(pairs_below(vectors, 1))) > 0
 
     @pytest.mark.parametrize("bad", [[[0.5]], [[1.5, 2], [1.0, 2]], [[1j]], [["a"]],
                                      [[1, None]], [[2**70, 0.5]]])
@@ -528,7 +549,7 @@ class TestDistanceBlocks:
         for call in (lambda: distances(bad, [[0] * len(bad[0])]),
                      lambda: distances([[0] * len(bad[0])], bad),
                      lambda: list(distance_blocks(bad)),
-                     lambda: pairs_below(bad, 1)):
+                     lambda: list(pairs_below(bad, 1))):
             with pytest.raises(ValueError, match="^vector entries must be integers$"):
                 call()
 
@@ -537,12 +558,12 @@ class TestDistanceBlocks:
         assert distances(np.array([[np.True_, 2]], dtype=object), [[1, 2], [0, 2]]).tolist() == [
             [0, 1]]
         assert distances([[2**70, 1]], [[2**70, 2], [2**70 + 1, 1]]).tolist() == [[1, 1]]
-        assert pairs_below(np.array([[2**70, 3], [np.int64(2), 3]], dtype=object), 2) == [
+        assert list(pairs_below(np.array([[2**70, 3], [np.int64(2), 3]], dtype=object), 2)) == [
             (0, 1, 1)]
         # np.True_ beside an int past int64, which numpy compares as a C long
         assert distances(np.array([[np.True_, 2**70]], dtype=object), [[1, 2**70]]).tolist() == [
             [0]]
-        assert pairs_below(np.array([[np.True_, 2**70], [1, 2**70]], dtype=object), 1) == [
+        assert list(pairs_below(np.array([[np.True_, 2**70], [1, 2**70]], dtype=object), 1)) == [
             (0, 1, 0)]
 
 
