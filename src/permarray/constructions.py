@@ -22,7 +22,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .exactmath import factorial
-from .perm import (Permutation, _check_points, _row_dtype, distance_blocks, pairs_below,
+from .perm import (Permutation, _check_points, _least_distance, _row_dtype, pairs_below,
                    permutation_rows)
 
 
@@ -37,9 +37,8 @@ class PermutationArray:
     matrix the distance kernel reads. ``members``, the same rows as a tuple
     of ``Permutation``, is built from ``rows`` on first read: length,
     equality, ``min_distance`` and a verification that finds no bad pair
-    never build it. The pairwise minimum distance is computed on first
-    request and cached; constructors never stamp a claimed distance into
-    the cache, so verification always measures.
+    never build it. The pairwise minimum distance is measured on every
+    request, never stored, so no claimed distance can stand in for it.
 
     ``members`` may be an (m, n) integer matrix, which is read as it is and
     is what every builder in the package passes, or any iterable of integer
@@ -90,7 +89,6 @@ class PermutationArray:
         self.n = n
         self.rows = rows[keep]
         self.rows.flags.writeable = False
-        self._min_distance: int | None = None
 
     @cached_property
     def members(self) -> tuple[Permutation, ...]:
@@ -121,17 +119,7 @@ class PermutationArray:
         """Exact pairwise minimum Hamming distance; needs >= 2 members."""
         if len(self) < 2:
             raise ValueError("minimum distance needs at least two members")
-        if self._min_distance is None:
-            best = self.n
-            for start, _, block in distance_blocks(self.rows, upper=True):
-                # the block's own square holds each pair twice and the diagonal
-                # once; mask all but its strict upper triangle with a value no
-                # distance exceeds
-                b = len(block)
-                block[:, :b][np.tri(b, dtype=bool)] = np.iinfo(block.dtype).max
-                best = min(best, int(block.min()))
-            self._min_distance = best
-        return self._min_distance
+        return _least_distance(self.rows)
 
 
 @dataclass(frozen=True)

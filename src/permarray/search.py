@@ -55,7 +55,8 @@ assumed to be a member (composing every member with one member's inverse
 preserves all distances), so the search runs over permutations at distance
 >= d from the identity and adds the identity back to the witness.
 
-The graph is stored as conflict masks: bit u of ``conflicts[v]`` is set when
+The graph is stored as conflict masks, which ``perm._conflict_masks`` reads
+off the distance kernel's full rows: bit u of ``conflicts[v]`` is set when
 u and v are at distance below the target (v itself excluded), so a color
 class keeps, vertex by vertex, the candidates in conflict with every member
 so far (``q &= conflicts[v]``), and a branch keeps the candidates out of
@@ -122,7 +123,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, islice
@@ -136,7 +137,7 @@ from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
     Permutation,
-    distance_blocks,
+    _conflict_masks,
     distances,
     pairs_below,
     permutation_rows,
@@ -406,19 +407,6 @@ def _max_clique(
                 pruned.extend([0] * (depth + 1 - len(pruned)))
                 pruned[depth] += gone.bit_count()
                 order = array("q", [c for c in order if cand >> (c & _VERTEX) & 1])
-
-
-def _conflict_masks(vectors: Sequence[Sequence[int]] | np.ndarray, d: int) -> list[int]:
-    """Conflict bitmasks for "coordinate-wise distance >= d" on equal-length
-    integer vectors: bit u of v's mask is set when u != v and the two are at
-    distance < d, so no clique holds both."""
-    conflicts: list[int] = []
-    for start, _, block in distance_blocks(vectors):
-        close = block < d
-        np.fill_diagonal(close[:, start:], False)
-        packed = np.packbits(close, axis=1, bitorder="little")
-        conflicts.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return conflicts
 
 
 def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:

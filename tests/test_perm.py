@@ -16,16 +16,16 @@ from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
     Permutation,
+    _conflict_masks,
     count_pairs_below,
     cycle_type,
-    distance_blocks,
     distances,
     hamming_distance,
     pairs_below,
     support,
     weight,
 )
-from permarray.search import SearchLimits, _conflict_masks, _greedy_stream, exact_p, verify_pa
+from permarray.search import SearchLimits, _greedy_stream, exact_p, verify_pa
 
 
 def _compose(a, b):
@@ -214,12 +214,22 @@ _LAYOUT_INPUTS = {
 }
 
 
+def _blocks(vectors, upper=False):
+    """The kernel's self form as (start, first_column, block), where
+    ``block[r, c]`` is the distance between ``vectors[start + r]`` and
+    ``vectors[first_column + c]``: perm's spans read through its column
+    loop, one block computed per read."""
+    spans = perm._spans(len(vectors), upper)
+    for (start, _, first), block in zip(spans, perm._distance_rows((vectors,), spans)):
+        yield start, first, block
+
+
 def test_distance_blocks_match_pairwise():
     # one block, then the seven and eight blocks of the mid-size layout
     for vectors, blocks in [(_rows_of(perm.weight_rows(5, 3)), 1),
                             (_LAYOUT_INPUTS[664](), 7), (_LAYOUT_INPUTS[1320](), 8)]:
         full = np.count_nonzero(vectors[:, None] != vectors[None], axis=2)
-        walked = list(distance_blocks(vectors))
+        walked = list(_blocks(vectors))
         assert len(walked) == blocks
         assert [start for start, _, _ in walked] == list(
             itertools.accumulate([len(block) for _, _, block in walked[:-1]], initial=0))
@@ -234,7 +244,8 @@ def test_distance_blocks_match_pairwise():
             (rng.randrange(m), rng.randrange(m)) for _ in range(200))
         for i, j in pairs:
             assert full[i, j] == hamming_distance(vectors[i], vectors[j])
-    assert list(distance_blocks([])) == []
+    assert list(_blocks([])) == []
+    assert _conflict_masks([], 1) == []
 
 
 @pytest.mark.parametrize("m, rows, blocks", [
@@ -252,8 +263,9 @@ def test_block_layout_follows_the_input(m, rows, blocks):
     if m * m > 8 * perm._BLOCK_BYTES:
         assert rows == perm._BLOCK_BYTES // m
     # the first blocks only past 100: P(8,6)'s whole walk takes seconds
-    walked = itertools.islice(distance_blocks(vectors, upper=True), 100)
+    walked = itertools.islice(_blocks(vectors, upper=True), 100)
     starts = list(range(0, m, rows))
+    assert perm._spans(m, True) == [(start, min(start + rows, m), start) for start in starts]
     for k, (start, first, block) in enumerate(walked):
         assert start == first == starts[k]
         assert block.shape == (min(rows, m - start), m - start)
@@ -264,7 +276,7 @@ def _assert_blocks_match(vectors, upper):
     """The kernel's blocks tile the full matrix (or its upper part, diagonal
     included) in row order, and every entry is the pairwise distance."""
     next_row = 0
-    for start, first, block in distance_blocks(vectors, upper):
+    for start, first, block in _blocks(vectors, upper):
         assert start == next_row
         assert first == (start if upper else 0)
         assert block.shape[1] == len(vectors) - first
@@ -298,6 +310,16 @@ def cw_codes(draw):
     words = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), w))),
                           unique=True, max_size=20))
     return BinaryCwCode(n, w, tuple(words), 2), draw(st.integers(1, 2 * w + 2))
+
+
+@st.composite
+def integer_vectors(draw):
+    """Up to 25 integer vectors of 0-6 entries, small or wide, and a
+    distance d in -1..n+2."""
+    n = draw(st.integers(0, 6))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2) | st.integers(-300, 300),
+                                     min_size=n, max_size=n), max_size=25))
+    return n, vectors, draw(st.integers(-1, n + 2))
 
 
 def _on_both_kernel_paths(cls):
@@ -361,11 +383,7 @@ class TestDistanceBlocks:
                 assert array.min_distance() == min(dist for _, _, dist in pairs)
 
     @settings(deadline=None)
-    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.lists(st.integers(-2, 2) | st.integers(-300, 300), min_size=n, max_size=n),
-                 max_size=25),
-        st.integers(-1, n + 2))), st.integers(1, 64))
+    @given(integer_vectors(), st.integers(1, 64))
     def test_count_and_stream_match_brute_force(self, case, block_bytes):
         n, vectors, d = case
         matrix = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
@@ -379,6 +397,25 @@ class TestDistanceBlocks:
             assert count == len(pairs) and pairs == expected
             assert list(again) == pairs
             assert type(count) is int and all(type(v) is int for pair in pairs for v in pair)
+
+    @settings(deadline=None)
+    @given(integer_vectors(), st.integers(1, 64))
+    def test_masks_and_least_distance_match_brute_force(self, case, block_bytes):
+        # the two private readers walk the blocks themselves: the masks on
+        # full rows, the least distance on upper blocks
+        n, vectors, d = case
+        matrix = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
+        m = len(vectors)
+        dist = [[hamming_distance(a, b) for b in vectors] for a in vectors]
+        expected = [sum(1 << u for u in range(m) if u != v and dist[v][u] < d) for v in range(m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
+            assert _conflict_masks(matrix, d) == expected
+            assert _conflict_masks(vectors, d) == expected
+            if m >= 2:
+                least = perm._least_distance(matrix)
+                assert type(least) is int
+                assert least == min(dist[i][j] for i, j in itertools.combinations(range(m), 2))
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 24, 100, 1 << 18])
     def test_pair_order_with_many_hits_across_blocks(self, monkeypatch, block_bytes):
@@ -395,7 +432,7 @@ class TestDistanceBlocks:
         # the stream computes one upper block per read that needs one: the
         # first pair is in the first block, and the blocks read in turn
         # hold each pair's first row
-        row_blocks = [start for start, _, _ in distance_blocks(rows, upper=True)] + [len(rows)]
+        row_blocks = [start for start, _, _ in perm._spans(len(rows), True)] + [len(rows)]
         computed = []
         kernel = perm._distance_rows
         monkeypatch.setattr(perm, "_distance_rows", lambda sets, spans: kernel(
@@ -422,7 +459,8 @@ class TestDistanceBlocks:
         # ragged vectors raise the kernel's message in every form, not numpy's
         for call in (lambda: distances([[0, 1], [1]], [[0, 1]]),
                      lambda: distances([[0, 1]], [[0, 1], [0, 1, 2]]),
-                     lambda: list(distance_blocks([[0, 1], [0, 1, 2]])),
+                     lambda: _conflict_masks([[0, 1], [0, 1, 2]], 2),
+                     lambda: perm._least_distance([[0, 1], [0, 1, 2]]),
                      lambda: list(pairs_below([[0, 1], [0, 1, 2]], 2))):
             with pytest.raises(ValueError, match="^vectors must share a common length$"):
                 call()
@@ -548,7 +586,8 @@ class TestDistanceBlocks:
         # with an error of its own
         for call in (lambda: distances(bad, [[0] * len(bad[0])]),
                      lambda: distances([[0] * len(bad[0])], bad),
-                     lambda: list(distance_blocks(bad)),
+                     lambda: _conflict_masks(bad, 1),
+                     lambda: perm._least_distance(bad),
                      lambda: list(pairs_below(bad, 1))):
             with pytest.raises(ValueError, match="^vector entries must be integers$"):
                 call()
@@ -581,6 +620,6 @@ def test_the_path_rule_picks_by_input(monkeypatch):
         "compare" if "out" in kwargs else "table") or equal(*args, **kwargs))
     for vectors in (perfect_pa("pgl2", 11).rows, np.argsort(rng.random((2000, 45)), axis=1),
                     witness):
-        next(distance_blocks(vectors, upper=True))
+        next(_blocks(vectors, upper=True))
         assert paths == ["table"]
         paths.clear()

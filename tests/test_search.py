@@ -26,6 +26,7 @@ from permarray.constructions import (
 from permarray.exactmath import factorial
 from permarray.perm import (
     Permutation,
+    _conflict_masks,
     cycle_type,
     permutation_rows,
     support,
@@ -40,7 +41,6 @@ from permarray.search import (
     SearchLimits,
     SearchOutcome,
     _color_order,
-    _conflict_masks,
     _greedy_clique,
     _greedy_stream,
     _max_clique,
