@@ -24,12 +24,14 @@ alone knows how the self form's blocks are laid out: its readers walk them
 here, and hand out what they read, not the blocks. A distance is the
 length minus the positions that agree. Both forms narrow the columns to
 one dtype, int8 when every entry fits in 8 bits, int16 when in 16, and run
-one column loop, which adds the columns' 0/1 agreements to the counts.
+one column loop, which adds the columns' agreements to the counts.
 The path follows the entry width and the table size: with int8 columns
-whose table fits ``_TABLE_BYTES``, a column's agreements are rows gathered
-from a 0/1 table built once per call, one row per entry value; every other
-input compares a slab of columns per step by broadcasting, as many as fit
-``_BLOCK_BYTES``, so that long vectors in few rows take few steps.
+whose table fits ``_TABLE_BYTES``, the agreements are rows gathered from a
+table built once per call, one row per entry value of a column, or per pair
+of values of two columns where that pair table stays under ``_PAIR_BYTES``,
+so that one gather reads two columns; every other input compares a slab of
+columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``, so that
+long vectors in few rows take few steps.
 
 The pairs of one set closer than a distance d come from the self form's
 upper blocks in two calls: ``pairs_below`` streams them as (i, j,
@@ -39,7 +41,8 @@ returns the same stream, which recomputes only the blocks that hold one.
 Two private readers serve the package: ``_least_distance``, the minimum
 distance of a set from its upper blocks (``PermutationArray.min_distance``),
 and ``_conflict_masks``, the clique search's conflict bitmasks from full
-rows.
+rows, which compares the agreements against the length minus d and so
+never forms the distances.
 """
 
 from __future__ import annotations
@@ -69,14 +72,25 @@ from .exactmath import derangement_count
 # 25 / 29 ms and P(7,4) conflict masks 31 / 27 / 25 / 38 ms.
 _BLOCK_BYTES = 1 << 18
 
-# Bytes of the agreement table that _distance_rows builds from int8 columns
-# (one per column, entry value and vector): the table is built whenever it
-# fits, and wider entries or larger tables take the compare.
+# Bytes of the agreement table that _gathers builds from int8 columns (one
+# per column, entry value and vector): the table is built whenever it fits,
+# and wider entries or larger tables take the compare. The pair table that
+# may be built from it is bounded by _PAIR_BYTES, not by this.
 # Best of 3 on a 2-core Xeon (2 MiB L2 per core), upper blocks, compare ->
 # table: S_8 (a 2.6 MB table) 889 -> 772 ms, 2,000 random 45-point vectors
 # (4 MB) 19.7 -> 14.4 ms; past the bound, 2,048 64-point vectors (8 MB)
 # 18.2 -> 20.3 ms.
 _TABLE_BYTES = 1 << 22
+
+# Bytes of the pair table (one per pair of columns, pair of entry values
+# and vector), which halves the gathers and adds, below which _gathers
+# builds it: glibc's 128 KiB mmap threshold (see _BLOCK_BYTES), so the
+# table comes from the heap and is not mapped afresh on every call.
+# P(6,4)'s 664 vertices take 72 KB and P(6,5)'s 529 take 57 KB; pgl2 11's
+# would take 1.14 MB, so it gathers one column at a time: its `verify` in
+# a fresh process, medians of 8 on a 2-core Xeon, took 6.2 ms and 311
+# minor faults so, and 6.5 ms and 539 faults with no bound on the table.
+_PAIR_BYTES = 1 << 17
 
 # Permutations read per block by permutation_rows, and rows per block of
 # weight_rows at most: blocks of a few KiB, so a caller that stops early has
@@ -243,50 +257,82 @@ def _columns(*sets: Sequence[Sequence[int]]) -> tuple[int, int, list[np.ndarray]
     return low, high, [np.ascontiguousarray(matrix.T, dtype=dtype) for matrix in matrices]
 
 
+def _gathers(
+    low: int, high: int, a: np.ndarray, b: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The agreement gathers of ``_distance_rows`` on the columns a and b,
+    whose entries lie in low..high, as (table, codes) pairs: row
+    ``codes[i]`` of table holds row i of a's agreements with b in the
+    gather's columns, one column or two. The list is empty where the
+    compare runs instead: when the columns are not int8, the one-column
+    table passes ``_TABLE_BYTES``, or there is no column.
+
+    ``table[k][s, j]`` is 1 when ``b[k, j]`` is ``low + s``, so code
+    ``a[k, i] - low`` reads column k. Where the pair table stays under
+    ``_PAIR_BYTES``, columns 2k and 2k + 1 are read at once: with alpha
+    entry values, row ``s * alpha + t`` of pair k is the sum of row s of
+    column 2k and row t of column 2k + 1, and the code is
+    ``(a[2k, i] - low) * alpha + a[2k + 1, i] - low``. A trailing odd
+    column stays single."""
+    n, alpha = len(a), high - low + 1
+    if not n or b.dtype != np.int8 or b.size * alpha > _TABLE_BYTES:
+        return []
+    values = np.arange(low, high + 1).astype(np.int8)
+    table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
+    # a - low mod 256 is a - low, which lies in 0..255: a narrow code
+    codes = a.view(np.uint8) - np.uint8(low % 256)
+    gathers = list(zip(table, codes))
+    half = n // 2
+    if half * alpha * alpha * b.shape[1] < _PAIR_BYTES:
+        first, second = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+        pairs = table[first, :, None] + table[second, None]
+        pairs = pairs.reshape(half, alpha * alpha, b.shape[1])
+        pair_codes = codes[first].astype(np.uint16) * alpha + codes[second]
+        gathers[:2 * half] = zip(pairs, pair_codes.astype(np.min_scalar_type(alpha * alpha - 1)))
+    return gathers
+
+
 def _distance_rows(
-    sets: tuple[Sequence[Sequence[int]], ...], spans: Iterable[tuple[int, int, int]]
+    sets: tuple[Sequence[Sequence[int]], ...], spans: Iterable[tuple[int, int, int]],
+    below: int | None = None,
 ) -> Iterator[np.ndarray]:
     """For each span (start, stop, first), the distances between the rows
     start..stop-1 of a and the rows from first on of b, where sets is
     (a, b), or (a,) for b = a, each a fresh array in the smallest unsigned
-    dtype that holds the vector length.
+    dtype that holds the vector length. With ``below``, each block is
+    instead the bool matrix of the distances below it, read as the
+    agreements above the length minus ``below``, so no subtract pass runs.
 
-    One column loop adds the columns' 0/1 agreements to the counts. When
-    the entries fit in int8 and the table fits ``_TABLE_BYTES``, a column's
-    agreements are a row gather from a table built once from b:
-    ``table[k][s, j]`` is 1 when ``b[j, k]`` is ``low + s``, so row
-    ``a[i, k] - low`` holds row i's agreements in column k. Otherwise each
-    step compares a slab of columns by broadcasting, as many as keep rows
-    x columns x slab within ``_BLOCK_BYTES`` (one for a full block), into a
-    bool scratch read through a uint8 view, and adds the slab's sum in the
-    counts' dtype, so no add needs a cast."""
+    The agreements are counted by the table's row gathers that
+    ``_gathers`` lists, the first of which is a fresh array that the
+    counts start from. Where it lists none, each step compares a slab of
+    columns by broadcasting, as many as keep rows x columns x slab within
+    ``_BLOCK_BYTES`` (one for a full block), into a bool scratch read
+    through a uint8 view, and adds the slab's sum in the counts' dtype, so
+    no add needs a cast."""
     low, high, columns = _columns(*sets)
     a, b = columns[0], columns[-1]
     n = len(a)
-    table = index = None
-    step = 1
-    if b.dtype == np.int8 and b.size * (high - low + 1) <= _TABLE_BYTES:
-        values = np.arange(low, high + 1).astype(np.int8)
-        table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
-        # a - low mod 256 is a - low, which lies in 0..255: a narrow index
-        index = a.view(np.uint8) - np.uint8(low % 256)
+    dtype = np.min_scalar_type(n)
+    gathers = _gathers(low, high, a, b)
     for start, stop, first in spans:
-        agree = np.zeros((stop - start, b.shape[1] - first), dtype=np.min_scalar_type(n))
-        if table is None:
+        if gathers:
+            (table, codes), *rest = gathers
+            agree = table[codes[start:stop], first:].astype(dtype, copy=False)
+            for table, codes in rest:
+                agree += table[codes[start:stop], first:]
+        else:
+            agree = np.zeros((stop - start, b.shape[1] - first), dtype=dtype)
             # a slab of columns per compare, within _BLOCK_BYTES of scratch
             step = max(1, _BLOCK_BYTES // max(1, agree.size))
             scratch = np.empty((min(step, n), *agree.shape), dtype=bool)
-        for k in range(0, n, step):
-            if table is None:
+            for k in range(0, n, step):
                 slab = scratch[:n - k]
                 np.equal(a[k:k + step, start:stop, None], b[k:k + step, None, first:], out=slab)
                 ones = slab.view(np.uint8)
                 # one column adds as it is: a sum would copy it first
-                ones = ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=agree.dtype)
-            else:
-                ones = table[k][index[k, start:stop], first:]
-            agree += ones
-        yield np.subtract(n, agree, out=agree)
+                agree += ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=dtype)
+        yield np.subtract(n, agree, out=agree) if below is None else agree > n - below
 
 
 def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
@@ -313,16 +359,20 @@ def _conflict_masks(vectors: Sequence[Sequence[int]], d: int) -> list[int]:
     """Conflict bitmasks for "coordinate-wise distance >= d" on equal-length
     integer vectors: bit u of v's mask is set when u != v and the two are at
     distance < d, so no clique holds both. Each mask is read from a full
-    row of distances: masks mirrored from upper blocks through a transposed
-    ``packbits`` took 1.8-3x as long, P(8,6)'s 37,085 masks 6.0 s against
-    2.0 s on a 2-core Xeon."""
+    row: masks mirrored from upper blocks through a transposed ``packbits``
+    took 1.8-3x as long, P(8,6)'s 37,085 masks 6.0 s against 2.0 s on a
+    2-core Xeon. The rows hold agreements, compared against the length
+    minus d, so no subtract pass runs, and a block's masks are sliced from
+    one ``tobytes`` buffer of its packed bits, not read one numpy row at a
+    time: with the pair gathers, P(6,4)'s masks went 0.71 -> 0.45 ms."""
     conflicts: list[int] = []
     spans = _spans(len(vectors), False)
-    for (start, _, _), block in zip(spans, _distance_rows((vectors,), spans)):
-        close = block < d
+    for (start, _, _), close in zip(spans, _distance_rows((vectors,), spans, d)):
         np.fill_diagonal(close[:, start:], False)
         packed = np.packbits(close, axis=1, bitorder="little")
-        conflicts.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        data, width = packed.tobytes(), packed.shape[1]
+        rows = [data[i:i + width] for i in range(0, len(data), width)]
+        conflicts.extend(map(int.from_bytes, rows, itertools.repeat("little")))
     return conflicts
 
 

@@ -2,6 +2,7 @@
 
 import bisect
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permarray import perm
+from permarray import perm, search
 from permarray.constructions import BinaryCwCode, PermutationArray, perfect_pa
 from permarray.exactmath import binomial, derangement_count, factorial
 from permarray.perm import (
@@ -322,16 +323,35 @@ def integer_vectors(draw):
     return n, vectors, draw(st.integers(-1, n + 2))
 
 
-def _on_both_kernel_paths(cls):
-    """Run each test of cls twice: with the kernel's agreement table allowed
-    for any int8 input, then refused, so that every input takes the
-    broadcast compare. The test keeps its name; a failure names the path."""
-    def twice(test):
+@st.composite
+def int8_vectors(draw):
+    """Up to 25 vectors of 1-9 entries, so odd lengths end in a single
+    column, over 1-256 consecutive int8 values (past 16 values a pair code
+    passes 255), with the least and greatest value each a vector, and a
+    distance d in -1..n+2."""
+    n = draw(st.integers(1, 9))
+    alpha = draw(st.integers(1, 256))
+    low = draw(st.integers(-128, 128 - alpha))
+    high = low + alpha - 1
+    vectors = draw(st.lists(st.lists(st.integers(low, high), min_size=n, max_size=n),
+                            max_size=23))
+    return n, [[low] * n, *vectors, [high] * n], draw(st.integers(-1, n + 2))
+
+
+def _on_every_kernel_path(cls):
+    """Run each test of cls three ways: with the kernel's agreement table
+    allowed for any int8 input and gathering two columns at a time, then
+    one column at a time, then with the table refused, so that every input
+    takes the broadcast compare. The test keeps its name; a failure names
+    the path."""
+    def thrice(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
-            for path, table_bytes in (("table", 1 << 40), ("compare", 0)):
+            for path, table_bytes, pair_bytes in (("pair", 1 << 40, 1 << 40),
+                                                  ("single", 1 << 40, 0), ("compare", 0, 0)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(perm, "_TABLE_BYTES", table_bytes)
+                    mp.setattr(perm, "_PAIR_BYTES", pair_bytes)
                     try:
                         test(*args, **kwargs)
                     except Exception as exc:
@@ -340,15 +360,15 @@ def _on_both_kernel_paths(cls):
 
     for name, test in list(vars(cls).items()):
         if name.startswith("test_"):
-            setattr(cls, name, twice(test))
+            setattr(cls, name, thrice(test))
     return cls
 
 
-@_on_both_kernel_paths
+@_on_every_kernel_path
 class TestDistanceBlocks:
     """The blocked kernel and its callers against pairwise references, with
     blocks shrunk to a few rows so that every input spans many of them and
-    usually ends in a ragged block. Every case runs on both kernel paths."""
+    usually ends in a ragged block. Every case runs on every kernel path."""
 
     @settings(deadline=None)
     @given(permutation_sets(), st.integers(1, 64))
@@ -416,6 +436,28 @@ class TestDistanceBlocks:
                 least = perm._least_distance(matrix)
                 assert type(least) is int
                 assert least == min(dist[i][j] for i, j in itertools.combinations(range(m), 2))
+
+    @settings(deadline=None)
+    @given(int8_vectors(), st.integers(1, 64))
+    def test_int8_readers_match_brute_force(self, case, block_bytes):
+        # the table's inputs: odd lengths end in a single column after the
+        # pairs, and up to 256 entry values take pair codes past 255
+        n, vectors, d = case
+        m = len(vectors)
+        dist = [[hamming_distance(a, b) for b in vectors] for a in vectors]
+        masks = [sum(1 << u for u in range(m) if u != v and dist[v][u] < d) for v in range(m)]
+        pairs = [(i, j, dist[i][j]) for i, j in itertools.combinations(range(m), 2)
+                 if dist[i][j] < d]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BLOCK_BYTES", block_bytes)
+            assert _conflict_masks(vectors, d) == masks
+            assert perm._least_distance(vectors) == min(
+                dist[i][j] for i, j in itertools.combinations(range(m), 2))
+            count, again = count_pairs_below(vectors, d)
+            assert count == len(pairs) and list(again) == pairs
+            assert list(pairs_below(np.array(vectors, dtype=np.int8), d)) == pairs
+            cut = distances(vectors[:m // 2], vectors[m // 3:])
+            assert cut.tolist() == [row[m // 3:] for row in dist[:m // 2]]
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 24, 100, 1 << 18])
     def test_pair_order_with_many_hits_across_blocks(self, monkeypatch, block_bytes):
@@ -606,6 +648,27 @@ class TestDistanceBlocks:
             (0, 1, 0)]
 
 
+def _gather_widths(vectors):
+    """The columns each of the kernel's table gathers reads on the self form
+    of vectors whose entries take alpha > 1 values: 2 for a pair (a table
+    of alpha^2 rows), 1 for a single column (alpha rows); empty where the
+    compare runs."""
+    low, high, (columns,) = perm._columns(vectors)
+    alpha = high - low + 1
+    return [{alpha: 1, alpha * alpha: 2}[len(table)]
+            for table, _ in perm._gathers(low, high, columns, columns)]
+
+
+def _vertex_rows(n, d):
+    """The vertices of P(n, d)'s search in search order."""
+    return _rows_of(perm.permutation_rows(n, d))[::-1]
+
+
+def _word_vertex_rows(n, w):
+    """The vertices of A(n, d, w)'s search in search order."""
+    return _rows_of(search._word_rows(n, w))[::-1]
+
+
 def test_the_path_rule_picks_by_input(monkeypatch):
     # int8 columns take the table whenever it fits _TABLE_BYTES: pgl2 11
     # (1,320 rows, 12 values), 2,000 rows on 45 points, and the 17-row,
@@ -623,3 +686,30 @@ def test_the_path_rule_picks_by_input(monkeypatch):
         next(_blocks(vectors, upper=True))
         assert paths == ["table"]
         paths.clear()
+    monkeypatch.undo()
+    # the gather reads two columns where the pair table stays under
+    # _PAIR_BYTES: P(6,4)'s 664 vertices take 72 KB, P(6,5)'s 529 take 57 KB
+    # and A(11,6,4)'s 330 words 6.6 KB, with a single eleventh column;
+    # pgl2 11's would take 1.14 MB, so it reads one column a gather
+    assert _gather_widths(_vertex_rows(6, 4)) == [2] * 3
+    assert _gather_widths(_vertex_rows(6, 5)) == [2] * 3
+    assert _gather_widths(_word_vertex_rows(11, 4)) == [2] * 5 + [1]
+    assert _gather_widths(perfect_pa("pgl2", 11).rows) == [1] * 12
+    assert _gather_widths(witness) == [2] * 3
+
+
+@pytest.mark.parametrize("rows, d, digest", [
+    (lambda: _vertex_rows(6, 4), 4, "542f14dad977e29e"),
+    (lambda: _vertex_rows(6, 5), 5, "fc6f8d362975f294"),
+    (lambda: _vertex_rows(7, 4), 4, "17a13498eff9d243"),
+    (lambda: _vertex_rows(7, 6), 6, "cf3772cf3bfdbba4"),
+    (lambda: _word_vertex_rows(11, 4), 6, "c9eadfe19b13e68b"),
+    (lambda: _word_vertex_rows(10, 4), 4, "cae2db69682b4b2d"),
+], ids=["P(6,4)", "P(6,5)", "P(7,4)", "P(7,6)", "A(11,6,4)", "A(10,4,4)"])
+def test_conflict_masks_are_pinned(rows, d, digest):
+    # the masks of the searches' graphs, bit for bit, whichever gather
+    # width their input takes: each mask as m bits, little-endian
+    vectors = rows()
+    width = -(-len(vectors) // 8)
+    masks = b"".join(mask.to_bytes(width, "little") for mask in _conflict_masks(vectors, d))
+    assert hashlib.sha256(masks).hexdigest()[:16] == digest
