@@ -43,8 +43,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .exactmath import ball_volume, binomial, derangement_count, factorial
-from .perm import _check_points, _check_weight
+from .exactmath import (_check_points, _check_weight, ball_volume, binomial, derangement_count,
+                        factorial)
 
 KIND_EXACT = "exact"
 KIND_UPPER = "upper"

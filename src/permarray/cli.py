@@ -392,9 +392,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

@@ -21,9 +21,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .exactmath import factorial
-from .perm import (Permutation, _check_points, _least_distance, _row_dtype, pairs_below,
-                   permutation_rows)
+from .exactmath import _check_points, factorial
+from .perm import Permutation, _least_distance, _row_dtype, pairs_below, permutation_rows
 
 
 # Entries per slab of the bijection check in PermutationArray: a sorted

@@ -3,6 +3,10 @@
 Everything in this module is arbitrary-precision integer arithmetic; no value
 is ever computed through floats. Derangement counts come from one recurrence,
 run afresh for each call; it holds its last two values and caches nothing.
+
+The two range checks that the bounds, the enumeration streams and the
+families share, ``_check_points`` on n and ``_check_weight`` on w, live here,
+so that ``bounds`` reads them with this module alone and loads no numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +14,22 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import count, islice
+
+
+def _check_points(n: int) -> None:
+    """The rule on n, the number of points, that every bound, oracle and
+    family on n points shares: n >= 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1: {n}")
+
+
+def _check_weight(n: int, w: int, moved: bool = True) -> None:
+    """The weight rule on n points: w lies in 0..n, and when it counts the
+    points a permutation moves (``moved``) it is never 1."""
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} outside valid range 0..{n}")
+    if moved and w == 1:
+        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
 
 
 def _derangements() -> Iterator[int]:

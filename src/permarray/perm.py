@@ -53,7 +53,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactmath import derangement_count
+from .exactmath import _check_points, _check_weight, derangement_count
 
 # Distances per block of the self form at most, and compares per slab in
 # _distance_rows. _spans sizes the blocks from the input: a whole
@@ -154,22 +154,6 @@ def cycle_type(a: Sequence[int]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def _check_points(n: int) -> None:
-    """The rule on n, the number of points, that every bound, oracle and
-    family on n points shares: n >= 1."""
-    if n < 1:
-        raise ValueError(f"need n >= 1: {n}")
-
-
-def _check_weight(n: int, w: int, moved: bool = True) -> None:
-    """The weight rule on n points: w lies in 0..n, and when it counts the
-    points a permutation moves (``moved``) it is never 1."""
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} outside valid range 0..{n}")
-    if moved and w == 1:
-        raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
 
 
 def _row_dtype(n: int) -> np.dtype:

@@ -612,8 +612,8 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
     default limits it is practical up to n = 7 for small or near-full
     distances and up to (6, 4) in between, and on 8 points where a root
     dive meets the bound: P(8,6) = 336 and P(8,8) = 8 certify in 1 node, in
-    the time their conflict masks take (about 2 s and 0.4 s on a 2-core
-    Xeon).
+    the time their conflict masks take (1.7-2.4 s and 0.26-0.35 s on a
+    2-core Xeon).
 
     Conjugation and inversion fix the identity and keep weights and
     distances, so the search prunes the orbits of their stabilisers."""

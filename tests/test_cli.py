@@ -725,8 +725,8 @@ class TestFamilies:
 
 
 class TestEntryPoint:
-    """`python -m permarray.cli` in a real process: `run` and the module's
-    `__main__` guard turn `main`'s value into the exit status."""
+    """`python -m permarray.cli` in a real process: the module's `__main__`
+    guard turns `main`'s value into the exit status."""
 
     @staticmethod
     def run_module(*argv, cwd):

@@ -1,28 +1,30 @@
-"""The package's export list matches the names its ``__init__`` binds."""
+"""The package's export list matches the mapping its ``__init__`` reads, and
+each export is imported from its module on first use."""
 
-import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import permarray
 
-
-def _bound_names():
-    """The names bound at the top level of permarray/__init__.py."""
-    tree = ast.parse(Path(permarray.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-    return names
+MODULES = ("bounds", "constructions", "exactmath", "perm", "search")
 
 
 def test_all_lists_each_public_name_once():
-    public = {name for name in _bound_names() if not name.startswith("_")}
-    assert sorted(permarray.__all__) == sorted(public | {"__version__"})
+    mapped = [name for names in permarray._EXPORTS.values() for name in names]
+    # today's order: modules alphabetical, each module's names sorted
+    assert tuple(permarray._EXPORTS) == MODULES
+    assert all(list(names) == sorted(names) for names in permarray._EXPORTS.values())
+    assert len(set(mapped)) == len(mapped)  # no name maps to two modules
+    assert permarray.__all__ == [*mapped, "__version__"]
+    for module, names in permarray._EXPORTS.items():
+        home = importlib.import_module(f"permarray.{module}")
+        for name in names:
+            assert getattr(permarray, name) is getattr(home, name), f"{module}.{name}"
 
 
 def test_every_listed_name_resolves():
@@ -30,3 +32,40 @@ def test_every_listed_name_resolves():
     exec("from permarray import *", namespace)
     for name in permarray.__all__:
         assert namespace[name] is getattr(permarray, name)
+
+
+def test_submodules_resolve_from_the_package():
+    namespace = {}
+    exec("from permarray import cli, pafile", namespace)
+    assert namespace["cli"] is importlib.import_module("permarray.cli")
+    assert namespace["pafile"] is importlib.import_module("permarray.pafile")
+    for module in MODULES:
+        assert getattr(permarray, module) is importlib.import_module(f"permarray.{module}")
+    assert set(dir(permarray)) >= {*permarray.__all__, *MODULES}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(permarray, "no_such_name")
+
+
+def _fresh(code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_bounds_and_exact_arithmetic_load_no_numpy():
+    # a bare import and the exact rules leave numpy unloaded; the first name
+    # that needs it loads it
+    assert _fresh(
+        "import sys\n"
+        "import permarray\n"
+        "assert permarray.best_upper_bound(7, 5).value == 210\n"
+        "permarray.candidate_bounds(7, 5)\n"
+        "permarray.cw_pa_bound(7, 4, 5)\n"
+        "permarray.CwTable.loads('20 8 5 16 exact')\n"
+        "assert permarray.ball_volume(5, 2) == 11 and permarray.factorial(5) == 120\n"
+        "print('numpy' in sys.modules)\n"
+        "permarray.PermutationArray\n"
+        "print('numpy' in sys.modules)\n"
+    ) == "False\nTrue\n"
