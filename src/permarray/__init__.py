@@ -19,8 +19,10 @@ _EXPORTS = {
         "dv_bound",
         "johnson_1962",
         "johnson_ceiling",
+        "known_perfect",
         "me_bound",
         "mo_bound",
+        "perfect_size",
         "recursive_bound",
         "sp_bound",
         "subset_bound",
@@ -30,11 +32,9 @@ _EXPORTS = {
         "PermutationArray",
         "block_cycle_cwpa",
         "greedy_partial_steiner",
-        "known_perfect",
         "lift_binary_cw_code",
         "perfect_families",
         "perfect_pa",
-        "perfect_size",
     ),
     "exactmath": ("ball_volume", "binomial", "derangement_count", "factorial"),
     "perm": ("Permutation", "hamming_distance", "support", "weight"),

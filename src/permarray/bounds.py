@@ -34,6 +34,10 @@ cw-pa-I .. cw-pa-VI     constant-weight permutation-array rules (the roman
 d1-as-d2                distance 1 rewritten as distance 2 (distinct
                         permutations always differ in >= 2 positions)
 ======================  =====================================================
+
+``known_perfect`` and ``perfect_size`` say where the quotient bound is known
+to be met with equality, by the families of ``constructions`` and by some
+that are not built here.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .exactmath import (_check_points, _check_weight, ball_volume, binomial, derangement_count,
-                        factorial)
+from .exactmath import (_check_points, _check_weight, _least_factor, ball_volume, binomial,
+                        derangement_count, factorial)
 
 KIND_EXACT = "exact"
 KIND_UPPER = "upper"
@@ -337,6 +341,45 @@ def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundRes
     if tags:
         return replace(best, derivation=tags + best.derivation)
     return best
+
+
+def _is_prime_power(q: int) -> bool:
+    # q is a power of its least factor p when dividing p out leaves 1
+    p = _least_factor(q)
+    if p is None:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def known_perfect(n: int, d: int) -> bool:
+    """Whether (n, d) is on the list of parameters where the quotient bound
+    n!/(d-1)! is known to be met with equality.
+
+    Covers the families that ``constructions`` builds (extended to
+    prime-power fields, where the same constructions work but are not built
+    there) and the two sporadic multiply-transitive families at (11, 8) and
+    (12, 8).
+    """
+    if not 1 <= d <= n:
+        return False
+    if d == n or d <= 2:  # S_n meets n!/0! and n!/1!
+        return True
+    if d == 3 and n >= 3:
+        return True
+    if d == n - 1 and _is_prime_power(n):
+        return True
+    if d == n - 2 and _is_prime_power(n - 1):
+        return True
+    return (n, d) in ((11, 8), (12, 8))
+
+
+def perfect_size(n: int, d: int) -> int | None:
+    """Size n!/(d-1)! when (n, d) is on the known-perfect list, else None."""
+    if not known_perfect(n, d):
+        return None
+    return factorial(n) // factorial(d - 1)
 
 
 class CwTable:

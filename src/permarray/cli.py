@@ -8,6 +8,10 @@ write it out), ``search`` (run an exhaustive oracle and write its witness),
 Exit codes: 0 success, 1 usage or parse/range errors, 2 verification failure,
 3 search limits exceeded. ``--json`` switches any subcommand to a structured
 report carrying the same numbers as the human output.
+
+At module level this imports the standard library and ``bounds`` alone;
+each of ``construct``, ``search`` and ``verify`` imports the modules it runs
+when it starts, so ``bound`` and ``table`` load no numpy.
 """
 
 from __future__ import annotations
@@ -22,28 +26,7 @@ from decimal import Decimal
 from itertools import islice
 from typing import NoReturn
 
-import numpy as np
-
-from . import pafile
-from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds
-from .constructions import (
-    BinaryCwCode,
-    block_cycle_cwpa,
-    greedy_partial_steiner,
-    indicator_rows,
-    known_perfect,
-    lift_binary_cw_code,
-    perfect_pa,
-)
-from .perm import count_pairs_below
-from .search import (
-    DEFAULT_LIMITS,
-    STATUS_EXACT,
-    SearchLimits,
-    exact_a_cw,
-    exact_p,
-    exact_p_cw,
-)
+from .bounds import BoundResult, CwTable, best_upper_bound, candidate_bounds, known_perfect
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,23 +40,24 @@ _LINES_PER_WRITE = 4096
 _RULE_LETTERS = {"DV": "D", "SP": "S", "ME": "E", "MO-corollary": "O", "MO-exact-A": "O"}
 
 
-# construct family -> (parameter names, builder returning the array, the
-# distance it claims, and its weight or None); the first five meet n!/(d-1)!.
-# AGL(1,2) is S_2 and PGL(2,2) is S_3, so at p = 2 both are at distance 2
+# construct family -> (parameter names, builder taking the constructions
+# module and the parameters and returning the array, the distance it claims,
+# and its weight or None); the first five meet n!/(d-1)!. AGL(1,2) is S_2
+# and PGL(2,2) is S_3, so at p = 2 both are at distance 2
 _FAMILIES = {
-    "cyclic": ("n", lambda n: (perfect_pa("cyclic", n), n, None)),
-    "symmetric": ("n", lambda n: (perfect_pa("symmetric", n), 2, None)),
-    "alternating": ("n", lambda n: (perfect_pa("alternating", n), 3, None)),
-    "agl": ("p", lambda p: (perfect_pa("agl", p), max(p - 1, 2), None)),
-    "pgl2": ("p", lambda p: (perfect_pa("pgl2", p), max(p - 1, 2), None)),
-    "block-cycle": ("n k", lambda n, k: (block_cycle_cwpa(n, k), 2 * k, k)),
-    "steiner-lift": ("n k", lambda n, k: (
-        lift_binary_cw_code(greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1)),
+    "cyclic": ("n", lambda c, n: (c.perfect_pa("cyclic", n), n, None)),
+    "symmetric": ("n", lambda c, n: (c.perfect_pa("symmetric", n), 2, None)),
+    "alternating": ("n", lambda c, n: (c.perfect_pa("alternating", n), 3, None)),
+    "agl": ("p", lambda c, p: (c.perfect_pa("agl", p), max(p - 1, 2), None)),
+    "pgl2": ("p", lambda c, p: (c.perfect_pa("pgl2", p), max(p - 1, 2), None)),
+    "block-cycle": ("n k", lambda c, n, k: (c.block_cycle_cwpa(n, k), 2 * k, k)),
+    "steiner-lift": ("n k", lambda c, n, k: (
+        c.lift_binary_cw_code(c.greedy_partial_steiner(n, k + 1), k), 2 * k + 1, k + 1)),
 }
 
-# search kind -> (oracle, letter of its target); every kind but p takes a
-# weight, which the oracle reads after the distance
-_SEARCHES = {"p": (exact_p, "P"), "pcw": (exact_p_cw, "P"), "acw": (exact_a_cw, "A")}
+# search kind -> (name of its oracle in ``search``, letter of its target);
+# every kind but p takes a weight, which the oracle reads after the distance
+_SEARCHES = {"p": ("exact_p", "P"), "pcw": ("exact_p_cw", "P"), "acw": ("exact_a_cw", "A")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,7 +193,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     names, build = _FAMILIES[args.family]
     if len(args.params) != len(names.split()):
         raise ValueError(f"family {args.family!r} takes parameters: {names}")
-    array, d, w = build(*args.params)
+    from . import constructions, pafile
+    array, d, w = build(constructions, *args.params)
     text = pafile._pa_pieces(array, d, w)  # the header is checked here
     if args.out:
         pafile._write(args.out, text)
@@ -243,11 +228,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     params = [args.n, args.d] + ([] if args.kind == "p" else [args.w])
     if None in params:
         raise ValueError(f"search kind {args.kind!r} needs a weight")
-    outcome = oracle(*params, SearchLimits(args.limit_nodes, args.limit_seconds))
+    from . import pafile, search
+    # only the limits given, so that SearchLimits' own defaults fill the rest
+    given = {"max_nodes": args.limit_nodes, "max_seconds": args.limit_seconds}
+    limits = search.SearchLimits(**{k: v for k, v in given.items() if v is not None})
+    outcome = getattr(search, oracle)(*params, limits)
     target = f"{letter}({','.join(map(str, params))})"
     witness = outcome.witness
     if args.out:
-        if isinstance(witness, BinaryCwCode):
+        if args.kind == "acw":
             pafile.write_cw(witness, args.out)
         else:
             pafile.write_pa(witness, args.d, args.out, args.w)
@@ -264,11 +253,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         }
         print(json.dumps(report))
     else:
-        relation = "=" if outcome.status == STATUS_EXACT else ">="
+        relation = "=" if outcome.status == search.STATUS_EXACT else ">="
         print(f"{target} {relation} {outcome.value}  [{outcome.status}, {outcome.nodes} nodes]")
         if args.out:
             print(f"wrote witness to {args.out}")
-    return EXIT_OK if outcome.status == STATUS_EXACT else EXIT_LIMITS
+    return EXIT_OK if outcome.status == search.STATUS_EXACT else EXIT_LIMITS
 
 
 class _MemberNames(dict):
@@ -277,7 +266,7 @@ class _MemberNames(dict):
     times. A dict lookup that hits runs no Python code, so it costs less
     than a ``functools.cache`` call."""
 
-    def __init__(self, rows: np.ndarray, form: Callable[[list[int]], str]) -> None:
+    def __init__(self, rows, form: Callable[[list[int]], str]) -> None:
         super().__init__()
         self.rows = rows
         self.form = form
@@ -301,18 +290,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.d is not None and args.d < 1:
         # every pair is at distance >= 0: such a claim checks nothing
         raise ValueError(f"distance d={args.d} below 1")
+    from . import constructions, pafile, perm
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
-    if isinstance(payload, BinaryCwCode):
+    if header.kind == "cw":
         rows = payload._supports()
-        vectors, kind = indicator_rows(payload.n, rows), "words"
+        vectors, kind = constructions.indicator_rows(payload.n, rows), "words"
     else:
         rows = vectors = payload.rows
         kind = "permutations"
     # one pass counts the pairs, and a second recomputes only the blocks
     # that hold one and writes their pairs, so no more than one block of
     # them is held, however many fail
-    count, pairs = count_pairs_below(vectors, d)
+    count, pairs = perm.count_pairs_below(vectors, d)
     if args.json:
         report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
                   "ok": not count, "violations": []}
@@ -364,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("n", type=int)
     p_search.add_argument("d", type=int)
     p_search.add_argument("w", type=int, nargs="?")
-    p_search.add_argument("--limit-nodes", type=int, metavar="N",
-                          default=DEFAULT_LIMITS.max_nodes)
-    p_search.add_argument("--limit-seconds", type=float, metavar="S",
-                          default=DEFAULT_LIMITS.max_seconds)
+    p_search.add_argument("--limit-nodes", type=int, metavar="N")
+    p_search.add_argument("--limit-seconds", type=float, metavar="S")
     p_search.add_argument("--out", metavar="PATH")
     p_search.set_defaults(func=_cmd_search)
 

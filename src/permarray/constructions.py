@@ -7,7 +7,9 @@ full symmetric group at distance 2, the even permutations at distance 3, the
 affine maps x -> ax + b over a prime field at distance p - 1, and the
 fractional-linear maps over a prime field acting on the projective line at
 distance p - 1. Block k-cycles and support lifting build constant-weight
-arrays matching the exact values the bounds module reports.
+arrays matching the exact values the bounds module reports. The list of
+parameters where the quotient bound is known to be met, which these
+families and some not built here meet, is ``bounds.known_perfect``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-from .exactmath import _check_points, factorial
+from .exactmath import _check_points, _least_factor
 from .perm import Permutation, _least_distance, _row_dtype, pairs_below, permutation_rows
 
 
@@ -284,24 +286,6 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
     return PermutationArray(code.n, _cycle_rows(code.n, supports))
 
 
-def _least_factor(q: int) -> int | None:
-    """The least factor above 1 of q, which is prime, or None when q < 2;
-    so q is prime when it is its own least factor."""
-    if q < 2:
-        return None
-    return next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
-
-
-def _is_prime_power(q: int) -> bool:
-    # q is a power of its least factor p when dividing p out leaves 1
-    p = _least_factor(q)
-    if p is None:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def _cyclic(n: int) -> PermutationArray:
     _check_size(n, (n,))
     x = np.arange(n, dtype=_row_dtype(2 * n))  # sums reach 2n - 2
@@ -403,31 +387,3 @@ def perfect_pa(family: str, param: int) -> PermutationArray:
     if builder not in (_affine, _projective):
         _check_points(param)
     return builder(param)
-
-
-def known_perfect(n: int, d: int) -> bool:
-    """Whether (n, d) is on the list of parameters where the quotient bound
-    n!/(d-1)! is known to be met with equality.
-
-    Covers the constructible families above (extended to prime-power fields,
-    where the same constructions work but are not built here) and the two
-    sporadic multiply-transitive families at (11, 8) and (12, 8).
-    """
-    if not 1 <= d <= n:
-        return False
-    if d == n or d <= 2:  # S_n meets n!/0! and n!/1!
-        return True
-    if d == 3 and n >= 3:
-        return True
-    if d == n - 1 and _is_prime_power(n):
-        return True
-    if d == n - 2 and _is_prime_power(n - 1):
-        return True
-    return (n, d) in ((11, 8), (12, 8))
-
-
-def perfect_size(n: int, d: int) -> int | None:
-    """Size n!/(d-1)! when (n, d) is on the known-perfect list, else None."""
-    if not known_perfect(n, d):
-        return None
-    return factorial(n) // factorial(d - 1)

@@ -6,7 +6,9 @@ run afresh for each call; it holds its last two values and caches nothing.
 
 The two range checks that the bounds, the enumeration streams and the
 families share, ``_check_points`` on n and ``_check_weight`` on w, live here,
-so that ``bounds`` reads them with this module alone and loads no numpy.
+and so does ``_least_factor``, which the families' prime checks and the
+bounds' prime-power test share, so that ``bounds`` reads them with this
+module alone and loads no numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ def _check_weight(n: int, w: int, moved: bool = True) -> None:
         raise ValueError(f"weight {w} outside valid range 0..{n}")
     if moved and w == 1:
         raise ValueError("weight 1 is impossible: a single moved point has nowhere to go")
+
+
+def _least_factor(q: int) -> int | None:
+    """The least factor above 1 of q, which is prime, or None when q < 2;
+    so q is prime when it is its own least factor."""
+    if q < 2:
+        return None
+    return next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
 
 
 def _derangements() -> Iterator[int]:

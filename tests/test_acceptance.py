@@ -15,12 +15,14 @@ from itertools import permutations
 from permarray.bounds import (
     best_upper_bound,
     dv_bound,
+    known_perfect,
     me_bound,
     mo_bound,
+    perfect_size,
     recursive_bound,
     sp_bound,
 )
-from permarray.constructions import known_perfect, perfect_pa, perfect_size
+from permarray.constructions import perfect_pa
 from permarray.exactmath import (
     ball_volume,
     binomial,

@@ -16,7 +16,7 @@ import pytest
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 from test_pafile import reference_dump_pa
 
-from permarray import cli, pafile, perm
+from permarray import cli, pafile, perm, search
 from permarray.bounds import best_upper_bound
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import (
@@ -325,6 +325,18 @@ class TestSearch:
         code, out, _ = run_cli(capsys, "search", "p", "5", "3", "--limit-seconds", "inf")
         assert code == EXIT_OK
         assert "P(5,3) = 60" in out
+
+    @pytest.mark.parametrize("flags, limits", [
+        ((), search.SearchLimits()),
+        (("--limit-nodes", "7"), search.SearchLimits(max_nodes=7)),
+        (("--limit-seconds", "2"), search.SearchLimits(max_seconds=2.0)),
+    ])
+    def test_a_limit_not_given_keeps_its_default(self, capsys, monkeypatch, flags, limits):
+        handed = []
+        oracle = search.exact_p
+        monkeypatch.setattr(search, "exact_p", lambda *args: handed.append(args) or oracle(*args))
+        run_cli(capsys, "search", "p", "5", "4", *flags)
+        assert handed == [(5, 4, limits)]
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "search", "pcw", "6", "4", "2", "--json")

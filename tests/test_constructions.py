@@ -10,19 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permarray import constructions, perm
-from permarray.bounds import dv_bound
+from permarray.bounds import _is_prime_power, dv_bound, known_perfect, perfect_size
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
     block_cycle_cwpa,
     greedy_partial_steiner,
-    known_perfect,
     lift_binary_cw_code,
     perfect_families,
     perfect_pa,
-    perfect_size,
 )
-from permarray.exactmath import factorial
+from permarray.exactmath import _least_factor, factorial
 from permarray.perm import (
     Permutation,
     cycle_type,
@@ -669,11 +667,11 @@ class TestKnownPerfect:
     def test_is_prime_power_matches_brute_force(self):
         primes = [p for p in range(2, 5000) if all(p % f for f in range(2, p))]
         powers = {p ** k for p in primes for k in range(1, 13) if p ** k < 5000}
-        assert [q for q in range(-2, 5000) if constructions._is_prime_power(q)] == sorted(powers)
+        assert [q for q in range(-2, 5000) if _is_prime_power(q)] == sorted(powers)
 
     def test_a_prime_is_its_own_least_factor(self):
         primes = [p for p in range(2, 5000) if all(p % f for f in range(2, p))]
-        assert [q for q in range(-2, 5000) if constructions._least_factor(q) == q] == primes
+        assert [q for q in range(-2, 5000) if _least_factor(q) == q] == primes
 
     def test_negative_cases(self):
         assert not known_perfect(6, 5)  # 6 is not a prime power

@@ -1,5 +1,6 @@
 """The package's export list matches the mapping its ``__init__`` reads, and
-each export is imported from its module on first use."""
+each export is imported from its module on first use; the bounds and the
+CLI's ``bound`` and ``table`` load no numpy."""
 
 import importlib
 import os
@@ -46,10 +47,10 @@ def test_submodules_resolve_from_the_package():
         getattr(permarray, "no_such_name")
 
 
-def _fresh(code):
+def _fresh(code, cwd=None):
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -68,4 +69,24 @@ def test_bounds_and_exact_arithmetic_load_no_numpy():
         "print('numpy' in sys.modules)\n"
         "permarray.PermutationArray\n"
         "print('numpy' in sys.modules)\n"
+    ) == "False\nTrue\n"
+
+
+def test_bound_and_table_commands_load_no_numpy(tmp_path):
+    # bound and table, as text, as JSON and with an A(n,d,w) table, leave
+    # numpy unloaded; verify is the first command that loads it
+    (tmp_path / "table.txt").write_text("7 4 3 7 exact\n", encoding="utf-8")
+    (tmp_path / "cyclic3.pa").write_text("pa n=3 d=3 w=- count=3\n0,1,2\n1,2,0\n2,0,1\n",
+                                         encoding="utf-8")
+    assert _fresh(
+        "import contextlib, io, sys\n"
+        "from permarray.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in ('bound 7 5', 'bound 20 8 --json', 'table 2:20 2:20',\n"
+        "                 'table 2:20 2:20 --json', 'bound 7 5 --cw-table table.txt'):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "    print('numpy' in sys.modules, file=sys.__stdout__)\n"
+        "    assert main(['verify', 'cyclic3.pa']) == 0\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
     ) == "False\nTrue\n"
