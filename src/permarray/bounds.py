@@ -186,9 +186,11 @@ def mo_bound(n: int, k: int, table: "CwTable | None" = None) -> BoundResult:
     m = n - k; estimating both from above only weakens the bound, so any
     valid upper estimate keeps it safe. Each is an exact ``table`` entry if
     one exists, and the trace then says "MO-exact-A"; else it is the
-    Johnson ceiling, the paper's estimate. MO keeps the ceiling rather than
-    ``cw_binary_bound``'s smaller value until ROADMAP item 19, since that
-    value lowers 260 odd-distance ``table`` cells with n <= 120.
+    Johnson ceiling, the paper's estimate. MO reads only exact rows: an
+    "upper" or "lower" row leaves its size at the ceiling, and no rule
+    reads such rows. MO keeps the ceiling rather than ``cw_binary_bound``'s
+    smaller value until ROADMAP item 19, since that value lowers 260
+    odd-distance ``table`` cells with n <= 120.
     """
     if k < 2 or 2 * k > n - k - 1:
         return _not_applicable("MO-corollary")
@@ -238,7 +240,7 @@ def recursive_bound(n: int, d: int, m: int, bound_at_m: BoundResult) -> BoundRes
     return BoundResult(value, kind, (f"recursive(m={m})", *bound_at_m.derivation))
 
 
-def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> BoundResult:
+def cw_binary_bound(n: int, d: int, w: int) -> BoundResult:
     """Upper bound (exact where an identity applies) on A(n, d, w), the
     maximum binary code of length n, constant weight w, minimum distance d.
 
@@ -250,7 +252,7 @@ def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> B
     1962 bound, tagged with the rule that gave it (the ceiling on a tie);
     the 1962 bound is the certified value of A(m, 6, 4) for m = 7 and
     9..13, which lets ``search.exact_a_cw`` stop once its incumbent meets
-    it. Anything else is answered from ``table`` or reported not-applicable.
+    it. Every other cell is reported not-applicable.
     """
     _check_cw_code(n, d, w)
     if d > 2 * w:
@@ -263,10 +265,6 @@ def cw_binary_bound(n: int, d: int, w: int, table: "CwTable | None" = None) -> B
         if quotient is not None and quotient < ceiling:
             return _upper(quotient, "cw-binary-johnson-1962")
         return _upper(ceiling, "cw-binary-johnson")
-    if table is not None:
-        entry = table.get(n, d, w)
-        if entry is not None:
-            return BoundResult(entry.value, entry.kind, ("cw-table",))
     return _not_applicable("cw-binary")
 
 
@@ -386,11 +384,13 @@ class CwTable:
     """Known sizes and bounds for binary constant-weight codes, keyed by
     (n, d, w).
 
+    ``mo_bound`` is the one reader, and it reads only "exact" rows; no rule
+    reads an "upper" or "lower" row, which the table validates and keeps.
     Entries are validated on insert against the structural identities, as
-    ``cw_binary_bound`` answers them without a table, so a stored value can
-    never contradict them: when d > 2w the only code is a single word, when
-    d = 2w the maximum is exactly floor(n/w), and when d = 2k, w = k+1
-    nothing exceeds the Johnson bound (the smaller of the two rules).
+    ``cw_binary_bound`` answers them, so a stored value can never
+    contradict them: when d > 2w the only code is a single word, when d =
+    2w the maximum is exactly floor(n/w), and when d = 2k, w = k+1 nothing
+    exceeds the Johnson bound (the smaller of the two rules).
     """
 
     def __init__(self) -> None:

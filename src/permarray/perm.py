@@ -53,7 +53,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactmath import _check_points, _check_weight, derangement_count
+from .exactmath import _check_weight, derangement_count
 
 # Distances per block of the self form at most, and compares per slab in
 # _distance_rows. _spans sizes the blocks from the input: a whole
@@ -194,9 +194,6 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
     """
     _check_weight(n, w)
     dtype = _row_dtype(n)
-    if w == 0:
-        yield np.arange(n, dtype=dtype)[None]
-        return
     count = derangement_count(w)
     listed = np.concatenate(list(permutation_rows(w, w))) if count <= _LIST_ROWS else None
     supports = itertools.combinations(range(n), w)
@@ -208,7 +205,7 @@ def weight_rows(n: int, w: int) -> Iterator[np.ndarray]:
             rows = np.broadcast_to(np.arange(n, dtype=dtype), (len(group), len(local), n)).copy()
             where = np.broadcast_to(points[:, None], (len(group), len(local), w))
             np.put_along_axis(rows, where, points[:, local], axis=2)
-            yield rows.reshape(-1, n)
+            yield rows.reshape(len(group) * len(local), n)
 
 
 def _columns(*sets: Sequence[Sequence[int]]) -> tuple[int, int, list[np.ndarray]]:

@@ -177,9 +177,6 @@ class SearchLimits:
                 raise ValueError(f"{name} limit must be >= 0 or None: {limit}")
 
 
-DEFAULT_LIMITS = SearchLimits()
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of a search: ``value``, the witness size, is exact when
@@ -606,7 +603,7 @@ def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
         yield indicator_rows(n, np.array(group, dtype=np.intp).reshape(len(group), w))
 
 
-def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
+def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d, by clique search with the identity forced in. Under
     default limits it is practical up to n = 7 for small or near-full
@@ -624,7 +621,7 @@ def exact_p(n: int, d: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutc
                   upper=upper)
 
 
-def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
+def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d and every member of weight exactly w. The identity is not a
     member (its weight is 0), so the clique runs over all the weight-w
@@ -637,7 +634,7 @@ def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) ->
                   upper=upper)
 
 
-def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = DEFAULT_LIMITS) -> SearchOutcome:
+def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Exact maximum size of a binary code of length n, constant weight w,
     minimum distance d (even: distances between equal-weight words are always
     even). Permuting coordinates keeps distances and takes any word to any

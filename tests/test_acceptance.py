@@ -277,3 +277,28 @@ def test_criterion_7_bounds_bracket_oracle():
     certified = exact_p(7, 6, SearchLimits(max_nodes=20_000, max_seconds=30.0))
     assert (certified.status, certified.value, certified.nodes) == (STATUS_EXACT, 42, 1)
     assert verify_pa(certified.witness, 6) == []
+
+
+@criterion(8, "each rule's window of d, the abstract's asymptotic claim")
+def test_criterion_8_winning_rule_windows():
+    # the distances d at which each rule gives best_upper_bound's value,
+    # as ranges; ME wins at even d up to about 2.5 sqrt(n), and MO at odd d
+    # from about 1.9 sqrt(n) to 2.6 sqrt(n), below which it equals SP
+    def odd(*spans):
+        return [d for lo, hi in spans for d in range(lo, hi + 1, 2)]
+
+    windows = {
+        20: {"ME": range(4, 9, 2), "SP": odd((5, 7)), "MO-corollary": odd((9, 9))},
+        50: {"ME": range(4, 17, 2), "SP": odd((5, 13)), "MO-corollary": odd((15, 15))},
+        100: {"ME": range(4, 23, 2), "SP": odd((5, 17)), "MO-corollary": odd((19, 23))},
+        200: {"ME": range(4, 35, 2), "SP": odd((5, 25)), "MO-corollary": odd((27, 35))},
+        400: {"ME": range(4, 51, 2), "SP": odd((5, 37)), "MO-corollary": odd((39, 51))},
+    }
+    for n, rules in windows.items():
+        won = {}
+        for d in range(1, n + 1):
+            won.setdefault(best_upper_bound(n, d).derivation[-1], []).append(d)
+        expected = {rule: list(ds) for rule, ds in rules.items()}
+        named = {d for ds in expected.values() for d in ds}
+        expected["DV"] = [d for d in range(1, n + 1) if d not in named]
+        assert won == expected, n

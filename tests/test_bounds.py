@@ -147,6 +147,14 @@ class TestOddDistanceBound:
         assert result.value == 37905005935872
         assert result.derivation == ("MO-exact-A",)
 
+    def test_upper_and_lower_entries_are_ignored(self):
+        result = mo_bound(20, 4, CwTable.loads("20 8 5 15 upper\n16 8 5 5 lower\n"))
+        assert result == mo_bound(20, 4)
+        assert result.derivation == ("MO-corollary",)
+        # either row, were it exact, would move the value
+        for row in ("20 8 5 15 exact", "16 8 5 5 exact"):
+            assert mo_bound(20, 4, CwTable.loads(row)).value != result.value
+
     def test_out_of_range_is_not_applicable(self):
         assert not mo_bound(12, 4).applicable  # needs n >= 3k+1 = 13
         assert mo_bound(13, 4).applicable
@@ -334,10 +342,6 @@ class TestConstantWeightBinary:
 
     def test_table_fallback_then_not_applicable(self):
         assert not cw_binary_bound(10, 6, 5).applicable
-        table = CwTable.loads("10 6 5 6 upper\n")
-        result = cw_binary_bound(10, 6, 5, table)
-        assert (result.value, result.kind) == (6, "upper")
-        assert result.derivation == ("cw-table",)
 
 
 class TestConstantWeightPa:

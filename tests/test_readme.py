@@ -1,6 +1,7 @@
 """README.md as tests: every `$ permarray ...` transcript gives the stdout it
 shows, the `>>>` examples run as doctests, every private name it cites
-exists, and the sources keep to the grammar of the oldest Python it names."""
+exists, and the sources keep to the grammar of the oldest Python it names
+and read every name they import."""
 
 import ast
 import doctest
@@ -60,3 +61,18 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_sources_use_every_name_they_import():
+    # each name a module imports at top level is read somewhere in that
+    # module, as a name or as the base of an attribute
+    paths = sorted((ROOT / "src" / "permarray").glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, f"{path.name}: {sorted(imported - read)}"

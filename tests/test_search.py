@@ -34,7 +34,6 @@ from permarray.perm import (
     weight_rows,
 )
 from permarray.search import (
-    DEFAULT_LIMITS,
     STATUS_EXACT,
     STATUS_INCOMPLETE,
     STATUS_LOWER_BOUND_ONLY,
@@ -184,8 +183,8 @@ class TestLimitBehaviour:
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
         # S_8's 40,320 rows of 5,040 B (203 MB) still search
-        assert _over_budget_upfront(362_880, DEFAULT_LIMITS)
-        assert not _over_budget_upfront(40_320, DEFAULT_LIMITS)
+        assert _over_budget_upfront(362_880, SearchLimits())
+        assert not _over_budget_upfront(40_320, SearchLimits())
 
     @pytest.mark.parametrize("limits", [(-5, None), (-1, 60.0), (None, -1.0), (10, math.nan),
                                         (math.nan, None), (None, -math.inf)])
@@ -1309,8 +1308,8 @@ class TestVerification:
         assert verify_pa(PermutationArray(3, [Permutation(range(3))]), 3) == []
 
     def test_default_limits_are_generous(self):
-        assert DEFAULT_LIMITS.max_nodes == 100_000_000
-        assert DEFAULT_LIMITS.max_seconds == 300.0
+        assert SearchLimits().max_nodes == 100_000_000
+        assert SearchLimits().max_seconds == 300.0
 
 
 def _refusal(call, *args):
