@@ -7,12 +7,12 @@ a stream of small-integer row blocks, a group of maps that keep their
 distances (two vertices are adjacent when their distance clears the
 target), and a builder that makes its witness from the chosen rows;
 ``_solve`` returns the ``SearchOutcome``. The blocks come from
-``perm.permutation_rows`` (chunks of ``itertools.permutations`` read into
-numpy, with the weight filter applied to the whole chunk),
-``perm.weight_rows`` (each support's derangements by index arithmetic) and
-``_word_rows`` (0/1 words placed by their supports), so no per-vertex
-object is made. If the budget, or the memory the conflict bitsets would
-take, rules out a real search, the vertices are never listed:
+``perm.permutation_rows`` (one prefix per block, followed by the tails
+listed once as S_k, by index arithmetic, with the weight filter applied to
+the whole block), ``perm.weight_rows`` (each support's derangements by
+index arithmetic) and ``_word_rows`` (0/1 words placed by their supports),
+so no per-vertex object is made. If the budget, or the memory the conflict
+bitsets would take, rules out a real search, the vertices are never listed:
 the "lower-bound-only" witness is the lowest-index greedy clique, read from
 each block 256 rows at a time: ``_greedy_clique``, the one greedy rule,
 picks among the rows of a slice that ``perm.distances``, the distance
@@ -125,7 +125,7 @@ import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import chain, combinations, islice
 from typing import Protocol
 
@@ -452,16 +452,6 @@ class _LevelSets:
 _LISTED_DEGREE = 8
 
 
-@cache
-def _symmetric_group(n: int) -> np.ndarray:
-    """The permutations of n <= ``_LISTED_DEGREE`` points as the rows of a
-    read-only matrix, listed once per n, since searches with node caps may
-    otherwise spend a large share of their time listing them."""
-    g = np.concatenate(list(permutation_rows(n, 0)), dtype=np.intp)
-    g.flags.writeable = False
-    return g
-
-
 class _CycleTypes(_LevelSets):
     """The maps x -> g x g^-1 and x -> g x^-1 g^-1 of S_n, on a vertex set
     of permutations, ``rows`` in search order, that is closed under them
@@ -500,7 +490,7 @@ class _CycleTypes(_LevelSets):
         power = n ** np.arange(n)
         codes = self.rows @ power
         sorter = np.argsort(codes)
-        g = _symmetric_group(n)
+        g = np.concatenate(list(permutation_rows(n, 0)), dtype=np.intp)
         # when every vertex is an involution, inversion acts as the identity
         return _Centraliser(self.rows, (power, sorter, codes[sorter]),
                             [g, g[:0] if self.longest <= 2 else g])
@@ -609,8 +599,8 @@ def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutc
     default limits it is practical up to n = 7 for small or near-full
     distances and up to (6, 4) in between, and on 8 points where a root
     dive meets the bound: P(8,6) = 336 and P(8,8) = 8 certify in 1 node, in
-    the time their conflict masks take (1.7-2.4 s and 0.26-0.35 s on a
-    2-core Xeon).
+    the time their conflict masks take (about 1.4 s and 0.26 s in a fresh
+    process on a 2-core Xeon).
 
     Conjugation and inversion fix the identity and keep weights and
     distances, so the search prunes the orbits of their stabilisers."""

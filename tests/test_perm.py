@@ -137,7 +137,7 @@ def test_no_pair_at_distance_one(n):
         assert hamming_distance(x, y) >= 2
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_iterate_all_is_exhaustive_and_lexicographic(n):
     perms = _listed(perm.permutation_rows(n, 0))
     assert all(sorted(p) == list(range(n)) for p in perms)
@@ -182,11 +182,36 @@ def test_row_streams_list_the_tuple_streams(monkeypatch, list_rows):
             assert np.concatenate(blocks).tolist() == [list(p) for p in perms if weight(p) >= d]
         for w in [0] + list(range(2, n + 1)):
             blocks = list(perm.weight_rows(n, w))
-            assert blocks and all(len(block) <= max(perm._LIST_ROWS, derangement_count(w))
-                                  for block in blocks)
+            assert blocks and all(len(block) <= perm._LIST_ROWS for block in blocks)
             # support first, then lexicographic within a support
             expected = sorted((p for p in perms if weight(p) == w), key=lambda p: (support(p), p))
             assert np.concatenate(blocks).tolist() == [list(p) for p in expected]
+
+
+# rows per block of permutation_rows on enough points: k! for the largest k
+# with k! within _LIST_ROWS
+_TAIL_ROWS = {1: 1, 5: 2, 720: 720, perm._LIST_ROWS: 720}
+
+
+@pytest.mark.parametrize("list_rows", sorted(_TAIL_ROWS))
+@pytest.mark.parametrize("n", range(9, 13))
+def test_first_blocks_of_large_streams_list_the_tuple_stream(monkeypatch, n, list_rows):
+    # one prefix per block: three blocks cover the first 3 k! permutations
+    monkeypatch.setattr(perm, "_LIST_ROWS", list_rows)
+    covered = list(itertools.islice(itertools.permutations(range(n)), 3 * _TAIL_ROWS[list_rows]))
+    for d in (0, 2, n // 2, n):
+        blocks = list(itertools.islice(perm.permutation_rows(n, d), 3))
+        assert all(block.dtype == np.int8 and len(block) <= list_rows for block in blocks)
+        if d == 0:
+            assert [len(block) for block in blocks] == [_TAIL_ROWS[list_rows]] * 3
+        assert np.concatenate(blocks).tolist() == [list(p) for p in covered if weight(p) >= d]
+
+
+def test_a_stream_read_once_lists_one_block():
+    # S_12 has 479,001,600 members: the first read lists one tail's worth
+    block = next(perm.permutation_rows(12, 0))
+    assert block.shape == (720, 12) and len(block) <= perm._LIST_ROWS
+    assert block[-1].tolist() == list(range(6)) + list(range(11, 5, -1))
 
 
 def test_row_streams_reject_what_the_tuple_streams_reject():
@@ -696,6 +721,20 @@ def test_the_path_rule_picks_by_input(monkeypatch):
     assert _gather_widths(_word_vertex_rows(11, 4)) == [2] * 5 + [1]
     assert _gather_widths(perfect_pa("pgl2", 11).rows) == [1] * 12
     assert _gather_widths(witness) == [2] * 3
+
+
+@pytest.mark.parametrize("m", [1, 9, 37, 100, 300])
+def test_conflict_masks_match_a_naive_reference(m):
+    # packed rows of 1, 2, 5, 13 and 38 bytes, each read as one scalar, on
+    # the int8 table's path and, with entries past 127, the compare's
+    rng = np.random.default_rng(m)
+    for high in (4, 1000):
+        vectors = rng.integers(0, high, (m, 7)).tolist()
+        dist = [[hamming_distance(a, b) for b in vectors] for a in vectors]
+        for d in (3, 6):
+            expected = [sum(1 << u for u in range(m) if u != v and dist[v][u] < d)
+                        for v in range(m)]
+            assert _conflict_masks(vectors, d) == expected
 
 
 @pytest.mark.parametrize("rows, d, digest", [
