@@ -24,16 +24,19 @@ in row blocks of bounded size, and a cross form, ``distances``, which
 measures each vector of one small set against each of another. This module
 alone knows how the self form's blocks are laid out: its readers walk them
 here, and hand out what they read, not the blocks. A distance is the
-length minus the positions that agree. Both forms narrow the columns to
-one dtype, int8 when every entry fits in 8 bits, int16 when in 16, and run
-one column loop, which adds the columns' agreements to the counts.
-The path follows the entry width and the table size: with int8 columns
-whose table fits ``_TABLE_BYTES``, the agreements are rows gathered from a
-table built once per call, one row per entry value of a column, or per pair
-of values of two columns where that pair table stays under ``_PAIR_BYTES``,
-so that one gather reads two columns; every other input compares a slab of
-columns per step by broadcasting, as many as fit ``_BLOCK_BYTES``, so that
-long vectors in few rows take few steps.
+length minus the positions that agree, and the blocks hold the agreements:
+each reader compares them against the length minus d, and only
+``distances`` and the distances a reader hands out are ever subtracted.
+Both forms narrow the columns to one dtype, int8 when every entry fits in
+8 bits, int16 when in 16, and run one column loop, which adds the columns'
+agreements to the counts. The path follows the entry width and the table
+size: with int8 columns whose table fits ``_TABLE_BYTES``, the agreements
+are rows gathered from a table built once per call, one row per pair of
+entry values of two columns where that pair table fits ``_TABLE_BYTES``
+too, so that one gather reads two columns, else one row per entry value of
+a column; every other input compares a slab of columns per step by
+broadcasting, as many as fit ``_BLOCK_BYTES``, so that long vectors in few
+rows take few steps.
 
 The pairs of one set closer than a distance d come from the self form's
 upper blocks in two calls: ``pairs_below`` streams them as (i, j,
@@ -43,8 +46,7 @@ returns the same stream, which recomputes only the blocks that hold one.
 Two private readers serve the package: ``_least_distance``, the minimum
 distance of a set from its upper blocks (``PermutationArray.min_distance``),
 and ``_conflict_masks``, the clique search's conflict bitmasks from full
-rows, which compares the agreements against the length minus d and so
-never forms the distances.
+rows.
 """
 
 from __future__ import annotations
@@ -75,25 +77,22 @@ from .exactmath import _check_weight, derangement_count
 # 25 / 29 ms and P(7,4) conflict masks 31 / 27 / 25 / 38 ms.
 _BLOCK_BYTES = 1 << 18
 
-# Bytes of the agreement table that _gathers builds from int8 columns (one
-# per column, entry value and vector): the table is built whenever it fits,
-# and wider entries or larger tables take the compare. The pair table that
-# may be built from it is bounded by _PAIR_BYTES, not by this.
+# Bytes of each agreement table that _gathers builds from int8 columns:
+# the one-column table (one byte per column, entry value and vector), and
+# the pair table made from it (one per pair of columns, pair of entry
+# values and vector), which halves the gathers and adds. Each is built
+# whenever it fits, and wider entries or larger tables take the compare.
 # Best of 3 on a 2-core Xeon (2 MiB L2 per core), upper blocks, compare ->
 # table: S_8 (a 2.6 MB table) 889 -> 772 ms, 2,000 random 45-point vectors
 # (4 MB) 19.7 -> 14.4 ms; past the bound, 2,048 64-point vectors (8 MB)
-# 18.2 -> 20.3 ms.
+# 18.2 -> 20.3 ms. The pair tables of pgl2 11 (1.14 MB), S_7 (741 KB),
+# P(7,4)'s vertices (727 KB) and P(8,8)'s (3.8 MB) fit; P(8,6)'s (9.5 MB)
+# does not, so it reads one column a gather. A pair table past glibc's
+# 128 KiB mmap threshold is mapped afresh on each call: against one column
+# a gather, pgl2 11's `verify` in a fresh process took 331 -> 471 minor
+# faults and 5.9 -> 6.1 ms, and S_7's at d = 3 3,254 -> 1,589 faults and
+# 67.8 -> 56.1 ms (medians of 15 alternating processes on a 2-core Xeon).
 _TABLE_BYTES = 1 << 22
-
-# Bytes of the pair table (one per pair of columns, pair of entry values
-# and vector), which halves the gathers and adds, below which _gathers
-# builds it: glibc's 128 KiB mmap threshold (see _BLOCK_BYTES), so the
-# table comes from the heap and is not mapped afresh on every call.
-# P(6,4)'s 664 vertices take 72 KB and P(6,5)'s 529 take 57 KB; pgl2 11's
-# would take 1.14 MB, so it gathers one column at a time: its `verify` in
-# a fresh process, medians of 8 on a 2-core Xeon, took 6.2 ms and 311
-# minor faults so, and 6.5 ms and 539 faults with no bound on the table.
-_PAIR_BYTES = 1 << 17
 
 # Rows per block of permutation_rows before its weight filter, and of
 # weight_rows, at most: blocks of a few KiB, so a caller that stops early
@@ -289,12 +288,13 @@ def _gathers(
     table passes ``_TABLE_BYTES``, or there is no column.
 
     ``table[k][s, j]`` is 1 when ``b[k, j]`` is ``low + s``, so code
-    ``a[k, i] - low`` reads column k. Where the pair table stays under
-    ``_PAIR_BYTES``, columns 2k and 2k + 1 are read at once: with alpha
-    entry values, row ``s * alpha + t`` of pair k is the sum of row s of
-    column 2k and row t of column 2k + 1, and the code is
+    ``a[k, i] - low`` reads column k. Where the pair table fits
+    ``_TABLE_BYTES`` too, columns 2k and 2k + 1 are read at once: with
+    alpha entry values, row ``s * alpha + t`` of pair k is the sum of row s
+    of column 2k and row t of column 2k + 1, and the code is
     ``(a[2k, i] - low) * alpha + a[2k + 1, i] - low``. A trailing odd
-    column stays single."""
+    column stays single, as a copy, so that the one-column table is freed
+    once the pairs are built."""
     n, alpha = len(a), high - low + 1
     if not n or b.dtype != np.int8 or b.size * alpha > _TABLE_BYTES:
         return []
@@ -302,27 +302,34 @@ def _gathers(
     table = np.equal(b[:, None, :], values[:, None]).view(np.uint8)
     # a - low mod 256 is a - low, which lies in 0..255: a narrow code
     codes = a.view(np.uint8) - np.uint8(low % 256)
-    gathers = list(zip(table, codes))
     half = n // 2
-    if half * alpha * alpha * b.shape[1] < _PAIR_BYTES:
-        first, second = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
-        pairs = table[first, :, None] + table[second, None]
-        pairs = pairs.reshape(half, alpha * alpha, b.shape[1])
-        pair_codes = codes[first].astype(np.uint16) * alpha + codes[second]
-        gathers[:2 * half] = zip(pairs, pair_codes.astype(np.min_scalar_type(alpha * alpha - 1)))
+    if half * alpha * alpha * b.shape[1] > _TABLE_BYTES:
+        return list(zip(table, codes))
+    first, second = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+    pairs = table[first, :, None] + table[second, None]
+    pairs = pairs.reshape(half, alpha * alpha, b.shape[1])
+    pair_codes = codes[first].astype(np.uint16) * alpha + codes[second]
+    gathers = list(zip(pairs, pair_codes.astype(np.min_scalar_type(alpha * alpha - 1))))
+    if n % 2:
+        gathers.append((table[-1].copy(), codes[-1].copy()))
     return gathers
 
 
 def _distance_rows(
     sets: tuple[Sequence[Sequence[int]], ...], spans: Iterable[tuple[int, int, int]],
     below: int | None = None,
-) -> Iterator[np.ndarray]:
-    """For each span (start, stop, first), the distances between the rows
+) -> Iterator[tuple[int, np.ndarray]]:
+    """For each span (start, stop, first), the vector length n and the
+    agreements, the positions where two vectors agree, between the rows
     start..stop-1 of a and the rows from first on of b, where sets is
     (a, b), or (a,) for b = a, each a fresh array in the smallest unsigned
-    dtype that holds the vector length. With ``below``, each block is
-    instead the bool matrix of the distances below it, read as the
-    agreements above the length minus ``below``, so no subtract pass runs.
+    dtype that holds n. A distance is n minus the agreements, so the
+    readers compare agreements against n - d and form a distance only where
+    they hand one out. With ``below``, each block is instead the bool
+    matrix of the distances below it, the agreements above n - ``below``:
+    the readers that need no more than that hold no agreement block while
+    the next is computed, which in a fresh process kept P(7,4)'s conflict
+    masks at 1,721 minor faults, against 6,631 when the reader compared.
 
     The agreements are counted by the table's row gathers that
     ``_gathers`` lists, the first of which is a fresh array that the
@@ -353,15 +360,15 @@ def _distance_rows(
                 ones = slab.view(np.uint8)
                 # one column adds as it is: a sum would copy it first
                 agree += ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=dtype)
-        yield np.subtract(n, agree, out=agree) if below is None else agree > n - below
+        yield n, (agree if below is None else agree > n - below)
 
 
 def distances(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
     """The kernel's cross form: the (len(a), len(b)) Hamming distances
     between the vectors of a and of b, each an integer matrix or a sequence
     of vectors, all of one length, as one block."""
-    block, = _distance_rows((a, b), [(0, len(a), 0)])
-    return block
+    (n, agree), = _distance_rows((a, b), [(0, len(a), 0)])
+    return np.subtract(n, agree, out=agree)
 
 
 def _spans(m: int, upper: bool) -> list[tuple[int, int, int]]:
@@ -391,7 +398,7 @@ def _conflict_masks(vectors: Sequence[Sequence[int]], d: int) -> list[int]:
     buffer each, and 0.11 ms so (best of 5 on a 2-core Xeon)."""
     conflicts: list[int] = []
     spans = _spans(len(vectors), False)
-    for (start, _, _), close in zip(spans, _distance_rows((vectors,), spans, d)):
+    for (start, _, _), (_, close) in zip(spans, _distance_rows((vectors,), spans, d)):
         np.fill_diagonal(close[:, start:], False)
         packed = np.packbits(close, axis=1, bitorder="little")
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
@@ -401,15 +408,16 @@ def _conflict_masks(vectors: Sequence[Sequence[int]], d: int) -> list[int]:
 
 def _least_distance(vectors: Sequence[Sequence[int]]) -> int:
     """The least distance between two of the vectors, read from the upper
-    blocks; there must be at least two."""
+    blocks as the length minus the most agreements; there must be at least
+    two."""
     least = []
-    for block in _distance_rows((vectors,), _spans(len(vectors), True)):
+    for n, agree in _distance_rows((vectors,), _spans(len(vectors), True)):
         # the block's own square holds each pair twice and the diagonal
-        # once; mask all but its strict upper triangle with a value no
-        # distance exceeds
-        b = len(block)
-        block[:, :b][np.tri(b, dtype=bool)] = np.iinfo(block.dtype).max
-        least.append(int(block.min()))
+        # once; mask all but its strict upper triangle with 0 agreements,
+        # a count no pair falls below
+        b = len(agree)
+        agree[:, :b][np.tri(b, dtype=bool)] = 0
+        least.append(n - int(agree.max()))
     return min(least)
 
 
@@ -418,22 +426,24 @@ def _pairs(
 ) -> Iterator[tuple[int, int, int]]:
     """The pairs (i, j, distance) with i < j and distance below d that the
     upper blocks ``spans`` hold, as Python ints in row-major order, one
-    block computed at a time as the stream is read. Each block's pairs are
-    flattened at C speed, one zip of its columns' lists, with no Python
-    step per pair."""
+    block computed at a time as the stream is read. A pair is a hit where
+    the agreements pass the length minus d, and its distance is formed at
+    the hits alone. Each block's pairs are flattened at C speed, one zip of
+    its columns' lists, with no Python step per pair."""
     def blocks() -> Iterator[Iterator[tuple[int, int, int]]]:
-        for (start, _, first), block in zip(spans, _distance_rows((vectors,), spans)):
-            close = block < d
-            # the block's own square is symmetric with a zero diagonal, so
-            # its hits are the diagonal alone when none lies above it
-            if np.count_nonzero(close) == len(block):
+        for (start, _, first), (n, agree) in zip(spans, _distance_rows((vectors,), spans)):
+            close = agree > n - d
+            # the block's own square is symmetric with every agreement on
+            # its diagonal, so its hits are the diagonal alone when none
+            # lies above it
+            if np.count_nonzero(close) == len(agree):
                 continue
             # flat indices: a 2-D np.nonzero costs ten times as much per block
             hits = np.flatnonzero(close)
-            rows, cols = np.divmod(hits, block.shape[1])
+            rows, cols = np.divmod(hits, agree.shape[1])
             above = first + cols > start + rows
             yield zip((start + rows[above]).tolist(), (first + cols[above]).tolist(),
-                      block.ravel()[hits[above]].tolist())
+                      (n - agree.ravel()[hits[above]]).tolist())
     return itertools.chain.from_iterable(blocks())
 
 
@@ -451,17 +461,17 @@ def count_pairs_below(
     vectors: Sequence[Sequence[int]], d: int
 ) -> tuple[int, Iterator[tuple[int, int, int]]]:
     """The number of index pairs i < j whose vectors lie at distance below
-    d, counted in one pass over the upper distance blocks without listing a
-    pair, and the stream of those pairs that ``pairs_below`` gives, which
-    when read recomputes only the blocks that hold one."""
+    d, counted in one pass over the upper blocks' agreements without
+    listing a pair, and the stream of those pairs that ``pairs_below``
+    gives, which when read recomputes only the blocks that hold one."""
     count, hit = 0, []
     spans = _spans(len(vectors), True)
-    for span, block in zip(spans, _distance_rows((vectors,), spans)):
+    for span, (_, close) in zip(spans, _distance_rows((vectors,), spans, d)):
         # the block's own square holds each pair twice and, below any d
-        # above 0, its zero diagonal once
-        b = len(block)
-        found = int((np.count_nonzero(block[:, :b] < d) - b * (d > 0)) // 2
-                    + np.count_nonzero(block[:, b:] < d))
+        # above 0, its diagonal of n agreements once
+        b = len(close)
+        found = int((np.count_nonzero(close[:, :b]) - b * (d > 0)) // 2
+                    + np.count_nonzero(close[:, b:]))
         count += found
         if found:
             hit.append(span)

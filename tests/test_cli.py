@@ -645,8 +645,8 @@ class TestVerifyStream:
             ",".join(map(str, row)) + "\n" for row in rows + [swapped]), encoding="utf-8")
         computed = []
         kernel = perm._distance_rows
-        monkeypatch.setattr(perm, "_distance_rows",
-                            lambda sets, spans: kernel(sets, computed.append(len(spans)) or spans))
+        monkeypatch.setattr(perm, "_distance_rows", lambda sets, spans, *args: kernel(
+            sets, computed.append(len(spans)) or spans, *args))
         monkeypatch.setattr(perm, "_BLOCK_BYTES", 43)
         code, out, _ = run_cli(capsys, "verify", str(path), *["--json"] * as_json)
         assert code == EXIT_VERIFY

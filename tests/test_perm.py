@@ -244,10 +244,11 @@ def _blocks(vectors, upper=False):
     """The kernel's self form as (start, first_column, block), where
     ``block[r, c]`` is the distance between ``vectors[start + r]`` and
     ``vectors[first_column + c]``: perm's spans read through its column
-    loop, one block computed per read."""
+    loop as agreements, one block computed per read, each subtracted from
+    the length here."""
     spans = perm._spans(len(vectors), upper)
-    for (start, _, first), block in zip(spans, perm._distance_rows((vectors,), spans)):
-        yield start, first, block
+    for (start, _, first), (n, agree) in zip(spans, perm._distance_rows((vectors,), spans)):
+        yield start, first, n - agree
 
 
 def test_distance_blocks_match_pairwise():
@@ -364,19 +365,26 @@ def int8_vectors(draw):
 
 
 def _on_every_kernel_path(cls):
-    """Run each test of cls three ways: with the kernel's agreement table
+    """Run each test of cls three ways: with the kernel's agreement tables
     allowed for any int8 input and gathering two columns at a time, then
-    one column at a time, then with the table refused, so that every input
-    takes the broadcast compare. The test keeps its name; a failure names
-    the path."""
+    one column at a time (the kernel's own gathers, built column by
+    column), then with the table refused, so that every input takes the
+    broadcast compare. The test keeps its name; a failure names the path."""
+    pairs = perm._gathers
+
+    def single(low, high, a, b):
+        return [gather for k in range(len(a))
+                for gather in pairs(low, high, a[k:k + 1], b[k:k + 1])]
+
     def thrice(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
-            for path, table_bytes, pair_bytes in (("pair", 1 << 40, 1 << 40),
-                                                  ("single", 1 << 40, 0), ("compare", 0, 0)):
+            for path, table_bytes, gathers in (("pair", 1 << 40, pairs),
+                                               ("single", 1 << 40, single),
+                                               ("compare", 0, pairs)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(perm, "_TABLE_BYTES", table_bytes)
-                    mp.setattr(perm, "_PAIR_BYTES", pair_bytes)
+                    mp.setattr(perm, "_gathers", gathers)
                     try:
                         test(*args, **kwargs)
                     except Exception as exc:
@@ -712,15 +720,43 @@ def test_the_path_rule_picks_by_input(monkeypatch):
         assert paths == ["table"]
         paths.clear()
     monkeypatch.undo()
-    # the gather reads two columns where the pair table stays under
-    # _PAIR_BYTES: P(6,4)'s 664 vertices take 72 KB, P(6,5)'s 529 take 57 KB
-    # and A(11,6,4)'s 330 words 6.6 KB, with a single eleventh column;
-    # pgl2 11's would take 1.14 MB, so it reads one column a gather
+    # the gather reads two columns where the pair table fits _TABLE_BYTES
+    # too: P(6,4)'s 664 vertices take 72 KB, P(6,5)'s 529 take 57 KB,
+    # A(11,6,4)'s 330 words 6.6 KB, with a single eleventh column, pgl2 11
+    # 1.14 MB and S_7 741 KB, with a single seventh; P(8,6)'s 37,085
+    # vertices would take 9.5 MB, so they read one column a gather
     assert _gather_widths(_vertex_rows(6, 4)) == [2] * 3
     assert _gather_widths(_vertex_rows(6, 5)) == [2] * 3
     assert _gather_widths(_word_vertex_rows(11, 4)) == [2] * 5 + [1]
-    assert _gather_widths(perfect_pa("pgl2", 11).rows) == [1] * 12
+    assert _gather_widths(perfect_pa("pgl2", 11).rows) == [2] * 6
+    assert _gather_widths(_rows_of(perm.permutation_rows(7, 0))) == [2, 2, 2, 1]
+    assert _gather_widths(_vertex_rows(8, 6)) == [1] * 8
     assert _gather_widths(witness) == [2] * 3
+
+
+def _owner(array):
+    """The array that holds the memory array views, or array itself."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: _rows_of(perm.permutation_rows(7, 0)),
+    lambda: _vertex_rows(7, 4),
+    lambda: _word_vertex_rows(11, 4),
+], ids=["S_7", "P(7,4)", "A(11,6,4)"])
+def test_no_gather_holds_the_one_column_table(rows):
+    # where pairs replace the one-column table, the trailing odd column is
+    # a copy, so the table is freed once the gathers are built: the pairs
+    # hold the pair table, and the single column its own rows
+    low, high, (columns,) = perm._columns(rows())
+    (n, m), alpha = columns.shape, high - low + 1
+    *pairs, (single, codes) = perm._gathers(low, high, columns, columns)
+    assert len(pairs) == n // 2
+    assert all(_owner(table).nbytes == n // 2 * alpha * alpha * m for table, _ in pairs)
+    assert single.base is None and single.shape == (alpha, m)
+    assert codes.base is None and codes.shape == (m,)
 
 
 @pytest.mark.parametrize("m", [1, 9, 37, 100, 300])

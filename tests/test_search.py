@@ -171,6 +171,28 @@ class TestLimitBehaviour:
                 streamed = _greedy_stream(iter(blocks), distance, math.inf)
                 assert streamed.tolist() == [list(reverse[i]) for i in greedy]
 
+    def test_streamed_greedy_slices_across_blocks(self, monkeypatch):
+        # S_7 comes in seven blocks of 720 rows; the greedy checks them in
+        # the 256-row slices of one joined block (19 of 256, then 176), not
+        # in three slices per block (256 + 256 + 208), and against the same
+        # kept rows, so it keeps the same 2,520 rows at d = 3
+        blocks = list(permutation_rows(7, 0))
+        assert [len(block) for block in blocks] == [720] * 7
+        joined = np.concatenate(blocks)
+        assert [len(rows) for rows in search._slices(iter(blocks))] == [256] * 19 + [176]
+        assert all(np.array_equal(cut, whole) for cut, whole in zip(
+            search._slices(iter(blocks)), search._slices([joined]), strict=True))
+        kernel = search._distance_rows
+        for stream in (blocks, [joined], [joined[:0], *blocks, joined[:0]]):
+            checks = []
+            monkeypatch.setattr(search, "_distance_rows", lambda sets, *args: checks.append(
+                (sets[0].tobytes(), len(sets[1]))) or kernel(sets, *args))
+            kept = _greedy_stream(iter(stream), 3, math.inf)
+            if stream is blocks:
+                expected = (checks, kept)
+            assert checks == expected[0] and np.array_equal(kept, expected[1])
+        assert len(expected[1]) == 2520 and len(expected[0]) > 19
+
     def test_gated_witness_of_a_stream_of_blocks_is_pinned(self):
         # S_8 is read 4,096 permutations at a time, so the 37,085 vertices
         # at distance >= 6 from the identity come in ten ragged blocks
