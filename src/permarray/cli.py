@@ -299,13 +299,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = vectors = payload.rows
         kind = "permutations"
-    # one pass counts the pairs, and a second recomputes only the blocks
-    # that hold one and writes their pairs, so no more than one block of
-    # them is held, however many fail
-    count, pairs = perm.count_pairs_below(vectors, d)
+    group = perm._group_weights(rows) if kind == "permutations" else None
+    if group is None:
+        # one pass counts the pairs, and a second recomputes only the
+        # blocks that hold one and writes their pairs, so no more than one
+        # block of them is held, however many fail
+        count, pairs = perm.count_pairs_below(vectors, d)
+        proof = {"kind": "pairwise"}
+    else:
+        # every member of a coset has as many others below d as x0 has
+        weights, generators = group
+        count = len(rows) * sum(weights[1:d]) // 2
+        pairs = perm.pairs_below(vectors, d) if count else ()
+        proof = {"kind": "group", "order": len(rows), "generators": generators}
     if args.json:
         report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
-                  "ok": not count, "violations": []}
+                  "ok": not count, "proof": proof, "violations": []}
         sys.stdout.write(json.dumps(report)[:-2])  # open at the violations' "["
         names = _MemberNames(rows, json.dumps)
         _write_joined((f'{{"a": {names[a]}, "b": {names[b]}, "distance": {dist}}}'

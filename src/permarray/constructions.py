@@ -24,7 +24,14 @@ from math import comb
 import numpy as np
 
 from .exactmath import _check_points, _least_factor
-from .perm import Permutation, _least_distance, _row_dtype, pairs_below, permutation_rows
+from .perm import (
+    Permutation,
+    _group_weights,
+    _least_distance,
+    _row_dtype,
+    pairs_below,
+    permutation_rows,
+)
 
 
 # Entries per slab of the bijection check in PermutationArray: a sorted
@@ -38,8 +45,10 @@ class PermutationArray:
     matrix the distance kernel reads. ``members``, the same rows as a tuple
     of ``Permutation``, is built from ``rows`` on first read: length,
     equality, ``min_distance`` and a verification that finds no bad pair
-    never build it. The pairwise minimum distance is measured on every
-    request, never stored, so no claimed distance can stand in for it.
+    never build it. The minimum distance is proved on every request, never
+    stored, so no claimed distance can stand in for it: from the m rows'
+    weights when the array is a coset of a group, as every perfect family
+    and its isometric images are, else from every pair.
 
     ``members`` may be an (m, n) integer matrix, which is read as it is and
     is what every builder in the package passes, or any iterable of integer
@@ -117,10 +126,15 @@ class PermutationArray:
         return f"PermutationArray(n={self.n}, size={len(self)})"
 
     def min_distance(self) -> int:
-        """Exact pairwise minimum Hamming distance; needs >= 2 members."""
+        """Exact pairwise minimum Hamming distance; needs >= 2 members. A
+        coset of a group is proved one and its distance read from its m
+        rows' weights; any other array is measured over its pairs."""
         if len(self) < 2:
             raise ValueError("minimum distance needs at least two members")
-        return _least_distance(self.rows)
+        group = _group_weights(self.rows)
+        if group is None:
+            return _least_distance(self.rows)
+        return next(w for w, count in enumerate(group[0]) if w and count)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,16 @@ distance) triples of Python ints, i < j, in row-major order, computing a
 block as it is read; ``count_pairs_below`` counts them in one pass and
 returns the same stream, which recomputes only the blocks that hold one.
 Two private readers serve the package: ``_least_distance``, the minimum
-distance of a set from its upper blocks (``PermutationArray.min_distance``),
-and ``_conflict_masks``, the clique search's conflict bitmasks from full
-rows.
+distance of a set from its upper blocks (``PermutationArray.min_distance``
+of a set that is no coset of a group), and ``_conflict_masks``, the clique
+search's conflict bitmasks from full rows.
+
+A coset of a group needs no pairs: ``_group_weights`` proves a set of
+permutations one by closure, from m rows, and hands out its weight
+distribution, which is the distance distribution from each member.
+``PermutationArray.min_distance``, ``search.verify_pa`` and the CLI's
+``verify`` ask it first and read the kernel only when it refuses the set,
+or, for ``verify``, to list the pairs of a coset that fails.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import random
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -419,6 +427,76 @@ def _least_distance(vectors: Sequence[Sequence[int]]) -> int:
         agree[:, :b][np.tri(b, dtype=bool)] = 0
         least.append(n - int(agree.max()))
     return min(least)
+
+
+def _group_weights(rows: np.ndarray) -> tuple[list[int], int] | None:
+    """The weight distribution of x0⁻¹S, where S is the set of the distinct
+    permutations ``rows`` and x0 its first row, and the number of
+    generators that proved x0⁻¹S a group; None when S is empty or is no
+    coset x0·H of a group H. For a coset, d(x0·a, x0·b) is the weight of
+    a⁻¹b, which runs over H as b does, so entry w is the number of members
+    at distance w from each member: m rows prove what the kernel reads from
+    m² pairs. Every isometric image τGπ of a group G is such a coset.
+
+    H is never formed: for g in H, S∘g is x0·(H∘g), so S∘g = S exactly when
+    H∘g = H, and a member's weight in H is its distance from x0. Each
+    generator g = x0⁻¹s is checked by one column gather, S∘g, whose rows
+    are matched to S's through one sort of 64-bit keys and then compared
+    whole, so a key collision can only refuse a coset, never accept another
+    set. A checked g gives the transition that takes row i to the row
+    s_i∘g. The sweep from x0 over the transitions and their inverses
+    reaches x0·K, K the group the generators so far generate; while it
+    stops short of some row, the middle one of the unreached rows, in row
+    order, gives the next generator. It lies outside K, so each generator
+    at least doubles K, and there are at most log2(m)."""
+    m, n = rows.shape
+    if not m:
+        return None
+    # the rows padded to whole 64-bit words, read as words for their keys
+    # and their comparison; the gather leaves the padding's columns in place
+    width = -(-n * rows.itemsize // 8) * 8 // rows.itemsize
+    padded = np.zeros((m, width), dtype=rows.dtype)
+    padded[:, :n] = rows
+    words = padded.view(np.uint64)
+    # fixed odd multipliers from the standard library's generator, which
+    # numpy loads anyway; numpy.random would cost a fresh process about 10
+    # ms and 6 MB of RSS
+    bits = random.Random(0).getrandbits(64 * words.shape[1])
+    multipliers = np.frombuffer(bits.to_bytes(8 * words.shape[1], "little"),
+                                dtype=np.uint64) | np.uint64(1)
+    order = np.argsort(words @ multipliers)  # the keys wrap mod 2^64
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[rows[0]] = np.arange(n)
+    columns = np.arange(width)
+    reached = np.zeros(m, dtype=bool)
+    reached[0] = True
+    fresh = np.zeros(m, dtype=bool)
+    steps: list[np.ndarray] = []
+    while not reached.all():
+        unreached = np.flatnonzero(~reached)
+        columns[:n] = inverse[rows[unreached[len(unreached) // 2]]]
+        product = padded.take(columns, axis=1).view(np.uint64)
+        step = np.empty(m, dtype=np.intp)
+        step[np.argsort(product @ multipliers)] = order
+        if not np.array_equal(words[step], product):
+            return None
+        back = np.empty(m, dtype=np.intp)
+        back[step] = np.arange(m)
+        # the reached rows are closed under the earlier steps: the first
+        # level takes the new ones alone
+        frontier, new = np.flatnonzero(reached), [step, back]
+        steps += new
+        while frontier.size:
+            for s in new:
+                fresh[s[frontier]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+            fresh[frontier] = False
+            new = steps
+    # the moved points per row, summed by a product as in permutation_rows
+    weights = (rows != rows[0]).view(np.uint8) @ np.ones(n, dtype=np.min_scalar_type(n))
+    return np.bincount(weights, minlength=n + 1).tolist(), len(steps) // 2
 
 
 def _pairs(

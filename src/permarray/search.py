@@ -139,6 +139,7 @@ from .perm import (
     Permutation,
     _conflict_masks,
     _distance_rows,
+    _group_weights,
     pairs_below,
     permutation_rows,
     weight_rows,
@@ -655,7 +656,11 @@ def exact_a_cw(n: int, d: int, w: int, limits: SearchLimits = SearchLimits()) ->
 
 def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permutation, int]]:
     """All member pairs at distance below d, in row-major pair order; an empty
-    list means the array verifies at distance d."""
+    list means the array verifies at distance d. A coset of a group whose
+    weights all reach d verifies from its m rows, with no pair measured."""
+    group = _group_weights(array.rows)
+    if group is not None and not any(group[0][1:d]):
+        return []
     pairs = list(pairs_below(array.rows, d))
     # the members are built only to name a pair; naming in place frees an
     # index triple for each member triple made, which keeps the cyclic

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, file side effects, and
 agreement between the human and JSON renderings."""
 
+import functools
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from test_constructions import reference_greedy_partial_steiner, reference_projective
 from test_pafile import reference_dump_pa
+from test_perm import reference_coset
 
 from permarray import cli, pafile, perm, search
 from permarray.bounds import best_upper_bound
@@ -514,8 +516,8 @@ class TestVerifyCodes:
         assert (code, out) == (EXIT_OK, "OK: 3 words on 6 points, pairwise distance >= 2\n")
         code, out, _ = run_cli(capsys, "verify", code_file, "2", "--json")
         assert code == EXIT_OK
-        assert json.loads(out) == {"path": code_file, "n": 6, "count": 3, "d": 2,
-                                   "ok": True, "violations": []}
+        assert json.loads(out) == {"path": code_file, "n": 6, "count": 3, "d": 2, "ok": True,
+                                   "proof": {"kind": "pairwise"}, "violations": []}
 
     def test_a_failing_code(self, capsys, code_file):
         # (0,1,2) and (0,1,3) share two points: indicator distance 2 < 4
@@ -526,6 +528,7 @@ class TestVerifyCodes:
         assert code == EXIT_VERIFY
         assert json.loads(out) == {
             "path": code_file, "n": 6, "count": 3, "d": 4, "ok": False,
+            "proof": {"kind": "pairwise"},
             "violations": [{"a": [0, 1, 2], "b": [0, 1, 3], "distance": 2}]}
         # (0,1,2) and (3,4,5) are at 6, (0,1,3) and (3,4,5) at 4
         code, out, _ = run_cli(capsys, "verify", code_file, "6")
@@ -544,8 +547,8 @@ class TestVerifyCodes:
         code, out, err = run_cli(capsys, "verify", *json_flag, path)
         assert (code, err) == (EXIT_OK, "")
         if json_flag:
-            assert json.loads(out) == {"path": path, "n": 5, "count": 1, "d": 2,
-                                       "ok": True, "violations": []}
+            assert json.loads(out) == {"path": path, "n": 5, "count": 1, "d": 2, "ok": True,
+                                       "proof": {"kind": "pairwise"}, "violations": []}
         else:
             assert out == "OK: 1 words on 5 points, pairwise distance >= 2\n"
 
@@ -566,6 +569,15 @@ class _Writes:
         pass
 
 
+@functools.cache
+def _reference_proof(members, kind):
+    """``verify --json``'s proof, from the brute-force closure check."""
+    coset = reference_coset(members) if kind == "permutations" else None
+    if coset is None:
+        return {"kind": "pairwise"}
+    return {"kind": "group", "order": len(members), "generators": coset[1]}
+
+
 def _reference_verify(path, n, members, distance, d, kind, as_json):
     """``verify``'s exit code and stdout by brute force: every pair of the
     members, in the order ``combinations`` gives, checked one at a time."""
@@ -574,6 +586,7 @@ def _reference_verify(path, n, members, distance, d, kind, as_json):
     if as_json:
         return code, json.dumps({
             "path": path, "n": n, "count": len(members), "d": d, "ok": not bad,
+            "proof": _reference_proof(tuple(members), kind),
             "violations": [{"a": list(a), "b": list(b), "distance": dist}
                            for a, b, dist in bad]}) + "\n"
     if not bad:
@@ -586,8 +599,9 @@ def _reference_verify(path, n, members, distance, d, kind, as_json):
 class TestVerifyStream:
     """``verify`` counts the bad pairs in one pass over the distance blocks
     and writes them in a second, ``_LINES_PER_WRITE`` pairs per write, so
-    it never holds them all. Blocks and writes are shrunk here so that the
-    pairs span many of each."""
+    it never holds them all; a coset of a group takes its count from its
+    weights and has its pairs written in one pass. Blocks and writes are
+    shrunk here so that the pairs span many of each."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -600,13 +614,25 @@ class TestVerifyStream:
         cw = tmp_path / "random.cw"
         cw.write_text(f"cw n=9 d=4 w=3 count={len(words)}\n" + "".join(
             ",".join(map(str, w)) + "\n" for w in words), encoding="utf-8")
-        return {"pa": (str(pa), 6, sorted(members), "permutations",
-                       lambda a, b: sum(x != y for x, y in zip(a, b))),
+        # tau PGL(2,5) pi: 120 members at distance 4, 5 and 6 from each other
+        tau, pi = rng.sample(range(6), 6), rng.sample(range(6), 6)
+        coset = sorted(tuple(tau[p[i]] for i in pi) for p in perfect_pa("pgl2", 5))
+        group = tmp_path / "coset.pa"
+        group.write_text("pa n=6 d=4 w=- count=120\n" + "".join(
+            ",".join(map(str, p)) + "\n" for p in coset), encoding="utf-8")
+
+        def hamming(a, b):
+            return sum(x != y for x, y in zip(a, b))
+
+        return {"pa": (str(pa), 6, sorted(members), "permutations", hamming),
+                "group": (str(group), 6, coset, "permutations", hamming),
                 "cw": (str(cw), 9, words, "words",
                        lambda a, b: 2 * (3 - len(set(a) & set(b))))}
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("kind, d", [("pa", 2), ("pa", 3), ("pa", 5), ("pa", 7),
+                                         ("group", 2), ("group", 4), ("group", 5),
+                                         ("group", 7),
                                          ("cw", 2), ("cw", 4), ("cw", 6), ("cw", 7)])
     @pytest.mark.parametrize("block_bytes", [1, 300, 1 << 18])
     def test_output_is_the_brute_force_output(self, files, monkeypatch, kind, d, as_json,
@@ -671,8 +697,9 @@ class TestVerifyStream:
         finally:
             tracemalloc.stop()
         assert code == EXIT_VERIFY
-        # every pair was written: 52,920 lines, or the JSON report (here less its path)
-        assert out.size == (3_863_231 + len(json.dumps(path)) if as_json else 2_381_438)
+        # every pair was written: 52,920 lines, or the JSON report (here less
+        # its path), which names S_7 a group of order 5,040 from 3 generators
+        assert out.size == (3_863_291 + len(json.dumps(path)) if as_json else 2_381_438)
         assert peak < 5e6
 
 
@@ -725,6 +752,29 @@ class TestFamilies:
                 assert header.d == array.min_distance(), (family, params)
                 if header.w is not None:
                     assert {sum(i != v for i, v in enumerate(p)) for p in array} == {header.w}
+
+    @pytest.mark.parametrize("family", SMALL_PARAMS)
+    def test_the_group_proof_changes_no_output_but_its_name(self, capsys, monkeypatch,
+                                                             tmp_path, family):
+        # with the group layer refusing every array, verify takes the
+        # kernel alone: text and violations must come out byte for byte the same
+        path = str(tmp_path / f"{family}.pa")
+        for params in SMALL_PARAMS[family]:
+            run_cli(capsys, "construct", family, *params.split(), "--out", path)
+            array = load(path)[1]
+            least = perm._least_distance(array.rows)
+            for argv in [("verify", path, str(d), *flag) for d in (least, least + 1)
+                         for flag in ((), ("--json",))]:
+                code, out, _ = run_cli(capsys, *argv)
+                with monkeypatch.context() as patch:
+                    patch.setattr(perm, "_group_weights", lambda rows: None)
+                    expected = run_cli(capsys, *argv)
+                if "--json" in argv:
+                    proof = json.loads(out)["proof"]
+                    if family in perfect_families():
+                        assert proof["kind"] == "group" and proof["order"] == len(array)
+                    out = out.replace(json.dumps(proof), json.dumps({"kind": "pairwise"}), 1)
+                assert (code, out, "") == expected, argv
 
     def test_help_names_exactly_the_table_families(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside the family help

@@ -788,3 +788,133 @@ def test_conflict_masks_are_pinned(rows, d, digest):
     width = -(-len(vectors) // 8)
     masks = b"".join(mask.to_bytes(width, "little") for mask in _conflict_masks(vectors, d))
     assert hashlib.sha256(masks).hexdigest()[:16] == digest
+
+
+def reference_coset(members):
+    """The weight distribution of x0⁻¹S and the generators that the
+    documented rule picks, by brute force, for distinct permutations
+    ``members`` in row order, x0 the first; None when x0⁻¹S is not closed
+    under composition, so that S is no coset of a group. The rule takes
+    each generator as the middle one, in row order, of the members whose
+    x0⁻¹s is not yet a product of the generators before it."""
+    n = len(members[0])
+    normal = [_compose(_inverse(members[0]), s) for s in members]
+    group = set(normal)
+    if any(_compose(a, b) not in group for a in normal for b in normal):
+        return None
+    # a coset's members all see the same distances to the others
+    spectra = {tuple(sorted(hamming_distance(a, b) for b in members)) for a in members}
+    assert len(spectra) == 1
+    weights = [0] * (n + 1)
+    for h in normal:
+        weights[weight(h)] += 1
+    reached, generators = {normal[0]}, []
+    while len(reached) < len(normal):
+        unreached = [h for h in normal if h not in reached]
+        generators.append(unreached[len(unreached) // 2])
+        new = set(reached)
+        while new:
+            new = {_compose(h, g) for h in new for g in generators} - reached
+            reached |= new
+    return weights, len(generators)
+
+
+def _group_weights_of(members):
+    return perm._group_weights(np.array(members, dtype=np.int8).reshape(len(members), -1))
+
+
+class TestGroupWeights:
+    """``perm._group_weights`` proves a coset of a group from its m rows and
+    reads its distances as their weights, or refuses the set."""
+
+    @pytest.mark.parametrize("family, sizes", [
+        ("cyclic", (5, 9, 40)), ("symmetric", (3, 5, 6)), ("alternating", (4, 6, 7)),
+        ("agl", (5, 7, 13)), ("pgl2", (5, 7, 11))])
+    def test_every_family_matches_the_kernel(self, family, sizes):
+        rng = np.random.default_rng(len(family))
+        for size in sizes:
+            array = perfect_pa(family, size)
+            n = array.n
+            tau, pi = rng.permutation(n), rng.permutation(n)
+            # tau G pi, an isometric image and a left coset of pi⁻¹ G pi
+            image = PermutationArray(n, tau[array.rows[:, pi]])
+            expected = np.bincount(distances(array.rows[:1], array.rows)[0], minlength=n + 1)
+            least = perm._least_distance(array.rows)
+            for rows in (array.rows, image.rows):
+                weights, generators = perm._group_weights(rows)
+                assert weights == expected.tolist()
+                assert 1 <= generators and 2 ** generators <= len(rows)
+                assert next(w for w, count in enumerate(weights) if w and count) == least
+            assert array.min_distance() == image.min_distance() == least
+            assert verify_pa(image, least) == [] and len(verify_pa(image, least + 1)) == (
+                len(array) * expected[least] // 2)
+
+    @pytest.mark.parametrize("family, size", [
+        ("cyclic", 9), ("symmetric", 4), ("alternating", 5), ("agl", 7), ("pgl2", 7)])
+    def test_a_row_dropped_or_replaced_is_refused(self, family, size):
+        array = perfect_pa(family, size)
+        rows, m = array.rows, len(array)
+        assert perm._group_weights(rows) is not None
+        # S_4 leaves no permutation outside it to put in
+        outside = next((p for p in itertools.permutations(range(array.n))
+                        if not (rows == p).all(axis=1).any()), None)
+        for i in (0, m // 2, m - 1):
+            # the m - 1 rows left would make a subgroup of the group, of an
+            # order that does not divide m
+            assert perm._group_weights(np.delete(rows, i, axis=0)) is None
+            if outside is not None:
+                replaced = rows.copy()
+                replaced[i] = outside
+                assert perm._group_weights(replaced) is None
+                assert reference_coset(replaced.tolist()) is None
+
+    def test_three_cosets_of_c7_are_refused_unless_a_group(self):
+        cycle = [tuple((i + k) % 7 for i in range(7)) for k in range(7)]
+        frobenius = [tuple(c[(2 ** e * i) % 7] for i in range(7)) for e in range(3)
+                     for c in cycle]
+        swap = [tuple(c[t] for t in (1, 0, 2, 3, 4, 5, 6)) for c in cycle]
+        shift = [tuple(c[t] for t in (2, 1, 0, 3, 4, 5, 6)) for c in cycle]
+        # C7 x -> 2x is the Frobenius group of order 21; the unions with
+        # cosets of transpositions are not closed
+        for members in (frobenius, cycle + swap + shift, cycle + frobenius[7:14] + shift):
+            members = sorted(members)
+            assert len(set(members)) == 21
+            found = _group_weights_of(members)
+            expected = reference_coset(members)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert found[0] == expected[0]
+        assert _group_weights_of(sorted(frobenius)) is not None
+        assert _group_weights_of(sorted(cycle + swap + shift)) is None
+
+    def test_matches_brute_force_on_small_sets(self):
+        s3 = list(itertools.permutations(range(3)))
+        subsets = [list(c) for k in range(2, 7) for c in itertools.combinations(s3, k)]
+        # S_4's identity with up to three other members: 1 + 23 + 253 + 1,771
+        s4 = list(itertools.permutations(range(4)))
+        subsets += [[s4[0], *c] for k in range(4) for c in itertools.combinations(s4[1:], k)]
+        assert len(subsets) == 57 + 2048
+        for members in subsets:
+            assert _group_weights_of(members) == reference_coset(members), members
+
+    def test_each_subgroup_of_s4_on_two_generators_and_one_row_replaced(self):
+        s4 = [Permutation(p) for p in itertools.permutations(range(4))]
+        subgroups = set()
+        for a, b in itertools.combinations_with_replacement(s4, 2):
+            group, new = {s4[0]}, {s4[0]}
+            while new:
+                new = {_compose(h, g) for h in new for g in (a, b)} - group
+                group |= new
+            subgroups.add(tuple(sorted(group)))
+        assert len(subgroups) == 30  # every subgroup of S_4 has two generators
+        for group in subgroups:
+            members = list(group)
+            assert _group_weights_of(members) == reference_coset(members)
+            outside = next((p for p in s4 if p not in group), None)  # none for S_4
+            for i in range(len(members) if outside else 0):
+                replaced = sorted(members[:i] + [outside] + members[i + 1:])
+                assert _group_weights_of(replaced) == reference_coset(replaced), replaced
+
+    def test_one_row_and_none(self):
+        assert perm._group_weights(np.array([[2, 0, 1]], dtype=np.int8)) == ([1, 0, 0, 0], 0)
+        assert perm._group_weights(np.empty((0, 3), dtype=np.int8)) is None
