@@ -444,11 +444,13 @@ def _group_weights(rows: np.ndarray) -> tuple[list[int], int] | None:
     are matched to S's through one sort of 64-bit keys and then compared
     whole, so a key collision can only refuse a coset, never accept another
     set. A checked g gives the transition that takes row i to the row
-    s_i∘g. The sweep from x0 over the transitions and their inverses
-    reaches x0·K, K the group the generators so far generate; while it
-    stops short of some row, the middle one of the unreached rows, in row
-    order, gives the next generator. It lies outside K, so each generator
-    at least doubles K, and there are at most log2(m)."""
+    s_i∘g. The reached rows, x0 at first, take every transition's images
+    until their count stops growing: a finite group holds each inverse as a
+    positive power, so forward steps alone reach x0·K, K the group the
+    generators so far generate. While that stops short of some row, the
+    middle one of the unreached rows, in row order, gives the next
+    generator. It lies outside K, so each generator at least doubles K, and
+    there are at most log2(m)."""
     m, n = rows.shape
     if not m:
         return None
@@ -470,7 +472,6 @@ def _group_weights(rows: np.ndarray) -> tuple[list[int], int] | None:
     columns = np.arange(width)
     reached = np.zeros(m, dtype=bool)
     reached[0] = True
-    fresh = np.zeros(m, dtype=bool)
     steps: list[np.ndarray] = []
     while not reached.all():
         unreached = np.flatnonzero(~reached)
@@ -480,23 +481,15 @@ def _group_weights(rows: np.ndarray) -> tuple[list[int], int] | None:
         step[np.argsort(product @ multipliers)] = order
         if not np.array_equal(words[step], product):
             return None
-        back = np.empty(m, dtype=np.intp)
-        back[step] = np.arange(m)
-        # the reached rows are closed under the earlier steps: the first
-        # level takes the new ones alone
-        frontier, new = np.flatnonzero(reached), [step, back]
-        steps += new
-        while frontier.size:
-            for s in new:
-                fresh[s[frontier]] = True
-            fresh &= ~reached
-            reached |= fresh
-            frontier = np.flatnonzero(fresh)
-            fresh[frontier] = False
-            new = steps
+        steps.append(step)
+        # until a pass over every transition reaches no new row
+        count = 0
+        while count < (count := np.count_nonzero(reached)):
+            for s in steps:
+                reached[s[reached]] = True
     # the moved points per row, summed by a product as in permutation_rows
     weights = (rows != rows[0]).view(np.uint8) @ np.ones(n, dtype=np.min_scalar_type(n))
-    return np.bincount(weights, minlength=n + 1).tolist(), len(steps) // 2
+    return np.bincount(weights, minlength=n + 1).tolist(), len(steps)
 
 
 def _pairs(

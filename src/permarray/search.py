@@ -489,7 +489,6 @@ class _CycleTypes(_LevelSets):
             lengths += away
             away &= at != home
             at = step[at]
-        self.longest = lengths.max(initial=0)
         super().__init__(np.sort(lengths.reshape(m, n), axis=1))
 
     def fix(self, v: int) -> _Group | None:
@@ -506,9 +505,7 @@ class _CycleTypes(_LevelSets):
         codes = self.rows @ power
         sorter = np.argsort(codes)
         g = np.concatenate(list(permutation_rows(n, 0)), dtype=np.intp)
-        # when every vertex is an involution, inversion acts as the identity
-        return _Centraliser(self.rows, (power, sorter, codes[sorter]),
-                            [g, g[:0] if self.longest <= 2 else g])
+        return _Centraliser(self.rows, (power, sorter, codes[sorter]), [g, g])
 
 
 class _Centraliser:

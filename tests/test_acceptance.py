@@ -2,9 +2,10 @@
 
     pytest tests/test_acceptance.py -v -s
 
-to see the per-criterion lines alongside the pytest verdicts. The heaviest
-check is the exhaustive P(6,4) certification in criterion 7, which takes
-about a minute on commodity hardware.
+to see the per-criterion lines alongside the pytest verdicts. Criterion 7
+certifies P(6,4) and sixteen other cells by exhaustive search; P(6,4)
+closes on its second dive from the root, which meets the quotient bound,
+and the whole criterion takes under two seconds (1.6 s on a 2-core Xeon VM).
 """
 
 import functools

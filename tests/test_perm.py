@@ -823,13 +823,15 @@ def _group_weights_of(members):
     return perm._group_weights(np.array(members, dtype=np.int8).reshape(len(members), -1))
 
 
+_FAMILY_SIZES = [("cyclic", (5, 9, 40)), ("symmetric", (3, 5, 6)), ("alternating", (4, 6, 7)),
+                 ("agl", (5, 7, 13)), ("pgl2", (5, 7, 11))]
+
+
 class TestGroupWeights:
     """``perm._group_weights`` proves a coset of a group from its m rows and
     reads its distances as their weights, or refuses the set."""
 
-    @pytest.mark.parametrize("family, sizes", [
-        ("cyclic", (5, 9, 40)), ("symmetric", (3, 5, 6)), ("alternating", (4, 6, 7)),
-        ("agl", (5, 7, 13)), ("pgl2", (5, 7, 11))])
+    @pytest.mark.parametrize("family, sizes", _FAMILY_SIZES)
     def test_every_family_matches_the_kernel(self, family, sizes):
         rng = np.random.default_rng(len(family))
         for size in sizes:
@@ -848,6 +850,18 @@ class TestGroupWeights:
             assert array.min_distance() == image.min_distance() == least
             assert verify_pa(image, least) == [] and len(verify_pa(image, least + 1)) == (
                 len(array) * expected[least] // 2)
+
+    @pytest.mark.parametrize("family, sizes", _FAMILY_SIZES)
+    def test_every_small_family_matches_the_reference_closure(self, family, sizes):
+        # weights and the generator count, which ``verify --json`` prints,
+        # on each array of at most 200 members and on an image tau G pi
+        rng = np.random.default_rng(len(family))
+        for array in (perfect_pa(family, size) for size in sizes):
+            if len(array) > 200:
+                continue
+            tau, pi = rng.permutation(array.n), rng.permutation(array.n)
+            for rows in (array.rows, tau[array.rows[:, pi]]):
+                assert perm._group_weights(rows) == reference_coset(rows.tolist())
 
     @pytest.mark.parametrize("family, size", [
         ("cyclic", 9), ("symmetric", 4), ("alternating", 5), ("agl", 7), ("pgl2", 7)])
