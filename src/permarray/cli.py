@@ -290,28 +290,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.d is not None and args.d < 1:
         # every pair is at distance >= 0: such a claim checks nothing
         raise ValueError(f"distance d={args.d} below 1")
-    from . import constructions, pafile, perm
+    from . import pafile
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
+    count, pairs, generators = payload._pairs_below(d)
     if header.kind == "cw":
-        rows = payload._supports()
-        vectors, kind = constructions.indicator_rows(payload.n, rows), "words"
+        rows, kind = payload._supports(), "words"
     else:
-        rows = vectors = payload.rows
-        kind = "permutations"
-    group = perm._group_weights(rows) if kind == "permutations" else None
-    if group is None:
-        # one pass counts the pairs, and a second recomputes only the
-        # blocks that hold one and writes their pairs, so no more than one
-        # block of them is held, however many fail
-        count, pairs = perm.count_pairs_below(vectors, d)
-        proof = {"kind": "pairwise"}
-    else:
-        # every member of a coset has as many others below d as x0 has
-        weights, generators = group
-        count = len(rows) * sum(weights[1:d]) // 2
-        pairs = perm.pairs_below(vectors, d) if count else ()
-        proof = {"kind": "group", "order": len(rows), "generators": generators}
+        rows, kind = payload.rows, "permutations"
+    proof = ({"kind": "pairwise"} if generators is None
+             else {"kind": "group", "order": len(rows), "generators": generators})
     if args.json:
         report = {"path": args.path, "n": header.n, "count": header.count, "d": d,
                   "ok": not count, "proof": proof, "violations": []}

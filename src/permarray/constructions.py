@@ -29,6 +29,7 @@ from .perm import (
     _group_weights,
     _least_distance,
     _row_dtype,
+    count_pairs_below,
     pairs_below,
     permutation_rows,
 )
@@ -136,6 +137,23 @@ class PermutationArray:
             return _least_distance(self.rows)
         return next(w for w, count in enumerate(group[0]) if w and count)
 
+    def _pairs_below(self, d: int) -> tuple[int, Iterable[tuple[int, int, int]], int | None]:
+        """The number of member pairs closer than d; their (i, j, distance)
+        row index triples, i < j, in row-major order, as a lazy stream that
+        holds no more than one block of pairs at once, however many there
+        are; and the number of generators that proved the array a coset of
+        a group, None when the pairs were counted one by one instead. Each
+        member of a coset has as many others below d as the first has, so
+        its count is read from its m rows and its pairs are computed only
+        when there are some."""
+        group = _group_weights(self.rows)
+        if group is None:
+            return (*count_pairs_below(self.rows, d), None)
+        weights, generators = group
+        # a slice to a d below 1 would count from the top
+        count = len(self) * sum(weights[1:max(d, 1)]) // 2
+        return count, pairs_below(self.rows, d) if count else (), generators
+
 
 @dataclass(frozen=True)
 class BinaryCwCode:
@@ -174,6 +192,11 @@ class BinaryCwCode:
         words = self.words
         return [(words[i], words[j], dist)
                 for i, j, dist in pairs_below(indicator_rows(self.n, self._supports()), d)]
+
+    def _pairs_below(self, d: int) -> tuple[int, Iterable[tuple[int, int, int]], None]:
+        """``PermutationArray._pairs_below`` for the words' indicator
+        vectors, whose pairs are always counted one by one."""
+        return (*count_pairs_below(indicator_rows(self.n, self._supports()), d), None)
 
     def _supports(self) -> np.ndarray:
         """The words as the rows of an (m, weight) index matrix."""

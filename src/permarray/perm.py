@@ -51,9 +51,10 @@ search's conflict bitmasks from full rows.
 A coset of a group needs no pairs: ``_group_weights`` proves a set of
 permutations one by closure, from m rows, and hands out its weight
 distribution, which is the distance distribution from each member.
-``PermutationArray.min_distance``, ``search.verify_pa`` and the CLI's
-``verify`` ask it first and read the kernel only when it refuses the set,
-or, for ``verify``, to list the pairs of a coset that fails.
+``PermutationArray`` is its only caller: ``min_distance`` and
+``_pairs_below``, whose count and pairs ``search.verify_pa`` and the CLI's
+``verify`` read, ask it first and read the kernel only when it refuses the
+set, or, for ``_pairs_below``, to list the pairs of a coset that fails.
 """
 
 from __future__ import annotations

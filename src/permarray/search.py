@@ -139,8 +139,6 @@ from .perm import (
     Permutation,
     _conflict_masks,
     _distance_rows,
-    _group_weights,
-    pairs_below,
     permutation_rows,
     weight_rows,
 )
@@ -655,10 +653,7 @@ def verify_pa(array: PermutationArray, d: int) -> list[tuple[Permutation, Permut
     """All member pairs at distance below d, in row-major pair order; an empty
     list means the array verifies at distance d. A coset of a group whose
     weights all reach d verifies from its m rows, with no pair measured."""
-    group = _group_weights(array.rows)
-    if group is not None and not any(group[0][1:d]):
-        return []
-    pairs = list(pairs_below(array.rows, d))
+    pairs = list(array._pairs_below(d)[1])
     # the members are built only to name a pair; naming in place frees an
     # index triple for each member triple made, which keeps the cyclic
     # collector idle: a new list of pgl2 11's 392,040 pairs at d = 11 took

@@ -18,7 +18,7 @@ from test_constructions import reference_greedy_partial_steiner, reference_proje
 from test_pafile import reference_dump_pa
 from test_perm import reference_coset
 
-from permarray import cli, pafile, perm, search
+from permarray import cli, constructions, pafile, perm, search
 from permarray.bounds import best_upper_bound
 from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import (
@@ -767,7 +767,7 @@ class TestFamilies:
                          for flag in ((), ("--json",))]:
                 code, out, _ = run_cli(capsys, *argv)
                 with monkeypatch.context() as patch:
-                    patch.setattr(perm, "_group_weights", lambda rows: None)
+                    patch.setattr(constructions, "_group_weights", lambda rows: None)
                     expected = run_cli(capsys, *argv)
                 if "--json" in argv:
                     proof = json.loads(out)["proof"]

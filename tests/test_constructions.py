@@ -380,6 +380,50 @@ class TestBinaryCwCode:
         assert code.violations(4) == [((0, 1, 2), (0, 1, 3), 2)]
 
 
+def _image(array, seed):
+    """tau G pi for random tau and pi: an isometric image of the array, and
+    a coset of a group when the array is one."""
+    rng = np.random.default_rng(seed)
+    tau, pi = rng.permutation(array.n), rng.permutation(array.n)
+    return PermutationArray(array.n, tau[array.rows[:, pi]])
+
+
+class TestPairsBelow:
+    """``_pairs_below``, where ``verify_pa`` and the CLI's ``verify`` read
+    their count, pairs and proof, against every pair measured one by one."""
+
+    @pytest.mark.parametrize("make, coset", [
+        (partial(perfect_pa, "cyclic", 7), True),
+        (partial(perfect_pa, "symmetric", 4), True),
+        (partial(perfect_pa, "alternating", 5), True),
+        (partial(perfect_pa, "agl", 7), True),
+        (partial(perfect_pa, "pgl2", 5), True),
+        (lambda: _image(perfect_pa("pgl2", 5), 5), True),
+        (lambda: lift_binary_cw_code(greedy_partial_steiner(9, 3), 2), False),
+        (lambda: greedy_partial_steiner(9, 3), False),
+    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "image", "steiner-lift", "cw"])
+    def test_count_pairs_and_generators_match_brute_force(self, make, coset):
+        payload = make()
+        if isinstance(payload, BinaryCwCode):
+            vectors = [[int(v in word) for v in range(payload.n)] for word in payload.words]
+            group = None
+        else:
+            vectors = payload.rows.tolist()
+            group = perm._group_weights(payload.rows)
+        assert (group is not None) == coset
+        pairs = [(i, j, hamming_distance(a, b))
+                 for (i, a), (j, b) in combinations(enumerate(vectors), 2)]
+        least = min(dist for _, _, dist in pairs)
+        # below 1 no pair is closer, though a coset's weights hold some
+        for d in (-1, least, least + 1):
+            count, stream, generators = payload._pairs_below(d)
+            # row-major order is the order of combinations
+            expected = [pair for pair in pairs if pair[2] < d]
+            assert list(stream) == expected and count == len(expected), d
+            assert generators == (group[1] if coset else None)
+        assert count  # least + 1 holds the pairs at the least distance
+
+
 class TestBlockCycles:
     def test_length_six_weight_two(self):
         array = block_cycle_cwpa(6, 2)
