@@ -294,10 +294,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     header, payload = pafile.load(args.path)
     d = args.d if args.d is not None else header.d
     count, pairs, generators = payload._pairs_below(d)
-    if header.kind == "cw":
-        rows, kind = payload._supports(), "words"
-    else:
-        rows, kind = payload.rows, "permutations"
+    rows, kind = payload.rows, "words" if header.kind == "cw" else "permutations"
     proof = ({"kind": "pairwise"} if generators is None
              else {"kind": "group", "order": len(rows), "generators": generators})
     if args.json:

@@ -42,9 +42,12 @@ _CHECK_ENTRIES = 1 << 18
 
 class PermutationArray:
     """A set of distinct permutations of a common length, kept sorted in
-    lexicographic image order as ``rows``, the read-only (m, n) integer
-    matrix the distance kernel reads. ``members``, the same rows as a tuple
-    of ``Permutation``, is built from ``rows`` on first read: length,
+    lexicographic image order as ``rows``: the members as the rows of the
+    file body, a read-only (m, n) integer matrix that the distance kernel
+    reads as it is. A ``BinaryCwCode``'s ``rows`` are the same for its
+    words, (m, weight) support points, and the kernel reads
+    ``indicator_rows(n, rows)``. ``members``, the same rows as a tuple of
+    ``Permutation``, is built from ``rows`` on first read: length,
     equality, ``min_distance`` and a verification that finds no bad pair
     never build it. The minimum distance is proved on every request, never
     stored, so no claimed distance can stand in for it: from the m rows'
@@ -191,15 +194,18 @@ class BinaryCwCode:
         2 * (weight - overlap)."""
         words = self.words
         return [(words[i], words[j], dist)
-                for i, j, dist in pairs_below(indicator_rows(self.n, self._supports()), d)]
+                for i, j, dist in pairs_below(indicator_rows(self.n, self.rows), d)]
 
     def _pairs_below(self, d: int) -> tuple[int, Iterable[tuple[int, int, int]], None]:
         """``PermutationArray._pairs_below`` for the words' indicator
         vectors, whose pairs are always counted one by one."""
-        return (*count_pairs_below(indicator_rows(self.n, self._supports()), d), None)
+        return (*count_pairs_below(indicator_rows(self.n, self.rows), d), None)
 
-    def _supports(self) -> np.ndarray:
-        """The words as the rows of an (m, weight) index matrix."""
+    @property
+    def rows(self) -> np.ndarray:
+        """The members as the rows of the file body: the (m, weight) matrix
+        of the words' support points, built on each read. The distance
+        kernel reads ``indicator_rows(n, rows)``."""
         return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
 
 
@@ -311,7 +317,7 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         raise ValueError(f"need k >= 1: {k}")
     if code.weight != k + 1:
         raise ValueError(f"lift needs weight {k + 1} words, code has weight {code.weight}")
-    supports = code._supports()
+    supports = code.rows
     # weight-(k+1) supports sharing s points are at indicator distance
     # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k;
     # the first block that holds one gives the pair to name

@@ -33,7 +33,10 @@ with comment and blank lines above the header, except a body of width 0,
 which that reader warns on. Any other text, and any body that reader
 rejects or shapes otherwise than the header promises, goes to the general
 reader, which reads it in one pass and is the source of every error
-message about the body. ``load`` drops a leading byte-order mark.
+message about the body. Either reader's rows reach the payload
+constructors through one boundary in ``loads``, which turns a payload's own
+``ValueError`` into ``PaFormatError`` with the same message, for both
+readers alike. ``load`` drops a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def _pa_pieces(array: PermutationArray, d: int, w: int | None = None) -> Iterato
 def _cw_pieces(code: BinaryCwCode) -> Iterator[str]:
     """``_pieces`` of a constant-weight binary code, its supports as rows;
     ``ValueError`` for a header out of range, such as a code of distance 0."""
-    return _pieces(PaHeader("cw", code.n, code.distance, code.weight, len(code)), code._supports())
+    return _pieces(PaHeader("cw", code.n, code.distance, code.weight, len(code)), code.rows)
 
 
 def _write(path: str | Path, pieces: Iterator[str]) -> None:
@@ -190,7 +193,9 @@ def _c_reader(text: str, header: PaHeader, body: list[str]) -> np.ndarray | list
 
 def _general_reader(header: PaHeader, body: list[str], start: int) -> list[list[int]]:
     """The body lines, the first of them line start + 1, read in one pass
-    with int(); raises the reader's errors about the body in their order."""
+    with int(); raises the reader's errors about the body in their order,
+    a non-bijection before a short row as the payload's own ``ValueError``,
+    which ``loads`` turns into ``PaFormatError``."""
     width = header.n if header.kind == "pa" else header.w
     rows: list[list[int]] = []
     ragged = None  # the index of the first row that does not hold width entries
@@ -207,29 +212,16 @@ def _general_reader(header: PaHeader, body: list[str], start: int) -> list[list[
     if len(rows) != header.count:
         raise PaFormatError(f"header promises {header.count} members, found {len(rows)}")
     if header.kind == "pa" and ragged is not None:
-        try:
-            PermutationArray(header.n, rows[:ragged])
-            Permutation(rows[ragged])  # a non-bijection reports that before its length
-        except ValueError as exc:
-            raise PaFormatError(str(exc)) from exc
+        PermutationArray(header.n, rows[:ragged])
+        Permutation(rows[ragged])  # a non-bijection reports that before its length
         raise PaFormatError(f"member {tuple(rows[ragged])!r} does not have length {header.n}")
     return rows
-
-
-def _code(header: PaHeader, rows: list[list[int]]) -> BinaryCwCode:
-    try:
-        return BinaryCwCode(header.n, header.w, tuple(map(tuple, rows)), header.d)
-    except ValueError as exc:
-        raise PaFormatError(str(exc)) from exc
 
 
 def _array(header: PaHeader, rows: np.ndarray | list[list[int]]) -> PermutationArray:
     """The array of the body's rows, an int64 matrix or lists of n ints.
     With a header weight, every member must move that many points."""
-    try:
-        array = PermutationArray(header.n, rows)
-    except ValueError as exc:
-        raise PaFormatError(str(exc)) from exc
+    array = PermutationArray(header.n, rows)
     if len(array) != header.count:
         raise PaFormatError("duplicate members in body")
     if header.w is not None:
@@ -274,7 +266,11 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     matrix from the C reader or lists from the general one, and is checked
     all at once; last, when the header gives a weight, the first member in
     sorted order that does not move that many points is an error. A code
-    body goes to ``BinaryCwCode`` as tuples."""
+    body goes to ``BinaryCwCode`` as tuples.
+
+    A ``ValueError`` that ``PermutationArray``, ``Permutation`` or
+    ``BinaryCwCode`` raises becomes, here alone, a ``PaFormatError`` with
+    its message and with it as the cause."""
     lines = text.splitlines()
     for start, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -283,10 +279,19 @@ def loads(text: str) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:
     else:
         raise PaFormatError("empty file")
     header = _parse_header(line, start)
-    rows = _c_reader(text, header, lines[start:])
-    if rows is None:
-        rows = _general_reader(header, lines[start:], start)
-    return header, _code(header, rows) if header.kind == "cw" else _array(header, rows)
+    # the general reader's short-row check builds payloads too, so both
+    # readers run inside the one boundary
+    try:
+        rows = _c_reader(text, header, lines[start:])
+        if rows is None:
+            rows = _general_reader(header, lines[start:], start)
+        if header.kind == "cw":
+            return header, BinaryCwCode(header.n, header.w, tuple(map(tuple, rows)), header.d)
+        return header, _array(header, rows)
+    except PaFormatError:
+        raise
+    except ValueError as exc:
+        raise PaFormatError(str(exc)) from exc
 
 
 def load(path: str | Path) -> tuple[PaHeader, PermutationArray | BinaryCwCode]:

@@ -505,11 +505,6 @@ def _pairs(
     def blocks() -> Iterator[Iterator[tuple[int, int, int]]]:
         for (start, _, first), (n, agree) in zip(spans, _distance_rows((vectors,), spans)):
             close = agree > n - d
-            # the block's own square is symmetric with every agreement on
-            # its diagonal, so its hits are the diagonal alone when none
-            # lies above it
-            if np.count_nonzero(close) == len(agree):
-                continue
             # flat indices: a 2-D np.nonzero costs ten times as much per block
             hits = np.flatnonzero(close)
             rows, cols = np.divmod(hits, agree.shape[1])

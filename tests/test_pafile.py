@@ -600,6 +600,33 @@ class TestRejections:
                     loader(t)
                 assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("text, message, cause", [
+        ("pa n=3 d=2 w=- count=2\n0,1,2\n1,1,2\n", "not a bijection on 0..2: (1, 1, 2)", ValueError),
+        ("pa n=3 d=2 w=- count=2\n0,2,2\n1,0\n", "not a bijection on 0..2: (0, 2, 2)", ValueError),
+        ("pa n=3 d=2 w=- count=2\n0,1,2\n1,0\n", "member (1, 0) does not have length 3", None),
+        ("pa n=3 d=2 w=- count=2\n0,1,2\n0,1,2\n", "duplicate members in body", None),
+        ("pa n=3 d=2 w=2 count=2\n1,0,2\n0,1,2\n", "member (0, 1, 2) does not have weight 2", None),
+        ("cw n=4 d=2 w=2 count=1\n2,0\n", "word (2, 0) is not a sorted duplicate-free tuple",
+         ValueError),
+        ("cw n=4 d=2 w=2 count=2\n0,2\n0,2\n", "duplicate word (0, 2)", ValueError),
+        ("cw n=4 d=2 w=2 count=1\n2,4\n", "word (2, 4) outside 0..3", ValueError),
+    ])
+    def test_a_payload_error_becomes_a_format_error_once(self, text, message, cause):
+        # as ASCII the body goes to the C reader first, with one entry
+        # spelled as an Arabic-Indic digit to the general reader alone; a
+        # payload constructor's own error is the cause, and an error pafile
+        # raises itself has none
+        header, body = text.split("\n", 1)
+        spelled = header + "\n" + body.replace("2", "٢", 1)
+        for t in (text, spelled):
+            with pytest.raises(PaFormatError) as excinfo:
+                loads(t)
+            assert str(excinfo.value) == message
+            if cause is None:
+                assert excinfo.value.__cause__ is None
+            else:
+                assert type(excinfo.value.__cause__) is cause
+
     def test_pa_weight_that_every_member_has(self):
         array = block_cycle_cwpa(9, 3)
         for w in (None, 3):
