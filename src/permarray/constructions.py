@@ -45,11 +45,11 @@ class PermutationArray:
     lexicographic image order as ``rows``: the members as the rows of the
     file body, a read-only (m, n) integer matrix that the distance kernel
     reads as it is. A ``BinaryCwCode``'s ``rows`` are the same for its
-    words, (m, weight) support points, and the kernel reads
-    ``indicator_rows(n, rows)``. ``members``, the same rows as a tuple of
-    ``Permutation``, is built from ``rows`` on first read: length,
-    equality, ``min_distance`` and a verification that finds no bad pair
-    never build it. The minimum distance is proved on every request, never
+    words, (m, weight) support points, and the kernel reads their
+    indicator vectors over the points some word holds. ``members``, the
+    same rows as a tuple of ``Permutation``, is built from ``rows`` on
+    first read: length, equality, ``min_distance`` and a verification that
+    finds no bad pair never build it. The minimum distance is proved on every request, never
     stored, so no claimed distance can stand in for it: from the m rows'
     weights when the array is a coset of a group, as every perfect family
     and its isometric images are, else from every pair.
@@ -60,7 +60,9 @@ class PermutationArray:
     member whose length is not n raises ``ValueError``; otherwise the first
     member that is no bijection on 0..n-1 raises the ``ValueError`` that
     ``Permutation`` gives for it. The check and the sort run on the whole
-    matrix at once; duplicates are dropped."""
+    matrix at once; duplicates are dropped. The sort reads one key per
+    point, so an array of no members or one member skips it and costs
+    nothing per point however large n is."""
 
     def __init__(self, n: int, members: Iterable[Sequence[int]] | np.ndarray) -> None:
         matrix = isinstance(members, np.ndarray) and members.ndim == 2 and len(members) > 0
@@ -96,7 +98,9 @@ class PermutationArray:
         # np.lexsort is fastest on the narrowest rows; the selections below
         # copy, so rows given narrow are not copied here
         rows = rows.astype(_row_dtype(n), copy=False)
-        if n > 0:  # a sort needs a key; with none, every row is the empty one
+        # a sort needs a key, one per point, and two rows: with no key every
+        # row is the empty one, and no rows or one row are sorted as they are
+        if n > 0 and len(rows) > 1:
             rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -162,7 +166,9 @@ class PermutationArray:
 class BinaryCwCode:
     """A binary constant-weight code stored as sorted support tuples, with
     the distance its builder promises (indicator distance between two words
-    is 2 * (weight - overlap), always even)."""
+    is 2 * (weight - overlap), always even). Its distances are measured on
+    indicator vectors over the points some word holds, so they cost nothing
+    per point no word holds."""
 
     n: int
     weight: int
@@ -194,18 +200,27 @@ class BinaryCwCode:
         2 * (weight - overlap)."""
         words = self.words
         return [(words[i], words[j], dist)
-                for i, j, dist in pairs_below(indicator_rows(self.n, self.rows), d)]
+                for i, j, dist in pairs_below(self._vectors(), d)]
 
     def _pairs_below(self, d: int) -> tuple[int, Iterable[tuple[int, int, int]], None]:
         """``PermutationArray._pairs_below`` for the words' indicator
         vectors, whose pairs are always counted one by one."""
-        return (*count_pairs_below(indicator_rows(self.n, self.rows), d), None)
+        return (*count_pairs_below(self._vectors(), d), None)
+
+    def _vectors(self) -> np.ndarray:
+        """The words' indicator vectors over the points some word holds, in
+        point order, for the distance kernel: a point no word holds adds 0
+        to every distance, so the matrix is (m, at most m * weight) however
+        large n is."""
+        rows = self.rows
+        points, supports = np.unique(rows, return_inverse=True)
+        return indicator_rows(len(points), supports.reshape(rows.shape))
 
     @property
     def rows(self) -> np.ndarray:
         """The members as the rows of the file body: the (m, weight) matrix
         of the words' support points, built on each read. The distance
-        kernel reads ``indicator_rows(n, rows)``."""
+        kernel reads ``_vectors()``."""
         return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
 
 
@@ -317,16 +332,15 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         raise ValueError(f"need k >= 1: {k}")
     if code.weight != k + 1:
         raise ValueError(f"lift needs weight {k + 1} words, code has weight {code.weight}")
-    supports = code.rows
     # weight-(k+1) supports sharing s points are at indicator distance
     # 2 * (k + 1 - s), so the pairs sharing two or more are those below 2k;
     # the first block that holds one gives the pair to name
-    bad = next(pairs_below(indicator_rows(code.n, supports), 2 * k), None)
+    bad = next(pairs_below(code._vectors(), 2 * k), None)
     if bad is not None:
         i, j, dist = bad
         raise ValueError(f"supports {code.words[i]!r} and {code.words[j]!r} share "
                          f"{k + 1 - dist // 2} points; at most 1 allowed")
-    return PermutationArray(code.n, _cycle_rows(code.n, supports))
+    return PermutationArray(code.n, _cycle_rows(code.n, code.rows))
 
 
 def _cyclic(n: int) -> PermutationArray:

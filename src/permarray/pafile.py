@@ -19,8 +19,10 @@ the empty tuple, is written as a blank line. Example::
 The d field records the distance the writer claims; readers re-verify rather
 than trust it. d must be at least 1, n and count must not be negative, and
 w, when given, must lie in 0..n: every member of a "pa" body with a w moves
-exactly w points. ``PaHeader`` holds that range rule; the writers raise
-``ValueError`` rather than write a header the reader would refuse.
+exactly w points, which is checked only when the body has a member, so an
+empty body costs nothing per point. ``PaHeader`` holds that range rule;
+the writers raise ``ValueError`` rather than write a header the reader
+would refuse.
 
 Writers render the body a bounded run of rows at a time, one format call
 per run, and write each run as it is made. ``loads`` finds the
@@ -220,11 +222,12 @@ def _general_reader(header: PaHeader, body: list[str], start: int) -> list[list[
 
 def _array(header: PaHeader, rows: np.ndarray | list[list[int]]) -> PermutationArray:
     """The array of the body's rows, an int64 matrix or lists of n ints.
-    With a header weight, every member must move that many points."""
+    With a header weight, every member must move that many points; an
+    array with no members has none to check."""
     array = PermutationArray(header.n, rows)
     if len(array) != header.count:
         raise PaFormatError("duplicate members in body")
-    if header.w is not None:
+    if header.w is not None and len(array):
         wrong = np.count_nonzero(array.rows != np.arange(header.n), axis=1) != header.w
         if wrong.any():
             member = tuple(array.rows[wrong.argmax()].tolist())

@@ -419,19 +419,6 @@ def _max_clique(
                 order = array("q", [c for c in order if cand >> (c & _VERTEX) & 1])
 
 
-def _over_budget_upfront(m: int, limits: SearchLimits) -> bool:
-    """Whether the search must not start: more vertices than nodes allowed,
-    no time at all, or a graph too big to hold: conflict masks (m rows of m
-    bits) and the single-bit ints (``1 << v`` for each vertex v, about
-    m^2 / 16 bytes). The two lists that index them by ``bit_length()``
-    hold these same ints, so they add only references."""
-    if limits.max_nodes is not None and m > limits.max_nodes:
-        return True
-    if m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES:
-        return True
-    return limits.max_seconds is not None and limits.max_seconds <= 0
-
-
 def _mask(bits: np.ndarray) -> int:
     """The bitmask with bit i set where ``bits[i]`` is true."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -565,33 +552,42 @@ def _solve(
     root's group of distance-preserving maps of the vertex set onto itself
     (a ``_Group``, or None for the trivial group), given the vectors as the
     rows of a matrix in search order, and ``upper``, when not
-    None, bounds how many vectors can be chosen. The clock starts here
-    and the gate acts on m before the vertices are read, so listing them
-    spends the same time budget as the search. When the budget rules out a
-    real search, the greedy clique is streamed, so the vertices are never
-    listed; it is exact when it reaches ``upper``. Otherwise they are listed
-    in reverse, so that the search, which takes the highest index first,
-    walks them in stream order.
+    None, bounds how many vectors can be chosen. The clock starts here,
+    ``limits`` is resolved once into a node cap and a deadline, and one
+    gate acts on m before the vertices are read, so listing them spends
+    the same time budget as the search. When the budget rules out a real
+    search, the greedy clique is streamed, so the vertices are never
+    listed; it is exact when it reaches ``upper``, after 0 nodes.
+    Otherwise they are listed in reverse, so that the search, which takes
+    the highest index first, walks them in stream order. Either branch
+    ends in the one outcome built at the end.
     """
     start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
-    if _over_budget_upfront(m, limits):
-        kept = _greedy_stream(blocks, d, deadline)
+    # no search starts with more vertices than nodes allowed, no time at all
+    # (SearchLimits rejects a negative one), or a graph too big to hold:
+    # conflict masks (m rows of m bits) and the single-bit ints (``1 << v``
+    # for each vertex v, about m^2 / 16 bytes); the two lists that index
+    # them by ``bit_length()`` hold these same ints, so they add only
+    # references
+    if m > max_nodes or limits.max_seconds == 0 or (
+            m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES):
+        chosen = _greedy_stream(blocks, d, deadline)
         seconds = {"greedy": time.perf_counter() - start}
-        met = upper is not None and len(kept) >= upper
-        return SearchOutcome(STATUS_EXACT if met else STATUS_LOWER_BOUND_ONLY, witness(kept),
-                             seconds=seconds)
-    rows = np.concatenate(list(blocks))[::-1]
-    listed = time.perf_counter()
-    conflicts = _conflict_masks(rows, d)
-    masked = time.perf_counter()
-    clique, exhausted, nodes, pruned = _max_clique(
-        conflicts, symmetry(rows), max_nodes, deadline, upper)
-    seconds = {"listing": listed - start, "conflict_masks": masked - listed,
-               "search": time.perf_counter() - masked}
-    status = STATUS_EXACT if exhausted else STATUS_INCOMPLETE
-    return SearchOutcome(status, witness(rows[clique]), nodes, pruned, seconds)
+        met = upper is not None and len(chosen) >= upper
+        status, nodes, pruned = STATUS_EXACT if met else STATUS_LOWER_BOUND_ONLY, 0, ()
+    else:
+        rows = np.concatenate(list(blocks))[::-1]
+        listed = time.perf_counter()
+        conflicts = _conflict_masks(rows, d)
+        masked = time.perf_counter()
+        clique, exhausted, nodes, pruned = _max_clique(
+            conflicts, symmetry(rows), max_nodes, deadline, upper)
+        seconds = {"listing": listed - start, "conflict_masks": masked - listed,
+                   "search": time.perf_counter() - masked}
+        status, chosen = STATUS_EXACT if exhausted else STATUS_INCOMPLETE, rows[clique]
+    return SearchOutcome(status, witness(chosen), nodes, pruned, seconds)
 
 
 def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:

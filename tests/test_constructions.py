@@ -401,7 +401,11 @@ class TestPairsBelow:
         (lambda: _image(perfect_pa("pgl2", 5), 5), True),
         (lambda: lift_binary_cw_code(greedy_partial_steiner(9, 3), 2), False),
         (lambda: greedy_partial_steiner(9, 3), False),
-    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "image", "steiner-lift", "cw"])
+        # words that overlap in 2, 1 and 0 points, and 40 points no word holds
+        (lambda: BinaryCwCode(50, 3, ((3, 17, 40), (3, 17, 41), (17, 25, 33), (44, 46, 48)), 2),
+         False),
+    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "image", "steiner-lift", "cw",
+            "sparse-cw"])
     def test_count_pairs_and_generators_match_brute_force(self, make, coset):
         payload = make()
         if isinstance(payload, BinaryCwCode):

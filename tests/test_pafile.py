@@ -3,6 +3,7 @@ malformed or inconsistent files."""
 
 import io
 import re
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -446,6 +447,28 @@ class TestReaders:
             loads(text)
         assert str(excinfo.value) == str(expected.value)
         assert str(excinfo.value) == f"not a bijection on 0..2: ({entry}, 0, 1)"
+
+    @pytest.mark.parametrize("text, limit_mb", [
+        ("pa n=100000 d=6 w=- count=0\n", 0.5),
+        ("pa n=100000 d=6 w=2 count=0\n", 0.5),
+        ("cw n=100000 d=6 w=3 count=100\n"
+         + "".join(f"{i},{i + 1},{i + 2}\n" for i in range(0, 300, 3)), 1),
+    ], ids=["empty-array", "empty-weighted-array", "sparse-code"])
+    def test_memory_follows_the_file_not_n(self, text, limit_mb):
+        # an array's sort and weight check cost nothing per point when it
+        # has no members, and a code's distances are measured over the
+        # points its words hold; one sort key or one int8 column per point
+        # would peak at 12 MB or more here
+        tracemalloc.start()
+        try:
+            _, payload = loads(text)
+            count, stream, _ = payload._pairs_below(6)
+            pairs = list(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(pairs) == 0
+        assert peak < limit_mb * 2**20
 
 
 class TestAgainstReference:

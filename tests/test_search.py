@@ -43,7 +43,6 @@ from permarray.search import (
     _greedy_clique,
     _greedy_stream,
     _max_clique,
-    _over_budget_upfront,
     exact_a_cw,
     exact_p,
     exact_p_cw,
@@ -204,9 +203,14 @@ class TestLimitBehaviour:
 
     def test_adjacency_memory_gate(self):
         # S_9's bitsets would take 362,880 rows of 45,360 B (16.5 GB);
-        # S_8's 40,320 rows of 5,040 B (203 MB) still search
-        assert _over_budget_upfront(362_880, SearchLimits())
-        assert not _over_budget_upfront(40_320, SearchLimits())
+        # S_8's 40,320 rows of 5,040 B (203 MB) still search. The gate reads
+        # m alone, so one empty block stands in for the vertices
+        phases = []
+        for m in (362_880, 40_320):
+            outcome = search._solve(m, [np.zeros((0, 9), dtype=np.int8)], 2, SearchLimits(),
+                                    lambda rows: None, lambda chosen: chosen)
+            phases.append(list(outcome.seconds))
+        assert phases == [["greedy"], ["listing", "conflict_masks", "search"]]
 
     @pytest.mark.parametrize("limits", [(-5, None), (-1, 60.0), (None, -1.0), (10, math.nan),
                                         (math.nan, None), (None, -math.inf)])
