@@ -332,7 +332,6 @@ def best_upper_bound(n: int, d: int, table: "CwTable | None" = None) -> BoundRes
     if d == 1 and n >= 2:
         tags = ("d1-as-d2",)
         d = 2
-    _check_distance(n, d)
     best = min(
         (c for _, c in candidate_bounds(n, d, table) if c.applicable), key=lambda c: c.value
     )
@@ -406,8 +405,7 @@ class CwTable:
         return self._entries.get((n, d, w))
 
     def insert(self, n: int, d: int, w: int, value: int, kind: str) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown bound kind: {kind!r}")
+        entry = BoundResult(value, kind, ("cw-table",))
         # what the identities alone say about A(n, d, w); this also applies
         # the A(n, d, w) argument rule
         known = cw_binary_bound(n, d, w)
@@ -432,7 +430,7 @@ class CwTable:
             raise ValueError(
                 f"entry ({n},{d},{w})={value} exceeds the Johnson bound {known.value}"
             )
-        self._entries[(n, d, w)] = BoundResult(value, kind, ("cw-table",))
+        self._entries[(n, d, w)] = entry
 
     @classmethod
     def loads(cls, text: str) -> "CwTable":

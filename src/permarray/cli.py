@@ -6,8 +6,10 @@ write it out), ``search`` (run an exhaustive oracle and write its witness),
 ``verify`` (check a written array against a distance).
 
 Exit codes: 0 success, 1 usage or parse/range errors, 2 verification failure,
-3 search limits exceeded. ``--json`` switches any subcommand to a structured
-report carrying the same numbers as the human output.
+3 search limits exceeded, 141 (128 + SIGPIPE) when the reader closes stdout
+before the output ends, which is not reported. ``--json`` switches any
+subcommand to a structured report carrying the same numbers as the human
+output.
 
 At module level this imports the standard library and ``bounds`` alone;
 each of ``construct``, ``search`` and ``verify`` imports the modules it runs
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_LIMITS = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # verify writes its pair lines this many at a time, so the text held at once
 # stays bounded however many pairs fail
@@ -369,6 +373,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone; stdout now writes to nowhere, so that its
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"permarray: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,7 +25,8 @@ and it seeds the search as its incumbent.
 Each oracle passes ``_solve`` an upper bound on its clique: P(n, d) from
 ``bounds.best_upper_bound`` less one (the identity is forced in), P(n, d, w)
 from ``bounds.cw_pa_bound`` and A(n, d, w) from ``bounds.cw_binary_bound``,
-or None where the rule does not apply. A witness that reaches it is a
+or None where the rule does not apply; ``_solve`` reads it once, as the
+goal a witness must reach, infinite for None. A witness that reaches it is a
 certificate: when a dive does, the root node is closed without a tree or
 further dives, and the outcome is exact after 1 node (P(5,4), P(6,4), P(7,6),
 A(12,6,4), P(9,6,3), and on Johnson's 1962 bound A(11,6,4) and P(9,7,4),
@@ -34,9 +35,9 @@ Otherwise the search runs the same tree from the same incumbent as without
 the dives, and ends as soon as its incumbent reaches the bound: every later
 incumbent would be larger, and none can pass the bound, so the witness is
 the one the whole tree returns, after fewer nodes (A(10,4,3) 151 -> 13,
-P(9,5,3) 4,005 -> 26). A run cut short returns the longest dive where it
-beats the search's own witness, as a floor (P(7,4) after 5,000 nodes: 272
-by the search, 298 by a dive). The dive is never made the incumbent: a
+P(9,5,3) 4,005 -> 26). A run cut short returns the first longest dive
+where it beats the search's own witness, as a floor (P(7,4) after 5,000
+nodes: 272 by the search, 298 by a dive). The dive is never made the incumbent: a
 larger one turns capped trees toward costlier shallow nodes.
 
 The search keeps each open node's candidates and color order
@@ -305,7 +306,7 @@ def _color_order(cand: int, conflict_at: list[int], bit_at: list[int], kmin: int
 
 def _max_clique(
     conflicts: list[int], root: _Group | None, max_nodes: float, deadline: float,
-    upper: int | None = None,
+    goal: float = math.inf,
 ) -> tuple[list[int], bool, int, tuple[int, ...]]:
     """Largest clique among vertices 0..m-1 with the given conflict bitmasks
     (two vertices are adjacent when neither is in the other's mask).
@@ -314,12 +315,13 @@ def _max_clique(
     None for the trivial group, and is the root's stabiliser. One greedy
     dive starts from the highest-index vertex of each of its orbits (a
     trivial root group gives one dive); the first dive is the plain greedy
-    clique, and it is the incumbent. When a dive reaches ``upper``, an upper
-    bound on the clique size, the root node is closed by that certificate,
-    no more dives are made, and the dive is returned as exact; when a new
-    incumbent reaches it, the search ends there and returns it as exact,
-    the clique the whole tree would return, with the nodes and ``pruned``
-    counted so far.
+    clique, and it is the incumbent, while the first longest dive is kept
+    apart as the floor. When a dive reaches ``goal``, an upper bound on the
+    clique size (infinite when there is none), the root node is closed by
+    that certificate, no more dives are made, and the dive is returned as
+    exact; when a new incumbent reaches it, the search ends there and
+    returns it as exact, the clique the whole tree would return, with the
+    nodes and ``pruned`` counted so far.
 
     Otherwise one loop opens every node, the root as node 1: it pushes the
     parent's candidates and color order, colors the new node's candidates,
@@ -341,21 +343,18 @@ def _max_clique(
     pruned), where ``pruned[k]`` counts the vertices that orbits removed
     from nodes whose clique has k vertices. Past ``max_nodes`` nodes, or
     past the deadline (read at nodes 1, 257, 513, ...), the best clique
-    found so far is returned with exhausted False: the search's own, or the
-    longest dive where that is larger, as a floor.
+    found so far is returned with exhausted False: the incumbent, or the
+    floor where that is longer.
     """
-    goal = math.inf if upper is None else upper
-    dives = []
+    best = floor = []
     rest = (1 << len(conflicts)) - 1
     while rest:
         v = rest.bit_length() - 1
         dive = _greedy_clique(conflicts, v)
         if len(dive) >= goal:
             return dive, True, 1, ()
-        dives.append(dive)
+        best, floor = best or dive, max(floor, dive, key=len)
         rest = 0 if root is None else rest ^ (rest & root.orbit(v))
-    best = dives[0] if dives else []
-    floor = max(dives, key=len, default=best)
     # indexed by bit_length(), vertex v at v + 1: v's conflict mask and 1 << v
     conflict_at, bit_at = [0, *conflicts], [0, *(1 << v for v in range(len(conflicts)))]
     nodes = 0
@@ -553,11 +552,12 @@ def _solve(
     (a ``_Group``, or None for the trivial group), given the vectors as the
     rows of a matrix in search order, and ``upper``, when not
     None, bounds how many vectors can be chosen. The clock starts here,
-    ``limits`` is resolved once into a node cap and a deadline, and one
-    gate acts on m before the vertices are read, so listing them spends
+    ``limits`` is resolved once into a node cap and a deadline, ``upper``
+    once into the goal (infinite when None) that makes a clique exact, and
+    one gate acts on m before the vertices are read, so listing them spends
     the same time budget as the search. When the budget rules out a real
     search, the greedy clique is streamed, so the vertices are never
-    listed; it is exact when it reaches ``upper``, after 0 nodes.
+    listed; it is exact when it reaches the goal, after 0 nodes.
     Otherwise they are listed in reverse, so that the search, which takes
     the highest index first, walks them in stream order. Either branch
     ends in the one outcome built at the end.
@@ -565,6 +565,7 @@ def _solve(
     start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
+    goal = math.inf if upper is None else upper
     # no search starts with more vertices than nodes allowed, no time at all
     # (SearchLimits rejects a negative one), or a graph too big to hold:
     # conflict masks (m rows of m bits) and the single-bit ints (``1 << v``
@@ -575,15 +576,15 @@ def _solve(
             m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES):
         chosen = _greedy_stream(blocks, d, deadline)
         seconds = {"greedy": time.perf_counter() - start}
-        met = upper is not None and len(chosen) >= upper
-        status, nodes, pruned = STATUS_EXACT if met else STATUS_LOWER_BOUND_ONLY, 0, ()
+        status = STATUS_EXACT if len(chosen) >= goal else STATUS_LOWER_BOUND_ONLY
+        nodes, pruned = 0, ()
     else:
         rows = np.concatenate(list(blocks))[::-1]
         listed = time.perf_counter()
         conflicts = _conflict_masks(rows, d)
         masked = time.perf_counter()
         clique, exhausted, nodes, pruned = _max_clique(
-            conflicts, symmetry(rows), max_nodes, deadline, upper)
+            conflicts, symmetry(rows), max_nodes, deadline, goal)
         seconds = {"listing": listed - start, "conflict_masks": masked - listed,
                    "search": time.perf_counter() - masked}
         status, chosen = STATUS_EXACT if exhausted else STATUS_INCOMPLETE, rows[clique]

@@ -20,7 +20,7 @@ from test_perm import reference_coset
 
 from permarray import cli, constructions, pafile, perm, search
 from permarray.bounds import best_upper_bound
-from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from permarray.cli import EXIT_LIMITS, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
 from permarray.constructions import (
     BinaryCwCode,
     lift_binary_cw_code,
@@ -815,6 +815,24 @@ class TestEntryPoint:
         done = self.run_module("search", "p", "6", "5", "--limit-nodes", "10", cwd=tmp_path)
         assert done.returncode == EXIT_LIMITS
         assert done.stdout.startswith("P(6,5) >= ")
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "2:80", "2:80"), ("construct", "symmetric", "8"),
+        ("verify", "s7.pa", "3"), ("verify", "--json", "s7.pa", "3")], ids=" ".join)
+    def test_closed_stdout_ends_quietly(self, argv, tmp_path):
+        # each command writes far past what a pipe holds (the table 460 KB,
+        # against 64 KiB on Linux), so it is still writing when the reader
+        # closes stdout after its first 100 bytes (``--json`` writes one
+        # long line)
+        assert main(["construct", "symmetric", "7", "--out", str(tmp_path / "s7.pa")]) == EXIT_OK
+        src = Path(__file__).resolve().parent.parent / "src"
+        with subprocess.Popen([sys.executable, "-m", "permarray.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (EXIT_PIPE, b"")
 
     @pytest.mark.parametrize("argv", [
         ("symmetric", "12"), ("symmetric", "1000000000"), ("cyclic", "100000"),

@@ -193,8 +193,9 @@ class TestLimitBehaviour:
         assert len(expected[1]) == 2520 and len(expected[0]) > 19
 
     def test_gated_witness_of_a_stream_of_blocks_is_pinned(self):
-        # S_8 is read 4,096 permutations at a time, so the 37,085 vertices
-        # at distance >= 6 from the identity come in ten ragged blocks
+        # S_8 is read one two-point prefix (720 tails) at a time, so the
+        # 37,085 vertices at distance >= 6 from the identity come in 56
+        # ragged blocks of at most 720 rows, the first holding 265
         outcome = exact_p(8, 6, SearchLimits(max_nodes=10, max_seconds=None))
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, 77, 0)
         assert_verified(outcome, 6)
