@@ -425,6 +425,25 @@ _PERFECT_FAMILIES = {
 }
 
 
+def _perfect_for(n: int, d: int) -> PermutationArray | None:
+    """The family built here that meets n!/(d-1)! at (n, d), or None where
+    none does: cyclic n at d = n, symmetric n at d <= 2, alternating n at
+    d = 3, agl n at d = n - 1 for a prime n, and pgl2 n - 1 at d = n - 2
+    for a prime n - 1. Nothing is proved here: the caller checks what it
+    uses."""
+    if d == n:
+        return _cyclic(n)
+    if d <= 2:
+        return _symmetric(n)
+    if d == 3:
+        return _alternating(n)
+    if d == n - 1 and _least_factor(n) == n:
+        return _affine(n)
+    if d == n - 2 and _least_factor(n - 1) == n - 1:
+        return _projective(n - 1)
+    return None
+
+
 def perfect_families() -> tuple[str, ...]:
     """Names accepted by ``perfect_pa``."""
     return tuple(_PERFECT_FAMILIES)

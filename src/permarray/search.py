@@ -27,10 +27,16 @@ Each oracle passes ``_solve`` an upper bound on its clique: P(n, d) from
 from ``bounds.cw_pa_bound`` and A(n, d, w) from ``bounds.cw_binary_bound``,
 or None where the rule does not apply; ``_solve`` reads it once, as the
 goal a witness must reach, infinite for None. A witness that reaches it is a
-certificate: when a dive does, the root node is closed without a tree or
-further dives, and the outcome is exact after 1 node (P(5,4), P(6,4), P(7,6),
-A(12,6,4), P(9,6,3), and on Johnson's 1962 bound A(11,6,4) and P(9,7,4),
-close so), and a streamed greedy witness that does is exact with no node.
+certificate. ``exact_p`` also hands ``_solve`` a seed: the family built in
+``constructions`` that meets n!/(d-1)! at (n, d), kept only once its own
+rows prove its distance and hold the identity. When the search may run and
+the seed reaches the goal, the root is closed by it before any vertex is
+listed, and the outcome is exact after 1 node with no graph built (P(n,1),
+P(n,2), P(n,3), P(n,n), P(5,4), P(6,4), P(7,6) and P(8,6) close so). When a
+dive reaches the goal, the root node is closed without a tree or further
+dives, and the outcome is exact after 1 node (A(12,6,4), P(9,6,3), and on
+Johnson's 1962 bound A(11,6,4) and P(9,7,4), close so), and a streamed
+greedy witness that does is exact with no node.
 Otherwise the search runs the same tree from the same incumbent as without
 the dives, and ends as soon as its incumbent reaches the bound: every later
 incumbent would be larger, and none can pass the bound, so the witness is
@@ -133,7 +139,7 @@ from typing import Protocol
 import numpy as np
 
 from .bounds import best_upper_bound, cw_binary_bound, cw_pa_bound
-from .constructions import BinaryCwCode, PermutationArray, indicator_rows
+from .constructions import BinaryCwCode, PermutationArray, _perfect_for, indicator_rows
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
@@ -185,14 +191,15 @@ class SearchOutcome:
     limits, or the memory the adjacency would take, ruled out any search
     node, so only a greedy witness was built).
     "exact" comes from a search run to the end, or from a witness that meets
-    the oracle's upper bound: a greedy dive at the root (1 node), the
-    search's incumbent at any node, which ends the search there, or the
-    greedy witness alone (0 nodes). ``witness`` always verifies at the
+    the oracle's upper bound: a built family or a greedy dive at the root (1
+    node), the search's incumbent at any node, which ends the search there,
+    or the greedy witness alone (0 nodes). ``witness`` always verifies at the
     target distance.
 
     ``seconds`` holds the wall time of each phase the call went through:
     "listing" (the vertex matrix), "conflict_masks" and "search" when a
-    search ran, "greedy" when only the greedy witness was built. It is
+    search ran, "greedy" when only the greedy witness was built, "family"
+    when a built family certified the cell and nothing was listed. It is
     measured, so it takes no part in comparisons."""
 
     status: str
@@ -542,7 +549,7 @@ def _solve(
     m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
     symmetry: Callable[[np.ndarray], _Group | None],
     witness: Callable[[np.ndarray], PermutationArray | BinaryCwCode],
-    upper: int | None = None,
+    upper: int | None = None, seed: Callable[[], np.ndarray | None] = lambda: None,
 ) -> SearchOutcome:
     """Largest set of the m vectors that ``blocks`` yields, as the rows of
     one or more integer matrices, with pairwise coordinate-wise distance
@@ -551,16 +558,19 @@ def _solve(
     root's group of distance-preserving maps of the vertex set onto itself
     (a ``_Group``, or None for the trivial group), given the vectors as the
     rows of a matrix in search order, and ``upper``, when not
-    None, bounds how many vectors can be chosen. The clock starts here,
-    ``limits`` is resolved once into a node cap and a deadline, ``upper``
-    once into the goal (infinite when None) that makes a clique exact, and
-    one gate acts on m before the vertices are read, so listing them spends
-    the same time budget as the search. When the budget rules out a real
-    search, the greedy clique is streamed, so the vertices are never
-    listed; it is exact when it reaches the goal, after 0 nodes.
-    Otherwise they are listed in reverse, so that the search, which takes
-    the highest index first, walks them in stream order. Either branch
-    ends in the one outcome built at the end.
+    None, bounds how many vectors can be chosen. ``seed()`` gives the
+    chosen vectors of a witness proved by the caller, or None. The clock
+    starts here, ``limits`` is resolved once into a node cap and a
+    deadline, ``upper`` once into the goal (infinite when None) that makes
+    a clique exact, and one gate acts on m before the vertices are read, so
+    listing them spends the same time budget as the search. When the budget
+    rules out a real search, the greedy clique is streamed, so the vertices
+    are never listed; it is exact when it reaches the goal, after 0 nodes.
+    Otherwise the seed is asked first: one that reaches the goal closes the
+    root, 1 node, and nothing is listed. One that falls short is dropped,
+    never made the incumbent, and the vertices are listed in reverse, so
+    that the search, which takes the highest index first, walks them in
+    stream order. Every branch ends in the one outcome built at the end.
     """
     start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
@@ -578,6 +588,11 @@ def _solve(
         seconds = {"greedy": time.perf_counter() - start}
         status = STATUS_EXACT if len(chosen) >= goal else STATUS_LOWER_BOUND_ONLY
         nodes, pruned = 0, ()
+    elif (chosen := seed()) is not None and len(chosen) >= goal:
+        # a proved witness that reaches the goal closes the root, as a dive
+        # that reaches it does, before any vertex is listed
+        seconds = {"family": time.perf_counter() - start}
+        status, nodes, pruned = STATUS_EXACT, 1, ()
     else:
         rows = np.concatenate(list(blocks))[::-1]
         listed = time.perf_counter()
@@ -604,18 +619,30 @@ def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutc
     """Exact maximum size of a permutation array on n points with pairwise
     distance >= d, by clique search with the identity forced in. Under
     default limits it is practical up to n = 7 for small or near-full
-    distances and up to (6, 4) in between, and on 8 points where a root
-    dive meets the bound: P(8,6) = 336 and P(8,8) = 8 certify in 1 node, in
-    the time their conflict masks take (about 1.4 s and 0.14 s in a fresh
-    process on a 2-core Xeon).
+    distances and up to (6, 4) in between. Where a family built in
+    ``constructions`` meets the bound n!/(d-1)!, the family is the
+    certificate and no vertex is listed: P(8,6) = 336 and P(8,8) = 8
+    certify in 1 node, in under a millisecond each in one process (a
+    fresh ``search`` process takes about 0.2 s on a 2-core Xeon, as long
+    as one for P(4,3)).
 
     Conjugation and inversion fix the identity and keep weights and
     distances, so the search prunes the orbits of their stabilisers."""
     upper = best_upper_bound(n, d).value - 1  # the identity is forced in
     m = factorial(n) - ball_volume(n, d - 1)
+
+    def family() -> np.ndarray | None:
+        # kept only as proved here: two or more members, a distance read
+        # from its rows, and the identity, the first row in sorted order
+        array = _perfect_for(n, d)
+        if (array is None or len(array) < 2 or array.min_distance() < d
+                or not np.array_equal(array.rows[0], np.arange(n))):
+            return None
+        return array.rows[1:]
+
     return _solve(m, permutation_rows(n, d), d, limits, _CycleTypes,
                   lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])),
-                  upper=upper)
+                  upper=upper, seed=family)
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:

@@ -17,16 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarray import search
-from permarray.bounds import cw_binary_bound, cw_pa_bound, johnson_1962
+from permarray.bounds import best_upper_bound, cw_binary_bound, cw_pa_bound, johnson_1962
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
     block_cycle_cwpa,
+    perfect_pa,
 )
 from permarray.exactmath import factorial
 from permarray.perm import (
     Permutation,
     _conflict_masks,
+    count_pairs_below,
     cycle_type,
     permutation_rows,
     support,
@@ -128,6 +130,92 @@ class TestExactP:
             exact_p(4, 0)
         with pytest.raises(ValueError):
             exact_p(0, 1)
+
+
+# every cell on at most 8 points that a family built here meets and that
+# the search's gate admits; (1, 1)'s family is the identity alone
+_FAMILY_CASES = sorted(
+    {(n, d) for n in range(2, 9) for d in (1, 2, 3, n) if d <= n}
+    | {(5, 4), (6, 4), (7, 6), (8, 6)}
+)
+
+
+def _without_family(monkeypatch, *args):
+    """``exact_p`` with no family to certify its cell: the search path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        return exact_p(*args)
+
+
+class TestFamilyCertificate:
+    """A built family that proves its own distance and meets the bound
+    certifies a P(n, d) cell before any vertex is listed: 1 node, the root,
+    closed as a dive that meets the bound closes it."""
+
+    @pytest.mark.parametrize("n, d", _FAMILY_CASES)
+    def test_family_cells_certify_without_a_graph(self, n, d):
+        # P(8,6) = 336 and P(8,8) = 8 among them, which as searches paid
+        # for 37,085 and 14,833 vertices' conflict masks
+        outcome = exact_p(n, d)
+        assert (outcome.status, outcome.value, outcome.nodes, outcome.pruned) == (
+            STATUS_EXACT, best_upper_bound(n, d).value, 1, ())
+        assert list(outcome.seconds) == ["family"]
+        assert outcome.witness == search._perfect_for(n, d)
+        # the pairwise kernel agrees with the coset proof
+        assert count_pairs_below(outcome.witness.rows, d)[0] == 0
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d in _FAMILY_CASES if n <= 7])
+    def test_the_search_path_gives_the_same_answer(self, monkeypatch, n, d):
+        searched = _without_family(monkeypatch, n, d)
+        assert list(searched.seconds) == ["listing", "conflict_masks", "search"]
+        outcome = exact_p(n, d)
+        assert ((outcome.status, outcome.value, outcome.nodes, outcome.pruned)
+                == (searched.status, searched.value, searched.nodes, searched.pruned))
+        assert_verified(searched, d)
+
+    @pytest.mark.parametrize("args, value", [
+        ((5, 4, SearchLimits(10, None)), 8),
+        ((5, 4, SearchLimits(None, 0.0)), 8),
+        ((8, 6, SearchLimits(10, None)), 77),
+    ])
+    def test_a_gated_call_builds_no_family(self, monkeypatch, args, value):
+        calls = []
+
+        def spy(n, d):
+            calls.append((n, d))
+            raise AssertionError("a gated search built a family")
+
+        monkeypatch.setattr(search, "_perfect_for", spy)
+        outcome = exact_p(*args)
+        assert calls == []
+        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, value, 0)
+        assert list(outcome.seconds) == ["greedy"]
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (6, 5), (8, 7)])
+    def test_cells_no_family_meets_search(self, n, d):
+        # P(6,5) = 18 is no family's, and P(8,7) = 56's group lives on the
+        # field of order 8, which nothing here builds; the identity alone
+        # is too small to be kept
+        family = search._perfect_for(n, d)
+        assert family is None or len(family) < 2
+        if n < 8:
+            outcome = exact_p(n, d, SearchLimits(700, None))
+            assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
+
+    @pytest.mark.parametrize("family", [
+        perfect_pa("symmetric", 5),  # distance 2, below 4
+        perfect_pa("cyclic", 5),  # distance 5, but 5 members, short of 20
+        PermutationArray(5, perfect_pa("agl", 5).rows[:, [1, 0, 2, 3, 4]]),  # no identity
+    ])
+    def test_a_family_is_kept_only_once_proved(self, monkeypatch, family):
+        # the seed trusts no table: each of these misses a test, so P(5,4)
+        # is searched as it is with no family at all
+        searched = _without_family(monkeypatch, 5, 4)
+        monkeypatch.setattr(search, "_perfect_for", lambda n, d: family)
+        outcome = exact_p(5, 4)
+        assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
+        assert (outcome.status, outcome.value, outcome.nodes, outcome.witness) == (
+            searched.status, searched.value, searched.nodes, searched.witness)
 
 
 class TestLimitBehaviour:
@@ -307,7 +395,7 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, blocks, d, limits, symmetry, witness, upper=None):
+        def count_only(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
             blocks = list(blocks)
             counts.append((m, sum(map(len, blocks))))
             return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
@@ -367,9 +455,11 @@ class TestSearchTree:
         # the bounds are 5!/3!, 6!/3!, 7!/5! and 8!/5! with the identity,
         # Johnson's 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the
         # dives the first five took 19, 83,574, more than 2,000,000, 9 and 2
-        # nodes. P(8,6), the first certificate on 8 points, spends nearly
-        # all its time on the conflict masks of 37,085 vertices, in the
-        # kernel's largest layout (blocks of 7 rows)
+        # nodes. The four P cells now close on their built family before
+        # any dive; ``TestFamilyCertificate`` runs the dives of those on at
+        # most 7 points with the family routed away. P(8,6)'s dive, the
+        # first certificate on 8 points, spent nearly all its time on the
+        # conflict masks of 37,085 vertices
         outcome = oracle(*args)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, 1)
         assert outcome.pruned == ()
@@ -457,7 +547,7 @@ def _one_orbit_per_vertex(monkeypatch, oracle, *args):
     so the tree runs to the end whatever the greedy clique finds."""
     solve = search._solve
 
-    def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None):
+    def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None, seed=None):
         return solve(m, vertices, d, limits, lambda rows: None, witness)
 
     with monkeypatch.context() as patch:
@@ -522,7 +612,7 @@ def _recorded(monkeypatch, oracle, *args):
     patched class name would also wrap the subgroups the class builds."""
     solve, recorded = search._solve, []
 
-    def recording_solve(m, blocks, d, limits, symmetry, witness, upper=None):
+    def recording_solve(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
         def build(rows):
             recorded.append(_Recording(symmetry(rows), []))
             return recorded[-1]
@@ -670,7 +760,7 @@ class TestOrbitPruning:
         vertices."""
         seen = {}
 
-        def capture(m, blocks, d, limits, symmetry, witness, upper=None):
+        def capture(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
             rows = np.concatenate(list(blocks))[::-1]
             seen["vectors"] = [tuple(vector) for vector in rows.tolist()]
             seen["group"] = symmetry(rows)
@@ -885,7 +975,8 @@ class TestOrbitPruning:
 def _with_and_without_bound(monkeypatch, oracle, *args):
     """What ``_max_clique`` returns for the oracle's search on the same
     conflict masks and root group, without an upper bound and then with the
-    oracle's."""
+    oracle's. A built family would certify ``exact_p``'s cell before any
+    search, so it is routed past the family to the tree."""
     runs = []
     max_clique = search._max_clique
 
@@ -895,6 +986,7 @@ def _with_and_without_bound(monkeypatch, oracle, *args):
         return runs[-1]
 
     with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
         patch.setattr(search, "_max_clique", both)
         oracle(*args)
     return runs
@@ -950,7 +1042,7 @@ def _handed_over(monkeypatch, oracle, *args):
     """The row blocks an oracle hands the search, as the list of their rows."""
     handed = []
 
-    def capture(m, blocks, d, limits, symmetry, witness, upper=None):
+    def capture(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
         blocks = list(blocks)
         assert blocks and all(block.ndim == 2 and block.dtype.kind == "i" for block in blocks)
         handed.extend(np.concatenate(blocks).tolist())
@@ -991,11 +1083,12 @@ class TestVertexSources:
 class TestPhaseSeconds:
     @pytest.mark.parametrize(
         "oracle, args, phases",
-        [(exact_p, (6, 4, SearchLimits(700, None)), ["listing", "conflict_masks", "search"]),
+        [(exact_p, (6, 4, SearchLimits(700, None)), ["family"]),
          (exact_p_cw, (6, 4, 6), ["listing", "conflict_masks", "search"]),
          (exact_a_cw, (8, 4, 3), ["listing", "conflict_masks", "search"]),
          (exact_p, (6, 2, SearchLimits(10, None)), ["greedy"]),
-         (exact_a_cw, (9, 4, 4, SearchLimits(None, 0.0)), ["greedy"])],
+         (exact_a_cw, (9, 4, 4, SearchLimits(None, 0.0)), ["greedy"]),
+         (exact_p, (6, 5, SearchLimits(700, None)), ["listing", "conflict_masks", "search"])],
     )
     def test_phases_fit_in_the_call(self, oracle, args, phases):
         start = time.perf_counter()
