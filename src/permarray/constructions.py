@@ -219,9 +219,12 @@ class BinaryCwCode:
     @property
     def rows(self) -> np.ndarray:
         """The members as the rows of the file body: the (m, weight) matrix
-        of the words' support points, built on each read. The distance
-        kernel reads ``_vectors()``."""
-        return np.array(self.words, dtype=np.intp).reshape(len(self.words), self.weight)
+        of the words' support points, built on each read, as Python ints
+        where a point may lie past ``np.intp``. The distance kernel reads
+        ``_vectors()``."""
+        wide = self.n - 1 > np.iinfo(np.intp).max
+        return np.array(self.words, dtype=object if wide else np.intp).reshape(
+            len(self.words), self.weight)
 
 
 def indicator_rows(n: int, supports: np.ndarray) -> np.ndarray:

@@ -27,16 +27,18 @@ Each oracle passes ``_solve`` an upper bound on its clique: P(n, d) from
 from ``bounds.cw_pa_bound`` and A(n, d, w) from ``bounds.cw_binary_bound``,
 or None where the rule does not apply; ``_solve`` reads it once, as the
 goal a witness must reach, infinite for None. A witness that reaches it is a
-certificate. ``exact_p`` also hands ``_solve`` a seed: the family built in
-``constructions`` that meets n!/(d-1)! at (n, d), kept only once its own
-rows prove its distance and hold the identity. When the search may run and
-the seed reaches the goal, the root is closed by it before any vertex is
-listed, and the outcome is exact after 1 node with no graph built (P(n,1),
-P(n,2), P(n,3), P(n,n), P(5,4), P(6,4), P(7,6) and P(8,6) close so). When a
-dive reaches the goal, the root node is closed without a tree or further
-dives, and the outcome is exact after 1 node (A(12,6,4), P(9,6,3), and on
-Johnson's 1962 bound A(11,6,4) and P(9,7,4), close so), and a streamed
-greedy witness that does is exact with no node.
+certificate. ``exact_p`` asks for one before ``_solve``: when the limits
+admit a search (``_limits_rule_out``, the half of ``_solve``'s gate that
+is not the graph's memory), the family built in ``constructions`` that
+meets n!/(d-1)! at (n, d) is kept once its own rows prove its distance and
+it meets the bound, and it is the witness, exact after 1 node with nothing
+listed (P(n,1), P(n,2), P(n,3), P(n,n), P(5,4), P(6,4), P(7,6), P(8,6) and
+P(11,10) close so; S_11 and A_11 are past the build gate, so their cells go
+to ``_solve``). Every other call goes to ``_solve``.
+When a dive reaches the goal, the root node is closed without a tree or
+further dives, and the outcome is exact after 1 node (A(12,6,4), P(9,6,3),
+and on Johnson's 1962 bound A(11,6,4) and P(9,7,4), close so), and a
+streamed greedy witness that does is exact with no node.
 Otherwise the search runs the same tree from the same incumbent as without
 the dives, and ends as soon as its incumbent reaches the bound: every later
 incumbent would be larger, and none can pass the bound, so the witness is
@@ -122,7 +124,9 @@ greedy, after each slice of at most 256 vertices it reads and each 256
 kept rows it checks them against, so the deadline is best-effort; past it
 the best clique found so far is the witness. Each phase's wall time, on
 ``time.perf_counter`` (the deadline keeps ``time.monotonic``), is reported
-in ``SearchOutcome.seconds``.
+in ``SearchOutcome.seconds``. The deadline does not cut ``exact_p``'s
+family phase, which the build gate of ``constructions`` bounds instead:
+building and proving S_10 takes about 5 s and 450 MB on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -131,6 +135,7 @@ import math
 import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, combinations, islice
@@ -169,10 +174,13 @@ class SearchLimits:
     """Budget for one search; None disables that limit. A limit is a
     number >= 0 (zero rules out any search node, inf never stops it), so a
     negative or NaN limit raises ``ValueError``. A node cap below the
-    number of vertices rules out the search and its root dives alike, so
+    number of vertices, or a zero time limit, rules out the search, its
+    root dives and ``exact_p``'s family alike (``_limits_rule_out``), so
     only the greedy witness is built: ``exact_p(8, 6,
     SearchLimits(max_nodes=10))`` is lower-bound-only at 77, where the
-    default limits certify 336 at the root."""
+    default limits certify 336 with the family. Limits that admit a search
+    admit the family even where the graph would not fit in memory, as for
+    P(9,3) = 181,440."""
 
     max_nodes: int | None = 100_000_000
     max_seconds: float | None = 300.0
@@ -191,15 +199,16 @@ class SearchOutcome:
     limits, or the memory the adjacency would take, ruled out any search
     node, so only a greedy witness was built).
     "exact" comes from a search run to the end, or from a witness that meets
-    the oracle's upper bound: a built family or a greedy dive at the root (1
-    node), the search's incumbent at any node, which ends the search there,
-    or the greedy witness alone (0 nodes). ``witness`` always verifies at the
-    target distance.
+    the oracle's upper bound: a built family, which is then the witness
+    itself, or a greedy dive at the root (1 node), the search's incumbent at
+    any node, which ends the search there, or the greedy witness alone (0
+    nodes). ``witness`` always verifies at the target distance.
 
     ``seconds`` holds the wall time of each phase the call went through:
     "listing" (the vertex matrix), "conflict_masks" and "search" when a
-    search ran, "greedy" when only the greedy witness was built, "family"
-    when a built family certified the cell and nothing was listed. It is
+    search ran, "greedy" when only the greedy witness was built, and
+    "family" alone when ``exact_p``'s built family certified the cell
+    (building and proving it) and ``_solve`` was never called. It is
     measured, so it takes no part in comparisons."""
 
     status: str
@@ -545,11 +554,18 @@ class _Young(_LevelSets):
         return None if atoms.max(initial=-1) + 1 == len(atoms) else _Young(self.rows, atoms)
 
 
+def _limits_rule_out(m: int, limits: SearchLimits) -> bool:
+    """Whether ``limits`` rule out any search node on m vertices: more
+    vertices than nodes allowed, or no time at all (``SearchLimits``
+    rejects a negative one)."""
+    return (limits.max_nodes is not None and m > limits.max_nodes) or limits.max_seconds == 0
+
+
 def _solve(
     m: int, blocks: Iterable[np.ndarray], d: int, limits: SearchLimits,
     symmetry: Callable[[np.ndarray], _Group | None],
     witness: Callable[[np.ndarray], PermutationArray | BinaryCwCode],
-    upper: int | None = None, seed: Callable[[], np.ndarray | None] = lambda: None,
+    upper: int | None = None,
 ) -> SearchOutcome:
     """Largest set of the m vectors that ``blocks`` yields, as the rows of
     one or more integer matrices, with pairwise coordinate-wise distance
@@ -558,41 +574,32 @@ def _solve(
     root's group of distance-preserving maps of the vertex set onto itself
     (a ``_Group``, or None for the trivial group), given the vectors as the
     rows of a matrix in search order, and ``upper``, when not
-    None, bounds how many vectors can be chosen. ``seed()`` gives the
-    chosen vectors of a witness proved by the caller, or None. The clock
-    starts here, ``limits`` is resolved once into a node cap and a
-    deadline, ``upper`` once into the goal (infinite when None) that makes
-    a clique exact, and one gate acts on m before the vertices are read, so
-    listing them spends the same time budget as the search. When the budget
-    rules out a real search, the greedy clique is streamed, so the vertices
-    are never listed; it is exact when it reaches the goal, after 0 nodes.
-    Otherwise the seed is asked first: one that reaches the goal closes the
-    root, 1 node, and nothing is listed. One that falls short is dropped,
-    never made the incumbent, and the vertices are listed in reverse, so
-    that the search, which takes the highest index first, walks them in
-    stream order. Every branch ends in the one outcome built at the end.
+    None, bounds how many vectors can be chosen. The clock starts here,
+    ``limits`` is resolved once into a node cap and a deadline, ``upper``
+    once into the goal (infinite when None) that makes a clique exact, and
+    one gate acts on m before the vertices are read, so listing them spends
+    the same time budget as the search. When the limits
+    (``_limits_rule_out``) or the graph's memory rule out a real search, the
+    greedy clique is streamed, so the vertices are never listed; it is exact
+    when it reaches the goal, after 0 nodes. Otherwise the vertices are
+    listed in reverse, so that the search, which takes the highest index
+    first, walks them in stream order. Both branches end in the one outcome
+    built at the end.
     """
     start = time.perf_counter()
     max_nodes = math.inf if limits.max_nodes is None else limits.max_nodes
     deadline = math.inf if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     goal = math.inf if upper is None else upper
-    # no search starts with more vertices than nodes allowed, no time at all
-    # (SearchLimits rejects a negative one), or a graph too big to hold:
-    # conflict masks (m rows of m bits) and the single-bit ints (``1 << v``
-    # for each vertex v, about m^2 / 16 bytes); the two lists that index
-    # them by ``bit_length()`` hold these same ints, so they add only
-    # references
-    if m > max_nodes or limits.max_seconds == 0 or (
-            m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES):
+    # no search starts when the limits rule it out, or on a graph too big
+    # to hold: conflict masks (m rows of m bits) and the single-bit ints
+    # (``1 << v`` for each vertex v, about m^2 / 16 bytes); the two lists
+    # that index them by ``bit_length()`` hold these same ints, so they add
+    # only references
+    if _limits_rule_out(m, limits) or m * ((m + 7) // 8) + m * m // 16 > _ADJACENCY_BYTES:
         chosen = _greedy_stream(blocks, d, deadline)
         seconds = {"greedy": time.perf_counter() - start}
         status = STATUS_EXACT if len(chosen) >= goal else STATUS_LOWER_BOUND_ONLY
         nodes, pruned = 0, ()
-    elif (chosen := seed()) is not None and len(chosen) >= goal:
-        # a proved witness that reaches the goal closes the root, as a dive
-        # that reaches it does, before any vertex is listed
-        seconds = {"family": time.perf_counter() - start}
-        status, nodes, pruned = STATUS_EXACT, 1, ()
     else:
         rows = np.concatenate(list(blocks))[::-1]
         listed = time.perf_counter()
@@ -617,32 +624,36 @@ def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
 
 def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
-    distance >= d, by clique search with the identity forced in. Under
-    default limits it is practical up to n = 7 for small or near-full
-    distances and up to (6, 4) in between. Where a family built in
-    ``constructions`` meets the bound n!/(d-1)!, the family is the
-    certificate and no vertex is listed: P(8,6) = 336 and P(8,8) = 8
-    certify in 1 node, in under a millisecond each in one process (a
-    fresh ``search`` process takes about 0.2 s on a 2-core Xeon, as long
-    as one for P(4,3)).
+    distance >= d. When the limits admit a search, a family built in
+    ``constructions`` that meets the bound n!/(d-1)! is asked first; the
+    build gate's refusal counts as no family. It is kept only with at least
+    max(bound, 2) members and a minimum distance proved from its own rows,
+    and then it is the witness, exact after 1 node, with no vertex listed:
+    P(8,6) = 336 and P(8,8) = 8 in under a millisecond each in one process,
+    and P(9,2), P(9,3), P(10,10), P(11,10) and P(11,11) (whose graphs would
+    not fit in memory) in about 0.5 s or less on a 2-core Xeon. The deadline
+    does not cut this phase; the build gate bounds it (S_10 takes about
+    5 s and 450 MB).
 
-    Conjugation and inversion fix the identity and keep weights and
-    distances, so the search prunes the orbits of their stabilisers."""
-    upper = best_upper_bound(n, d).value - 1  # the identity is forced in
+    Every other call is a clique search with the identity forced in, which
+    under default limits is practical up to n = 7 for small or near-full
+    distances and up to (6, 4) in between. Conjugation and inversion fix
+    the identity and keep weights and distances, so the search prunes the
+    orbits of their stabilisers."""
+    bound = best_upper_bound(n, d).value
     m = factorial(n) - ball_volume(n, d - 1)
-
-    def family() -> np.ndarray | None:
-        # kept only as proved here: two or more members, a distance read
-        # from its rows, and the identity, the first row in sorted order
-        array = _perfect_for(n, d)
-        if (array is None or len(array) < 2 or array.min_distance() < d
-                or not np.array_equal(array.rows[0], np.arange(n))):
-            return None
-        return array.rows[1:]
-
+    if not _limits_rule_out(m, limits):
+        start, family = time.perf_counter(), None
+        with suppress(ValueError):  # one the build gate refuses is no family
+            family = _perfect_for(n, d)
+        # no table is trusted: the family is kept only once its own rows
+        # prove its distance
+        if family is not None and len(family) >= max(bound, 2) and family.min_distance() >= d:
+            return SearchOutcome(STATUS_EXACT, family, 1, (),
+                                 {"family": time.perf_counter() - start})
     return _solve(m, permutation_rows(n, d), d, limits, _CycleTypes,
                   lambda chosen: PermutationArray(n, np.concatenate([np.arange(n)[None], chosen])),
-                  upper=upper, seed=family)
+                  upper=bound - 1)  # the identity is forced in
 
 
 def exact_p_cw(n: int, d: int, w: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:

@@ -552,6 +552,23 @@ class TestVerifyCodes:
         else:
             assert out == "OK: 1 words on 5 points, pairwise distance >= 2\n"
 
+    @pytest.mark.parametrize("weight, words", [(1, "5\n{top}\n"), (2, "5,7\n8,{top}\n")])
+    def test_points_past_int64(self, capsys, tmp_path, weight, words):
+        # the words name a point past np.intp, which the rows hold as
+        # Python ints; the kernel reads indicators over the words' points
+        n = 10 ** 23
+        path = tmp_path / "big.cw"
+        path.write_text(f"cw n={n} d=2 w={weight} count=2\n" + words.format(top=n - 1),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (
+            EXIT_OK, f"OK: 2 words on {n} points, pairwise distance >= 2\n", "")
+        # two weight-w words share no point: distance 2w, below 2w + 2
+        code, out, _ = run_cli(capsys, "verify", "--json", str(path), str(2 * weight + 2))
+        assert code == EXIT_VERIFY
+        a, b = ([int(p) for p in line.split(",")] for line in words.format(top=n - 1).split())
+        assert json.loads(out)["violations"] == [{"a": a, "b": b, "distance": 2 * weight}]
+
 
 class _Writes:
     """A stdout that keeps each write apart, or only counts its characters."""

@@ -149,8 +149,9 @@ def _without_family(monkeypatch, *args):
 
 class TestFamilyCertificate:
     """A built family that proves its own distance and meets the bound
-    certifies a P(n, d) cell before any vertex is listed: 1 node, the root,
-    closed as a dive that meets the bound closes it."""
+    certifies a P(n, d) cell before any vertex is listed, as the witness
+    itself: 1 node, the root, closed as a dive that meets the bound closes
+    it."""
 
     @pytest.mark.parametrize("n, d", _FAMILY_CASES)
     def test_family_cells_certify_without_a_graph(self, n, d):
@@ -163,6 +164,25 @@ class TestFamilyCertificate:
         assert outcome.witness == search._perfect_for(n, d)
         # the pairwise kernel agrees with the coset proof
         assert count_pairs_below(outcome.witness.rows, d)[0] == 0
+
+    @pytest.mark.parametrize("n, d", [(9, 2), (9, 3), (10, 10), (11, 10), (11, 11)])
+    def test_family_cells_past_the_graph_gate_certify(self, n, d):
+        # the default limits admit these, but their conflict masks would
+        # not fit in memory: before the family was asked ahead of the
+        # graph's gate, P(9,2) took 135.6 s of streamed greedy and P(11,10)
+        # stopped lower-bound-only at 31
+        outcome = exact_p(n, d)
+        assert (outcome.status, outcome.value, outcome.nodes, outcome.pruned) == (
+            STATUS_EXACT, best_upper_bound(n, d).value, 1, ())
+        assert list(outcome.seconds) == ["family"]
+
+    def test_a_family_past_the_build_gate_is_no_family(self):
+        # the build gate refuses S_11 before anything is allocated, and its
+        # graph would not fit either, so the time goes to the streamed greedy
+        outcome = exact_p(11, 2, SearchLimits(max_seconds=0.3))
+        assert (outcome.status, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, 0)
+        assert list(outcome.seconds) == ["greedy"]
+        assert 1 < outcome.value < factorial(11)
 
     @pytest.mark.parametrize("n, d", [(n, d) for n, d in _FAMILY_CASES if n <= 7])
     def test_the_search_path_gives_the_same_answer(self, monkeypatch, n, d):
@@ -177,6 +197,9 @@ class TestFamilyCertificate:
         ((5, 4, SearchLimits(10, None)), 8),
         ((5, 4, SearchLimits(None, 0.0)), 8),
         ((8, 6, SearchLimits(10, None)), 77),
+        # the whole greedy takes over a minute, so a deadline stops it at a
+        # value that depends on the clock
+        ((9, 3, SearchLimits(10, 0.2)), None),
     ])
     def test_a_gated_call_builds_no_family(self, monkeypatch, args, value):
         calls = []
@@ -188,7 +211,8 @@ class TestFamilyCertificate:
         monkeypatch.setattr(search, "_perfect_for", spy)
         outcome = exact_p(*args)
         assert calls == []
-        assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, value, 0)
+        assert (outcome.status, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, 0)
+        assert outcome.value > 1 and value in (None, outcome.value)
         assert list(outcome.seconds) == ["greedy"]
 
     @pytest.mark.parametrize("n, d", [(1, 1), (6, 5), (8, 7)])
@@ -205,17 +229,25 @@ class TestFamilyCertificate:
     @pytest.mark.parametrize("family", [
         perfect_pa("symmetric", 5),  # distance 2, below 4
         perfect_pa("cyclic", 5),  # distance 5, but 5 members, short of 20
-        PermutationArray(5, perfect_pa("agl", 5).rows[:, [1, 0, 2, 3, 4]]),  # no identity
+        # AGL(1,5) with two points swapped: no identity, but 20 members at
+        # distance 4, and a proved family needs none once it is the witness
+        PermutationArray(5, perfect_pa("agl", 5).rows[:, [1, 0, 2, 3, 4]]),
     ])
     def test_a_family_is_kept_only_once_proved(self, monkeypatch, family):
-        # the seed trusts no table: each of these misses a test, so P(5,4)
-        # is searched as it is with no family at all
-        searched = _without_family(monkeypatch, 5, 4)
+        # no table is trusted: a family that misses a test leaves P(5,4) to
+        # be searched as it is with no family at all
+        proved = len(family) >= 20 and count_pairs_below(family.rows, 4)[0] == 0
         monkeypatch.setattr(search, "_perfect_for", lambda n, d: family)
         outcome = exact_p(5, 4)
-        assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
-        assert (outcome.status, outcome.value, outcome.nodes, outcome.witness) == (
-            searched.status, searched.value, searched.nodes, searched.witness)
+        if proved:
+            assert list(outcome.seconds) == ["family"]
+            assert outcome.witness is family
+            assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, 20, 1)
+        else:
+            searched = _without_family(monkeypatch, 5, 4)
+            assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
+            assert (outcome.status, outcome.value, outcome.nodes, outcome.witness) == (
+                searched.status, searched.value, searched.nodes, searched.witness)
 
 
 class TestLimitBehaviour:
@@ -395,11 +427,12 @@ class TestLimitBehaviour:
         # it must equal the length of the stream it hands over
         counts = []
 
-        def count_only(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
+        def count_only(m, blocks, d, limits, symmetry, witness, upper=None):
             blocks = list(blocks)
             counts.append((m, sum(map(len, blocks))))
             return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
+        monkeypatch.setattr(search, "_perfect_for", lambda n, d: None)
         monkeypatch.setattr(search, "_solve", count_only)
         for n in range(1, 7):
             for d in range(1, n + 1):
@@ -449,19 +482,20 @@ class TestSearchTree:
 
     @pytest.mark.parametrize("oracle, args, value", [
         (exact_p, (5, 4), 20), (exact_p, (6, 4), 120), (exact_p, (7, 6), 42),
-        (exact_a_cw, (12, 6, 4), 9), (exact_p_cw, (9, 6, 3), 3), (exact_p, (8, 6), 336),
+        (exact_a_cw, (12, 6, 4), 9), (exact_p_cw, (9, 6, 3), 3),
     ])
-    def test_a_dive_that_meets_the_bound_closes_the_root(self, oracle, args, value):
-        # the bounds are 5!/3!, 6!/3!, 7!/5! and 8!/5! with the identity,
-        # Johnson's 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the
-        # dives the first five took 19, 83,574, more than 2,000,000, 9 and 2
-        # nodes. The four P cells now close on their built family before
-        # any dive; ``TestFamilyCertificate`` runs the dives of those on at
-        # most 7 points with the family routed away. P(8,6)'s dive, the
-        # first certificate on 8 points, spent nearly all its time on the
+    def test_a_dive_that_meets_the_bound_closes_the_root(self, monkeypatch, oracle, args, value):
+        # the bounds are 5!/3!, 6!/3! and 7!/5! with the identity, Johnson's
+        # 12/4 * 11/3 and 9/3 by disjoint 3-cycles; before the dives these
+        # took 19, 83,574, more than 2,000,000, 9 and 2 nodes. The P cells
+        # run with their built family routed away, which would close them
+        # before any dive; P(8,6)'s certificate is the family's alone
+        # (``TestFamilyCertificate``), as its dive spent 1.5 s on the
         # conflict masks of 37,085 vertices
+        monkeypatch.setattr(search, "_perfect_for", lambda n, d: None)
         outcome = oracle(*args)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, 1)
+        assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
         assert outcome.pruned == ()
         assert_verified(outcome, args[1])
 
@@ -529,28 +563,31 @@ class TestSearchTree:
 
 
 def _without_bound(monkeypatch, oracle, *args):
-    """The oracle's search with no upper bound: its group, but no dive or
-    incumbent closes the tree before it runs to the end."""
+    """The oracle's search with no upper bound: its group, but no built
+    family, dive or incumbent closes the tree before it runs to the end."""
     solve = search._solve
 
     def solve_unbounded(m, vertices, d, limits, symmetry, witness, upper=None):
         return solve(m, vertices, d, limits, symmetry, witness)
 
     with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
         patch.setattr(search, "_solve", solve_unbounded)
         return oracle(*args)
 
 
 def _one_orbit_per_vertex(monkeypatch, oracle, *args):
     """The oracle's search without orbit pruning: the trivial group (None),
-    so each node drops only the vertex it branched on, and no upper bound,
-    so the tree runs to the end whatever the greedy clique finds."""
+    so each node drops only the vertex it branched on, and no built family
+    or upper bound, so the tree runs to the end whatever the greedy clique
+    finds."""
     solve = search._solve
 
-    def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None, seed=None):
+    def solve_unpruned(m, vertices, d, limits, symmetry, witness, upper=None):
         return solve(m, vertices, d, limits, lambda rows: None, witness)
 
     with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
         patch.setattr(search, "_solve", solve_unpruned)
         return oracle(*args)
 
@@ -612,13 +649,14 @@ def _recorded(monkeypatch, oracle, *args):
     patched class name would also wrap the subgroups the class builds."""
     solve, recorded = search._solve, []
 
-    def recording_solve(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
+    def recording_solve(m, blocks, d, limits, symmetry, witness, upper=None):
         def build(rows):
             recorded.append(_Recording(symmetry(rows), []))
             return recorded[-1]
         return solve(m, blocks, d, limits, build, witness, upper)
 
     with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
         patch.setattr(search, "_solve", recording_solve)
         oracle(*args)
     return recorded[-1]
@@ -760,13 +798,14 @@ class TestOrbitPruning:
         vertices."""
         seen = {}
 
-        def capture(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
+        def capture(m, blocks, d, limits, symmetry, witness, upper=None):
             rows = np.concatenate(list(blocks))[::-1]
             seen["vectors"] = [tuple(vector) for vector in rows.tolist()]
             seen["group"] = symmetry(rows)
             return SearchOutcome(STATUS_EXACT, witness(rows[:0]))
 
         with monkeypatch.context() as patch:
+            patch.setattr(search, "_perfect_for", lambda n, d: None)
             patch.setattr(search, "_solve", capture)
             oracle(*args)
         return seen["group"], seen["vectors"]
@@ -1042,13 +1081,14 @@ def _handed_over(monkeypatch, oracle, *args):
     """The row blocks an oracle hands the search, as the list of their rows."""
     handed = []
 
-    def capture(m, blocks, d, limits, symmetry, witness, upper=None, seed=None):
+    def capture(m, blocks, d, limits, symmetry, witness, upper=None):
         blocks = list(blocks)
         assert blocks and all(block.ndim == 2 and block.dtype.kind == "i" for block in blocks)
         handed.extend(np.concatenate(blocks).tolist())
         return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
     with monkeypatch.context() as patch:
+        patch.setattr(search, "_perfect_for", lambda n, d: None)
         patch.setattr(search, "_solve", capture)
         oracle(*args)
     return handed
