@@ -35,9 +35,9 @@ d1-as-d2                distance 1 rewritten as distance 2 (distinct
                         permutations always differ in >= 2 positions)
 ======================  =====================================================
 
-``known_perfect`` and ``perfect_size`` say where the quotient bound is known
-to be met with equality, by the families of ``constructions`` and by some
-that are not built here.
+``_perfect_family`` names the family known to meet the quotient bound with
+equality at (n, d), by its ``constructions.perfect_pa`` name, whether or not
+it is built there; ``known_perfect`` and ``perfect_size`` read it.
 """
 
 from __future__ import annotations
@@ -350,26 +350,35 @@ def _is_prime_power(q: int) -> bool:
     return q == 1
 
 
+def _perfect_family(n: int, d: int) -> tuple[str, int] | None:
+    """The family known to meet the quotient bound n!/(d-1)! at (n, d), as
+    its ``constructions.perfect_pa`` name and parameter, or None where no
+    family is known to: "cyclic" n at d = n, "symmetric" n at d <= 2,
+    "alternating" n at d = 3, "agl" n at d = n - 1 and "pgl2" n - 1 at
+    d = n - 2 over any prime-power field, and the sporadic multiply-
+    transitive groups "m11" and "m12" at (11, 8) and (12, 8). ``perfect_pa``
+    builds the prime-field members of the first five and refuses the rest,
+    which are cited, not built."""
+    if not 1 <= d <= n:
+        return None
+    if d == n:
+        return "cyclic", n
+    if d <= 2:  # S_n meets n!/0! and n!/1!
+        return "symmetric", n
+    if d == 3:
+        return "alternating", n
+    if d == n - 1 and _is_prime_power(n):
+        return "agl", n
+    if d == n - 2 and _is_prime_power(n - 1):
+        return "pgl2", n - 1
+    return (f"m{n}", n) if (n, d) in ((11, 8), (12, 8)) else None
+
+
 def known_perfect(n: int, d: int) -> bool:
     """Whether (n, d) is on the list of parameters where the quotient bound
-    n!/(d-1)! is known to be met with equality.
-
-    Covers the families that ``constructions`` builds (extended to
-    prime-power fields, where the same constructions work but are not built
-    there) and the two sporadic multiply-transitive families at (11, 8) and
-    (12, 8).
-    """
-    if not 1 <= d <= n:
-        return False
-    if d == n or d <= 2:  # S_n meets n!/0! and n!/1!
-        return True
-    if d == 3 and n >= 3:
-        return True
-    if d == n - 1 and _is_prime_power(n):
-        return True
-    if d == n - 2 and _is_prime_power(n - 1):
-        return True
-    return (n, d) in ((11, 8), (12, 8))
+    n!/(d-1)! is known to be met with equality: where ``_perfect_family``
+    names a family."""
+    return _perfect_family(n, d) is not None
 
 
 def perfect_size(n: int, d: int) -> int | None:

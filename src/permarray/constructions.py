@@ -7,9 +7,11 @@ full symmetric group at distance 2, the even permutations at distance 3, the
 affine maps x -> ax + b over a prime field at distance p - 1, and the
 fractional-linear maps over a prime field acting on the projective line at
 distance p - 1. Block k-cycles and support lifting build constant-weight
-arrays matching the exact values the bounds module reports. The list of
-parameters where the quotient bound is known to be met, which these
-families and some not built here meet, is ``bounds.known_perfect``.
+arrays matching the exact values the bounds module reports. Which family
+meets the quotient bound at (n, d) is ``bounds._perfect_family``'s answer,
+a name and parameter for ``perfect_pa``, which builds these families and
+refuses the ones it names that are not built here (prime-power fields that
+are not prime, M11 and M12).
 """
 
 from __future__ import annotations
@@ -253,11 +255,11 @@ _BUILD_ENTRIES = 1 << 26
 
 
 def _check_size(points: int, factors: Iterable[int]) -> None:
-    """The size rule the named families, block cycles and the greedy
-    Steiner packing apply before they allocate: the member count, the
-    product of ``factors``, times ``points`` is at most ``_BUILD_ENTRIES``.
-    The product stops once past it, so n! is never worked out for a large
-    n."""
+    """The size rule the named families, block cycles, the greedy Steiner
+    packing and the support lift apply before they allocate: the member
+    count, the product of ``factors``, times ``points`` is at most
+    ``_BUILD_ENTRIES``. The product stops once past it, so n! is never
+    worked out for a large n."""
     entries = points
     for factor in factors:
         entries *= factor
@@ -343,6 +345,7 @@ def lift_binary_cw_code(code: BinaryCwCode, k: int) -> PermutationArray:
         i, j, dist = bad
         raise ValueError(f"supports {code.words[i]!r} and {code.words[j]!r} share "
                          f"{k + 1 - dist // 2} points; at most 1 allowed")
+    _check_size(code.n, (len(code),))
     return PermutationArray(code.n, _cycle_rows(code.n, code.rows))
 
 
@@ -428,25 +431,6 @@ _PERFECT_FAMILIES = {
 }
 
 
-def _perfect_for(n: int, d: int) -> PermutationArray | None:
-    """The family built here that meets n!/(d-1)! at (n, d), or None where
-    none does: cyclic n at d = n, symmetric n at d <= 2, alternating n at
-    d = 3, agl n at d = n - 1 for a prime n, and pgl2 n - 1 at d = n - 2
-    for a prime n - 1. Nothing is proved here: the caller checks what it
-    uses."""
-    if d == n:
-        return _cyclic(n)
-    if d <= 2:
-        return _symmetric(n)
-    if d == 3:
-        return _alternating(n)
-    if d == n - 1 and _least_factor(n) == n:
-        return _affine(n)
-    if d == n - 2 and _least_factor(n - 1) == n - 1:
-        return _projective(n - 1)
-    return None
-
-
 def perfect_families() -> tuple[str, ...]:
     """Names accepted by ``perfect_pa``."""
     return tuple(_PERFECT_FAMILIES)
@@ -456,7 +440,10 @@ def perfect_pa(family: str, param: int) -> PermutationArray:
     """Build a member of one of the distance-optimal families by name:
     "cyclic", "symmetric" or "alternating" (param = number of points, at
     least 1), or "agl" / "pgl2" (param = a prime modulus; composite moduli
-    are rejected, prime-power fields are out of scope)."""
+    are rejected, prime-power fields are out of scope). Any other name,
+    such as the "m11" and "m12" that ``bounds._perfect_family`` names, is
+    rejected. Every refusal is a ``ValueError`` raised before anything is
+    allocated."""
     try:
         builder = _PERFECT_FAMILIES[family]
     except KeyError:

@@ -29,12 +29,14 @@ or None where the rule does not apply; ``_solve`` reads it once, as the
 goal a witness must reach, infinite for None. A witness that reaches it is a
 certificate. ``exact_p`` asks for one before ``_solve``: when the limits
 admit a search (``_limits_rule_out``, the half of ``_solve``'s gate that
-is not the graph's memory), the family built in ``constructions`` that
-meets n!/(d-1)! at (n, d) is kept once its own rows prove its distance and
-it meets the bound, and it is the witness, exact after 1 node with nothing
-listed (P(n,1), P(n,2), P(n,3), P(n,n), P(5,4), P(6,4), P(7,6), P(8,6) and
-P(11,10) close so; S_11 and A_11 are past the build gate, so their cells go
-to ``_solve``). Every other call goes to ``_solve``.
+is not the graph's memory), the family that ``bounds._perfect_family``
+names for n!/(d-1)! at (n, d), as ``constructions.perfect_pa`` builds it,
+is kept once its own rows prove its distance and it meets the bound, and it
+is the witness, exact after 1 node with nothing listed (P(n,1), P(n,2),
+P(n,3), P(n,n), P(5,4), P(6,4), P(7,6), P(8,6), P(11,10) and P(12,10)
+close so; S_11 and A_11 are past the build gate, and ``perfect_pa`` builds
+no group over a field of order 8 or 9, so their cells go to ``_solve``).
+Every other call goes to ``_solve``.
 When a dive reaches the goal, the root node is closed without a tree or
 further dives, and the outcome is exact after 1 node (A(12,6,4), P(9,6,3),
 and on Johnson's 1962 bound A(11,6,4) and P(9,7,4), close so), and a
@@ -117,9 +119,9 @@ stabiliser of its words is the Young subgroup of the atoms their supports
 cut the coordinates into.
 
 The limits are one budget, taken when the search starts, before any vertex
-is listed: a node cap, which is deterministic, and a deadline, which covers
-listing the vertices, building the conflict masks, the search and the greedy
-witness alike. The clock is read every 256 nodes, or, in the streamed
+is listed: a node cap, which is deterministic and off by default, and a
+deadline, which covers listing the vertices, building the conflict masks,
+the search and the greedy witness alike. The clock is read every 256 nodes, or, in the streamed
 greedy, after each slice of at most 256 vertices it reads and each 256
 kept rows it checks them against, so the deadline is best-effort; past it
 the best clique found so far is the witness. Each phase's wall time, on
@@ -143,8 +145,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .bounds import best_upper_bound, cw_binary_bound, cw_pa_bound
-from .constructions import BinaryCwCode, PermutationArray, _perfect_for, indicator_rows
+from .bounds import _perfect_family, best_upper_bound, cw_binary_bound, cw_pa_bound
+from .constructions import BinaryCwCode, PermutationArray, indicator_rows, perfect_pa
 from .exactmath import ball_volume, binomial, derangement_count, factorial
 from .perm import (
     _LIST_ROWS,
@@ -180,9 +182,12 @@ class SearchLimits:
     SearchLimits(max_nodes=10))`` is lower-bound-only at 77, where the
     default limits certify 336 with the family. Limits that admit a search
     admit the family even where the graph would not fit in memory, as for
-    P(9,3) = 181,440."""
+    P(9,3) = 181,440 and P(12,12) = 12. By default there is no node cap:
+    the deadline bounds every search, and a graph of more vertices than a
+    cap of 10^8 would admit is past the memory gate, so it streams the
+    same greedy either way."""
 
-    max_nodes: int | None = 100_000_000
+    max_nodes: int | None = None
     max_seconds: float | None = 300.0
 
     def __post_init__(self) -> None:
@@ -624,14 +629,17 @@ def _word_rows(n: int, w: int) -> Iterator[np.ndarray]:
 
 def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Exact maximum size of a permutation array on n points with pairwise
-    distance >= d. When the limits admit a search, a family built in
-    ``constructions`` that meets the bound n!/(d-1)! is asked first; the
-    build gate's refusal counts as no family. It is kept only with at least
+    distance >= d. When the limits admit a search, the family that
+    ``bounds._perfect_family`` names for the bound n!/(d-1)! is asked of
+    ``constructions.perfect_pa`` first; a family it does not build (over a
+    field that is not prime, or M11 and M12) or that its build gate refuses
+    counts as no family. It is kept only with at least
     max(bound, 2) members and a minimum distance proved from its own rows,
     and then it is the witness, exact after 1 node, with no vertex listed:
     P(8,6) = 336 and P(8,8) = 8 in under a millisecond each in one process,
-    and P(9,2), P(9,3), P(10,10), P(11,10) and P(11,11) (whose graphs would
-    not fit in memory) in about 0.5 s or less on a 2-core Xeon. The deadline
+    and P(9,2), P(9,3), P(10,10), P(11,10), P(11,11), P(12,10), P(12,12)
+    and P(13,12) (whose graphs would not fit in memory) in about 0.5 s or
+    less on a 2-core Xeon. The deadline
     does not cut this phase; the build gate bounds it (S_10 takes about
     5 s and 450 MB).
 
@@ -643,9 +651,9 @@ def exact_p(n: int, d: int, limits: SearchLimits = SearchLimits()) -> SearchOutc
     bound = best_upper_bound(n, d).value
     m = factorial(n) - ball_volume(n, d - 1)
     if not _limits_rule_out(m, limits):
-        start, family = time.perf_counter(), None
-        with suppress(ValueError):  # one the build gate refuses is no family
-            family = _perfect_for(n, d)
+        start, named, family = time.perf_counter(), _perfect_family(n, d), None
+        with suppress(ValueError):  # one perfect_pa refuses, unbuilt or too large, is no family
+            family = named and perfect_pa(*named)
         # no table is trusted: the family is kept only once its own rows
         # prove its distance
         if family is not None and len(family) >= max(bound, 2) and family.min_distance() >= d:

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permarray import constructions, perm
-from permarray.bounds import _is_prime_power, dv_bound, known_perfect, perfect_size
+from permarray.bounds import (
+    _is_prime_power,
+    _perfect_family,
+    dv_bound,
+    known_perfect,
+    perfect_size,
+)
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
@@ -655,11 +661,11 @@ class TestPerfectFamilies:
 
 
 class TestSizeGate:
-    """The five named families, block cycles and the greedy Steiner packing
-    refuse an array of more than ``_BUILD_ENTRIES`` entries (members x
-    points) before they build anything. Here the budget is 100 entries;
-    the real one is tried on huge inputs in a child process under an
-    address-space limit (test_cli)."""
+    """The five named families, block cycles, the greedy Steiner packing and
+    the support lift refuse an array of more than ``_BUILD_ENTRIES`` entries
+    (members x points) before they build anything. Here the budget is 100
+    entries; the real one is tried on huge inputs in a child process under
+    an address-space limit (test_cli)."""
 
     GATED = "array too large to build: more than 100 entries (members x points)"
 
@@ -672,7 +678,10 @@ class TestSizeGate:
         (partial(block_cycle_cwpa, k=2), 14, 15),  # floor(n/2) x n: 98, 105
         # the packing bound C(n, 2) / C(2, 2), times n: 90, 147
         (partial(greedy_partial_steiner, blocksize=2), 6, 7),
-    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "block-cycle", "steiner"])
+        # two disjoint transpositions lifted with k = 1, times n: 100, 102
+        (lambda n: lift_binary_cw_code(BinaryCwCode(n, 2, ((0, 1), (2, 3)), 2), 1), 50, 51),
+    ], ids=["cyclic", "symmetric", "alternating", "agl", "pgl2", "block-cycle", "steiner",
+            "lift"])
     def test_the_largest_array_within_the_budget_builds(self, build, largest, refused,
                                                          monkeypatch):
         monkeypatch.setattr(constructions, "_BUILD_ENTRIES", 100)
@@ -733,3 +742,42 @@ class TestKnownPerfect:
         assert perfect_size(8, 6) == 336
         assert perfect_size(6, 4) == 120  # fractional-linear maps over F_5
         assert perfect_size(6, 5) is None
+
+
+def _built(n, d):
+    """The family ``_perfect_family`` names at (n, d) as ``perfect_pa``
+    builds it, or None where it names one that ``perfect_pa`` refuses."""
+    try:
+        return perfect_pa(*_perfect_family(n, d))
+    except ValueError:
+        return None
+
+
+class TestBuiltAndCited:
+    """``_perfect_family`` names a family for every ``known_perfect`` cell;
+    ``perfect_pa`` builds some of them and refuses the rest, which are cited.
+    ``exact_p`` takes a refusal for no family, so a name ``perfect_pa`` does
+    not know would pass unnoticed but for these tests."""
+
+    def test_every_built_family_meets_the_quotient_bound(self):
+        # S_n and A_n only up to 8 points, so that they stay small
+        cells = [(n, d) for n in range(1, 33) for d in range(1 if n <= 8 else 4, n + 1)
+                 if known_perfect(n, d)]
+        built = 0
+        for n, d in cells:
+            family = _built(n, d)
+            if family is not None:
+                built += 1
+                assert len(family) == perfect_size(n, d), (n, d)
+                assert len(family) < 2 or family.min_distance() >= d, (n, d)
+        assert built > len(cells) // 2
+
+    def test_the_cited_cells_are_the_prime_power_and_sporadic_ones(self, monkeypatch):
+        # a refusal comes before anything is built, so the rows of what is
+        # built need not be checked and sorted here
+        monkeypatch.setattr(constructions, "PermutationArray", lambda n, rows: rows)
+        cited = [(n, d) for n in range(4, 66) for d in range(4, n + 1)
+                 if known_perfect(n, d) and _built(n, d) is None]
+        assert cited == [(8, 7), (9, 7), (9, 8), (10, 8), (11, 8), (12, 8), (16, 15),
+                         (17, 15), (25, 24), (26, 24), (27, 26), (28, 26), (32, 31),
+                         (33, 31), (49, 48), (50, 48), (64, 63), (65, 63)]

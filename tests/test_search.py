@@ -10,6 +10,7 @@ import sys
 import time
 from array import array
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarray import search
-from permarray.bounds import best_upper_bound, cw_binary_bound, cw_pa_bound, johnson_1962
+from permarray.bounds import (
+    _perfect_family,
+    best_upper_bound,
+    cw_binary_bound,
+    cw_pa_bound,
+    johnson_1962,
+)
 from permarray.constructions import (
     BinaryCwCode,
     PermutationArray,
@@ -143,7 +150,7 @@ _FAMILY_CASES = sorted(
 def _without_family(monkeypatch, *args):
     """``exact_p`` with no family to certify its cell: the search path."""
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         return exact_p(*args)
 
 
@@ -161,16 +168,18 @@ class TestFamilyCertificate:
         assert (outcome.status, outcome.value, outcome.nodes, outcome.pruned) == (
             STATUS_EXACT, best_upper_bound(n, d).value, 1, ())
         assert list(outcome.seconds) == ["family"]
-        assert outcome.witness == search._perfect_for(n, d)
+        assert outcome.witness == perfect_pa(*_perfect_family(n, d))
         # the pairwise kernel agrees with the coset proof
         assert count_pairs_below(outcome.witness.rows, d)[0] == 0
 
-    @pytest.mark.parametrize("n, d", [(9, 2), (9, 3), (10, 10), (11, 10), (11, 11)])
+    @pytest.mark.parametrize("n, d", [(9, 2), (9, 3), (10, 10), (11, 10), (11, 11),
+                                      (12, 10), (12, 12), (13, 12)])
     def test_family_cells_past_the_graph_gate_certify(self, n, d):
         # the default limits admit these, but their conflict masks would
         # not fit in memory: before the family was asked ahead of the
         # graph's gate, P(9,2) took 135.6 s of streamed greedy and P(11,10)
-        # stopped lower-bound-only at 31
+        # stopped lower-bound-only at 31; on 12 or more points a default
+        # node cap of 10^8 ruled the family out, and P(12,12) read 3
         outcome = exact_p(n, d)
         assert (outcome.status, outcome.value, outcome.nodes, outcome.pruned) == (
             STATUS_EXACT, best_upper_bound(n, d).value, 1, ())
@@ -208,7 +217,7 @@ class TestFamilyCertificate:
             calls.append((n, d))
             raise AssertionError("a gated search built a family")
 
-        monkeypatch.setattr(search, "_perfect_for", spy)
+        monkeypatch.setattr(search, "_perfect_family", spy)
         outcome = exact_p(*args)
         assert calls == []
         assert (outcome.status, outcome.nodes) == (STATUS_LOWER_BOUND_ONLY, 0)
@@ -220,7 +229,9 @@ class TestFamilyCertificate:
         # P(6,5) = 18 is no family's, and P(8,7) = 56's group lives on the
         # field of order 8, which nothing here builds; the identity alone
         # is too small to be kept
-        family = search._perfect_for(n, d)
+        named, family = _perfect_family(n, d), None
+        with suppress(ValueError):  # (8, 7) is named, but not built
+            family = named and perfect_pa(*named)
         assert family is None or len(family) < 2
         if n < 8:
             outcome = exact_p(n, d, SearchLimits(700, None))
@@ -237,7 +248,7 @@ class TestFamilyCertificate:
         # no table is trusted: a family that misses a test leaves P(5,4) to
         # be searched as it is with no family at all
         proved = len(family) >= 20 and count_pairs_below(family.rows, 4)[0] == 0
-        monkeypatch.setattr(search, "_perfect_for", lambda n, d: family)
+        monkeypatch.setattr(search, "perfect_pa", lambda name, param: family)
         outcome = exact_p(5, 4)
         if proved:
             assert list(outcome.seconds) == ["family"]
@@ -432,7 +443,7 @@ class TestLimitBehaviour:
             counts.append((m, sum(map(len, blocks))))
             return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
-        monkeypatch.setattr(search, "_perfect_for", lambda n, d: None)
+        monkeypatch.setattr(search, "_perfect_family", lambda n, d: None)
         monkeypatch.setattr(search, "_solve", count_only)
         for n in range(1, 7):
             for d in range(1, n + 1):
@@ -492,7 +503,7 @@ class TestSearchTree:
         # before any dive; P(8,6)'s certificate is the family's alone
         # (``TestFamilyCertificate``), as its dive spent 1.5 s on the
         # conflict masks of 37,085 vertices
-        monkeypatch.setattr(search, "_perfect_for", lambda n, d: None)
+        monkeypatch.setattr(search, "_perfect_family", lambda n, d: None)
         outcome = oracle(*args)
         assert (outcome.status, outcome.value, outcome.nodes) == (STATUS_EXACT, value, 1)
         assert list(outcome.seconds) == ["listing", "conflict_masks", "search"]
@@ -571,7 +582,7 @@ def _without_bound(monkeypatch, oracle, *args):
         return solve(m, vertices, d, limits, symmetry, witness)
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         patch.setattr(search, "_solve", solve_unbounded)
         return oracle(*args)
 
@@ -587,7 +598,7 @@ def _one_orbit_per_vertex(monkeypatch, oracle, *args):
         return solve(m, vertices, d, limits, lambda rows: None, witness)
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         patch.setattr(search, "_solve", solve_unpruned)
         return oracle(*args)
 
@@ -656,7 +667,7 @@ def _recorded(monkeypatch, oracle, *args):
         return solve(m, blocks, d, limits, build, witness, upper)
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         patch.setattr(search, "_solve", recording_solve)
         oracle(*args)
     return recorded[-1]
@@ -805,7 +816,7 @@ class TestOrbitPruning:
             return SearchOutcome(STATUS_EXACT, witness(rows[:0]))
 
         with monkeypatch.context() as patch:
-            patch.setattr(search, "_perfect_for", lambda n, d: None)
+            patch.setattr(search, "_perfect_family", lambda n, d: None)
             patch.setattr(search, "_solve", capture)
             oracle(*args)
         return seen["group"], seen["vectors"]
@@ -1025,7 +1036,7 @@ def _with_and_without_bound(monkeypatch, oracle, *args):
         return runs[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         patch.setattr(search, "_max_clique", both)
         oracle(*args)
     return runs
@@ -1088,7 +1099,7 @@ def _handed_over(monkeypatch, oracle, *args):
         return SearchOutcome(STATUS_EXACT, witness(blocks[0][:0]))
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_perfect_for", lambda n, d: None)
+        patch.setattr(search, "_perfect_family", lambda n, d: None)
         patch.setattr(search, "_solve", capture)
         oracle(*args)
     return handed
@@ -1468,7 +1479,7 @@ class TestVerification:
         assert verify_pa(PermutationArray(3, [Permutation(range(3))]), 3) == []
 
     def test_default_limits_are_generous(self):
-        assert SearchLimits().max_nodes == 100_000_000
+        assert SearchLimits().max_nodes is None
         assert SearchLimits().max_seconds == 300.0
 
 
